@@ -102,9 +102,7 @@ class AutotuneSession:
         self.refine_trials = refine_trials
         self.refine_margin = refine_margin
         self.kernels = tuple(kernels)
-        self._tuner = ExhaustiveTuner(
-            min_seconds=min_seconds, min_repeats=1, executor=self.lib.executor
-        )
+        self._tuner = ExhaustiveTuner(min_seconds=min_seconds, min_repeats=1)
         self._accumulator = None
         if calibrate:
             from repro.perf.dse import CalibrationAccumulator

@@ -201,11 +201,8 @@ def cmd_verify(_args) -> int:
     from repro.core.inttm import ttm_inplace
     from repro.testing import assert_ttm_consistent
 
-    lib_generated = InTensLi(executor="generated")
-    lib_interpreted = InTensLi(executor="interpreted")
     entry_points = {
-        "inttm (generated)": lib_generated.ttm,
-        "inttm (interpreted)": lib_interpreted.ttm,
+        "inttm (generated)": InTensLi().ttm,
         "ttm_inplace (default plan)": ttm_inplace,
         "ttm_copy (Algorithm 1)": ttm_copy,
         "ttm_ctf_like": ttm_ctf_like,
@@ -384,7 +381,7 @@ def _run_trace_workload(args) -> None:
 
     rng = np.random.default_rng(0)
     shape = _parse_shape(args.shape)
-    lib = InTensLi(max_threads=args.threads, executor=args.executor)
+    lib = InTensLi(max_threads=args.threads)
     x = DenseTensor(rng.standard_normal(shape), args.layout)
     if args.workload == "ttm":
         # Two identical calls: the first trace shows the full
@@ -676,12 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--j", type=int, default=8)
     trace.add_argument("--layout", default="C", choices=["C", "F"])
     trace.add_argument("--threads", type=int, default=1)
-    trace.add_argument(
-        "--executor", default="interpreted",
-        choices=["interpreted", "generated"],
-        help="execution engine to trace (interpreted shows the full "
-        "view-build/parfor/kernel hierarchy)",
-    )
     trace.add_argument(
         "--chrome", default=None, metavar="PATH",
         help="export a chrome://tracing / Perfetto trace_event JSON file",

@@ -4,9 +4,9 @@ Pipeline (figure 7): inputs (tensor geometry, layout, mode, a GEMM shape
 benchmark, thread budget) feed the **parameter estimator**, which fixes
 the four plan parameters — loop modes ``M_L``, component modes ``M_C``,
 loop threads ``P_L``, kernel threads ``P_C`` — and the kernel choice;
-the plan then drives either the generic **executor**
-(:func:`repro.core.inttm.ttm_inplace`) or a **generated** specialized
-implementation (:mod:`repro.core.codegen`).
+the plan then runs as **generated** specialized code
+(:mod:`repro.core.codegen`) through the one executor entry point,
+:func:`repro.core.inttm.ttm_inplace`.
 
 Most users want the :class:`repro.core.intensli.InTensLi` facade or the
 top-level :func:`repro.ttm`.

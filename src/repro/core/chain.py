@@ -602,8 +602,10 @@ class ScratchPool:
             self.allocations += 1
         else:
             self.reuses += 1
+        # A prefix of a flat buffer reshapes contiguously in either order,
+        # so the checked constructor has nothing to check.
         view = buf[:n].reshape(shape, order=layout.numpy_order)
-        return DenseTensor(view, layout)
+        return DenseTensor._wrap(view, layout)
 
     def reserve(self, plan: ChainPlan) -> None:
         """Pre-size the slots a plan needs (at most two allocations)."""
@@ -640,8 +642,8 @@ def execute_chain(
 
     *steps* is the caller's original sequence (the plan's ``order``
     indexes into it); *execute* runs one planned product — signature
-    ``execute(plan, x, u, out) -> DenseTensor`` — and defaults to the
-    interpreted :func:`repro.core.inttm.ttm_inplace`.  Intermediates
+    ``execute(plan, x, u, out) -> DenseTensor`` — and defaults to
+    :func:`repro.core.inttm.ttm_inplace`.  Intermediates
     alternate between the pool's two slots; the final product is written
     into *out* when given, else into a freshly allocated tensor (the
     return value — never scratch).

@@ -9,20 +9,29 @@ bounds, index expressions, and reshape extents are literals; the source
 is inspectable (``generate_source``) and the compiled callables are
 cached per plan.
 
-The generated reshapes are guaranteed to be views: component modes are a
-contiguous run of a contiguous tensor (Lemma 4.1), whose strides still
-nest after the loop-mode axes are indexed away, and NumPy merges nesting
-axes without copying.  A defensive check at first call verifies this.
+The generated reshapes are views, never copies, because of one invariant
+the callers uphold: ``DenseTensor`` data is contiguous in its layout.
+Component modes are then a contiguous run of a contiguous tensor (Lemma
+4.1), whose strides still nest after the loop-mode axes are indexed
+away, and NumPy merges nesting axes without copying.  An output ``y``
+that broke the invariant would be reshaped into a copy and the writes
+lost, so the executor only hands generated code ``DenseTensor`` storage.
+
+Each compiled function also carries its **dispatch counts**
+(:class:`DispatchCounts`), fixed when the body is emitted: how many 2-D
+kernel calls and how many batched matmuls (over how many slices) one
+call performs.  The executor reports them to the hot-path counters once
+per call, so instrumentation costs nothing per loop iteration.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.plan import Strategy, TtmPlan
-from repro.gemm.batched import gemm_batched
 from repro.gemm.blocked import gemm_blocked
 from repro.gemm.interface import blas_dtype_legal, gemm
 from repro.gemm.threaded import gemm_threaded
@@ -30,6 +39,19 @@ from repro.parallel.parfor import parfor
 from repro.tensor.layout import Layout, element_strides
 
 _CACHE: dict[TtmPlan, object] = {}
+
+
+class DispatchCounts(NamedTuple):
+    """Kernel dispatches one call of a compiled plan performs."""
+
+    gemm_calls: int = 0
+    batched_calls: int = 0
+    batched_slices: int = 0
+    max_batch: int = 0
+
+    @property
+    def dispatches(self) -> int:
+        return self.gemm_calls + self.batched_calls
 
 
 def _index_expr(plan: TtmPlan, loop_vars: dict[int, str]) -> str:
@@ -194,15 +216,17 @@ def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str, str, str]:
     return x3, y3, x_off, y_off
 
 
-def _generic_batched_source(plan: TtmPlan) -> list[str] | None:
-    """Body lines for the batch-modes execution shape, or None.
+def _generic_batched_source(
+    plan: TtmPlan,
+) -> tuple[list[str], DispatchCounts] | None:
+    """Body lines (and their dispatch counts) for the batch-modes shape.
 
     Applies whenever the plan marks a batchable run and the inner kernel
     is the BLAS fast path: the batched run becomes one literal
     ``np.matmul`` over rank-3 strided views, any outer loop-mode residue
     stays a literal (or parfor-driven) nest.  Unlike
     :func:`_batched_form`'s full-collapse reshapes, this handles partial
-    collapses — the general engine the interpreter executor also uses.
+    collapses.  None when the plan has no batch run or a non-BLAS kernel.
     """
     if not plan.batch_modes:
         return None
@@ -220,27 +244,26 @@ def _generic_batched_source(plan: TtmPlan) -> list[str] | None:
     if not forward:
         lines.append(f"{indent}ut = u.T")
     outer = plan.outer_loop_modes
+    b = plan.batch_extent
     if not outer:
         lines.append(f"{indent}x3 = " + x3_t.format(off="0"))
         lines.append(f"{indent}y3 = " + y3_t.format(off="0"))
-        if plan.loop_threads > 1 and plan.batch_extent > 1:
+        if plan.loop_threads > 1 and b > 1:
             # No outer nest to split: chunk the batch run over P_L workers.
-            n_chunks = min(plan.loop_threads, plan.batch_extent)
-            chunk = math.ceil(plan.batch_extent / n_chunks)
+            n_chunks = min(plan.loop_threads, b)
+            chunk = math.ceil(b / n_chunks)
             inner = call.replace("x3", "x3[lo:hi]").replace("y3", "y3[lo:hi]")
             lines.append(f"{indent}def body(_index):")
             lines.append(f"{indent}    lo = _index[0] * {chunk}")
-            lines.append(
-                f"{indent}    hi = min(lo + {chunk}, {plan.batch_extent})"
-            )
+            lines.append(f"{indent}    hi = min(lo + {chunk}, {b})")
             lines.append(f"{indent}    {inner}")
             lines.append(
                 f"{indent}parfor(({n_chunks},), body, "
                 f"threads={plan.loop_threads})"
             )
-        else:
-            lines.append(f"{indent}{call}")
-        return lines
+            return lines, DispatchCounts(0, n_chunks, b, chunk)
+        lines.append(f"{indent}{call}")
+        return lines, DispatchCounts(0, 1, b, b)
 
     body_lines = [
         "x3 = " + x3_t.format(off=x_off),
@@ -271,7 +294,8 @@ def _generic_batched_source(plan: TtmPlan) -> list[str] | None:
             depth += 1
         for bl in body_lines:
             lines.append(f"{indent}{'    ' * depth}{bl}")
-    return lines
+    calls = plan.outer_loop_iterations
+    return lines, DispatchCounts(0, calls, calls * b, b)
 
 
 def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
@@ -280,6 +304,11 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
     The emitted function has signature ``(x, u, y)`` over raw ndarrays
     (``x``/``y`` in the plan's layout) and returns ``y``.
     """
+    return _emit(plan, function_name)[0]
+
+
+def _emit(plan: TtmPlan, function_name: str) -> tuple[str, DispatchCounts]:
+    """The source for *plan* and the dispatch counts its body performs."""
     loop_vars = {m: f"i{m}" for m in plan.loop_modes}
     sub_expr = _index_expr(plan, loop_vars)
     i_n, p, j = plan.i_n, plan.component_extent, plan.j
@@ -301,12 +330,15 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
     indent = "    "
     batched = _batched_form(plan)
     if batched is not None:
+        batch = plan.loop_iterations
         return (
-            "\n".join(lines) + "\n" + batched + f"{indent}return y\n"
+            "\n".join(lines) + "\n" + batched + f"{indent}return y\n",
+            DispatchCounts(0, 1, batch, batch),
         )
     generic = _generic_batched_source(plan)
     if generic is not None:
-        return "\n".join(lines + generic + [f"{indent}return y"]) + "\n"
+        body, counts = generic
+        return "\n".join(lines + body + [f"{indent}return y"]) + "\n", counts
     if not forward and plan.degree > 0:
         lines.append(f"{indent}ut = u.T")
 
@@ -345,24 +377,24 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
         for bl in body_lines:
             lines.append(f"{indent}{'    ' * depth}{bl}")
     lines.append(f"{indent}return y")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", DispatchCounts(plan.loop_iterations)
 
 
 def compile_plan(plan: TtmPlan):
     """Compile (and cache) the specialized TTM callable for *plan*.
 
     The returned function takes ``(x_data, u, y_data)`` ndarrays and
-    writes through ``y_data``.
+    writes through ``y_data``; its ``__source__`` is the generated code
+    and its ``counts`` the :class:`DispatchCounts` of one call.
     """
     cached = _CACHE.get(plan)
     if cached is not None:
         return cached
-    source = generate_source(plan)
+    source, counts = _emit(plan, "inttm")
     namespace = {
         "np": np,
         "_as_strided": np.lib.stride_tricks.as_strided,
         "gemm": gemm,
-        "gemm_batched": gemm_batched,
         "gemm_blocked": gemm_blocked,
         "gemm_threaded": gemm_threaded,
         "parfor": parfor,
@@ -371,6 +403,7 @@ def compile_plan(plan: TtmPlan):
     exec(code, namespace)
     fn = namespace["inttm"]
     fn.__source__ = source
+    fn.counts = counts
     _CACHE[plan] = fn
     return fn
 

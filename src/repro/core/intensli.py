@@ -6,16 +6,17 @@
   deterministic synthetic profile for a platform preset;
 * for each new input signature it runs the **parameter estimator** and
   caches the resulting plan;
-* it executes plans either through the generic interpreter
-  (:func:`repro.core.inttm.ttm_inplace`) or through **generated code**
-  (:mod:`repro.core.codegen`).
+* it executes plans as **generated code** (:mod:`repro.core.codegen`)
+  through the single executor entry point
+  :func:`repro.core.inttm.ttm_inplace`, or tile by tile when a plan's
+  footprint exceeds the memory budget.
 
 The top-level :func:`repro.ttm` wraps a module-wide default instance.
 """
 
 from __future__ import annotations
 
-import logging
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.core.chain import (
     execute_chain,
     plan_chain,
 )
-from repro.core.codegen import compile_plan
 from repro.core.estimator import ParameterEstimator
 from repro.core.inttm import ttm_inplace
 from repro.core.plan import TtmPlan
@@ -46,16 +46,11 @@ from repro.gemm.bench import (
     synthetic_profile,
 )
 from repro.obs.tracer import active_tracer
-from repro.resilience.fallback import recoverable
-from repro.resilience.faults import active_faults, record_degradation
-from repro.resilience.memory import guard_memory
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
 from repro.util.errors import DtypeError, ResourceError, ShapeError
-from repro.util.validation import check_finite_result, check_positive_int
-
-log = logging.getLogger("repro.core")
+from repro.util.validation import check_positive_int
 
 
 def _match_u_dtype(u, x_dtype: np.dtype) -> np.ndarray:
@@ -96,8 +91,9 @@ class InTensLi:
     max_threads:
         The thread budget for ``P_L``/``P_C``.
     executor:
-        ``"generated"`` (default: compile specialized code per plan) or
-        ``"interpreted"`` (the generic Algorithm-2 interpreter).
+        Deprecated and ignored: every plan runs as generated code.
+        Passing it warns; an unknown name still raises
+        :class:`~repro.util.errors.ShapeError`.
     """
 
     def __init__(
@@ -109,13 +105,21 @@ class InTensLi:
         benchmark_j: Sequence[int] = (16,),
         pth_bytes: int = DEFAULT_PTH_BYTES,
         kappa: float = 0.8,
-        executor: str = "generated",
+        executor: str | None = None,
     ) -> None:
         check_positive_int(max_threads, "max_threads")
-        if executor not in ("generated", "interpreted"):
-            raise ShapeError(
-                f"executor must be 'generated' or 'interpreted', got {executor!r}"
+        if executor is not None:
+            warnings.warn(
+                "InTensLi(executor=...) is deprecated and ignored: every "
+                "plan runs as generated code",
+                DeprecationWarning,
+                stacklevel=2,
             )
+            if executor not in ("generated", "interpreted"):
+                raise ShapeError(
+                    f"executor must be 'generated' or 'interpreted', got "
+                    f"{executor!r}"
+                )
         if profile is None:
             grid = default_shape_grid(m_values=tuple(benchmark_j))
             threads = (1, max_threads) if max_threads > 1 else (1,)
@@ -139,7 +143,6 @@ class InTensLi:
         self.profile = profile
         self.platform = platform
         self.max_threads = max_threads
-        self.executor = executor
         self.estimator = ParameterEstimator(
             profile=profile,
             max_threads=max_threads,
@@ -387,7 +390,7 @@ class InTensLi:
         through this instance's scratch pool (reused across calls, so
         HOOI sweeps converge to zero allocations); the final product is
         written into *out* when given.  Each step runs through
-        :meth:`execute`, i.e. the facade's configured executor.
+        :meth:`execute`, so an over-budget step is tiled.
         """
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
@@ -454,10 +457,7 @@ class InTensLi:
         u = _match_u_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
-        tuner = ExhaustiveTuner(
-            min_seconds=min_seconds,
-            executor=self.executor,
-        )
+        tuner = ExhaustiveTuner(min_seconds=min_seconds)
         result = tuner.sweep(
             x, u, mode, max_threads=self.max_threads, kernels=kernels
         )
@@ -537,7 +537,6 @@ class InTensLi:
             j=int(u.shape[0]),
             layout=x.layout.name,
             dtype=x.data.dtype.name,
-            executor=self.executor,
         ):
             plan = self.plan(
                 x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype
@@ -561,101 +560,18 @@ class InTensLi:
         When the plan's footprint exceeds the memory budget — the normal
         case for memmap-backed tensors under ``$REPRO_MEM_LIMIT`` — the
         call transparently reroutes through the tiling planner
-        (:mod:`repro.core.tiling`) and executes tile by tile; callers
-        see the same output tensor either way.
+        (:mod:`repro.core.tiling`) and executes tile by tile; otherwise
+        it is exactly :func:`~repro.core.inttm.ttm_inplace`.  Callers
+        see the same output tensor, and the same typed errors, either
+        way.
         """
         tiled = self._maybe_execute_tiled(plan, x, u, out, check_finite)
         if tiled is not None:
             return tiled
-        if self.executor == "interpreted":
-            return ttm_inplace(
-                x, u, plan=plan, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
-            )
-        if x.shape != plan.shape or x.layout is not plan.layout:
-            raise ShapeError(
-                f"plan is for {plan.shape}/{plan.layout.name}, tensor is "
-                f"{x.shape}/{x.layout.name}"
-            )
-        if x.data.dtype != plan.np_dtype:
-            raise DtypeError(
-                f"plan is for dtype {plan.dtype}, tensor is "
-                f"{x.data.dtype.name}; re-plan for the tensor's dtype"
-            )
-        u = _match_u_dtype(u, plan.np_dtype)
-        if u.shape != (plan.j, plan.i_n):
-            raise ShapeError(
-                f"U shape {u.shape} != (J={plan.j}, I_n={plan.i_n})"
-            )
-        # Pre-flight the allocation before making it: memory pressure
-        # becomes a typed ResourceError (or a lower-degree replan) rather
-        # than an OOM kill.  The replanned plan keeps the signature, so
-        # the validations above still hold for it.
-        plan = guard_memory(
-            plan, allocate_out=out is None, allow_replan=allow_replan
+        return ttm_inplace(
+            x, u, plan=plan, out=out,
+            check_finite=check_finite, allow_replan=allow_replan,
         )
-        if out is None:
-            out = DenseTensor.empty(plan.out_shape, plan.layout,
-                                    dtype=plan.dtype)
-        elif out.shape != plan.out_shape or out.layout is not plan.layout:
-            raise ShapeError(
-                f"out is {out.shape}/{out.layout.name}, plan needs "
-                f"{plan.out_shape}/{plan.layout.name}"
-            )
-        elif out.data.dtype != plan.np_dtype:
-            raise DtypeError(
-                f"out has dtype {out.data.dtype.name}, plan needs "
-                f"{plan.dtype}"
-            )
-        fn = compile_plan(plan)
-        tracer = active_tracer()
-        try:
-            faults = active_faults()
-            if faults is not None:
-                # Generated code may compile down to a raw np.matmul with
-                # no gemm-layer checkpoint inside, so the injection point
-                # for the whole compiled kernel sits at its dispatch.
-                faults.check("kernel-raise", kernel=plan.kernel,
-                             generated=True)
-            if tracer.enabled:
-                with tracer.span(
-                    "execute",
-                    executor="generated",
-                    kernel=plan.kernel,
-                    degree=plan.degree,
-                    batch_modes=list(plan.batch_modes),
-                    dtype=plan.dtype,
-                    flops=plan.total_flops,
-                ):
-                    fn(x.data, u, out.data)
-            else:
-                fn(x.data, u, out.data)
-        except BaseException as exc:
-            # Generated code dispatches kernels directly (no fallback
-            # chain inside the compiled loop nest), so a recoverable
-            # kernel failure degrades one level up: rerun through the
-            # interpreted executor, whose KernelChain retries tier by
-            # tier.  Overwrite mode rewrites every element, so a partial
-            # write from the failed run cannot survive.
-            if not recoverable(exc):
-                raise
-            log.warning(
-                "generated executor failed (%s: %s); degrading to the "
-                "interpreted executor", type(exc).__name__, exc,
-            )
-            record_degradation(
-                "kernel_fallbacks",
-                degraded=True,
-                degraded_from="generated",
-                degraded_to="interpreted",
-                degraded_error=type(exc).__name__,
-            )
-            return ttm_inplace(
-                x, u, plan=plan, out=out, check_finite=check_finite
-            )
-        if check_finite:
-            check_finite_result(out.data, kernel=plan.kernel, context="ttm")
-        return out
 
     def _maybe_execute_tiled(
         self,
@@ -692,14 +608,9 @@ class InTensLi:
             return None
         if not tiling.tiled:
             return None
-        u = _match_u_dtype(u, plan.np_dtype)
-
-        def run_tile(tile_plan, x_tile, u_arr, y_tile):
-            return self.execute(tile_plan, x_tile, u_arr, out=y_tile)
-
         return execute_tiled(
-            x, u, tiling, out=out, planner=planner, executor=run_tile,
-            check_finite=check_finite,
+            x, _match_u_dtype(u, plan.np_dtype), tiling, out=out,
+            planner=planner, check_finite=check_finite,
         )
 
     def ttm_stream(

@@ -1,61 +1,54 @@
-"""The in-place TTM executor: Algorithm 2, interpreted from a plan.
+"""The in-place TTM executor: Algorithm 2, run as generated code.
 
-``ttm_inplace`` walks the loop-mode iteration space and runs the planned
-GEMM kernel on copy-free *views* of the input and output tensors, writing
-straight through the output tensor's storage.
+``ttm_inplace`` is the single entry point that executes a plan.  It
+validates the operands once, pre-flights the memory the call needs,
+then runs the plan's compiled loop nest (:func:`repro.core.codegen
+.compile_plan`) on copy-free views of the input and output storage,
+writing straight through the output tensor.
 
-The executor has two code shapes, chosen by the plan:
+Kernel failures degrade the whole call, not one loop index: a
+recoverable error reruns the call with the plan recompiled one kernel
+tier down (``blas -> blocked -> reference``, see
+:mod:`repro.resilience.fallback`), and
+:class:`~repro.util.errors.KernelExecutionError` is raised only after
+the last tier.  With ``accumulate=True`` the product lands in one
+output-sized scratch and is added into ``out`` once, after success.
 
-* **Batched** (``plan.batch_modes`` non-empty): the innermost run of
-  loop modes is fused into the batch dimension of a rank-3 strided view
-  (:class:`repro.tensor.views.BatchViewFactory`), and one batched GEMM
-  (:func:`repro.gemm.batched.gemm_batched`) replaces that whole run of
-  per-index dispatches.  Only the *outer* residue of ``M_L`` remains an
-  interpreted loop, which cuts interpreter crossings by the batch factor
-  — the GETT-style move of mapping the loop nest onto batched matrix
-  multiply primitives instead of interpreted outer loops.
-* **Per-iteration** (``batch_modes`` empty): the original Algorithm 2
-  loop, one GEMM per loop index, kept as the fallback for plans whose
-  strides do not permit stacking and for explicitly unbatched plans.
-
-Both paths hoist every loop-invariant out of the body: view geometry is
-precomputed once per call (the factories), the kernel callable is
-resolved once (no per-iteration registry lookups), and ``U^T`` for the
-backward strategy is derived once.
-
-Total extra memory: one J x I_n transpose of U for the backward strategy
-(a view, not a copy) and nothing else.  This is what "in-place" means in
-the paper: the conventional implementation's tensor-sized matricization
-buffers simply do not exist.
+Total extra memory outside accumulation: nothing beyond the output.
+This is what "in-place" means in the paper: the conventional
+implementation's tensor-sized matricization buffers simply do not exist.
 """
 
 from __future__ import annotations
 
-import math
-import time
+import logging
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.plan import Strategy, TtmPlan
+from repro.core.codegen import compile_plan
+from repro.core.plan import TtmPlan
 from repro.obs.tracer import active_tracer
-from repro.parallel.parfor import parfor
 from repro.perf.profiler import active_hot_counters
-from repro.resilience.fallback import (
-    KernelChain,
-    build_batched_tiers,
-    build_gemm_tiers,
-)
+from repro.resilience.fallback import fallback_tiers, recoverable
+from repro.resilience.faults import active_faults, record_degradation
 from repro.resilience.memory import guard_memory
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.tensor.views import BatchViewFactory, MatrixViewFactory
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, is_supported_dtype
-from repro.util.errors import DtypeError, PlanError, ShapeError
+from repro.util.errors import (
+    DtypeError,
+    KernelExecutionError,
+    PlanError,
+    ShapeError,
+)
 from repro.util.validation import (
     check_finite_result,
     check_mode,
     check_positive_int,
 )
+
+log = logging.getLogger("repro.core")
 
 
 def default_plan(
@@ -155,9 +148,11 @@ def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:
     return u
 
 
-def _prepare_out(plan: TtmPlan, out: DenseTensor | None) -> DenseTensor:
-    if out is None:
-        return DenseTensor.empty(plan.out_shape, plan.layout, dtype=plan.dtype)
+def _empty_out(plan: TtmPlan) -> DenseTensor:
+    return DenseTensor.empty(plan.out_shape, plan.layout, dtype=plan.dtype)
+
+
+def _check_out(plan: TtmPlan, out) -> None:
     if not isinstance(out, DenseTensor):
         raise TypeError(f"out must be a DenseTensor, got {type(out).__name__}")
     if out.shape != plan.out_shape or out.layout is not plan.layout:
@@ -171,183 +166,70 @@ def _prepare_out(plan: TtmPlan, out: DenseTensor | None) -> DenseTensor:
             "writing through a mismatched out would silently round every "
             "element"
         )
-    return out
 
 
-def _kernel_runner(plan: TtmPlan, accumulate: bool = False) -> KernelChain:
-    """A degrading dispatcher for the inner GEMM per the plan's kernel.
+def _run_compiled(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:
+    """One call of *plan*'s compiled code: checkpoint, span, counters."""
+    fn = compile_plan(plan)
+    counts = fn.counts
+    faults = active_faults()
+    if faults is not None:
+        # The compiled body may be a bare np.matmul with no gemm-layer
+        # checkpoint inside, so the whole call checks in at its dispatch.
+        faults.check(
+            "kernel-raise", kernel=plan.kernel,
+            batched=counts.batched_calls > 0,
+        )
+    tracer = active_tracer()
+    if tracer.enabled:
+        m, k, n = plan.kernel_shape
+        # Gemm-layer calls inside the body see this span as current and
+        # open no second one.
+        with tracer.span(
+            "gemm-kernel", kernel=plan.kernel, dtype=plan.dtype,
+            m=m, k=k, n=n, dispatches=counts.dispatches,
+        ):
+            fn(x, u, y)
+    else:
+        fn(x, u, y)
+    counters = active_hot_counters()
+    if counters is not None:
+        counters.count_dispatches(counts)
 
-    The tier list is resolved from the registry *once* here; loop bodies
-    call the chain directly without any per-iteration registry lookups.
-    When the planned kernel raises a recoverable error the chain retries
-    the multiply one tier down (``blas -> blocked -> reference``) and
-    stays degraded for the rest of this call — see
-    :mod:`repro.resilience.fallback`.
+
+def _execute(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:
+    """Run *plan*, degrading the whole call one kernel tier per failure.
+
+    A recoverable error reruns the call with the plan recompiled at the
+    next tier of :func:`~repro.resilience.fallback.fallback_tiers`
+    (``blas -> blocked -> reference``).  Overwrite mode rewrites every
+    element of *y*, so nothing from a failed tier survives.
     """
-    return KernelChain(build_gemm_tiers(plan), accumulate=accumulate)
-
-
-def _batched_runner(plan: TtmPlan, accumulate: bool = False) -> KernelChain:
-    """Like :func:`_kernel_runner`, but dispatching whole batches."""
-    return KernelChain(build_batched_tiers(plan), accumulate=accumulate)
-
-
-def _execute_batched(x, u, ut, y, plan: TtmPlan, accumulate: bool) -> None:
-    """The batched engine: one batched GEMM per *outer* loop index."""
-    comp = plan.component_modes
-    mode_t = plan.mode
-    batch = plan.batch_modes
-    outer = plan.outer_loop_modes
-    forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    counters = active_hot_counters()
-    tracer = active_tracer()
-    run_batched = _batched_runner(plan, accumulate=accumulate)
-
-    # Degree 0 batches fibers as (B, I_n, 1) single-column matrices.
-    rows_x = (mode_t,)
-    with tracer.span("view-build", engine="batched", batch_modes=list(batch)):
-        if forward:
-            x_views = BatchViewFactory(x, batch, rows_x, comp, outer)
-            y_views = BatchViewFactory(y, batch, rows_x, comp, outer)
-        else:
-            x_views = BatchViewFactory(x, batch, comp, rows_x, outer)
-            y_views = BatchViewFactory(y, batch, comp, rows_x, outer)
-
-    def dispatch(x3, y3):
-        # Algorithm 2's kernel, lifted to rank 3 over the batch run:
-        # forward Y3[b] = U @ X3[b]; backward Y3[b] = X3[b] @ U^T.
-        if forward:
-            run_batched(u, x3, y3)
-        else:
-            run_batched(x3, ut, y3)
-        if counters is not None:
-            counters.count_batched(x3.shape[0])
-
-    if tracer.enabled:
-        # Parent kernel spans to the span current *here*, so bodies run
-        # by parfor worker threads stay attached to this dispatch.
-        dispatch_parent = tracer.current_span()
-        m_k, k_k, n_k = plan.kernel_shape
-        plain_dispatch = dispatch
-
-        def dispatch(x3, y3):
-            with tracer.span(
-                "gemm-kernel",
-                # Worker threads have an empty span stack: fall back to
-                # the span that was current at dispatch-construction time
-                # so their kernels stay attached to this call's tree.
-                parent=tracer.current_span() or dispatch_parent,
-                batch=int(x3.shape[0]),
-                m=m_k,
-                k=k_k,
-                n=n_k,
-                kernel=plan.kernel,
-                dtype=plan.dtype,
-            ):
-                plain_dispatch(x3, y3)
-
-    b_extent = x_views.batch_extent
-    if plan.loop_threads > 1 and not outer and b_extent > 1:
-        # No outer loop to parallelize: split the batch itself across the
-        # P_L workers (each chunk is still one batched dispatch).
-        x3 = x_views.view(())
-        y3 = y_views.view(())
-        n_chunks = min(plan.loop_threads, b_extent)
-        chunk = math.ceil(b_extent / n_chunks)
-
-        def chunk_body(index):
-            lo = index[0] * chunk
-            hi = min(lo + chunk, b_extent)
-            dispatch(x3[lo:hi], y3[lo:hi])
-
-        parfor((n_chunks,), chunk_body, threads=plan.loop_threads)
-        return
-
-    if counters is None:
-
-        def body(index):
-            dispatch(x_views.view(index), y_views.view(index))
-
-    else:
-
-        def body(index):
-            start = time.perf_counter()
-            x3 = x_views.view(index)
-            y3 = y_views.view(index)
-            counters.add_view_time(time.perf_counter() - start)
-            dispatch(x3, y3)
-
-    parfor(plan.outer_loop_extents, body, threads=plan.loop_threads)
-
-
-def _execute_looped(x, u, ut, y, plan: TtmPlan, accumulate: bool) -> None:
-    """The per-iteration fallback: one GEMM dispatch per loop index."""
-    comp = plan.component_modes
-    mode_t = plan.mode
-    loops = plan.loop_modes
-    forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    counters = active_hot_counters()
-    tracer = active_tracer()
-    run_kernel = _kernel_runner(plan, accumulate=accumulate)
-
-    # Degree 0 falls into the forward shape with an empty column run:
-    # each kernel is a GEMV-shaped GEMM on an (I_n, 1) fiber view.
-    rows = (mode_t,)
-    with tracer.span("view-build", engine="looped", loop_modes=list(loops)):
-        if forward:
-            x_views = MatrixViewFactory(x, rows, comp, loops)
-            y_views = MatrixViewFactory(y, rows, comp, loops)
-        else:
-            x_views = MatrixViewFactory(x, comp, rows, loops)
-            y_views = MatrixViewFactory(y, comp, rows, loops)
-
-    if tracer.enabled:
-        dispatch_parent = tracer.current_span()
-        m_k, k_k, n_k = plan.kernel_shape
-
-        def body(index):
-            x_sub = x_views.view(index)
-            y_sub = y_views.view(index)
-            with tracer.span(
-                "gemm-kernel",
-                parent=tracer.current_span() or dispatch_parent,
-                m=m_k,
-                k=k_k,
-                n=n_k,
-                kernel=plan.kernel,
-                dtype=plan.dtype,
-            ):
-                if forward:
-                    run_kernel(u, x_sub, y_sub)
-                else:
-                    run_kernel(x_sub, ut, y_sub)
-            if counters is not None:
-                counters.count_gemm()
-
-    elif counters is None:
-
-        def body(index):
-            x_sub = x_views.view(index)
-            y_sub = y_views.view(index)
-            if forward:
-                run_kernel(u, x_sub, y_sub)
-            else:
-                run_kernel(x_sub, ut, y_sub)
-
-    else:
-
-        def body(index):
-            start = time.perf_counter()
-            x_sub = x_views.view(index)
-            y_sub = y_views.view(index)
-            counters.add_view_time(time.perf_counter() - start)
-            if forward:
-                run_kernel(u, x_sub, y_sub)
-            else:
-                run_kernel(x_sub, ut, y_sub)
-            counters.count_gemm()
-
-    parfor(plan.loop_extents, body, threads=plan.loop_threads)
+    tiers = fallback_tiers(plan.kernel)
+    for i, kernel in enumerate(tiers):
+        tier_plan = plan if i == 0 else replace(plan, kernel=kernel)
+        try:
+            _run_compiled(tier_plan, x, u, y)
+            return
+        except Exception as exc:
+            if not recoverable(exc):
+                raise
+            if i + 1 == len(tiers):
+                raise KernelExecutionError(
+                    f"every GEMM kernel tier failed ({' -> '.join(tiers)}); "
+                    f"last error from {kernel!r}: {type(exc).__name__}: {exc}"
+                ) from exc
+            log.warning(
+                "gemm kernel %r failed (%s: %s); degrading to %r",
+                kernel, type(exc).__name__, exc, tiers[i + 1],
+            )
+            record_degradation(
+                "kernel_fallbacks",
+                degraded=True,
+                degraded_from=kernel,
+                degraded_to=tiers[i + 1],
+                degraded_error=type(exc).__name__,
+            )
 
 
 def ttm_inplace(
@@ -399,20 +281,23 @@ def ttm_inplace(
             x.shape, mode, u_arr.shape[0], x.layout, dtype=x.data.dtype.name
         )
     u = _check_inputs(x, u, plan)
-    # Pre-flight: size the allocation before making it, so memory
+    if out is not None:
+        _check_out(plan, out)
+    # Pre-flight: size the allocations before making them, so memory
     # pressure surfaces as a typed error (or a lower-degree replan)
-    # instead of an OOM kill mid-write.
+    # instead of an OOM kill mid-write.  Accumulation computes into an
+    # output-sized scratch first, so the guard prices that too.
     plan = guard_memory(
-        plan, allocate_out=out is None, allow_replan=allow_replan
+        plan, allocate_out=out is None or accumulate,
+        allow_replan=allow_replan,
     )
-    y = _prepare_out(plan, out)
-    ut = u.T  # view; used by the backward kernel form
+    y = out if out is not None else _empty_out(plan)
+    target = _empty_out(plan) if accumulate else y
 
     tracer = active_tracer()
     if tracer.enabled:
         with tracer.span(
             "execute",
-            executor="interpreted",
             shape=list(plan.shape),
             mode=plan.mode,
             j=plan.j,
@@ -423,15 +308,13 @@ def ttm_inplace(
             dtype=plan.dtype,
             flops=plan.total_flops,
         ):
-            if plan.batch_modes:
-                _execute_batched(x, u, ut, y, plan, accumulate)
-            else:
-                _execute_looped(x, u, ut, y, plan, accumulate)
+            _execute(plan, x.data, u, target.data)
     else:
-        if plan.batch_modes:
-            _execute_batched(x, u, ut, y, plan, accumulate)
-        else:
-            _execute_looped(x, u, ut, y, plan, accumulate)
+        _execute(plan, x.data, u, target.data)
+    if accumulate:
+        # Added once, after success: a failed tier never leaves partial
+        # sums in *out*.
+        np.add(y.data, target.data, out=y.data)
     if check_finite:
         check_finite_result(y.data, kernel=plan.kernel, context="ttm")
     return y

@@ -10,7 +10,7 @@ input, everything Algorithm 2 leaves open:
 * the **loop modes** ``M_L`` iterated by the (possibly parallel) nest;
 * the **batch modes** ``M_B`` — the innermost run of ``M_L`` whose
   iterations collapse into one batched GEMM (a rank-3 strided view fed
-  to ``np.matmul``) instead of interpreted per-index dispatches;
+  to ``np.matmul``) instead of Python-level per-index dispatches;
 * the thread split ``P_L`` / ``P_C``;
 * the inner **kernel** (``blas`` fast path or ``blocked`` general-stride).
 
@@ -185,7 +185,7 @@ class TtmPlan:
 
     @property
     def outer_loop_modes(self) -> tuple[int, ...]:
-        """The loop modes that remain interpreted outside the batch."""
+        """The loop modes that remain a Python-level loop outside the batch."""
         if not self.batch_modes:
             return self.loop_modes
         return self.loop_modes[: len(self.loop_modes) - len(self.batch_modes)]
@@ -201,12 +201,13 @@ class TtmPlan:
 
     @property
     def gemm_dispatch_count(self) -> int:
-        """Interpreter-level GEMM dispatches the executor performs.
+        """GEMM dispatches the plan's loop nest performs.
 
         Per-iteration execution dispatches once per loop index; batched
         execution dispatches once per *outer* index, reducing the count by
-        the batch factor B.  This is the quantity the new hot-path
-        counters measure and the batched benchmark reports.
+        the batch factor B.  Generated code can do better still: a loop
+        nest that collapses whole into one rank-3 matmul is a single
+        dispatch, batched plan or not (see :mod:`repro.core.codegen`).
         """
         if not self.batch_modes:
             return self.loop_iterations

@@ -48,6 +48,7 @@ partial results (``axis != mode``) or accumulates partial contractions
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -101,7 +102,11 @@ from repro.util.errors import (
 Planner = Callable[..., TtmPlan]
 
 
+@functools.lru_cache(maxsize=256)
 def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
+    # Pure in its (hashable) arguments, and the tiles of a run ask for the
+    # same few shapes on every call: memoized, per-tile planning is a
+    # dict hit instead of a fresh partitioning.
     return default_plan(shape, mode, j, layout, dtype=dtype)
 
 
@@ -433,16 +438,14 @@ def execute_tiled(
     out: DenseTensor | None = None,
     out_path=None,
     planner: Planner | None = None,
-    executor: Callable[..., DenseTensor] | None = None,
     check_finite: bool = False,
     journal_path=None,
 ) -> DenseTensor:
     """Run a TTM tile by tile per *tiling*, bounded by its budget.
 
-    *executor* runs one tile: ``executor(tile_plan, x_tile, u, y_tile)``
-    with ``y_tile`` preallocated (defaults to the interpreted
-    :func:`~repro.core.inttm.ttm_inplace`; the facade passes its
-    configured executor).  The output is, in order of preference, the
+    Each tile runs through :func:`~repro.core.inttm.ttm_inplace` with its
+    own plan from *planner* into a preallocated output tile.  The output
+    is, in order of preference, the
     caller's *out*, a fresh memmap at *out_path*, or an in-RAM
     allocation — refused with :class:`ResourceError` when the full
     output alone exceeds the budget and no disk destination was given.
@@ -488,10 +491,6 @@ def execute_tiled(
         )
     if planner is None:
         planner = _default_planner
-    if executor is None:
-        def executor(tile_plan, x_tile, u_arr, y_tile):
-            return ttm_inplace(x_tile, u_arr, plan=tile_plan, out=y_tile)
-
     layout = tiling.layout
     want_flag = "C_CONTIGUOUS" if layout is Layout.ROW_MAJOR else "F_CONTIGUOUS"
     final_path = None if out is not None or out_path is None else str(out_path)
@@ -524,7 +523,7 @@ def execute_tiled(
             return open_memmap_tensor(final_path, "r+")
     try:
         out = _execute_tiled_body(
-            x, u, tiling, out, final_path, planner, executor,
+            x, u, tiling, out, final_path, planner,
             np_dtype, layout, want_flag, journal, committed,
         )
         if check_finite:
@@ -545,7 +544,7 @@ def execute_tiled(
 
 
 def _execute_tiled_body(
-    x, u, tiling, out, final_path, planner, executor,
+    x, u, tiling, out, final_path, planner,
     np_dtype, layout, want_flag, journal, committed,
 ) -> DenseTensor:
     with pinned_budget(tiling.budget) as budget:
@@ -679,7 +678,7 @@ def _execute_tiled_body(
                 if view_ok:
                     x_tile = DenseTensor._wrap(x_sub, layout)
                     y_tile = DenseTensor._wrap(y_sub, layout)
-                    executor(tile_plan, x_tile, u, y_tile)
+                    ttm_inplace(x_tile, u, plan=tile_plan, out=y_tile)
                     landed = y_sub
                 else:
                     before = pool.nbytes
@@ -699,7 +698,7 @@ def _execute_tiled_body(
                             ),
                         )
                     np.copyto(x_tile.data, x_sub)
-                    executor(tile_plan, x_tile, u, y_tile)
+                    ttm_inplace(x_tile, u, plan=tile_plan, out=y_tile)
                     np.copyto(y_sub, y_tile.data)
                     landed = y_tile.data
                     pack_bytes += x_tile.nbytes + y_tile.nbytes
@@ -733,7 +732,6 @@ def ttm_tiled(
     out: DenseTensor | None = None,
     out_path=None,
     planner: Planner | None = None,
-    executor: Callable[..., DenseTensor] | None = None,
     check_finite: bool = False,
     journal_path=None,
 ) -> DenseTensor:
@@ -762,7 +760,7 @@ def ttm_tiled(
         try:
             header, _ = Journal.read(journal_path)
         except RecoveryError:
-            header = None  # garbage journal; plan fresh, executor rewrites
+            header = None  # garbage journal; plan fresh, tiles rewrite
         if header is not None and header.get("kind") == "ttm-tiled":
             candidate = TilingPlan.from_dict(header["decision"])
             if (candidate.shape == x.shape
@@ -781,8 +779,7 @@ def ttm_tiled(
         )
     return execute_tiled(
         x, u, tiling, out=out, out_path=out_path, planner=planner,
-        executor=executor, check_finite=check_finite,
-        journal_path=journal_path,
+        check_finite=check_finite, journal_path=journal_path,
     )
 
 

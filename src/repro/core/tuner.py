@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.inttm import ttm_inplace
+from repro.core.codegen import compile_plan
 from repro.core.partition import (
     available_modes_for_strategy,
     choose_batch_modes,
@@ -127,30 +127,13 @@ class TunerResult:
 class ExhaustiveTuner:
     """Times every candidate plan on a real input (figure 12's gray bars).
 
-    Candidates run through the same generated-code path the estimator's
-    prediction uses (``executor="generated"``), so the comparison isolates
-    the *plan* choice; pass ``executor="interpreted"`` to time the generic
-    Algorithm-2 interpreter instead.
+    Candidates run as their compiled code alone (no validation or memory
+    guard around it), so the comparison isolates the *plan* choice.
     """
 
-    def __init__(
-        self,
-        min_seconds: float = 0.02,
-        min_repeats: int = 2,
-        executor: str = "generated",
-    ):
+    def __init__(self, min_seconds: float = 0.02, min_repeats: int = 2):
         self.min_seconds = min_seconds
         self.min_repeats = min_repeats
-        self.executor = executor
-
-    def _runner(self, plan: TtmPlan, x: DenseTensor, u: np.ndarray,
-                out: DenseTensor):
-        if self.executor == "generated":
-            from repro.core.codegen import compile_plan
-
-            fn = compile_plan(plan)
-            return lambda: fn(x.data, u, out.data)
-        return lambda: ttm_inplace(x, u, plan=plan, out=out)
 
     def time_plan(
         self,
@@ -168,9 +151,11 @@ class ExhaustiveTuner:
         """
         if out is None:
             out = DenseTensor.empty(plan.out_shape, x.layout, dtype=plan.dtype)
-        run = self._runner(plan, x, np.asarray(u), out)
+        fn = compile_plan(plan)
+        u = np.asarray(u)
         return time_callable(
-            run, min_repeats=self.min_repeats, min_seconds=self.min_seconds
+            lambda: fn(x.data, u, out.data),
+            min_repeats=self.min_repeats, min_seconds=self.min_seconds,
         )
 
     def sweep(
@@ -202,7 +187,6 @@ class ExhaustiveTuner:
                 j=int(u.shape[0]),
                 layout=x.layout.name,
                 candidates=len(plans),
-                executor=self.executor,
             ) as span:
                 seconds = [self.time_plan(plan, x, u, out) for plan in plans]
                 span.set(best=plans[int(np.argmin(seconds))].describe())

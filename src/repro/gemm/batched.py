@@ -7,7 +7,7 @@ single *batched* multiply.  NumPy's ``matmul`` executes the batch loop in
 C — one BLAS call per slice without re-entering the interpreter — which
 is the closest Python analogue of the compiled loop nests of GETT-style
 contraction engines, and the reason batching removes the interpreter
-overhead the per-iteration executor pays.
+overhead a per-iteration loop nest pays.
 
 ``gemm_batched`` mirrors :func:`repro.gemm.interface.gemm`'s contract at
 rank 3: the fast path requires every 2-D slice to be BLAS-legal (the
@@ -120,9 +120,9 @@ def gemm_batched(
     tracer = active_tracer()
     if tracer.enabled:
         current = tracer.current_span()
-        # The interpreter wraps its dispatches in a gemm-kernel span
-        # already; only direct callers (generated code, library users)
-        # need one opened here.
+        # The executor wraps each compiled call in one gemm-kernel span;
+        # only direct callers (library users, other layers) need one
+        # opened here.
         if current is None or current.name != "gemm-kernel":
             with tracer.span(
                 "gemm-kernel",
@@ -168,7 +168,7 @@ def _gemm_batched_run(a, b, out, batch, m, n, accumulate, kernel, kwargs):
         np.matmul(a, b, out=out)
         return out
 
-    # Per-slice fallback: same numerics as the per-iteration executor.
+    # Per-slice fallback: same numerics as a per-iteration loop nest.
     slice_kernel = "auto" if kernel == "blas" else kernel
     if out is None:
         out = np.empty((batch, m, n), dtype=result_dtype(a, b))

@@ -200,9 +200,9 @@ def gemm(
     tracer = active_tracer()
     if tracer.enabled:
         current = tracer.current_span()
-        # The interpreter wraps its dispatches in a gemm-kernel span
-        # already; only direct callers (generated code, library users)
-        # need one opened here.
+        # The executor wraps each compiled call in one gemm-kernel span;
+        # only direct callers (library users, other layers) need one
+        # opened here.
         if current is None or current.name != "gemm-kernel":
             with tracer.span(
                 "gemm-kernel",

@@ -1,11 +1,11 @@
 """Structured execution tracing: nested spans over the TTM pipeline.
 
-The framework now has three decision layers (estimator, exhaustive
-tuner, persistent autotune cache) plus two execution engines (batched
-and per-iteration), and the paper's whole argument is about *which*
-configuration those layers pick.  A :class:`Tracer` records that as a
-tree of timed **spans** — ``plan``, ``cache-lookup``, ``partition``,
-``tuner-sweep``, ``view-build``, ``parfor-dispatch``, ``gemm-kernel`` —
+The framework has three decision layers (estimator, exhaustive tuner,
+persistent autotune cache) in front of one executor (generated code),
+and the paper's whole argument is about *which* configuration those
+layers pick.  A :class:`Tracer` records that as a tree of timed
+**spans** — ``plan``, ``cache-lookup``, ``partition``, ``tuner-sweep``,
+``execute``, ``gemm-kernel``, ``parfor-dispatch`` —
 each carrying the attributes the paper's figures are drawn from (shape,
 mode, layout, |M_C|, batch modes, thread split, FLOPs).
 
@@ -16,15 +16,14 @@ Design constraints, in order:
    and branch on its ``enabled`` attribute; the default
    :data:`NULL_TRACER` never allocates, so code that is not inside a
    :func:`tracing` block pays one attribute lookup per instrumented
-   call and *zero* per loop iteration (the executors only build traced
-   loop bodies when ``enabled`` is True — the same pattern the
-   hot-path counters use).
+   call and *zero* per loop iteration (the executor opens one
+   ``gemm-kernel`` span per compiled call, never one per loop index).
 2. **Worker threads keep the tree intact.**  Span stacks are
    per-thread (``threading.local``), so concurrent bodies never
-   corrupt each other; a span started on a worker can be parented
-   explicitly (``tracer.span(..., parent=...)``) to the span that was
-   current when the parallel region was entered, which is how
-   ``parfor`` bodies stay attached to the dispatching call.
+   corrupt each other; a worker can :meth:`Tracer.adopt` the span that
+   was current when the parallel region was entered (``parfor`` does),
+   or parent a span explicitly (``tracer.span(..., parent=...)``), so
+   parallel bodies stay attached to the dispatching call.
 3. **One snapshot surface.**  Every ``Tracer`` owns a
    :class:`repro.perf.profiler.HotCounters`; entering a
    :func:`tracing` block installs it as the active counter sink, so
@@ -226,6 +225,21 @@ class Tracer:
             span.end = self._clock()
             stack.pop()
             self.collector.add(span)
+
+    @contextmanager
+    def adopt(self, span: Span):
+        """Continue *span*, opened on another thread, on this one.
+
+        *span* becomes this thread's current span for the block without
+        being recorded again: spans opened inside nest under it, and code
+        that checks ``current_span()`` sees it.
+        """
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield span
+        finally:
+            stack.pop()
 
     def snapshot(self) -> dict:
         """Everything observed so far: spans + counters, one surface."""

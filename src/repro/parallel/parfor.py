@@ -163,6 +163,11 @@ def parfor(
     parallel region (default from ``$REPRO_PARFOR_TIMEOUT``); a region
     that outlives it raises :class:`~repro.util.errors.DeadlineError`
     instead of hanging on a stuck worker.
+
+    Under tracing, every body runs under the span that was current at
+    the call (:meth:`repro.obs.Tracer.adopt`), on whichever thread, so
+    the spans bodies open — or decline to open — nest in the caller's
+    tree.
     """
     check_positive_int(threads, "threads")
     total = math.prod(int(e) for e in extents) if extents else 1
@@ -170,6 +175,14 @@ def parfor(
         return 0
     tracer = active_tracer()
     if tracer.enabled:
+        owner = tracer.current_span()
+        if owner is not None:
+            inner = body
+
+            def body(index):
+                with tracer.adopt(owner):
+                    inner(index)
+
         with tracer.span(
             "parfor-dispatch",
             extents=[int(e) for e in extents],

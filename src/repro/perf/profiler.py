@@ -8,12 +8,11 @@ profiler so the same breakdown can be reproduced for any input.
 
 This module also hosts the TTM executor's **hot-path counters**
 (:class:`HotCounters`): lightweight tallies of GEMM dispatches, batched
-calls and batch sizes, and view-construction time.  They exist to make
-the batched engine's interpreter-overhead reduction *measurable* — a
-batched plan should show the dispatch count dropping by the batch factor
-while the math stays identical.  Collection is off by default (the
-executor checks one module global per call), so the hot path pays
-nothing when nobody is watching.
+calls and batch sizes.  They exist to make the batched code shapes'
+dispatch reduction *measurable* — a batched plan should show the
+dispatch count dropping by the batch factor while the math stays
+identical.  Collection is off by default (the executor checks one module
+global per call), so the hot path pays nothing when nobody is watching.
 """
 
 from __future__ import annotations
@@ -112,13 +111,12 @@ class NullProfiler(PhaseProfiler):
 class HotCounters:
     """Tallies from one instrumented region of the TTM hot path.
 
-    ``gemm_calls`` counts interpreter-level GEMM dispatches (one per loop
-    iteration on the per-iteration path); ``batched_calls`` counts batched
-    dispatches and ``batched_slices`` the matrix multiplies they covered,
+    ``gemm_calls`` counts 2-D GEMM dispatches (one per loop iteration on
+    the per-iteration code shape); ``batched_calls`` counts batched
+    matmuls and ``batched_slices`` the matrix multiplies they covered,
     so ``gemm_calls + batched_slices`` is the total GEMM work while
-    ``gemm_calls + batched_calls`` is the interpreter crossings paid for
-    it.  ``view_seconds`` accumulates time spent constructing strided
-    views (the executor's non-GEMM overhead).
+    ``gemm_calls + batched_calls`` is the Python-level crossings paid for
+    it.  The executor adds a compiled plan's counts once per call.
 
     The planning layer reports here too, so a tracked region shows how
     much *deciding* happened alongside the executing: ``estimator_runs``
@@ -133,7 +131,6 @@ class HotCounters:
     batched_calls: int = 0
     batched_slices: int = 0
     max_batch: int = 0
-    view_seconds: float = 0.0
     estimator_runs: int = 0
     tuner_sweeps: int = 0
     plan_cache_hits: int = 0
@@ -163,7 +160,7 @@ class HotCounters:
 
     @property
     def dispatches(self) -> int:
-        """Interpreter-level kernel dispatches (the overhead unit)."""
+        """Python-level kernel dispatches (the overhead unit)."""
         return self.gemm_calls + self.batched_calls
 
     @property
@@ -171,20 +168,18 @@ class HotCounters:
         """Individual matrix multiplies executed, batched or not."""
         return self.gemm_calls + self.batched_slices
 
-    def count_gemm(self, calls: int = 1) -> None:
-        with self._lock:
-            self.gemm_calls += calls
+    def count_dispatches(self, counts) -> None:
+        """Add one compiled call's dispatch counts.
 
-    def count_batched(self, slices: int) -> None:
+        *counts* is a :class:`repro.core.codegen.DispatchCounts` (any
+        object with its four fields), fixed when the code was generated.
+        """
         with self._lock:
-            self.batched_calls += 1
-            self.batched_slices += slices
-            if slices > self.max_batch:
-                self.max_batch = slices
-
-    def add_view_time(self, seconds: float) -> None:
-        with self._lock:
-            self.view_seconds += seconds
+            self.gemm_calls += counts.gemm_calls
+            self.batched_calls += counts.batched_calls
+            self.batched_slices += counts.batched_slices
+            if counts.max_batch > self.max_batch:
+                self.max_batch = counts.max_batch
 
     def count_estimate(self) -> None:
         with self._lock:
@@ -291,7 +286,6 @@ class HotCounters:
                 "batched_calls": self.batched_calls,
                 "batched_slices": self.batched_slices,
                 "max_batch": self.max_batch,
-                "view_seconds": self.view_seconds,
                 "estimator_runs": self.estimator_runs,
                 "tuner_sweeps": self.tuner_sweeps,
                 "plan_cache_hits": self.plan_cache_hits,

@@ -11,8 +11,8 @@ counter and annotates the open trace span.
 
 Pieces:
 
-* :mod:`repro.resilience.fallback` — the GEMM kernel fallback chain
-  (``blas -> blocked -> reference``) the executors dispatch through;
+* :mod:`repro.resilience.fallback` — the GEMM kernel fallback order
+  (``blas -> blocked -> reference``) the executor degrades along;
 * :mod:`repro.resilience.memory` — the memory-pressure pre-flight guard
   (:func:`guard_memory`) sizing a call from its plan before allocating;
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
@@ -29,9 +29,6 @@ Pieces:
 
 from repro.resilience.fallback import (
     FALLBACK_CHAIN,
-    KernelChain,
-    build_batched_tiers,
-    build_gemm_tiers,
     fallback_tiers,
     recoverable,
 )
@@ -77,13 +74,10 @@ __all__ = [
     "FaultRule",
     "InjectedFault",
     "Journal",
-    "KernelChain",
     "VerifyReport",
     "active_faults",
     "atomic_save_array",
     "available_bytes",
-    "build_batched_tiers",
-    "build_gemm_tiers",
     "describe_journal",
     "fallback_tiers",
     "fault_injection",

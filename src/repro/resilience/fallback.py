@@ -1,10 +1,11 @@
-"""The GEMM kernel fallback chain: degrade, don't die.
+"""The GEMM kernel fallback order: degrade, don't die.
 
 The planner picks the *fastest* kernel for an input (paper §4.3.1); this
 module makes that an optimistic first choice rather than a single point
-of failure.  When the planned kernel raises at execution time — a BLAS
-error, a ``MemoryError`` from a packing buffer, an unsupported stride —
-the dispatcher retries the same multiply one tier down the chain
+of failure.  When a call's compiled code raises at execution time — a
+BLAS error, a ``MemoryError`` from a packing buffer, an unsupported
+stride — the executor (:func:`repro.core.inttm.ttm_inplace`) reruns the
+whole call with the plan recompiled one tier down
 
     ``blas -> blocked -> reference``
 
@@ -12,34 +13,17 @@ recording each degradation as a :class:`~repro.perf.profiler
 .HotCounters` tally (``kernel_fallbacks``) and a trace-span attribute,
 and only raising — a typed :class:`~repro.util.errors
 .KernelExecutionError` — when even the reference kernel fails.
+Degradation never crosses calls: the next TTM trusts its plan again (a
+transient failure should not permanently slow the process down).
 
-Degradation is **sticky within one executor call**: once a tier failed
-for one loop index, later indices start at the degraded tier instead of
-re-failing per iteration.  It never crosses calls — the next TTM trusts
-its plan again (a transient failure should not permanently slow the
-process down).
-
-Output safety: retried kernels in overwrite mode rewrite every element
-of the destination, so a partial write from the failed attempt can never
-survive.  In *accumulate* mode that argument fails (a partial ``+=``
-cannot be undone), so the chain computes each attempt into a
-kernel-sized scratch and adds it exactly once after success — the same
-bounded temporary the BLAS accumulate path already pays.
+This module holds the two decisions that loop needs: the tier order
+(:func:`fallback_tiers`) and which errors a different kernel could fix
+(:func:`recoverable`).
 """
 
 from __future__ import annotations
 
-import logging
-import threading
-from typing import Callable
-
-import numpy as np
-
-from repro.gemm.interface import kernel_supports, resolve_kernel
-from repro.resilience.faults import record_degradation
-from repro.util.errors import KernelExecutionError, ReproError, StrideError
-
-log = logging.getLogger("repro.resilience")
+from repro.util.errors import ReproError, StrideError
 
 #: The degradation order: fastest and most demanding first, the
 #: always-works scalar oracle last.
@@ -76,159 +60,3 @@ def recoverable(exc: BaseException) -> bool:
     return isinstance(
         exc, (MemoryError, ArithmeticError, RuntimeError, ValueError)
     )
-
-
-def _dedupe(tiers: list[tuple[str, Callable]]) -> list[tuple[str, Callable]]:
-    seen: set[str] = set()
-    unique = []
-    for name, dispatch in tiers:
-        if name not in seen:
-            seen.add(name)
-            unique.append((name, dispatch))
-    return unique
-
-
-def build_gemm_tiers(plan) -> list:
-    """``[(name, callable(a, b, out))]`` for the per-iteration executor.
-
-    Every dispatch is *overwrite* mode (``out = a @ b``) — accumulation
-    is the chain's job, see :class:`KernelChain`.  Tier 0 is the plan's
-    own dispatch, including its ``P_C`` threading and dtype-capability
-    routing (a kernel that cannot execute the plan dtype lands on
-    ``blocked`` immediately, same as before); later tiers are the
-    single-threaded universal kernels.
-    """
-    # Imported at tier-build time, not module import: the kernel modules
-    # themselves import the fault-injection checkpoints from this package.
-    from repro.gemm.threaded import gemm_threaded
-
-    tiers: list[tuple[str, Callable]] = []
-    if plan.kernel_threads > 1:
-        inner = "auto" if plan.kernel == "threaded" else plan.kernel
-        threads = plan.kernel_threads
-
-        def run_threaded(a, b, out):
-            gemm_threaded(a, b, out=out, threads=threads, kernel=inner)
-
-        tiers.append((f"threaded[{inner}]", run_threaded))
-        rest: tuple[str, ...] = FALLBACK_CHAIN[1:]
-    else:
-        names = fallback_tiers(plan.kernel)
-        if names[0] in FALLBACK_CHAIN and not kernel_supports(
-            names[0], plan.dtype
-        ):
-            # The capability fallback already rewrites tier 0 to blocked;
-            # name it honestly so degradations are attributed right.
-            names = fallback_tiers("blocked")
-        first = resolve_kernel(names[0], plan.dtype)
-
-        # Bind through a default argument: the loop below reuses the
-        # enclosing scope, and a late-binding closure here would silently
-        # dispatch every tier through the last-resolved kernel.
-        def run_first(a, b, out, _impl=first):
-            _impl(a, b, out=out)
-
-        tiers.append((names[0], run_first))
-        rest = names[1:]
-    for name in rest:
-
-        def run(a, b, out, _impl=resolve_kernel(name, plan.dtype)):
-            _impl(a, b, out=out)
-
-        tiers.append((name, run))
-    return _dedupe(tiers)
-
-
-def build_batched_tiers(plan) -> list:
-    """``[(name, callable(a3, b3, out3))]`` for the batched executor."""
-    from repro.gemm.batched import gemm_batched
-
-    tiers: list[tuple[str, Callable]] = []
-    if plan.kernel_threads > 1:
-        threads = plan.kernel_threads
-
-        def run_threaded(a, b, out):
-            gemm_batched(a, b, out=out, kernel="threaded", threads=threads)
-
-        tiers.append(("threaded", run_threaded))
-        names: tuple[str, ...] = FALLBACK_CHAIN[1:]
-    else:
-        names = fallback_tiers(plan.kernel)
-
-    for name in names:
-
-        def run(a, b, out, _name=name):
-            gemm_batched(a, b, out=out, kernel=_name)
-
-        tiers.append((name, run))
-    return _dedupe(tiers)
-
-
-class KernelChain:
-    """A degrading GEMM dispatcher over an ordered list of tiers.
-
-    Callable as ``chain(a, b, out)``; thread-safe (``parfor`` workers
-    share one chain).  Each failing dispatch is retried once on the next
-    tier; the tier a call succeeds at becomes the starting tier for
-    subsequent calls from this chain.
-
-    With ``accumulate=True`` every attempt runs into a kernel-sized
-    scratch and is added into *out* exactly once after success, so a
-    failed attempt can never leave a partial accumulation behind.
-    """
-
-    def __init__(self, tiers, accumulate: bool = False) -> None:
-        if not tiers:
-            raise ValueError("KernelChain needs at least one tier")
-        self._tiers = list(tiers)
-        self._accumulate = accumulate
-        self._tier = 0
-        self._lock = threading.Lock()
-
-    @property
-    def kernel_name(self) -> str:
-        """The tier currently dispatched first (degrades over time)."""
-        return self._tiers[self._tier][0]
-
-    @property
-    def degraded(self) -> bool:
-        return self._tier > 0
-
-    def __call__(self, a, b, out) -> None:
-        tier = self._tier
-        while True:
-            name, dispatch = self._tiers[tier]
-            try:
-                if self._accumulate:
-                    scratch = np.empty(out.shape, dtype=out.dtype)
-                    dispatch(a, b, scratch)
-                    out += scratch
-                else:
-                    dispatch(a, b, out)
-                return
-            except BaseException as exc:
-                if not recoverable(exc):
-                    raise
-                if tier + 1 >= len(self._tiers):
-                    raise KernelExecutionError(
-                        f"every GEMM kernel tier failed "
-                        f"({' -> '.join(n for n, _ in self._tiers)}); "
-                        f"last error from {name!r}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                nxt = self._tiers[tier + 1][0]
-                log.warning(
-                    "gemm kernel %r failed (%s: %s); degrading to %r",
-                    name, type(exc).__name__, exc, nxt,
-                )
-                record_degradation(
-                    "kernel_fallbacks",
-                    degraded=True,
-                    degraded_from=name,
-                    degraded_to=nxt,
-                    degraded_error=type(exc).__name__,
-                )
-                tier += 1
-                with self._lock:
-                    if tier > self._tier:
-                        self._tier = tier

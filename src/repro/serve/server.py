@@ -93,7 +93,6 @@ class ServeConfig:
     tenant_cache_quota: int | None = None
     allow_replan: bool = True
     max_threads: int = 1
-    executor: str = "generated"
 
 
 @dataclass
@@ -231,10 +230,7 @@ class TtmServer:
         plan_cache: PlanCache | None = None,
     ) -> None:
         self.config = config or ServeConfig()
-        self._lib = lib or InTensLi(
-            max_threads=self.config.max_threads,
-            executor=self.config.executor,
-        )
+        self._lib = lib or InTensLi(max_threads=self.config.max_threads)
         self.plan_cache = (
             plan_cache
             if plan_cache is not None

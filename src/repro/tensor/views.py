@@ -267,8 +267,8 @@ def merged_batch_view(
 class MatrixViewFactory:
     """Precomputed geometry for repeated :func:`merged_matrix_view` calls.
 
-    The in-place executor builds the same (row run, col run) view once per
-    loop iteration, with only the fixed indices changing.  All stride
+    A loop nest over sub-tensors builds the same (row run, col run) view
+    once per loop iteration, with only the fixed indices changing.  All stride
     arithmetic and legality checks are invariant across iterations, so
     this factory hoists them: construction validates once, and
     :meth:`view` reduces each iteration to an offset dot-product plus one
@@ -320,7 +320,7 @@ class MatrixViewFactory:
 class BatchViewFactory:
     """Precomputed geometry for repeated :func:`merged_batch_view` calls.
 
-    The batched executor builds one ``(B, rows, cols)`` view per *outer*
+    A batched loop nest builds one ``(B, rows, cols)`` view per *outer*
     loop iteration; as with :class:`MatrixViewFactory`, everything but the
     base offset is loop-invariant and hoisted into construction.
     """

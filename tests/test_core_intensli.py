@@ -5,11 +5,11 @@ import pytest
 
 import repro
 from repro.analysis import XEON_E7_4820
-from repro.core import InTensLi
+from repro.core import InTensLi, ttm_inplace
 from repro.gemm.bench import synthetic_profile
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.util.errors import ShapeError
+from repro.util.errors import DtypeError, PlanError, ShapeError
 from tests.helpers import ttm_oracle
 
 
@@ -36,7 +36,7 @@ class TestConstruction:
     def test_invalid_options(self):
         with pytest.raises(ShapeError):
             InTensLi(benchmark="nope")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError), pytest.warns(DeprecationWarning):
             InTensLi(executor="nope")
         with pytest.raises(ValueError):
             InTensLi(max_threads=0)
@@ -69,8 +69,10 @@ class TestExecution:
     @pytest.mark.parametrize("executor", ["generated", "interpreted"])
     @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
     def test_ttm_matches_oracle(self, executor, layout):
+        # The deprecated executor option warns and changes nothing.
         rng = np.random.default_rng(22)
-        lib = InTensLi(executor=executor, max_threads=2)
+        with pytest.warns(DeprecationWarning):
+            lib = InTensLi(executor=executor, max_threads=2)
         x = DenseTensor(rng.standard_normal((6, 7, 8)), layout)
         u = rng.standard_normal((3, 7))
         y = lib.ttm(x, u, 1)
@@ -99,14 +101,51 @@ class TestExecution:
         lib = InTensLi()
         plan = lib.plan((5, 6, 7), 1, 2)
         x_bad = DenseTensor.zeros((5, 6, 8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(PlanError):
             lib.execute(plan, x_bad, np.zeros((2, 6)))
         x = DenseTensor.zeros((5, 6, 7))
         with pytest.raises(ShapeError):
             lib.execute(plan, x, np.zeros((2, 9)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(PlanError):
             lib.execute(plan, x, np.zeros((2, 6)),
                         out=DenseTensor.zeros((5, 3, 7)))
+
+    @pytest.mark.parametrize("entry", ["ttm_inplace", "execute"])
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("ndarray x", TypeError),
+            ("ndarray out", TypeError),
+            ("wrong x shape", PlanError),
+            ("wrong out shape", PlanError),
+            ("wrong out dtype", DtypeError),
+            ("1-D U", ShapeError),
+        ],
+    )
+    def test_entry_points_raise_the_same_typed_error(self, entry, case, error):
+        lib = InTensLi()
+        plan = lib.plan((4, 5, 6), 1, 3)
+        x = DenseTensor.zeros((4, 5, 6))
+        u = np.zeros((3, 5))
+        out = None
+        if case == "ndarray x":
+            x = np.zeros((4, 5, 6))
+        elif case == "ndarray out":
+            out = np.zeros(plan.out_shape)
+        elif case == "wrong x shape":
+            x = DenseTensor.zeros((4, 5, 7))
+        elif case == "wrong out shape":
+            out = DenseTensor.zeros((4, 2, 6))
+        elif case == "wrong out dtype":
+            out = DenseTensor.zeros(plan.out_shape, dtype="float32")
+        else:
+            u = np.zeros(5)
+        with pytest.raises(error) as info:
+            if entry == "ttm_inplace":
+                ttm_inplace(x, u, plan=plan, out=out)
+            else:
+                lib.execute(plan, x, u, out=out)
+        assert type(info.value) is error
 
     def test_u_must_be_2d(self):
         lib = InTensLi()

@@ -344,7 +344,9 @@ class TestEndToEndDtype:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("executor", ["generated", "interpreted"])
     def test_intensli_matches_oracle_per_dtype(self, executor, dtype):
-        lib = InTensLi(executor=executor)
+        # The deprecated executor option warns and changes nothing.
+        with pytest.warns(DeprecationWarning):
+            lib = InTensLi(executor=executor)
         rtol, atol = DTYPE_TOLERANCES[dtype.name]
         for layout in (ROW_MAJOR, COL_MAJOR):
             x, u = _case((5, 6, 7), 1, 4, layout, dtype=dtype.name)
@@ -367,7 +369,7 @@ class TestEndToEndDtype:
 
     def test_spans_record_dtype(self):
         x, u = _case((4, 5, 6), 1, 3, dtype="float32")
-        lib = InTensLi(executor="interpreted")
+        lib = InTensLi()
         with tracing() as tracer:
             lib.ttm(x, u, 1)
         spans = {s.name: s for s in tracer.collector.spans()}
@@ -388,8 +390,7 @@ class TestZeroExtent:
             u = np.random.default_rng(2).standard_normal((j, shape[mode]))
             expect = tuple(j if i == mode else s
                            for i, s in enumerate(shape))
-            for lib in (InTensLi(), InTensLi(executor="interpreted"),
-                        InTensLi(max_threads=4)):
+            for lib in (InTensLi(), InTensLi(max_threads=4)):
                 y = lib.ttm(x, u, mode)
                 assert y.shape == expect
             plan = default_plan(shape, mode, j, layout, batched=False)

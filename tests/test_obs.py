@@ -186,7 +186,7 @@ def _collect_demo_spans():
     with tracing() as tracer:
         x = DenseTensor(np.random.default_rng(0).standard_normal((4, 5, 6)))
         u = np.random.default_rng(1).standard_normal((3, 5))
-        InTensLi(executor="interpreted").ttm(x, u, 1)
+        InTensLi().ttm(x, u, 1)
     return tracer.collector.spans()
 
 
@@ -250,18 +250,22 @@ def test_traced_facade_emits_the_documented_span_names():
         "cache-lookup",
         "partition",
         "execute",
-        "parfor-dispatch",
         "gemm-kernel",
     } <= names
+    assert "parfor-dispatch" not in names  # P_L == 1: no parallel region
+    by_id = {s.span_id: s for s in spans}
+    parent = {s.name: by_id[s.parent_id].name for s in spans
+              if s.parent_id is not None}
+    assert parent["plan"] == parent["execute"] == "ttm"
+    assert parent["gemm-kernel"] == "execute"
     assert_spans_well_nested(spans)
 
 
 def test_generated_executor_also_traces_kernels():
-    """Generated loop nests that call gemm kernels emit spans too.
+    """A loop nest of gemm-layer calls still traces one kernel span.
 
-    (The pure-BLAS collapse compiles to a bare ``np.matmul`` with no
-    per-kernel span by design — zero overhead is the point of that
-    path — so this test pins a plan whose codegen emits kernel calls.)
+    The executor's ``gemm-kernel`` span covers the whole compiled call;
+    the blocked kernel sees it as current and opens none of its own.
     """
     import dataclasses
 
@@ -271,7 +275,7 @@ def test_generated_executor_also_traces_kernels():
     plan = dataclasses.replace(plan, kernel="blocked")
     x = DenseTensor(np.random.default_rng(0).standard_normal((4, 5, 6)))
     u = np.random.default_rng(1).standard_normal((3, 5))
-    lib = InTensLi(executor="generated")
+    lib = InTensLi()
     with tracing() as tracer:
         y = lib.execute(plan, x, u)
     assert y.shape == plan.out_shape
@@ -279,23 +283,26 @@ def test_generated_executor_also_traces_kernels():
     names = {s.name for s in spans}
     assert {"execute", "gemm-kernel"} <= names
     kernels = [s for s in spans if s.name == "gemm-kernel"]
-    assert len(kernels) == plan.loop_iterations
-    assert all(s.attrs["kernel"] == "blocked" for s in kernels)
+    assert len(kernels) == 1
+    assert kernels[0].attrs["kernel"] == "blocked"
+    assert kernels[0].attrs["dispatches"] == plan.loop_iterations
     assert_spans_well_nested(spans)
 
 
 def test_generated_blas_collapse_traces_execute_only():
-    """The matmul fast path records the execute span (fused kernel)."""
+    """The matmul fast path records execute plus one fused kernel span."""
     with tracing() as tracer:
         x = DenseTensor(np.random.default_rng(0).standard_normal((4, 5, 6)))
         u = np.random.default_rng(1).standard_normal((3, 5))
-        InTensLi(executor="generated").ttm(x, u, 1)
+        InTensLi().ttm(x, u, 1)
     spans = tracer.collector.spans()
     names = {s.name for s in spans}
     assert {"ttm", "plan", "execute"} <= names
     execute = next(s for s in spans if s.name == "execute")
-    assert execute.attrs["executor"] == "generated"
+    assert "executor" not in execute.attrs
     assert execute.attrs["flops"] > 0
+    kernels = [s for s in spans if s.name == "gemm-kernel"]
+    assert len(kernels) == 1 and kernels[0].attrs["dispatches"] == 1
     assert_spans_well_nested(spans)
 
 
@@ -335,8 +342,9 @@ def test_parallel_loop_spans_attach_to_dispatch():
     from repro.core.inttm import default_plan
 
     shape = (6, 5, 4)
-    plan = default_plan(shape, 2, 3, "C", batched=False)
+    plan = default_plan(shape, 2, 3, "C", degree=1, batched=False)
     plan = dataclasses.replace(plan, loop_threads=2)
+    assert plan.loop_iterations > 1  # a real parallel loop nest
     x = DenseTensor(np.random.default_rng(0).standard_normal(shape))
     u = np.random.default_rng(1).standard_normal((3, 4))
     with tracing() as tracer:
@@ -344,12 +352,14 @@ def test_parallel_loop_spans_attach_to_dispatch():
     spans = tracer.collector.spans()
     assert_spans_well_nested(spans)
     by_id = {s.span_id: s for s in spans}
+    # Worker bodies adopt the dispatching call's kernel span, so the
+    # whole parallel call traces as one kernel with the region inside.
     kernels = [s for s in spans if s.name == "gemm-kernel"]
-    assert len(kernels) == plan.loop_iterations
-    for kernel in kernels:
-        assert kernel.parent_id is not None
-        ancestor = by_id[kernel.parent_id]
-        assert ancestor.name in ("parfor-dispatch", "execute")
+    assert len(kernels) == 1
+    assert by_id[kernels[0].parent_id].name == "execute"
+    assert kernels[0].attrs["dispatches"] == plan.loop_iterations
+    dispatch = next(s for s in spans if s.name == "parfor-dispatch")
+    assert dispatch.parent_id == kernels[0].span_id
 
 
 def test_disabled_tracing_adds_no_spans_and_keeps_results_identical():

@@ -217,20 +217,14 @@ class TestAtomicLanding:
         x, u = _case((6, 5, 4), 3, 1)
         out_path = str(tmp_path / "y.bin")
         tiling = _forced_tiling((6, 5, 4), 1, 3)
-
-        calls = {"n": 0}
-
-        def dying_executor(tile_plan, x_tile, u_arr, y_tile):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("mid-run failure")
-            from repro.core.inttm import ttm_inplace
-
-            return ttm_inplace(x_tile, u_arr, plan=tile_plan, out=y_tile)
-
-        with pytest.raises(RuntimeError):
-            execute_tiled(x, u, tiling, out_path=out_path,
-                          executor=dying_executor)
+        assert tiling.n_tiles >= 2
+        # A mid-run failure: tile 0 committed, tile 1 dies after writing.
+        with fault_injection() as faults:
+            faults.arm("crash", exc=InjectedFault, site="tile-commit",
+                       tile=1)
+            with pytest.raises(InjectedFault):
+                execute_tiled(x, u, tiling, out_path=out_path,
+                              journal_path=str(tmp_path / "j.json"))
         # Complete-or-untouched: the requested path never holds a torn
         # result; the staging partial is what remains.
         assert not os.path.exists(out_path)

@@ -2,7 +2,7 @@
 
 Every degradation path in ``repro.resilience`` (DESIGN.md §10) is
 exercised here through the deterministic fault-injection harness: the
-planned kernel dies and the chain degrades; the worker pool dies and is
+planned kernel dies and the call reruns one tier down; the worker pool dies and is
 replaced (or execution goes serial); a worker wedges and the watchdog
 fires; the plan-store read flakes and is retried; memory pressure turns
 into a typed error or a lower-degree replan.  The invariant under test
@@ -36,11 +36,9 @@ from repro.resilience import (
     FALLBACK_CHAIN,
     FaultInjector,
     InjectedFault,
-    KernelChain,
     MEM_LIMIT_ENV,
     active_faults,
     available_bytes,
-    build_gemm_tiers,
     fallback_tiers,
     fault_injection,
     guard_memory,
@@ -157,7 +155,7 @@ def test_chain_degrades_and_result_stays_correct():
 
 def test_degradation_is_sticky_within_one_call():
     # A rule that would kill blas forever fires exactly once: after the
-    # first failure the chain starts every later dispatch at blocked.
+    # first failure the whole call reruns at blocked.
     x, u, mode, oracle = _case()
     plan = default_plan(x.shape, mode, 3, x.layout, kernel="blas",
                         batched=False)
@@ -221,23 +219,6 @@ def test_accumulate_degradation_never_leaves_partial_sums():
     with fault_injection(faults):
         ttm_inplace(x, u, plan=plan, out=out, accumulate=True)
     np.testing.assert_allclose(out.data, 1.0 + oracle, rtol=1e-12)
-
-
-def test_real_stride_error_degrades_without_injection():
-    # A genuine (non-injected) per-kernel failure: BLAS refuses
-    # general-stride operands, the chain lands on blocked.
-    plan = default_plan((8, 8), 0, 4, "ROW_MAJOR", kernel="blas",
-                        batched=False)
-    chain = KernelChain(build_gemm_tiers(plan))
-    base = np.arange(64.0).reshape(8, 8)
-    a = base[::2, ::2]  # both strides non-unit: not BLAS-expressible
-    b = np.ones((4, 4))
-    out = np.empty((4, 4))
-    with track_hot_path() as counters:
-        chain(a, b, out)
-    np.testing.assert_allclose(out, a @ b)
-    assert counters.kernel_fallbacks == 1
-    assert chain.degraded and chain.kernel_name == "blocked"
 
 
 def test_degradation_annotates_trace_span():
@@ -426,7 +407,7 @@ def test_alloc_fail_injection_forces_pressure():
 def test_generated_executor_is_guarded_too(monkeypatch):
     monkeypatch.setenv(MEM_LIMIT_ENV, "1")
     x, u, mode, _ = _case()
-    engine = InTensLi(executor="generated")
+    engine = InTensLi()
     with pytest.raises(ResourceError):
         engine.ttm(x, u, mode)
 
@@ -516,7 +497,7 @@ def test_check_finite_passes_clean_results_and_is_opt_in():
 
 
 def test_check_finite_on_generated_executor():
-    engine = InTensLi(executor="generated")
+    engine = InTensLi()
     x = DenseTensor(np.full((3, 4, 5), np.inf))
     with pytest.raises(NumericError):
         engine.ttm(x, np.ones((2, 4)), 1, check_finite=True)
@@ -528,9 +509,11 @@ def test_check_finite_on_generated_executor():
 @pytest.mark.parametrize("executor", ["interpreted", "generated"])
 def test_facade_survives_kernel_faults(executor):
     # The top-level contract: with a kernel fault injected, InTensLi.ttm
-    # still returns the oracle-correct result via a degraded path.
+    # still returns the oracle-correct result via a degraded path.  The
+    # deprecated executor option changes nothing.
     x, u, mode, oracle = _case()
-    engine = InTensLi(executor=executor)
+    with pytest.warns(DeprecationWarning):
+        engine = InTensLi(executor=executor)
     faults = FaultInjector().arm("kernel-raise", exc=RuntimeError("boom"))
     with fault_injection(faults), track_hot_path() as counters:
         y = engine.ttm(x, u, mode)
@@ -539,27 +522,31 @@ def test_facade_survives_kernel_faults(executor):
     assert counters.kernel_fallbacks >= 1
 
 
-def test_generated_executor_degrades_to_interpreted():
+def test_facade_degrades_tier_by_tier():
     x, u, mode, oracle = _case()
-    engine = InTensLi(executor="generated")
-    # Poison every chain kernel a few times: the generated run dies, the
-    # interpreted rerun degrades tier by tier and still finishes.
+    engine = InTensLi()
+    # Poison the first two tiers: the planned kernel and blocked both
+    # die, the reference rerun finishes.
     faults = FaultInjector().arm(
         "kernel-raise", exc=RuntimeError("boom"), times=2
     )
     with tracing() as tracer, fault_injection(faults):
         y = engine.ttm(x, u, mode)
     np.testing.assert_allclose(y.data, oracle, rtol=1e-12)
-    attrs = [s.attrs for s in tracer.collector.spans()]
-    assert any(a.get("degraded_from") == "generated" for a in attrs)
-    assert tracer.counters.kernel_fallbacks >= 1
+    execute = next(
+        s for s in tracer.collector.spans() if s.name == "execute"
+    )
+    # The execute span carries the last step taken.
+    assert execute.attrs["degraded_from"] == "blocked"
+    assert execute.attrs["degraded_to"] == "reference"
+    assert tracer.counters.kernel_fallbacks == 2
 
 
 def test_facade_faults_raise_only_typed_errors():
     # Non-recoverable injected failures surface as typed ReproErrors,
     # never as a bare RuntimeError from library internals.
     x, u, mode, _ = _case()
-    engine = InTensLi(executor="generated")
+    engine = InTensLi()
     faults = FaultInjector().arm(
         "kernel-raise", exc=RuntimeError("boom"), times=10**6
     )
