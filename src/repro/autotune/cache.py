@@ -27,12 +27,13 @@ import hashlib
 import json
 import logging
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.autotune.store import PlanStore, default_cache_path
 from repro.core.plan import TtmPlan
 from repro.core.serialize import plan_from_dict, plan_to_dict
+from repro.obs.counters import Counters
 from repro.perf.profiler import active_hot_counters
 from repro.tensor.layout import Layout
 from repro.util.dtypes import canonical_dtype
@@ -137,30 +138,21 @@ class CacheEntry:
         )
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Lifetime tallies of one cache instance (mirrored to HotCounters).
 
-    One instance tracks the cache-wide totals; the multi-tenant serving
-    layer additionally keeps one per tenant (see
-    :meth:`PlanCache.tenant_stats`), so a shared cache can report exact
-    per-tenant hit rates.
+    Lookups from the multi-tenant serving layer carry a ``tenant``
+    label, so a shared cache also reports exact per-tenant rows (see
+    :meth:`PlanCache.tenant_stats`).
     """
 
-    hits: int = 0
-    misses: int = 0
-    promotions: int = 0
-    invalidations: int = 0
-    evictions: int = 0
+    names = ("hits", "misses", "promotions", "invalidations", "evictions")
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when none)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class PlanCache:
@@ -184,10 +176,10 @@ class PlanCache:
         tenant's oldest entry (counted in ``stats.evictions``).  Per
         tenant overrides via :meth:`set_tenant_quota`.
 
-    Thread safety: all stats accounting and entry mutation happens under
-    one reentrant lock, so concurrent readers under the multi-tenant
-    serving layer observe exact hit/miss/promotion numbers (a bare
-    ``+=`` on the stats object would lose increments under contention).
+    Thread safety: entry mutation happens under one reentrant lock and
+    stats accounting under the registry's own, so concurrent readers
+    under the multi-tenant serving layer observe exact
+    hit/miss/promotion numbers.
     """
 
     def __init__(
@@ -209,7 +201,6 @@ class PlanCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: dict[PlanKey, CacheEntry] = {}
-        self._tenant_stats: dict[str, CacheStats] = {}
         self._tenant_keys: dict[str, list[PlanKey]] = {}
         self._tenant_quotas: dict[str, int] = {}
         self._default_tenant_quota = tenant_quota
@@ -218,14 +209,10 @@ class PlanCache:
     # -- bookkeeping ----------------------------------------------------------
 
     def _count(self, event: str, n: int = 1, tenant: str | None = None) -> None:
-        with self._lock:
-            setattr(self.stats, event, getattr(self.stats, event) + n)
-            if tenant is not None:
-                per_tenant = self._tenant_stats.setdefault(tenant, CacheStats())
-                setattr(per_tenant, event, getattr(per_tenant, event) + n)
+        self.stats.add(event, n, tenant)
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_plan_cache(event, n)
+            counters.add(f"plan_cache_{event}", n)
 
     # -- tenants ---------------------------------------------------------------
 
@@ -248,13 +235,11 @@ class PlanCache:
 
     def tenant_stats(self, tenant: str) -> CacheStats:
         """Lifetime hit/miss/eviction tallies attributed to *tenant*."""
-        with self._lock:
-            return self._tenant_stats.setdefault(tenant, CacheStats())
+        return self.stats.tenant(tenant)
 
     def tenants(self) -> list[str]:
         """Every tenant that has touched the cache, sorted."""
-        with self._lock:
-            return sorted(self._tenant_stats)
+        return self.stats.tenants()
 
     def tenant_entries(self, tenant: str) -> int:
         """How many resident entries *tenant* inserted (owned entries)."""

@@ -268,7 +268,7 @@ class PlanStore:
                 os.close(dir_fd)
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_store_fsync()
+            counters.add("store_fsyncs")
 
     def clear(self) -> bool:
         """Delete the store file; True when one existed."""

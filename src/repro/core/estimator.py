@@ -180,7 +180,7 @@ class ParameterEstimator:
             # Planning cost is part of the dispatch overhead the hot-path
             # counters exist to expose: a cache layer that works shows
             # this staying flat while TTM calls accumulate.
-            counters.count_estimate()
+            counters.add("estimator_runs")
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
         shape_t = tuple(int(s) for s in shape)

@@ -194,7 +194,9 @@ def _run_compiled(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:
         fn(x, u, y)
     counters = active_hot_counters()
     if counters is not None:
-        counters.count_dispatches(counts)
+        # DispatchCounts' fields are hot-counter names.
+        for name, n in zip(counts._fields, counts):
+            counters.add(name, n)
 
 
 def _execute(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:

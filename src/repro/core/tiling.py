@@ -649,8 +649,8 @@ def _execute_tiled_body(
                     vspan.__exit__(None, None, None)
             counters = active_hot_counters()
             if counters is not None:
-                counters.count_recovery(resumed=len(skip),
-                                        reverified=reverified)
+                counters.add("tiles_resumed", len(skip))
+                counters.add("tiles_reverified", reverified)
 
         pool = ScratchPool()
         pack_bytes = 0
@@ -719,7 +719,9 @@ def _execute_tiled_body(
 
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_tiled(len(specs) - len(skip), pack_bytes)
+            counters.add("tiled_ttms")
+            counters.add("tiles_executed", len(specs) - len(skip))
+            counters.add("tile_pack_bytes", pack_bytes)
         out.flush()
     return out
 
@@ -927,10 +929,8 @@ def ttm_stream(
             else:
                 resume_upto = 0
         if resume_upto and counters is not None:
-            counters.count_recovery(
-                resumed=resume_upto,
-                reverified=1 if axis == mode else 0,
-            )
+            counters.add("tiles_resumed", resume_upto)
+            counters.add("tiles_reverified", 1 if axis == mode else 0)
     n_chunks = 0
     try:
         for i, chunk in enumerate(slices):
@@ -974,7 +974,7 @@ def ttm_stream(
                 lo = hi
                 continue
             if counters is not None:
-                counters.count_stream_chunk()
+                counters.add("stream_chunks")
             if axis != mode:
                 if u_arr.shape[1] != x_chunk.shape[mode]:
                     raise ShapeError(

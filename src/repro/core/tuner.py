@@ -169,7 +169,7 @@ class ExhaustiveTuner:
         """Run all candidates for ``X x_mode U``; returns their timings."""
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_tuner_sweep()
+            counters.add("tuner_sweeps")
         u = np.asarray(u)
         plans = enumerate_plans(
             x.shape, mode, u.shape[0], x.layout, max_threads, kernels,

@@ -285,8 +285,8 @@ def hooi(
                     history = [float(f) for f in state["fit_history"]]
                 counters = active_hot_counters()
                 if counters is not None:
-                    counters.count_recovery(resumed=len(history),
-                                            reverified=1)
+                    counters.add("tiles_resumed", len(history))
+                    counters.add("tiles_reverified")
                 tracer = active_tracer()
                 if tracer.enabled:
                     with tracer.span("recover-resume", kind="hooi",

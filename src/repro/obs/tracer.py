@@ -25,7 +25,7 @@ Design constraints, in order:
    or parent a span explicitly (``tracer.span(..., parent=...)``), so
    parallel bodies stay attached to the dispatching call.
 3. **One snapshot surface.**  Every ``Tracer`` owns a
-   :class:`repro.perf.profiler.HotCounters`; entering a
+   :class:`repro.obs.counters.HotCounters`; entering a
    :func:`tracing` block installs it as the active counter sink, so
    spans and the existing dispatch/cache counters land in the same
    :func:`snapshot`.
@@ -39,7 +39,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.perf.profiler import (
+from repro.obs.counters import (
     HotCounters,
     active_hot_counters,
     install_hot_counters,

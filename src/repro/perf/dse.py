@@ -310,7 +310,7 @@ def explore(config: DseConfig, tuner=None) -> list[DseObservation]:
                         with blas_threads(plan.kernel_threads) as pinned:
                             seconds = tuner.time_plan(plan, x, u)
                         if counters is not None:
-                            counters.count_dse()
+                            counters.add("dse_measurements")
                         observations.append(
                             observation_from_plan(
                                 plan,
@@ -644,7 +644,7 @@ def fit_calibration(
     peak, bandwidth = fit_platform_inputs(observations, info=info)
     counters = active_hot_counters()
     if counters is not None:
-        counters.count_calibration_refit()
+        counters.add("calibration_refits")
     return CalibrationRecord(
         fingerprint=fingerprint,
         thresholds=thresholds,
@@ -792,7 +792,7 @@ class CalibrationAccumulator:
         self._new_since_fit += 1
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_dse()
+            counters.add("dse_measurements")
         return obs
 
     def maybe_refit(self) -> CalibrationRecord | None:

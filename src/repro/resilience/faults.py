@@ -270,7 +270,7 @@ def record_degradation(counter: str, **span_attrs) -> None:
     """
     counters = active_hot_counters()
     if counters is not None:
-        counters.count_resilience(counter)
+        counters.add(counter)
     tracer = active_tracer()
     if tracer.enabled:
         span = tracer.current_span()

@@ -333,7 +333,7 @@ class Journal:
         os.write(self._fd, self._encode(record))
         counters = active_hot_counters()
         if counters is not None:
-            counters.count_journal_commit()
+            counters.add("journal_commits")
         now = time.monotonic()
         if sync or now - self._last_sync >= self.sync_interval_s:
             os.fsync(self._fd)

@@ -39,17 +39,17 @@ import asyncio
 import logging
 import os
 import tempfile
-import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.autotune.cache import PlanCache, PlanKey
 from repro.autotune.store import PlanStore
 from repro.core.intensli import InTensLi, _match_u_dtype
+from repro.obs.counters import Counters
 from repro.obs.tracer import ROOT, active_tracer
 from repro.resilience.memory import pinned_budget
 from repro.serve.admission import AdmissionController
@@ -95,100 +95,56 @@ class ServeConfig:
     max_threads: int = 1
 
 
-@dataclass
-class ServerStats:
-    """Lifetime serving tallies (thread-safe; mirrored into reports)."""
+#: Each shed reason and the :class:`ServerStats` name it is counted under.
+SHED_COUNTERS = {
+    "admission": "shed_admission",
+    "tenant-quota": "shed_tenant_quota",
+    "deadline": "shed_deadline",
+    "watchdog": "shed_watchdog",
+}
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    shed_admission: int = 0
-    shed_tenant_quota: int = 0
-    shed_deadline: int = 0
-    shed_watchdog: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    unbatched_requests: int = 0
-    max_batch: int = 0
-    batch_fallbacks: int = 0
-    completed_flops: int = 0
-    busy_s: float = 0.0
-    per_tenant: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+
+class ServerStats(Counters):
+    """Lifetime serving tallies (thread-safe; mirrored into reports).
+
+    Completions, failures and sheds carry a ``tenant`` label, which
+    yields the ``per_tenant`` rows of :meth:`as_dict`.
+    """
+
+    names = (
+        "submitted",
+        "completed",
+        "failed",
+        *SHED_COUNTERS.values(),
+        "batches",
+        "batched_requests",
+        "unbatched_requests",
+        "max_batch",
+        "batch_fallbacks",
+        "completed_flops",
+        "busy_s",
     )
+    high_water = ("max_batch",)
 
     @property
     def shed_total(self) -> int:
-        return (
-            self.shed_admission
-            + self.shed_tenant_quota
-            + self.shed_deadline
-            + self.shed_watchdog
-        )
-
-    def _tenant(self, tenant: str) -> dict:
-        return self.per_tenant.setdefault(
-            tenant, {"completed": 0, "shed": 0, "failed": 0}
-        )
-
-    def count_shed(self, reason: str, tenant: str) -> None:
-        field_name = {
-            "admission": "shed_admission",
-            "tenant-quota": "shed_tenant_quota",
-            "deadline": "shed_deadline",
-            "watchdog": "shed_watchdog",
-        }[reason]
-        with self._lock:
-            setattr(self, field_name, getattr(self, field_name) + 1)
-            self._tenant(tenant)["shed"] += 1
-
-    def count_completed(self, tenant: str, flops: int) -> None:
-        with self._lock:
-            self.completed += 1
-            self.completed_flops += flops
-            self._tenant(tenant)["completed"] += 1
-
-    def count_failed(self, tenant: str) -> None:
-        with self._lock:
-            self.failed += 1
-            self._tenant(tenant)["failed"] += 1
-
-    def count_group(self, size: int, batched: bool) -> None:
-        with self._lock:
-            self.batches += 1
-            if batched:
-                self.batched_requests += size
-                if size > self.max_batch:
-                    self.max_batch = size
-            else:
-                self.unbatched_requests += size
+        return sum(getattr(self, name) for name in SHED_COUNTERS.values())
 
     def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "shed": {
-                    "total": self.shed_total,
-                    "admission": self.shed_admission,
-                    "tenant-quota": self.shed_tenant_quota,
-                    "deadline": self.shed_deadline,
-                    "watchdog": self.shed_watchdog,
-                },
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "unbatched_requests": self.unbatched_requests,
-                "max_batch": self.max_batch,
-                "batch_fallbacks": self.batch_fallbacks,
-                "completed_flops": self.completed_flops,
-                "busy_s": self.busy_s,
-                "per_tenant": {
-                    tenant: dict(row)
-                    for tenant, row in sorted(self.per_tenant.items())
-                },
+        flat = super().as_dict()
+        shed = {
+            reason: flat.pop(name) for reason, name in SHED_COUNTERS.items()
+        }
+        flat["shed"] = {"total": sum(shed.values()), **shed}
+        flat["per_tenant"] = {}
+        for tenant in self.tenants():
+            row = self.tenant(tenant)
+            flat["per_tenant"][tenant] = {
+                "completed": row.completed,
+                "shed": row.shed_total,
+                "failed": row.failed,
             }
+        return flat
 
 
 def _private_plan_cache(quota: int | None) -> PlanCache:
@@ -321,7 +277,9 @@ class TtmServer:
         try:
             self.admission.admit(tenant)
         except OverloadError as exc:
-            self.stats.count_shed(exc.reason, tenant)
+            self.stats.add(
+                SHED_COUNTERS.get(exc.reason, exc.reason), tenant=tenant
+            )
             raise
         now = time.perf_counter()
         self._next_id += 1
@@ -335,8 +293,7 @@ class TtmServer:
             deadline_s=None if budget is None else now + budget,
             future=asyncio.get_running_loop().create_future(),
         )
-        with self.stats._lock:
-            self.stats.submitted += 1
+        self.stats.add("submitted")
         try:
             await self._queue.put(request)
             return await request.future
@@ -396,11 +353,11 @@ class TtmServer:
         )
         try:
             if self.config.watchdog_s is not None:
-                results = await asyncio.wait_for(
+                results, fleet = await asyncio.wait_for(
                     work, timeout=self.config.watchdog_s
                 )
             else:
-                results = await work
+                results, fleet = await work
         except asyncio.TimeoutError:
             # The worker thread cannot be killed, but its waiters can be
             # released: every request in the group sheds now, and the
@@ -416,17 +373,19 @@ class TtmServer:
                 self._shed(request, "watchdog")
             return
         end = time.perf_counter()
-        batched = len(live) > 1 and self.config.coalesce
         for request, outcome in zip(live, results):
             if isinstance(outcome, OverloadError):
                 # Worker-side deadline shed: the request expired while
                 # queued behind slow work in the thread pool.
-                self.stats.count_shed(outcome.reason, request.tenant)
+                self.stats.add(
+                    SHED_COUNTERS.get(outcome.reason, outcome.reason),
+                    tenant=request.tenant,
+                )
                 if not request.future.done():
                     request.future.set_exception(outcome)
                 continue
             if isinstance(outcome, BaseException):
-                self.stats.count_failed(request.tenant)
+                self.stats.add("failed", tenant=request.tenant)
                 if not request.future.done():
                     request.future.set_exception(outcome)
                 continue
@@ -436,16 +395,17 @@ class TtmServer:
                 y=outcome,
                 latency_s=end - request.arrival_s,
                 queue_s=now - request.arrival_s,
-                batch_size=len(live),
-                batched=batched,
+                batch_size=max(fleet, 1),
+                batched=fleet > 0,
                 flops=request.flops,
             )
-            self.stats.count_completed(request.tenant, request.flops)
+            self.stats.add("completed", tenant=request.tenant)
+            self.stats.add("completed_flops", request.flops)
             if not request.future.done():
                 request.future.set_result(result)
 
     def _shed(self, request: TtmRequest, reason: str) -> None:
-        self.stats.count_shed(reason, request.tenant)
+        self.stats.add(SHED_COUNTERS.get(reason, reason), tenant=request.tenant)
         if not request.future.done():
             request.future.set_exception(
                 OverloadError(
@@ -507,7 +467,7 @@ class TtmServer:
                 signature=sig.describe(),
                 tenants=sorted({r.tenant for r in requests}),
             ) as span:
-                results = self._execute_group_impl(sig, requests, plan)
+                results, fleet = self._execute_group_impl(sig, requests, plan)
                 span.set(
                     failed=sum(
                         1 for r in results if isinstance(r, BaseException)
@@ -524,13 +484,16 @@ class TtmServer:
                         queue_s=dispatched_s - request.arrival_s,
                     ):
                         pass
-                return results
+                return results, fleet
         finally:
-            with self.stats._lock:
-                self.stats.busy_s += time.perf_counter() - start
+            self.stats.add("busy_s", time.perf_counter() - start)
 
     def _execute_group_impl(self, sig, requests, plan):
-        """Fleet dispatch with the degradation ladder; one outcome each."""
+        """Fleet dispatch with the degradation ladder.
+
+        Returns one outcome per request and the size of the fleet that
+        actually ran them (0 when they ran one by one).
+        """
         # Deadlines are re-checked here, on the worker thread: a request
         # passes the dispatch-time check, but the pool itself can back
         # up behind slow batches, and work that has already missed its
@@ -547,10 +510,12 @@ class TtmServer:
                 for r in expired
             }
             live = [r for r in requests if id(r) not in outcomes]
+            fleet = 0
             if live:
-                for r, out in zip(live, self._execute_group_impl(sig, live, plan)):
+                results, fleet = self._execute_group_impl(sig, live, plan)
+                for r, out in zip(live, results):
                     outcomes[id(r)] = out
-            return [outcomes[id(r)] for r in requests]
+            return [outcomes[id(r)] for r in requests], fleet
         # One budget snapshot per group: the staging-admission verdict
         # and every guard probe inside the per-request fallbacks read the
         # same number (thread-local, so concurrent workers don't share
@@ -571,14 +536,15 @@ class TtmServer:
                         staging,
                         budget,
                     )
-                    with self.stats._lock:
-                        self.stats.batch_fallbacks += 1
+                    self.stats.add("batch_fallbacks")
                     batched = False
             if batched:
                 try:
                     results = execute_fleet(sig, requests)
-                    self.stats.count_group(len(requests), batched=True)
-                    return results
+                    self.stats.add("batches")
+                    self.stats.add("batched_requests", len(requests))
+                    self.stats.add("max_batch", len(requests))
+                    return results, len(requests)
                 except ReproError as exc:
                     # Any typed fleet failure degrades the whole group to
                     # the per-request path, which has its own fallback
@@ -589,9 +555,9 @@ class TtmServer:
                         type(exc).__name__,
                         exc,
                     )
-                    with self.stats._lock:
-                        self.stats.batch_fallbacks += 1
-            self.stats.count_group(len(requests), batched=False)
+                    self.stats.add("batch_fallbacks")
+            self.stats.add("batches")
+            self.stats.add("unbatched_requests", len(requests))
             outcomes = []
             for request in requests:
                 try:
@@ -605,7 +571,7 @@ class TtmServer:
                     )
                 except ReproError as exc:
                     outcomes.append(exc)
-            return outcomes
+            return outcomes, 0
 
     # -- reporting ------------------------------------------------------------
 

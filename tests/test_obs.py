@@ -25,6 +25,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.counters import Counters
 from repro.perf.profiler import active_hot_counters
 from repro.tensor.dense import DenseTensor
 
@@ -41,6 +42,33 @@ def test_default_tracer_is_null_and_disabled():
         assert span is None
     assert tracer.current_span() is None
     assert tracer.snapshot() == {"spans": [], "counters": {}}
+
+
+class _Tally(Counters):
+    names = ("events",)
+
+
+def test_counter_adds_are_exact_across_threads():
+    counters = _Tally()
+    threads, per_thread = 8, 500
+    barrier = threading.Barrier(threads)
+
+    def adder(i):
+        barrier.wait()
+        for _ in range(per_thread):
+            counters.add("events", tenant=f"t{i % 3}")
+
+    pool = [threading.Thread(target=adder, args=(i,)) for i in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    assert counters.events == threads * per_thread
+    assert counters.tenants() == ["t0", "t1", "t2"]
+    rows = [counters.tenant(t).events for t in counters.tenants()]
+    assert rows == [3 * per_thread, 3 * per_thread, 2 * per_thread]
+    assert counters.tenant("nobody").events == 0
+    assert counters.tenants() == ["t0", "t1", "t2"]
 
 
 def test_tracing_installs_and_restores():
@@ -124,6 +152,7 @@ def test_snapshot_folds_counters_and_spans():
         snap = snapshot()
     assert snap["spans"], "traced execution produced no spans"
     assert snap["counters"]["dispatches"] >= 1
+    assert snap["counters"]["tuner_sweeps"] == 0  # zero names stay listed
     assert snap == tracer.snapshot()
     # Outside the block, snapshot() degrades to the counter-only view.
     outside = snapshot()

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.autotune import CacheStats
 from repro.autotune.store import PlanStore
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.intensli import InTensLi
@@ -32,6 +33,7 @@ from repro.parallel.parfor import (
     shutdown_pools,
 )
 from repro.perf.profiler import HotCounters, track_hot_path
+from repro.serve import ServerStats
 from repro.resilience import (
     FALLBACK_CHAIN,
     FaultInjector,
@@ -569,13 +571,17 @@ def test_resilience_errors_are_typed_and_dual_rooted():
     assert issubclass(InjectedFault, RuntimeError)
 
 
-def test_hot_counters_expose_resilience_events():
-    counters = HotCounters()
-    for event in HotCounters.RESILIENCE_EVENTS:
-        counters.count_resilience(event)
-        assert counters.as_dict()[event] == 1
+@pytest.mark.parametrize(
+    "vocabulary", [HotCounters, CacheStats, ServerStats],
+    ids=lambda cls: cls.__name__,
+)
+def test_counter_vocabularies_reject_undeclared_names(vocabulary):
+    counters = vocabulary()
+    for name in vocabulary.names:
+        counters.add(name)
+        assert getattr(counters, name) == 1
     with pytest.raises(ValueError):
-        counters.count_resilience("not_a_counter")
+        counters.add("not_a_counter")
 
 
 # -- out-of-core faults: tile scratch, memmap opens, pinned budgets ----------

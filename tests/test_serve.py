@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autotune import PlanCache, PlanKey, PlanStore
+from repro.autotune import CacheStats, PlanCache, PlanKey, PlanStore
 from repro.baselines import ttm_copy
 from repro.core.inttm import default_plan
 from repro.obs import ROOT, Tracer, tracing
@@ -202,6 +202,11 @@ class TestTenantPlanCache:
         assert (b.hits, b.misses) == (1, 0)
         assert cache.stats.hits == 2
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
+        # Reading an unseen tenant's stats does not register it.
+        assert cache.tenant_stats("nobody").as_dict() == dict.fromkeys(
+            CacheStats.names, 0
+        )
+        assert cache.tenants() == ["a", "b"]
 
     def test_tenant_quota_evicts_oldest_owned_entry(self, tmp_path):
         cache = self.make_cache(tmp_path, quota=2)
@@ -444,6 +449,9 @@ class TestServer:
         assert server.stats.batched_requests == 0
         assert server.stats.batch_fallbacks > 0
         for request, result in zip(requests, results):
+            # Results report what ran, not what the dispatcher grouped.
+            assert not result.batched
+            assert result.batch_size == 1
             expected = ttm_copy(request.x, request.u, 1)
             np.testing.assert_allclose(
                 result.y.data, expected.data, rtol=1e-4, atol=1e-4
