@@ -34,7 +34,7 @@ outputs); with a :class:`ChainPlan` (or none of either) it runs fused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.plan import TtmPlan
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import is_supported_dtype
+from repro.util.dtypes import match_dtype
 from repro.util.errors import DtypeError, PlanError, ShapeError
 
 #: Largest chain the exact order optimizer accepts.  The subset DP is
@@ -93,12 +93,10 @@ def _coerce_steps(
 ) -> list[ChainStep]:
     """Normalize *steps* to :class:`ChainStep`, preserving the chain dtype.
 
-    Same policy as the executor's ``_check_inputs``: a matrix already in
-    the chain dtype passes through untouched; a *different* supported
-    float dtype is rejected (silently changing a float32 chain to
-    float64 is the upcast-and-copy bug this library exists to avoid);
-    non-float input (ints, bools, Python lists) is materialized in the
-    chain dtype — J x I_n matrices, negligible next to X.
+    The executor's operand policy (:func:`~repro.util.dtypes
+    .match_dtype`): a matrix already in the chain dtype passes through
+    untouched; a *different* supported float dtype is rejected; a
+    byte-swapped or non-float matrix is materialized in the chain dtype.
     """
     out: list[ChainStep] = []
     for s in steps:
@@ -106,15 +104,9 @@ def _coerce_steps(
             mode, matrix = s.mode, np.asarray(s.matrix)
         else:
             mode, matrix = int(s[0]), np.asarray(s[1])
-        if matrix.dtype != dtype:
-            if matrix.dtype.kind == "f" and is_supported_dtype(matrix.dtype):
-                raise DtypeError(
-                    f"chain step at mode {mode} has dtype "
-                    f"{matrix.dtype.name} but the tensor is {dtype.name}; "
-                    "cast the matrix explicitly — mixing float widths "
-                    "would silently change the result's precision"
-                )
-            matrix = np.asarray(matrix, dtype=dtype)
+        matrix = match_dtype(
+            matrix, dtype, what=f"the matrix of chain step at mode {mode}"
+        )
         if isinstance(s, ChainStep) and matrix is s.matrix:
             out.append(s)
         else:

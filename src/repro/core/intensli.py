@@ -30,7 +30,7 @@ from repro.core.chain import (
     plan_chain,
 )
 from repro.core.estimator import ParameterEstimator
-from repro.core.inttm import ttm_inplace
+from repro.core.inttm import _run_plan
 from repro.core.plan import TtmPlan
 from repro.core.threads import DEFAULT_PTH_BYTES
 from repro.core.tiling import (
@@ -48,32 +48,15 @@ from repro.gemm.bench import (
 from repro.obs.tracer import active_tracer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
-from repro.util.errors import DtypeError, ResourceError, ShapeError
-from repro.util.validation import check_positive_int
-
-
-def _match_u_dtype(u, x_dtype: np.dtype) -> np.ndarray:
-    """Normalize U against the tensor dtype: preserve, reject, or lift.
-
-    Same policy as the executor's input check: a matching float dtype
-    passes through untouched (no copy); a *different* supported float
-    dtype is rejected (silently changing precision is the bug this PR
-    removes); non-float input (ints, lists) is materialized in the
-    tensor's dtype — a J x I_n matrix, negligible next to X.
-    """
-    u = np.asarray(u)
-    if u.dtype == x_dtype:
-        return u
-    if u.dtype.kind == "f":
-        from repro.util.dtypes import is_supported_dtype
-
-        if is_supported_dtype(u.dtype):
-            raise DtypeError(
-                f"U has dtype {u.dtype.name} but x is {x_dtype.name}; cast "
-                "U explicitly instead of relying on a silent conversion"
-            )
-    return np.asarray(u, dtype=x_dtype)
+from repro.resilience.memory import preflight_skips
+from repro.util.dtypes import (
+    DEFAULT_DTYPE,
+    canonical_dtype,
+    dtype_name,
+    match_dtype,
+)
+from repro.util.errors import ResourceError, ShapeError
+from repro.util.validation import check_mode, check_positive_int
 
 
 class InTensLi:
@@ -217,10 +200,17 @@ class InTensLi:
         layout: Layout | str = Layout.ROW_MAJOR,
         dtype=None,
     ) -> TtmPlan:
-        """The (cached) plan for an input signature (geometry + dtype)."""
+        """The (cached) plan for an input signature (geometry + dtype).
+
+        *mode* and *j* are validated on every call, cache hit or not, so
+        a warm cache answers bad input with the same typed error as the
+        estimator (``True`` and ``1.0`` hash like ``1``).
+        """
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
         shape_t = tuple(int(s) for s in shape)
+        mode = check_mode(mode, len(shape_t))
+        check_positive_int(j, "j")
         tracer = active_tracer()
         if not tracer.enabled:
             return self._plan_impl(shape_t, mode, j, layout, dt)
@@ -274,7 +264,7 @@ class InTensLi:
                     source="estimator", dtype=dt.name,
                 )
             return plan
-        key = (shape_t, mode, j, layout, dt.name)
+        key = (shape_t, mode, j, layout, dtype_name(dt))
         if tracer.enabled:
             with tracer.span("cache-lookup", persistent=False) as span:
                 plan = self._plan_cache.get(key)
@@ -400,7 +390,7 @@ class InTensLi:
                 mode, matrix = s.mode, s.matrix
             else:
                 mode, matrix = int(s[0]), s[1]
-            matrix = _match_u_dtype(matrix, x.data.dtype)
+            matrix = match_dtype(matrix, x.data.dtype)
             if matrix.ndim != 2:
                 raise ShapeError(
                     f"chain step at mode {mode} must be 2-D, got "
@@ -454,7 +444,7 @@ class InTensLi:
 
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        u = match_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
         tuner = ExhaustiveTuner(min_seconds=min_seconds)
@@ -516,35 +506,44 @@ class InTensLi:
         """
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        data = x.data
+        u = match_dtype(u, data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:
             u = u.T
         tracer = active_tracer()
-        if not tracer.enabled:
-            plan = self.plan(
-                x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype
-            )
-            return self.execute(
-                plan, x, u, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
-            )
-        with tracer.span(
-            "ttm",
-            shape=list(x.shape),
-            mode=mode,
-            j=int(u.shape[0]),
-            layout=x.layout.name,
-            dtype=x.data.dtype.name,
-        ):
-            plan = self.plan(
-                x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype
-            )
-            return self.execute(
-                plan, x, u, out=out,
-                check_finite=check_finite, allow_replan=allow_replan,
-            )
+        if tracer.enabled:
+            with tracer.span(
+                "ttm",
+                shape=list(data.shape),
+                mode=mode,
+                j=int(u.shape[0]),
+                layout=x.layout.name,
+                dtype=dtype_name(data.dtype),
+            ):
+                plan = self.plan(
+                    data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
+                )
+                return self.execute(
+                    plan, x, u, out=out,
+                    check_finite=check_finite, allow_replan=allow_replan,
+                )
+        # Warm path: the tensor's shape, layout and dtype are already
+        # canonical, so the plan-cache key is built straight from them.
+        key = (
+            data.shape, check_mode(mode, data.ndim), u.shape[0], x.layout,
+            dtype_name(data.dtype),
+        )
+        plan = None
+        if self._persistent_cache is None:
+            plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self.plan(*key)
+        return self.execute(
+            plan, x, u, out=out,
+            check_finite=check_finite, allow_replan=allow_replan,
+        )
 
     def execute(
         self,
@@ -564,13 +563,26 @@ class InTensLi:
         it is exactly :func:`~repro.core.inttm.ttm_inplace`.  Callers
         see the same output tensor, and the same typed errors, either
         way.
+
+        The call is pre-flighted once: when
+        :func:`~repro.resilience.memory.preflight_skips` shows that
+        neither the tiling check nor the memory guard could act (a small
+        in-memory call, no armed faults, no ``$REPRO_MEM_LIMIT``), both
+        are skipped; otherwise both run exactly as before.
         """
-        tiled = self._maybe_execute_tiled(plan, x, u, out, check_finite)
-        if tiled is not None:
-            return tiled
-        return ttm_inplace(
-            x, u, plan=plan, out=out,
-            check_finite=check_finite, allow_replan=allow_replan,
+        guard = not (
+            isinstance(x, DenseTensor)
+            and preflight_skips(
+                plan, x_inmem=x.is_inmem, allocate_out=out is None
+            )
+        )
+        if guard:
+            tiled = self._maybe_execute_tiled(plan, x, u, out, check_finite)
+            if tiled is not None:
+                return tiled
+        return _run_plan(
+            x, u, plan, out, check_finite=check_finite,
+            allow_replan=allow_replan, guard=guard,
         )
 
     def _maybe_execute_tiled(
@@ -609,7 +621,7 @@ class InTensLi:
         if not tiling.tiled:
             return None
         return execute_tiled(
-            x, _match_u_dtype(u, plan.np_dtype), tiling, out=out,
+            x, match_dtype(u, plan.np_dtype), tiling, out=out,
             planner=planner, check_finite=check_finite,
         )
 

@@ -35,7 +35,7 @@ from repro.resilience.faults import active_faults, record_degradation
 from repro.resilience.memory import guard_memory
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, is_supported_dtype
+from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, match_dtype
 from repro.util.errors import (
     DtypeError,
     KernelExecutionError,
@@ -115,31 +115,22 @@ def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:
             f"x must be a DenseTensor, got {type(x).__name__}; wrap ndarrays "
             "so the storage layout is explicit"
         )
-    # Dtype policy: reject or preserve, never copy.  A silent
-    # ``asarray(u, dtype=float64)`` here used to upcast-and-copy float32
-    # operands — the exact allocation cost this library exists to avoid.
-    u = np.asarray(u)
-    if x.data.dtype != plan.np_dtype:
+    data = x.data
+    if data.dtype != plan.np_dtype:
         raise DtypeError(
             f"plan was built for dtype {plan.dtype}, but x is "
-            f"{x.data.dtype.name}; re-plan for the tensor's dtype"
+            f"{data.dtype.name}; re-plan for the tensor's dtype"
         )
-    if u.dtype != plan.np_dtype:
-        if u.dtype.kind == "f" and is_supported_dtype(u.dtype):
-            raise DtypeError(
-                f"U has dtype {u.dtype.name} but the plan (and x) are "
-                f"{plan.dtype}; cast U explicitly — mixing float widths "
-                "would silently change the result's precision"
-            )
-        # Non-float input (ints, bools, Python lists): materialize in the
-        # plan dtype.  This is a J x I_n matrix, negligible next to X.
-        u = np.asarray(u, dtype=plan.np_dtype)
+    # Dtype policy: reject or preserve, never upcast.  A silent
+    # ``asarray(u, dtype=float64)`` here used to upcast-and-copy float32
+    # operands — the exact allocation cost this library exists to avoid.
+    u = match_dtype(u, plan.np_dtype)
     if u.ndim != 2:
         raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
-    if x.shape != plan.shape or x.layout is not plan.layout:
+    if data.shape != plan.shape or x.layout is not plan.layout:
         raise PlanError(
             f"plan was built for shape {plan.shape} / {plan.layout.name}, "
-            f"got {x.shape} / {x.layout.name}"
+            f"got {data.shape} / {x.layout.name}"
         )
     if u.shape != (plan.j, plan.i_n):
         raise ShapeError(
@@ -149,7 +140,11 @@ def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:
 
 
 def _empty_out(plan: TtmPlan) -> DenseTensor:
-    return DenseTensor.empty(plan.out_shape, plan.layout, dtype=plan.dtype)
+    """Y for *plan*, uninitialized: geometry and dtype come from the plan."""
+    data = np.empty(
+        plan.out_shape, dtype=plan.np_dtype, order=plan.layout.numpy_order
+    )
+    return DenseTensor._wrap(data, plan.layout, plan.out_strides)
 
 
 def _check_out(plan: TtmPlan, out) -> None:
@@ -280,8 +275,33 @@ def ttm_inplace(
         if u_arr.ndim != 2:
             raise ShapeError(f"U must be 2-D (J x I_n), got {u_arr.ndim}-D")
         plan = default_plan(
-            x.shape, mode, u_arr.shape[0], x.layout, dtype=x.data.dtype.name
+            x.shape, mode, u_arr.shape[0], x.layout, dtype=x.data.dtype
         )
+    return _run_plan(
+        x, u, plan, out, accumulate=accumulate, check_finite=check_finite,
+        allow_replan=allow_replan, guard=True,
+    )
+
+
+def _run_plan(
+    x: DenseTensor,
+    u,
+    plan: TtmPlan,
+    out: DenseTensor | None,
+    *,
+    accumulate: bool = False,
+    check_finite: bool = False,
+    allow_replan: bool = False,
+    guard: bool,
+) -> DenseTensor:
+    """Validate, pre-flight, allocate and run *plan*: the executor's body.
+
+    ``guard=False`` skips :func:`guard_memory`; only a caller that has
+    already established :func:`~repro.resilience.memory.preflight_skips`
+    for this very call (the :class:`~repro.core.intensli.InTensLi`
+    facade) may pass it, because then the guard provably returns the
+    plan unchanged without probing.
+    """
     u = _check_inputs(x, u, plan)
     if out is not None:
         _check_out(plan, out)
@@ -289,10 +309,11 @@ def ttm_inplace(
     # pressure surfaces as a typed error (or a lower-degree replan)
     # instead of an OOM kill mid-write.  Accumulation computes into an
     # output-sized scratch first, so the guard prices that too.
-    plan = guard_memory(
-        plan, allocate_out=out is None or accumulate,
-        allow_replan=allow_replan,
-    )
+    if guard:
+        plan = guard_memory(
+            plan, allocate_out=out is None or accumulate,
+            allow_replan=allow_replan,
+        )
     y = out if out is not None else _empty_out(plan)
     target = _empty_out(plan) if accumulate else y
 

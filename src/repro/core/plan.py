@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,16 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class TtmPlan:
-    """A fully specified in-place TTM execution recipe."""
+    """A fully specified in-place TTM execution recipe.
+
+    Derived geometry the executor reads on every call (output shape and
+    strides, kernel shape, element type, working set) is computed once
+    per plan as a :func:`functools.cached_property`.  The cache lives in
+    the instance ``__dict__`` next to the fields but is not one of them:
+    ``==``, ``hash``, :func:`dataclasses.replace` (a fresh instance, so a
+    fresh cache) and serialization see only the fields, and pickling
+    drops it (:meth:`__getstate__`).
+    """
 
     shape: tuple[int, ...]
     mode: int
@@ -152,20 +162,25 @@ class TtmPlan:
         """|M_C|: how many modes are merged into the inner GEMM."""
         return len(self.component_modes)
 
-    @property
+    @cached_property
     def i_n(self) -> int:
         """Extent of the contracted mode."""
         return self.shape[self.mode]
 
-    @property
+    @cached_property
     def component_extent(self) -> int:
         """Merged length P of the component dimension (1 when M_C is empty)."""
         return math.prod(self.shape[m] for m in self.component_modes)
 
-    @property
+    @cached_property
     def out_shape(self) -> tuple[int, ...]:
         """Shape of the output tensor Y."""
         return self.shape[: self.mode] + (self.j,) + self.shape[self.mode + 1 :]
+
+    @cached_property
+    def out_strides(self) -> tuple[int, ...]:
+        """Element strides of Y stored contiguously in the plan's layout."""
+        return element_strides(self.out_shape, self.layout)
 
     @property
     def loop_extents(self) -> tuple[int, ...]:
@@ -213,7 +228,7 @@ class TtmPlan:
             return self.loop_iterations
         return self.outer_loop_iterations
 
-    @property
+    @cached_property
     def kernel_shape(self) -> tuple[int, int, int]:
         """(m, k, n) of the inner GEMM as dispatched.
 
@@ -246,17 +261,17 @@ class TtmPlan:
             return True
         return leading in self.component_modes
 
-    @property
+    @cached_property
     def np_dtype(self) -> np.dtype:
         """The plan's element type as a :class:`numpy.dtype`."""
         return np.dtype(self.dtype)
 
-    @property
+    @cached_property
     def itemsize(self) -> int:
         """Bytes per element — the scale factor of every byte threshold."""
-        return np.dtype(self.dtype).itemsize
+        return self.np_dtype.itemsize
 
-    @property
+    @cached_property
     def kernel_working_set_bytes(self) -> int:
         """Bytes of the three inner-GEMM operands (the threshold unit).
 
@@ -267,7 +282,7 @@ class TtmPlan:
         m, k, n = self.kernel_shape
         return self.itemsize * (m * k + k * n + m * n)
 
-    @property
+    @cached_property
     def output_bytes(self) -> int:
         """Bytes of the full output tensor Y (what a chain step materializes).
 
@@ -301,6 +316,10 @@ class TtmPlan:
             f"P_C={self.kernel_threads} kernel={self.kernel} "
             f"dtype={self.dtype}]"
         )
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only, never the derived-geometry cache."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def cache_key(self) -> tuple:
         """Key identifying the *input* this plan was built for.

@@ -21,7 +21,9 @@ Availability comes from ``$REPRO_MEM_LIMIT`` (an explicit byte budget —
 containers, tests), else ``MemAvailable`` in ``/proc/meminfo``, else the
 guard stands down (None).  Small calls skip the probe entirely: below
 :data:`PREFLIGHT_MIN_BYTES` a failure is implausible and the hot path
-should not pay a file read per TTM.
+should not pay a file read per TTM.  :func:`preflight_skips` states that
+condition once for the tiling check and the guard, so a caller about to
+run both can skip the pair when neither could act.
 
 Budget read policy
 ------------------
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import math
 import os
 import threading
 
@@ -134,11 +135,32 @@ def plan_footprint_bytes(plan, *, allocate_out: bool = True) -> int:
     *views* cost nothing — that is the point of the in-place algorithm —
     so this is the complete allocation story, not an estimate of RSS.
     """
-    out_bytes = 0
-    if allocate_out:
-        out_bytes = plan.itemsize * math.prod(plan.out_shape)
+    out_bytes = plan.output_bytes if allocate_out else 0
     in_flight = max(plan.loop_threads, plan.kernel_threads)
     return out_bytes + plan.kernel_working_set_bytes * in_flight
+
+
+def preflight_skips(
+    plan, *, x_inmem: bool = True, allocate_out: bool = True
+) -> bool:
+    """True when no pre-flight of this call can do anything but admit it.
+
+    That is an in-memory input whose footprint is below
+    :data:`PREFLIGHT_MIN_BYTES`, with no armed fault injector (its
+    ``alloc-fail`` checkpoint lives in the probe) and no explicit
+    ``$REPRO_MEM_LIMIT`` cap, both re-read at every call.  The tiling
+    check and :func:`guard_memory` begin with this test and stand down
+    without a probe when it holds, so a caller that gets True may skip
+    both and provably run the same plan.  Out-of-core inputs never
+    skip: the tiling check probes them.
+    """
+    return (
+        x_inmem
+        and plan_footprint_bytes(plan, allocate_out=allocate_out)
+        < PREFLIGHT_MIN_BYTES
+        and active_faults() is None
+        and MEM_LIMIT_ENV not in os.environ
+    )
 
 
 def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False):
@@ -149,10 +171,9 @@ def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False)
     ``allow_replan`` and one fits, otherwise raises
     :class:`ResourceError` before anything was allocated.
     """
-    need = plan_footprint_bytes(plan, allocate_out=allocate_out)
-    forced = active_faults() is not None or MEM_LIMIT_ENV in os.environ
-    if not forced and need < PREFLIGHT_MIN_BYTES:
+    if preflight_skips(plan, allocate_out=allocate_out):
         return plan
+    need = plan_footprint_bytes(plan, allocate_out=allocate_out)
     avail = available_bytes()
     if avail is None or need <= avail:
         return plan

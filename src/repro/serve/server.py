@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.autotune.cache import PlanCache, PlanKey
 from repro.autotune.store import PlanStore
-from repro.core.intensli import InTensLi, _match_u_dtype
+from repro.core.intensli import InTensLi
 from repro.obs.counters import Counters
 from repro.obs.tracer import ROOT, active_tracer
 from repro.resilience.memory import pinned_budget
@@ -61,6 +61,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.request import RequestResult, TtmRequest
 from repro.tensor.dense import DenseTensor
+from repro.util.dtypes import match_dtype
 from repro.util.errors import OverloadError, ReproError, ShapeError
 from repro.util.validation import check_mode
 
@@ -258,7 +259,7 @@ class TtmServer:
             raise OverloadError("server is not running", reason="lifecycle")
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        u = _match_u_dtype(u, x.data.dtype)
+        u = match_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:

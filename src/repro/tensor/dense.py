@@ -112,7 +112,8 @@ class DenseTensor:
         if dtype is not None:
             target = canonical_dtype(dtype)
         elif is_supported_dtype(arr.dtype):
-            target = arr.dtype
+            # Native byte order: byte-swapped input is converted here, once.
+            target = canonical_dtype(arr.dtype)
         else:
             target = DEFAULT_DTYPE
         order = layout.numpy_order
@@ -130,18 +131,27 @@ class DenseTensor:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, layout: Layout) -> "DenseTensor":
+    def _wrap(
+        cls,
+        data: np.ndarray,
+        layout: Layout,
+        strides: tuple[int, ...] | None = None,
+    ) -> "DenseTensor":
         """Wrap *data* without re-validating (internal hot paths only).
 
         The caller guarantees *data* is already contiguous in *layout*
-        order with a supported dtype — e.g. a slice it just allocated.
-        Skips the ``__init__`` checks, which dominate the cost of
-        constructing many small tensors (the serving coalescer's case).
+        order with a supported native dtype — e.g. a slice it just
+        allocated — and may pass its element *strides* when it already
+        knows them (a plan's ``out_strides``).  Skips the ``__init__``
+        checks, which dominate the cost of constructing many small
+        tensors (TTM outputs, the serving coalescer's slices).
         """
         self = object.__new__(cls)
         self._data = data
         self._layout = layout
-        self._strides = element_strides(data.shape, layout)
+        self._strides = (
+            element_strides(data.shape, layout) if strides is None else strides
+        )
         self._inmem = not _memmap_backed(data)
         return self
 
@@ -169,7 +179,7 @@ class DenseTensor:
         """An uninitialized tensor (used for preallocating TTM outputs)."""
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-        return cls(
+        return cls._wrap(
             np.empty(tuple(shape), dtype=dt, order=layout.numpy_order), layout
         )
 
@@ -220,10 +230,11 @@ class DenseTensor:
                 f"from_memmap expects an np.memmap, got {type(source).__name__}; "
                 "use from_array for in-memory data"
             )
-        if not is_supported_dtype(arr.dtype):
+        if not is_supported_dtype(arr.dtype) or not arr.dtype.isnative:
             raise LayoutError(
-                f"memmap dtype {arr.dtype} is not a supported float dtype; "
-                "out-of-core tensors are never silently converted"
+                f"memmap dtype {arr.dtype.str} is not a supported float "
+                "dtype in native byte order; out-of-core tensors are never "
+                "silently converted"
             )
         if layout is None:
             if arr.flags["C_CONTIGUOUS"]:

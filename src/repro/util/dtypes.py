@@ -26,13 +26,33 @@ SUPPORTED_DTYPES: tuple[str, ...] = ("float16", "float32", "float64")
 DEFAULT_DTYPE = np.dtype(np.float64)
 
 
+#: Each supported dtype in native byte order, keyed by itself and by its
+#: name: the dict hit answers the common case without NumPy's
+#: Python-level ``.name`` getter (~5 us a read, and every TTM used to pay
+#: it several times).  A key can only match an equal dtype, so a hit is
+#: always the right answer.
+_NATIVE: dict = {
+    key: np.dtype(name)
+    for name in SUPPORTED_DTYPES
+    for key in (name, np.dtype(name))
+}
+_NATIVE_NAMES: dict = {key: dt.name for key, dt in _NATIVE.items()}
+
+
 def canonical_dtype(dtype) -> np.dtype:
     """Normalize *dtype* to a supported :class:`numpy.dtype`.
 
     Accepts anything ``np.dtype`` accepts (names, type objects, dtype
     instances); raises :class:`DtypeError` for element types outside
-    :data:`SUPPORTED_DTYPES` instead of guessing a coercion.
+    :data:`SUPPORTED_DTYPES` instead of guessing a coercion.  The result
+    is always in **native byte order**: ``'>f8'`` normalizes to the
+    native float64, so data stored byte-swapped is converted once where
+    it is wrapped instead of failing every later dtype comparison.
     """
+    try:
+        return _NATIVE[dtype]
+    except (KeyError, TypeError):
+        pass
     try:
         dt = np.dtype(dtype)
     except TypeError as exc:
@@ -42,7 +62,46 @@ def canonical_dtype(dtype) -> np.dtype:
             f"dtype {dt.name!r} is not supported; choose from "
             f"{SUPPORTED_DTYPES}"
         )
-    return dt
+    return _NATIVE[dt.name]
+
+
+def dtype_name(dtype) -> str:
+    """The canonical name of *dtype* (``'float32'``, ...), as plans store it.
+
+    A dict read for native supported dtypes; anything else goes through
+    :func:`canonical_dtype` (and raises :class:`DtypeError` like it).
+    """
+    try:
+        return _NATIVE_NAMES[dtype]
+    except (KeyError, TypeError):
+        return _NATIVE_NAMES[canonical_dtype(dtype)]
+
+
+def match_dtype(a, dtype: np.dtype, what: str = "U") -> np.ndarray:
+    """Bring operand *a* to the tensor's *dtype*: preserve, reject, or lift.
+
+    The one operand-dtype policy every TTM entry point shares.  An array
+    already in *dtype* passes through untouched (no copy).  One that
+    differs only in byte order is converted — same values, and a J x I_n
+    matrix is negligible next to X.  A *different* supported float dtype
+    raises :class:`DtypeError`: silently changing precision is the bug
+    this policy exists to prevent.  Anything else (ints, bools, Python
+    lists) is materialized in *dtype*.
+    """
+    a = np.asarray(a)
+    if a.dtype == dtype:
+        return a
+    if (
+        a.dtype.kind == "f"
+        and is_supported_dtype(a.dtype)
+        and canonical_dtype(a.dtype) != dtype
+    ):
+        raise DtypeError(
+            f"{what} has dtype {a.dtype.name} but x is {dtype.name}; cast "
+            f"{what} explicitly — mixing float widths would silently change "
+            "the result's precision"
+        )
+    return np.asarray(a, dtype=dtype)
 
 
 def result_dtype(*operands) -> np.dtype:

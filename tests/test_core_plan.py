@@ -1,10 +1,25 @@
 """Tests for TtmPlan validation and derived geometry."""
 
+import dataclasses
+import json
+import math
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.core import InTensLi
 from repro.core.plan import Strategy, TtmPlan
-from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, Layout
+from repro.core.serialize import plan_from_dict, plan_to_dict, plans_to_json
+from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, Layout, element_strides
 from repro.util.errors import PlanError
+from repro.tensor.dense import DenseTensor
+from repro.testing import DEFAULT_CASES
+from tests.test_golden_plans import (
+    decision_key,
+    golden_path,
+    plan_decision,
+)
 
 
 def make_plan(**overrides):
@@ -141,6 +156,108 @@ class TestDerivedGeometry:
 
     def test_plans_are_hashable(self):
         assert len({make_plan(), make_plan()}) == 1
+
+
+#: Every cached derived value and the formula it must equal.
+CACHED_GEOMETRY = {
+    "i_n": lambda p: p.shape[p.mode],
+    "component_extent": lambda p: math.prod(
+        p.shape[m] for m in p.component_modes
+    ),
+    "out_shape": lambda p: p.shape[: p.mode] + (p.j,) + p.shape[p.mode + 1 :],
+    "out_strides": lambda p: element_strides(
+        p.shape[: p.mode] + (p.j,) + p.shape[p.mode + 1 :], p.layout
+    ),
+    "kernel_shape": lambda p: (
+        (p.j, p.shape[p.mode], math.prod(p.shape[m] for m in p.component_modes))
+        if p.strategy is Strategy.FORWARD
+        else (math.prod(p.shape[m] for m in p.component_modes), p.shape[p.mode], p.j)
+    ),
+    "np_dtype": lambda p: np.dtype(p.dtype),
+    "itemsize": lambda p: np.dtype(p.dtype).itemsize,
+    "kernel_working_set_bytes": lambda p: np.dtype(p.dtype).itemsize * (
+        lambda m, k, n: m * k + k * n + m * n
+    )(*p.kernel_shape),
+    "output_bytes": lambda p: np.dtype(p.dtype).itemsize
+    * math.prod(p.shape[: p.mode] + (p.j,) + p.shape[p.mode + 1 :]),
+}
+
+GEOMETRY_PLANS = (
+    make_plan(),
+    make_plan(dtype="float32", component_modes=(3,), loop_modes=(0, 2)),
+    make_plan(
+        mode=2,
+        layout=COL_MAJOR,
+        strategy=Strategy.BACKWARD,
+        component_modes=(0, 1),
+        loop_modes=(3,),
+        dtype="float16",
+    ),
+    make_plan(component_modes=(), loop_modes=(0, 2, 3), batch_modes=(2, 3)),
+)
+
+
+def _warm(plan):
+    for name in CACHED_GEOMETRY:
+        getattr(plan, name)
+    return plan
+
+
+class TestCachedGeometry:
+    """Geometry is derived once per plan, and the cache is invisible."""
+
+    @pytest.mark.parametrize("plan", GEOMETRY_PLANS, ids=str)
+    def test_every_cached_value_equals_its_formula(self, plan):
+        for name, formula in CACHED_GEOMETRY.items():
+            assert getattr(plan, name) == formula(plan), name
+            assert name in vars(plan), f"{name} is not cached"
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        cold, warm = make_plan(), _warm(make_plan())
+        assert cold == warm and hash(cold) == hash(warm)
+        fields = tuple(getattr(cold, f.name) for f in dataclasses.fields(cold))
+        assert hash(warm) == hash(fields)
+
+    def test_pickle_carries_fields_only(self):
+        cold = make_plan()
+        before = pickle.dumps(cold)
+        warm = _warm(cold)
+        assert pickle.dumps(warm) == before
+        back = pickle.loads(before)
+        assert back == warm
+        assert set(vars(back)) == {f.name for f in dataclasses.fields(back)}
+
+    def test_serialization_round_trip_ignores_the_cache(self):
+        cold = make_plan()
+        text = plans_to_json([cold])
+        warm = _warm(make_plan())
+        assert plan_to_dict(warm) == plan_to_dict(cold)
+        assert plans_to_json([warm]) == text
+        assert plan_from_dict(plan_to_dict(warm)) == cold
+
+    def test_warm_plans_still_match_the_golden_fixture(self):
+        """Plans whose geometry a real TTM has read decide as the fixture."""
+        golden = json.loads(golden_path(1).read_text())
+        lib = InTensLi()
+        rng = np.random.default_rng(0)
+        for layout in (ROW_MAJOR, COL_MAJOR):
+            for shape, j, mode in DEFAULT_CASES:
+                x = DenseTensor(rng.standard_normal(shape), layout)
+                lib.ttm(x, rng.standard_normal((j, shape[mode])), mode)
+                plan = _warm(lib.plan(shape, mode, j, layout))
+                key = decision_key(shape, mode, j, layout, 1)
+                assert plan_decision(plan) == golden[key], key
+
+    def test_replace_gets_a_fresh_cache(self):
+        warm = _warm(make_plan(dtype="float64"))
+        swapped = dataclasses.replace(warm, dtype="float32")
+        assert swapped.itemsize == 4 and warm.itemsize == 8
+        assert swapped.kernel_working_set_bytes * 2 == (
+            warm.kernel_working_set_bytes
+        )
+        kernel_only = dataclasses.replace(warm, kernel="blocked")
+        assert not set(CACHED_GEOMETRY) & set(vars(kernel_only))
+        assert kernel_only.out_strides == warm.out_strides
 
 
 class TestViewsBlasLegal:

@@ -32,15 +32,16 @@ from repro.gemm.interface import (
 from repro.obs import tracing
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.testing import DTYPE_TOLERANCES
+from repro.testing import DTYPE_TOLERANCES, ttm_reference
 from repro.util.dtypes import (
     DEFAULT_DTYPE,
     SUPPORTED_DTYPES,
     canonical_dtype,
+    dtype_name,
     is_supported_dtype,
     result_dtype,
 )
-from repro.util.errors import DtypeError, PlanError
+from repro.util.errors import DtypeError, LayoutError, PlanError
 from tests.helpers import ttm_oracle
 
 DTYPES = [np.dtype(name) for name in SUPPORTED_DTYPES]
@@ -204,6 +205,64 @@ class TestNoSilentUpcast:
                             u.astype(np.float64), 1)
         assert np.allclose(y.data.astype(np.float64), expect,
                            rtol=rtol, atol=atol)
+
+
+class TestByteOrder:
+    """Byte-swapped floats are the same dtype in the other byte order.
+
+    ``canonical_dtype`` answers in native order, so wrapping a
+    byte-swapped array converts it once and every later dtype comparison
+    sees the native type; a byte-swapped U is converted like an int U,
+    while a byte-swapped U of a *different* width still raises.
+    """
+
+    SWAPPED = [np.dtype(name).newbyteorder() for name in SUPPORTED_DTYPES]
+
+    @pytest.mark.parametrize("swapped", SWAPPED, ids=str)
+    def test_canonical_dtype_is_native(self, swapped):
+        dt = canonical_dtype(swapped)
+        assert dt.isnative and dt == swapped.newbyteorder()
+        assert dtype_name(swapped) == dt.name
+        assert canonical_dtype(dt.name) is dt
+
+    @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_swapped_x_and_u_match_the_reference(self, layout, dtype):
+        rtol, atol = DTYPE_TOLERANCES[dtype]
+        rng = np.random.default_rng(3)
+        native = rng.standard_normal((4, 5, 6)).astype(dtype)
+        swapped = native.astype(np.dtype(dtype).newbyteorder())
+        x = DenseTensor(swapped, layout)
+        assert x.data.dtype == np.dtype(dtype) and x.data.dtype.isnative
+        u = rng.standard_normal((3, 5)).astype(dtype)
+        u_swapped = u.astype(u.dtype.newbyteorder())
+        want = ttm_reference(native.astype(np.float64), u.astype(np.float64), 1)
+        lib = InTensLi()
+        for u_in in (u, u_swapped, u_swapped):  # cold, then warm
+            y = lib.ttm(x, u_in, 1)
+            assert y.data.dtype == np.dtype(dtype)
+            np.testing.assert_allclose(y.data, want, rtol=rtol, atol=atol)
+        plan = default_plan(x.shape, 1, 3, layout, dtype=dtype)
+        y = ttm_inplace(x, u_swapped, plan=plan)
+        np.testing.assert_allclose(y.data, want, rtol=rtol, atol=atol)
+
+    def test_swapped_u_of_another_width_still_raises(self):
+        x, _ = _case((4, 5, 6), 1, 3, dtype="float32")
+        u = np.ones((3, 5), dtype=np.dtype("float64").newbyteorder())
+        with pytest.raises(DtypeError, match="float64 but x is float32"):
+            InTensLi().ttm(x, u, 1)
+        with pytest.raises(DtypeError, match="float64 but x is float32"):
+            ttm_inplace(x, u, 1)
+
+    def test_swapped_memmap_is_never_wrapped_silently(self, tmp_path):
+        path = tmp_path / "x.bin"
+        mm = np.memmap(path, dtype=">f8", mode="w+", shape=(4, 5))
+        mm[:] = np.arange(20.0).reshape(4, 5)
+        with pytest.raises(LayoutError, match="native byte order"):
+            DenseTensor.from_memmap(mm)
+        x = DenseTensor(mm)  # an explicit copy, through the budget guard
+        assert x.data.dtype.isnative and x.is_inmem
+        np.testing.assert_array_equal(x.data, np.arange(20.0).reshape(4, 5))
 
 
 class TestPlanDtype:

@@ -14,7 +14,7 @@ from repro.gemm import gemm_blas
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import ROW_MAJOR
 from repro.tensor.views import merged_matrix_view
-from repro.util.errors import LayoutError, PlanError, StrideError
+from repro.util.errors import LayoutError, PlanError, ShapeError, StrideError
 
 
 class TestStrideErrors:
@@ -79,3 +79,47 @@ class TestTypeErrors:
             ttm_inplace(np.zeros((3, 4)), np.zeros((2, 3)), 0)
         assert "DenseTensor" in str(exc.value)
         assert "layout" in str(exc.value)
+
+
+class TestWarmModeValidation:
+    """A plan-cache hit validates the mode exactly like a cold call.
+
+    ``True``, ``1.0`` and ``np.int64(1)`` hash like ``1``, so a warm
+    cache keyed on the raw mode would accept them once a mode-1 plan is
+    cached; the fast path must answer with the cold call's typed error.
+    """
+
+    BAD_MODES = [True, 1.0, np.int64(1), -1, 3, "1"]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            call()
+        except Exception as exc:  # noqa: BLE001 - compared, not hidden
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("mode", BAD_MODES, ids=repr)
+    def test_warm_ttm_raises_like_cold(self, mode):
+        from repro.core.intensli import InTensLi
+
+        rng = np.random.default_rng(0)
+        x = DenseTensor(rng.standard_normal((4, 5, 6)))
+        u = rng.standard_normal((3, 5))
+        cold = self._outcome(lambda: InTensLi().ttm(x, u, mode))
+        warm_lib = InTensLi()
+        warm_lib.ttm(x, u, 1)
+        assert warm_lib.cached_plans == 1
+        warm = self._outcome(lambda: warm_lib.ttm(x, u, mode))
+        assert cold is not None and cold[0] in (TypeError, ShapeError)
+        assert warm == cold
+
+    @pytest.mark.parametrize("mode", BAD_MODES, ids=repr)
+    def test_warm_plan_raises_like_cold(self, mode):
+        from repro.core.intensli import InTensLi
+
+        cold = self._outcome(lambda: InTensLi().plan((4, 5, 6), mode, 3))
+        warm_lib = InTensLi()
+        warm_lib.plan((4, 5, 6), 1, 3)
+        warm = self._outcome(lambda: warm_lib.plan((4, 5, 6), mode, 3))
+        assert cold is not None and warm == cold
