@@ -1,14 +1,19 @@
-"""Serving-engine benchmark: coalesced fleets vs. per-request dispatch.
+"""Serving-engine benchmark: the server vs. the same trace run serially.
 
-The serving engine's reason to exist is that many tenants' small TTMs,
-coalesced into one ``gemm_batched`` fleet, beat the same requests served
-one by one.  This harness replays the same deterministic trace through
-two servers — coalescing on and off — and reports p99 latency, sustained
-GFLOP/s, and the speedup, plus the cache hit rate and batching telemetry
-that explain the numbers.  The ``serving_quick`` series feeds the
-regression gate (``benchmarks/check_regression.py``): its ``speedup``
-column is ratio-gated and its ``p99 (ms)`` / ``GF/s`` columns are
-absolute-gated against the committed baseline.
+A served request runs the same in-place ``InTensLi.execute`` call a
+direct ``repro.ttm`` call does, so the server's cost is everything
+around that call: admission, queueing, grouping, the hop to a worker
+thread and back.  This harness replays one deterministic trace through
+a ``TtmServer`` with the default ``ServeConfig`` and then runs the same
+trace serially through ``repro.ttm`` in one thread; both sides
+materialize every request's operands inside their clock.  It reports
+the served p99 latency and sustained GFLOP/s, the serial GFLOP/s, and
+``speedup`` = serial wall / served wall (below 1 when serving costs
+more than calling directly), plus the cache hit rate and the largest
+signature group one hop carried.  The ``serving_quick`` series feeds
+the regression gate (``benchmarks/check_regression.py``): its
+``speedup`` column is ratio-gated and its ``p99 (ms)`` / ``GF/s``
+columns are absolute-gated against the committed baseline.
 
 Run as a script (``python benchmarks/bench_serving.py [--quick]``) or
 under pytest for the smoke assertions.
@@ -19,15 +24,23 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
+import time
 
 import pytest
 
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+import repro
 from benchmarks.common import print_header, print_series, run_main
+from repro.perf.flops import ttm_flops
 from repro.serve import ServeConfig, TtmServer
-from repro.serve.workload import default_tenants, generate_trace, replay
+from repro.serve.workload import (
+    default_tenants,
+    generate_trace,
+    materialize,
+    replay,
+)
 
 #: (label, tenants, requests, concurrency) per benchmark scenario.
 SCENARIOS = [
@@ -42,15 +55,9 @@ QUICK_SCENARIOS = [
 ]
 
 
-def run_scenario(tenants, requests, concurrency, *, coalesce, seed=7):
-    """Replay one deterministic trace; returns the LoadReport."""
-    trace = generate_trace(default_tenants(tenants), requests, seed=seed)
-    config = ServeConfig(
-        max_inflight=concurrency * 4,
-        max_batch=concurrency,
-        coalesce=coalesce,
-        workers=2,
-    )
+def run_served(trace, concurrency):
+    """Replay *trace* through a default-config server; the LoadReport."""
+    config = ServeConfig(max_inflight=concurrency * 4, max_batch=concurrency)
 
     async def _run():
         server = TtmServer(config=config)
@@ -63,52 +70,54 @@ def run_scenario(tenants, requests, concurrency, *, coalesce, seed=7):
     return asyncio.run(_run())
 
 
-def measure_pair(label, tenants, requests, concurrency, repeats=3):
-    """(row) batched vs. unbatched serving of the same trace.
+def run_serial(trace) -> float:
+    """Wall seconds to run *trace* one request at a time via repro.ttm."""
+    start = time.perf_counter()
+    for entry in trace:
+        x, u = materialize(entry)
+        repro.ttm(x, u, entry.mode)
+    return time.perf_counter() - start
 
-    Each mode replays *repeats* times and each metric reports its best
+
+def measure_pair(label, tenants, requests, concurrency, repeats=3, seed=7):
+    """(row) served vs. serial execution of the same trace.
+
+    Each side runs *repeats* times and each metric reports its best
     observation across the repeats (lowest p99, highest GFLOP/s, lowest
     wall clock): tail latency of a queue-saturated replay is
     noise-dominated on a shared host, and best-of-N per metric is the
     least contaminated estimate — the same convention as
     ``time_callable``, applied per statistic.
     """
-    unbatched = [
-        run_scenario(tenants, requests, concurrency, coalesce=False)
-        for _ in range(repeats)
-    ]
-    batched = [
-        run_scenario(tenants, requests, concurrency, coalesce=True)
-        for _ in range(repeats)
-    ]
-    wall_u = min(r.wall_s for r in unbatched)
-    wall_b = min(r.wall_s for r in batched)
+    trace = generate_trace(default_tenants(tenants), requests, seed=seed)
+    flops = sum(ttm_flops(e.shape, e.j) for e in trace)
+    served = [run_served(trace, concurrency) for _ in range(repeats)]
+    serial_wall = min(run_serial(trace) for _ in range(repeats))
+    served_wall = min(r.wall_s for r in served)
     return {
         "scenario": label,
         "tenants": tenants,
         "requests": requests,
-        "p99_ms": min(r.latencies_ms["p99"] for r in batched),
-        "p99_unbatched_ms": min(r.latencies_ms["p99"] for r in unbatched),
-        "gflops": max(r.sustained_gflops for r in batched),
-        "gflops_unbatched": max(r.sustained_gflops for r in unbatched),
-        "hit_rate": batched[0].cache["hit_rate"],
-        "max_batch": max(r.batching["max_batch"] for r in batched),
-        "shed": sum(r.shed["total"] for r in batched + unbatched),
-        "speedup": wall_u / wall_b if wall_b > 0 else float("inf"),
+        "p99_ms": min(r.latencies_ms["p99"] for r in served),
+        "gflops": max(r.sustained_gflops for r in served),
+        "gflops_serial": flops / serial_wall / 1e9,
+        "hit_rate": served[0].cache["hit_rate"],
+        "max_batch": max(r.batching["max_batch"] for r in served),
+        "shed": sum(r.shed["total"] for r in served),
+        "speedup": serial_wall / served_wall,
     }
 
 
 def report(rows, title):
     print_series(
-        ["scenario", "tenants", "requests", "p99 (ms)", "p99 solo (ms)",
-         "GF/s", "GF/s solo", "hit rate", "max batch", "speedup"],
+        ["scenario", "tenants", "requests", "p99 (ms)", "GF/s",
+         "GF/s serial", "hit rate", "max batch", "speedup"],
         [
             (
                 r["scenario"], r["tenants"], r["requests"],
-                f"{r['p99_ms']:.3f}", f"{r['p99_unbatched_ms']:.3f}",
-                f"{r['gflops']:.2f}", f"{r['gflops_unbatched']:.2f}",
-                f"{r['hit_rate']:.2%}", r["max_batch"],
-                f"{r['speedup']:.2f}x",
+                f"{r['p99_ms']:.3f}", f"{r['gflops']:.2f}",
+                f"{r['gflops_serial']:.2f}", f"{r['hit_rate']:.2%}",
+                r["max_batch"], f"{r['speedup']:.2f}x",
             )
             for r in rows
         ],
@@ -124,7 +133,7 @@ def test_serving_smoke(scenario):
     """Closed-loop nominal load: everything completes, nothing sheds."""
     row = measure_pair(*scenario)
     assert row["shed"] == 0
-    assert row["max_batch"] > 1  # coalescing actually happened
+    assert row["max_batch"] > 1  # signature groups actually formed
 
 
 # -- script entry --------------------------------------------------------------
@@ -132,9 +141,7 @@ def test_serving_smoke(scenario):
 
 def main() -> int:
     quick = "--quick" in sys.argv
-    print_header(
-        "TTM serving: coalesced gemm_batched fleets vs. per-request dispatch"
-    )
+    print_header("TTM serving: TtmServer vs. the same trace run serially")
     if quick:
         print("[quick] one small scenario\n")
         report(

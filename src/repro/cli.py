@@ -455,17 +455,20 @@ def cmd_serve(args) -> int:
     from repro.serve import ServeConfig, TtmServer
     from repro.serve.workload import replay
 
+    if args.no_coalesce:
+        print("warning: --no-coalesce is deprecated and ignored: every "
+              "request runs in place", file=sys.stderr)
     trace = _load_or_generate_trace(args)
     config = ServeConfig(
         max_inflight=max(args.concurrency * 4, 64),
         max_batch=args.max_batch,
         batch_window_s=args.window,
-        workers=args.workers,
-        coalesce=not args.no_coalesce,
         default_deadline_s=args.deadline,
         watchdog_s=args.watchdog,
         max_threads=args.threads,
     )
+    if args.workers is not None:
+        config.workers = args.workers
     tracer = Tracer() if args.chrome else None
 
     async def _run():
@@ -775,9 +778,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64)
     serve.add_argument(
         "--no-coalesce", action="store_true",
-        help="serve every request individually (the unbatched baseline)",
+        help="deprecated and ignored: every request runs in place",
     )
-    serve.add_argument("--workers", type=int, default=2)
+    serve.add_argument(
+        "--workers", type=int, default=None,
+        help="serving worker threads (default: ServeConfig's, 1)",
+    )
     serve.add_argument("--threads", type=int, default=1)
     serve.add_argument(
         "--report", default=None, metavar="PATH",

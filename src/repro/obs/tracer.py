@@ -131,7 +131,7 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 #: matter what spans are open on the calling thread.  The serving layer
 #: (:mod:`repro.serve`) executes many tenants' requests on a small pool
 #: of shared worker threads; passing ``parent=ROOT`` gives each request
-#: (or coalesced batch) its own span tree instead of nesting it under
+#: group its own span tree instead of nesting it under
 #: whatever the thread happened to be doing.
 ROOT = Span(
     name="<root>",

@@ -32,8 +32,8 @@ The budget is **re-read at every call** by default: flipping
 ``$REPRO_MEM_LIMIT`` (or memory freeing up in ``/proc/meminfo``) takes
 effect on the very next guard probe, tiling decision, or materialization
 check.  Code that must make *several* related decisions against one
-coherent number — the serving engine admitting then executing a
-coalesced batch, or the tiling executor pre-flighting every tile before
+coherent number — the serving engine executing one signature group
+of requests, or the tiling executor pre-flighting every tile before
 writing the first byte of output — wraps the region in
 :func:`pinned_budget`, which snapshots the budget once (thread-locally,
 so concurrent serving workers don't see each other's pins) and serves

@@ -3,14 +3,18 @@
 The library below this package is single-caller: one thread plans and
 executes one TTM at a time.  This package turns it into a serving
 engine: an asyncio front-end (:class:`TtmServer`) that admits requests
-from many tenants, coalesces compatible small requests into
-``gemm_batched`` fleets (the PR-1 batching win applied *across*
-callers), shares one :class:`repro.autotune.PlanCache` across tenants
-with per-tenant quotas and hit-rate accounting, and degrades gracefully
-under overload using the resilience primitives — memory pressure
-degrades a fleet to guarded per-request execution (with lower-degree
-replans), deadlines and the serving watchdog shed load with a typed
-:class:`~repro.util.errors.OverloadError` instead of queueing forever.
+from many tenants, groups requests with the same dispatch signature so
+each group costs one plan lookup and one hop to a worker thread, runs
+every request through the in-place, memory-guarded
+``InTensLi.execute`` path (lower-degree replans under memory
+pressure), shares one :class:`repro.autotune.PlanCache` across tenants
+with per-tenant quotas and hit-rate accounting, and sheds load under
+overload — admission, deadlines and the serving watchdog resolve
+requests with a typed :class:`~repro.util.errors.OverloadError`
+instead of queueing forever.
+
+``execute_fleet``, ``fleet_staging_bytes`` and ``ServeConfig.coalesce``
+are deprecated: requests are no longer staged into a batched multiply.
 
 Paired with it, :mod:`repro.serve.workload` generates and replays
 deterministic multi-tenant request traces (the ramulator2

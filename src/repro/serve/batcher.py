@@ -1,46 +1,33 @@
-"""Coalescing: many tenants' small TTMs become one ``gemm_batched`` fleet.
+"""Grouping: a micro-batch's requests, bucketed by dispatch signature.
 
 Every request whose input signature — shape, mode, J, layout, dtype —
-matches can share a dispatch: ``Y ×_m U`` is ``Y_(m) = U @ X_(m)`` per
-request, so a group of B requests is one rank-3 batched multiply
-``out[i] = U[i] @ X_(m)[i]``.  The operands live in B separate caller
-buffers, so (unlike the intra-tensor batching of PR 1) coalescing *must*
-stage them into contiguous batch buffers; for the small requests serving
-traffic is made of, that C-speed copy costs far less than the B
-interpreter round-trips it replaces, which is the same trade every
-batching inference server makes.
-
-Staging is layout-aware: row-major requests are unfolded straight into
-their staging slice (one strided copy, no intermediate), column-major
-requests go through the generic :func:`repro.tensor.unfold` path.  The
-fleet's memory story is explicit — :func:`fleet_staging_bytes` prices
-the three staging buffers so the server can degrade a fleet to guarded
-per-request execution *before* allocating, the serving analogue of the
-PR-5 memory pre-flight.
+matches runs under the same plan, so a group of B such requests costs
+one plan lookup and one hop from the event loop to a worker thread
+instead of B.  Each request in the group still runs its own in-place
+kernel on its own operands: staging B unfoldings into one batched
+multiply would copy every X, which is the matricization the in-place
+TTM exists to avoid, and it measured slower than per-request dispatch.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.gemm.batched import gemm_batched
+from repro.core.intensli import ttm
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.tensor.unfold import fold, unfold, unfold_permutation
-from repro.util.errors import ShapeError
+from repro.util.dtypes import dtype_name
 
 
 @dataclass(frozen=True)
 class FleetSignature:
-    """The dispatch signature a coalesced batch is valid for.
+    """The dispatch signature a request group is valid for.
 
-    Two requests coalesce exactly when their signatures are equal: the
-    batched multiply requires identical slice geometry, and mixing
-    layouts or dtypes in one fleet would silently change semantics.
+    Two requests share a group exactly when their signatures are equal:
+    they then share one plan, and mixing layouts or dtypes under one plan
+    would silently change semantics.
     """
 
     shape: tuple[int, ...]
@@ -55,13 +42,6 @@ class FleetSignature:
             self.j if i == self.mode else s for i, s in enumerate(self.shape)
         )
 
-    @property
-    def rest(self) -> int:
-        """Columns of the mode unfolding (product of the other extents)."""
-        return math.prod(
-            s for i, s in enumerate(self.shape) if i != self.mode
-        )
-
     def describe(self) -> str:
         dims = "x".join(str(s) for s in self.shape)
         return f"{dims}|m{self.mode}|J{self.j}|{self.layout.name}|{self.dtype}"
@@ -69,12 +49,13 @@ class FleetSignature:
 
 def signature_of(request) -> FleetSignature:
     """The :class:`FleetSignature` of one admitted request."""
+    x = request.x
     return FleetSignature(
-        shape=tuple(request.x.shape),
-        mode=int(request.mode),
-        j=int(request.u.shape[0]),
-        layout=request.x.layout,
-        dtype=request.x.data.dtype.name,
+        shape=x.shape,
+        mode=request.mode,
+        j=request.u.shape[0],
+        layout=x.layout,
+        dtype=dtype_name(x.data.dtype),
     )
 
 
@@ -91,92 +72,29 @@ def coalesce(requests: Sequence) -> list[tuple[FleetSignature, list]]:
     return list(groups.items())
 
 
-def fleet_staging_bytes(sig: FleetSignature, batch: int) -> int:
-    """Bytes the batched path allocates to serve *batch* requests.
-
-    Three dense buffers: the stacked U operands ``(B, J, I_m)``, the
-    staged unfoldings ``(B, I_m, rest)``, and the batched product
-    ``(B, J, rest)`` — plus each request's output tensor, which the
-    per-request path would allocate too and is therefore not charged
-    here.
-    """
-    itemsize = np.dtype(sig.dtype).itemsize
-    i_m = sig.shape[sig.mode]
-    rest = sig.rest
-    return batch * itemsize * (sig.j * i_m + i_m * rest + sig.j * rest)
-
-
-def _stage_unfolding(dst: np.ndarray, x: DenseTensor, mode: int) -> None:
-    """Write x's mode unfolding into the C-contiguous staging slice *dst*."""
-    if x.layout is Layout.ROW_MAJOR:
-        # The permuted tensor copies straight into the slice: reshaping a
-        # C-contiguous slice is a view, so this is one strided copy with
-        # no intermediate allocation.
-        perm = unfold_permutation(x.order, mode)
-        permuted_shape = tuple(x.shape[p] for p in perm)
-        dst.reshape(permuted_shape)[...] = np.transpose(x.data, perm)
-    else:
-        # Column-major unfoldings enumerate columns in F order; reuse the
-        # generic (copying) unfold so fleet and per-request results agree
-        # element for element.
-        dst[...] = unfold(x, mode)
-
-
-def _deliver_result(out_slice: np.ndarray, sig: FleetSignature) -> DenseTensor:
-    """Fold one batched product slice back into a result tensor."""
-    if sig.layout is Layout.ROW_MAJOR:
-        out_shape = sig.out_shape
-        if sig.mode == 0:
-            # The mode-0 unfolding of a row-major tensor IS its memory
-            # image: the C-contiguous slice reshapes to the result with
-            # no copy at all (the slice's batch buffer stays alive
-            # exactly as long as some result still references it).
-            return DenseTensor._wrap(
-                out_slice.reshape(out_shape), sig.layout
-            )
-        perm = unfold_permutation(len(out_shape), sig.mode)
-        permuted_shape = tuple(out_shape[p] for p in perm)
-        data = np.empty(out_shape, dtype=out_slice.dtype)
-        np.transpose(data, perm)[...] = out_slice.reshape(permuted_shape)
-        return DenseTensor._wrap(data, sig.layout)
-    return fold(out_slice, sig.mode, sig.out_shape, sig.layout)
-
-
 def execute_fleet(
     sig: FleetSignature, requests: Sequence, *, kernel: str = "auto"
 ) -> list[DenseTensor]:
-    """Execute a coalesced group as one batched GEMM dispatch.
+    """Deprecated: run each request in place; results in request order.
 
-    Returns one result tensor per request, in request order.  The caller
-    (the server, or a benchmark harness) is responsible for deciding the
-    batched path is worth it — singleton groups and memory-pressured
-    fleets belong on the per-request path.
+    Fleets no longer stage a batched multiply, so *sig* and *kernel* are
+    ignored and every request runs through :func:`repro.ttm`.
     """
-    batch = len(requests)
-    if batch == 0:
-        return []
-    for request in requests:
-        # Field-wise check, not signature_of(): constructing a dataclass
-        # per request is measurable at serving batch rates.
-        if (
-            tuple(request.x.shape) != sig.shape
-            or request.mode != sig.mode
-            or request.u.shape[0] != sig.j
-            or request.x.layout is not sig.layout
-            or request.x.data.dtype.name != sig.dtype
-        ):
-            raise ShapeError(
-                f"request {request.request_id} does not match fleet "
-                f"signature {sig.describe()}"
-            )
-    dtype = np.dtype(sig.dtype)
-    i_m = sig.shape[sig.mode]
-    rest = sig.rest
-    stacked_u = np.empty((batch, sig.j, i_m), dtype=dtype)
-    staged_x = np.empty((batch, i_m, rest), dtype=dtype)
-    for i, request in enumerate(requests):
-        stacked_u[i] = request.u
-        _stage_unfolding(staged_x[i], request.x, sig.mode)
-    out = np.empty((batch, sig.j, rest), dtype=dtype)
-    gemm_batched(stacked_u, staged_x, out=out, kernel=kernel)
-    return [_deliver_result(out[i], sig) for i in range(batch)]
+    warnings.warn(
+        "execute_fleet is deprecated: requests are no longer staged into "
+        "a batched multiply; each one runs through repro.ttm",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return [ttm(r.x, r.u, r.mode) for r in requests]
+
+
+def fleet_staging_bytes(sig: FleetSignature, batch: int) -> int:
+    """Deprecated: always 0, since no request is staged any more."""
+    warnings.warn(
+        "fleet_staging_bytes is deprecated: serving stages no buffers, "
+        "so it always returns 0",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return 0

@@ -3,8 +3,8 @@
 A :class:`TtmRequest` is one tenant's TTM call frozen at admission time:
 operands, product mode, and the absolute deadline its latency budget
 implies.  Requests that agree on geometry, layout, and dtype share a
-:class:`~repro.serve.batcher.FleetSignature` and can be coalesced into
-one batched dispatch; everything the batcher needs to group them is
+:class:`~repro.serve.batcher.FleetSignature`, and so one plan and one
+hop to a worker thread; everything the batcher needs to group them is
 derivable from this record alone.
 """
 
@@ -56,7 +56,12 @@ class TtmRequest:
 
 @dataclass
 class RequestResult:
-    """A completed request's product plus its serving telemetry."""
+    """A completed request's product plus its serving telemetry.
+
+    ``batch_size`` is the number of requests dispatched in the same
+    executor hop (the request's signature group).  ``batched`` is always
+    False: every request runs its own in-place kernel.
+    """
 
     request_id: int
     tenant: str

@@ -1,22 +1,28 @@
-"""The asyncio TTM serving engine: admit, coalesce, execute, degrade.
+"""The asyncio TTM serving engine: admit, group, execute in place, shed.
 
 :class:`TtmServer` is the front-end the ROADMAP's "heavy traffic" north
 star asks for.  One dispatcher coroutine drains an internal queue in
-micro-batches (a bounded *batch window*), groups compatible requests
-into ``gemm_batched`` fleets, and runs each group on a small thread
-pool; NumPy kernels release the GIL, so groups genuinely overlap.
+micro-batches (a bounded *batch window*), groups the requests by
+dispatch signature, and hands each group to a thread pool in one hop,
+where every request runs the in-place ``InTensLi.execute`` path under
+the group's shared plan.  Nothing is staged or copied into an
+unfolding: a served request costs what a direct call costs, plus the
+hop.
+
+The pool has one worker by default: a serving-sized TTM holds the GIL
+for most of its call, so a second worker mostly contends for it.  Raise
+``ServeConfig.workers`` for products large enough that their kernels
+release the GIL.
 
 The degradation ladder, in order of preference (DESIGN.md §12):
 
-1. **Coalesced fleet** — one batched dispatch for the whole group.
-2. **Guarded per-request execution** — when the fleet's staging buffers
-   do not fit the memory the PR-5 guard sees available, or any fleet
-   error occurs, the group re-runs request by request through
+1. **Guarded per-request execution** — every request runs through
    ``InTensLi.execute(..., allow_replan=True)``, where the memory guard
-   may further degrade each call to a lower-degree plan.
-3. **Load shedding** — admission control refuses work at the door, and
+   may degrade the call to a lower-degree plan (or tile it) when the
+   budget is tight, and a typed error fails only its own request.
+2. **Load shedding** — admission control refuses work at the door, and
    queued requests whose deadline lapses before dispatch (or whose
-   batch trips the serving watchdog) resolve with a typed
+   group trips the serving watchdog) resolve with a typed
    :class:`~repro.util.errors.OverloadError` instead of waiting
    forever.  A shed request never returns a wrong tensor.
 
@@ -27,10 +33,9 @@ same shapes while no tenant can monopolize the cache.
 
 Memory-budget policy: plans are cached per signature but memory
 *verdicts* are not — each group execution snapshots the budget once via
-:func:`repro.resilience.memory.pinned_budget` and makes every decision
-for that group (staging admission, per-request guard probes) against
-that one number.  Flipping ``$REPRO_MEM_LIMIT`` therefore takes effect
-at the next group boundary, never mid-group.
+:func:`repro.resilience.memory.pinned_budget` and every guard probe in
+that group reads that one number.  Flipping ``$REPRO_MEM_LIMIT``
+therefore takes effect at the next group boundary, never mid-group.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import os
 import tempfile
 import time
 import uuid
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,19 +57,15 @@ from repro.autotune.store import PlanStore
 from repro.core.intensli import InTensLi
 from repro.obs.counters import Counters
 from repro.obs.tracer import ROOT, active_tracer
+from repro.perf.flops import ttm_flops
 from repro.resilience.memory import pinned_budget
 from repro.serve.admission import AdmissionController
-from repro.serve.batcher import (
-    FleetSignature,
-    coalesce,
-    execute_fleet,
-    fleet_staging_bytes,
-)
+from repro.serve.batcher import FleetSignature, coalesce
 from repro.serve.request import RequestResult, TtmRequest
 from repro.tensor.dense import DenseTensor
 from repro.util.dtypes import match_dtype
 from repro.util.errors import OverloadError, ReproError, ShapeError
-from repro.util.validation import check_mode
+from repro.util.validation import check_mode, check_positive_int
 
 log = logging.getLogger("repro.serve")
 
@@ -77,23 +79,50 @@ class ServeConfig:
     ``max_batch``/``batch_window_s`` bound the micro-batching: the
     dispatcher collects at most *max_batch* requests or waits at most
     *batch_window_s* after the first arrival, whichever comes first.
-    ``coalesce=False`` disables fleet formation entirely (the
-    per-request baseline the serving benchmark compares against).
-    ``watchdog_s`` bounds how long the dispatcher waits on one group's
-    execution before shedding its requests; None disables the watchdog.
+    ``workers`` sizes the thread pool groups run on (see the module
+    docstring for why one is the default).  ``watchdog_s`` bounds how
+    long the dispatcher waits on one group's execution before shedding
+    its requests; None disables the watchdog.  ``coalesce`` is
+    deprecated and ignored: setting it warns.
+
+    :class:`TtmServer` validates the policy when it is constructed.
     """
 
     max_inflight: int = 256
     tenant_inflight: int | None = None
     max_batch: int = 64
     batch_window_s: float = 0.002
-    workers: int = 2
-    coalesce: bool = True
+    workers: int = 1
+    coalesce: bool | None = None
     default_deadline_s: float | None = None
     watchdog_s: float | None = None
     tenant_cache_quota: int | None = None
     allow_replan: bool = True
     max_threads: int = 1
+
+    def __post_init__(self) -> None:
+        if self.coalesce is not None:
+            warnings.warn(
+                "ServeConfig(coalesce=...) is deprecated and ignored: "
+                "every request runs in place",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+
+
+def _check_config(config: ServeConfig) -> None:
+    """Reject a policy that cannot serve, before anything is started."""
+    check_positive_int(config.workers, "workers")
+    check_positive_int(config.max_batch, "max_batch")
+    if not config.batch_window_s >= 0:
+        raise ValueError(
+            f"batch_window_s must be >= 0, got {config.batch_window_s!r}"
+        )
+    # A zero or negative budget would shed every request it applies to.
+    for name in ("watchdog_s", "default_deadline_s"):
+        value = getattr(config, name)
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be > 0 or None, got {value!r}")
 
 
 #: Each shed reason and the :class:`ServerStats` name it is counted under.
@@ -109,7 +138,12 @@ class ServerStats(Counters):
     """Lifetime serving tallies (thread-safe; mirrored into reports).
 
     Completions, failures and sheds carry a ``tenant`` label, which
-    yields the ``per_tenant`` rows of :meth:`as_dict`.
+    yields the ``per_tenant`` rows of :meth:`as_dict`.  ``batches``
+    counts executor hops (one per signature group) and ``max_batch``
+    the largest group one hop carried; every request that ran is
+    ``unbatched_requests``, since none is staged into a batched
+    multiply.  ``batched_requests`` and ``batch_fallbacks`` stay
+    declared for report readers and are always 0.
     """
 
     names = (
@@ -187,6 +221,7 @@ class TtmServer:
         plan_cache: PlanCache | None = None,
     ) -> None:
         self.config = config or ServeConfig()
+        _check_config(self.config)
         self._lib = lib or InTensLi(max_threads=self.config.max_threads)
         self.plan_cache = (
             plan_cache
@@ -264,6 +299,9 @@ class TtmServer:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:
             u = u.T
+        # Planning would refuse J = 0 on the worker side, where the error
+        # could never reach this caller.
+        check_positive_int(u.shape[0], "j")
         mode = check_mode(mode, x.order)
         if u.shape[1] != x.shape[mode]:
             raise ShapeError(
@@ -348,17 +386,16 @@ class TtmServer:
         if not live:
             return
         plan = self._plan_for(sig, live)
-        loop = asyncio.get_running_loop()
-        work = loop.run_in_executor(
+        work = asyncio.get_running_loop().run_in_executor(
             self._pool, self._execute_group, sig, live, plan, now
         )
         try:
             if self.config.watchdog_s is not None:
-                results, fleet = await asyncio.wait_for(
+                results = await asyncio.wait_for(
                     work, timeout=self.config.watchdog_s
                 )
             else:
-                results, fleet = await work
+                results = await work
         except asyncio.TimeoutError:
             # The worker thread cannot be killed, but its waiters can be
             # released: every request in the group sheds now, and the
@@ -374,6 +411,9 @@ class TtmServer:
                 self._shed(request, "watchdog")
             return
         end = time.perf_counter()
+        # Every request in the group has the signature's shape and J.
+        flops = ttm_flops(sig.shape, sig.j)
+        completed = 0
         for request, outcome in zip(live, results):
             if isinstance(outcome, OverloadError):
                 # Worker-side deadline shed: the request expired while
@@ -396,14 +436,15 @@ class TtmServer:
                 y=outcome,
                 latency_s=end - request.arrival_s,
                 queue_s=now - request.arrival_s,
-                batch_size=max(fleet, 1),
-                batched=fleet > 0,
-                flops=request.flops,
+                batch_size=len(live),
+                batched=False,
+                flops=flops,
             )
             self.stats.add("completed", tenant=request.tenant)
-            self.stats.add("completed_flops", request.flops)
+            completed += 1
             if not request.future.done():
                 request.future.set_result(result)
+        self.stats.add("completed_flops", flops * completed)
 
     def _shed(self, request: TtmRequest, reason: str) -> None:
         self.stats.add(SHED_COUNTERS.get(reason, reason), tenant=request.tenant)
@@ -460,7 +501,7 @@ class TtmServer:
         tracer = active_tracer()
         try:
             if not tracer.enabled:
-                return self._execute_group_impl(sig, requests, plan)
+                return self._execute_group_impl(requests, plan)
             with tracer.span(
                 "serve-batch",
                 parent=ROOT,
@@ -468,7 +509,7 @@ class TtmServer:
                 signature=sig.describe(),
                 tenants=sorted({r.tenant for r in requests}),
             ) as span:
-                results, fleet = self._execute_group_impl(sig, requests, plan)
+                results = self._execute_group_impl(requests, plan)
                 span.set(
                     failed=sum(
                         1 for r in results if isinstance(r, BaseException)
@@ -485,82 +526,40 @@ class TtmServer:
                         queue_s=dispatched_s - request.arrival_s,
                     ):
                         pass
-                return results, fleet
+                return results
         finally:
             self.stats.add("busy_s", time.perf_counter() - start)
 
-    def _execute_group_impl(self, sig, requests, plan):
-        """Fleet dispatch with the degradation ladder.
+    def _execute_group_impl(self, requests, plan):
+        """Run each request of one group in place under the group's plan.
 
-        Returns one outcome per request and the size of the fleet that
-        actually ran them (0 when they ran one by one).
+        Returns one outcome per request: its product, or the typed error
+        it raised (a worker-side deadline shed is an OverloadError).
         """
         # Deadlines are re-checked here, on the worker thread: a request
         # passes the dispatch-time check, but the pool itself can back
-        # up behind slow batches, and work that has already missed its
+        # up behind slow groups, and work that has already missed its
         # budget must be dropped, not computed.
         now = time.perf_counter()
-        expired = [r for r in requests if r.expired(now)]
-        if expired:
-            outcomes = {
-                id(r): OverloadError(
-                    f"request {r.request_id} shed (deadline)",
-                    reason="deadline",
-                    tenant=r.tenant,
-                )
-                for r in expired
-            }
-            live = [r for r in requests if id(r) not in outcomes]
-            fleet = 0
-            if live:
-                results, fleet = self._execute_group_impl(sig, live, plan)
-                for r, out in zip(live, results):
-                    outcomes[id(r)] = out
-            return [outcomes[id(r)] for r in requests], fleet
-        # One budget snapshot per group: the staging-admission verdict
-        # and every guard probe inside the per-request fallbacks read the
-        # same number (thread-local, so concurrent workers don't share
-        # pins).  The default call-time re-read policy resumes when the
-        # group finishes — see the policy note in
+        outcomes = []
+        ran = 0
+        # One budget snapshot per group: every guard probe in the group
+        # reads the same number (thread-local, so concurrent workers
+        # don't share pins).  The default call-time re-read policy
+        # resumes when the group finishes — see the policy note in
         # ``repro.resilience.memory``.
-        with pinned_budget() as budget:
-            batched = len(requests) > 1 and self.config.coalesce
-            if batched:
-                staging = fleet_staging_bytes(sig, len(requests))
-                if budget is not None and staging > budget:
-                    log.warning(
-                        "fleet staging for %s x%d needs %d bytes, %d "
-                        "available; degrading to guarded per-request "
-                        "execution",
-                        sig.describe(),
-                        len(requests),
-                        staging,
-                        budget,
-                    )
-                    self.stats.add("batch_fallbacks")
-                    batched = False
-            if batched:
-                try:
-                    results = execute_fleet(sig, requests)
-                    self.stats.add("batches")
-                    self.stats.add("batched_requests", len(requests))
-                    self.stats.add("max_batch", len(requests))
-                    return results, len(requests)
-                except ReproError as exc:
-                    # Any typed fleet failure degrades the whole group to
-                    # the per-request path, which has its own fallback
-                    # chains.
-                    log.warning(
-                        "fleet dispatch failed (%s: %s); degrading to "
-                        "per-request execution",
-                        type(exc).__name__,
-                        exc,
-                    )
-                    self.stats.add("batch_fallbacks")
-            self.stats.add("batches")
-            self.stats.add("unbatched_requests", len(requests))
-            outcomes = []
+        with pinned_budget():
             for request in requests:
+                if request.expired(now):
+                    outcomes.append(
+                        OverloadError(
+                            f"request {request.request_id} shed (deadline)",
+                            reason="deadline",
+                            tenant=request.tenant,
+                        )
+                    )
+                    continue
+                ran += 1
                 try:
                     outcomes.append(
                         self._lib.execute(
@@ -572,7 +571,11 @@ class TtmServer:
                     )
                 except ReproError as exc:
                     outcomes.append(exc)
-            return outcomes, 0
+        if ran:
+            self.stats.add("batches")
+            self.stats.add("unbatched_requests", ran)
+            self.stats.add("max_batch", len(requests))
+        return outcomes
 
     # -- reporting ------------------------------------------------------------
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.tensor.layout import Layout, element_strides, leading_mode
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, is_supported_dtype
-from repro.util.errors import LayoutError, ResourceError, ShapeError
+from repro.util.errors import DtypeError, LayoutError, ResourceError, ShapeError
 from repro.util.rng import default_rng
 from repro.util.validation import normalized_order
 
@@ -94,7 +94,9 @@ class DenseTensor:
         None, supported float dtypes of *data* are **preserved copy-free**
         — wrapping a float32 array never silently upcasts it to float64 —
         and anything else (ints, bools, Python lists) is materialized as
-        float64, the library default.
+        float64, the library default.  Complex data raises
+        :class:`~repro.util.errors.DtypeError` rather than losing its
+        imaginary part.
     """
 
     __slots__ = ("_data", "_layout", "_strides", "_inmem")
@@ -109,6 +111,11 @@ class DenseTensor:
     ) -> None:
         layout = Layout.parse(layout)
         arr = np.asarray(data)
+        if arr.dtype.kind == "c":
+            raise DtypeError(
+                f"tensor data is complex ({arr.dtype.name}); tensors must "
+                "be real — casting would drop the imaginary part"
+            )
         if dtype is not None:
             target = canonical_dtype(dtype)
         elif is_supported_dtype(arr.dtype):
@@ -144,7 +151,7 @@ class DenseTensor:
         allocated — and may pass its element *strides* when it already
         knows them (a plan's ``out_strides``).  Skips the ``__init__``
         checks, which dominate the cost of constructing many small
-        tensors (TTM outputs, the serving coalescer's slices).
+        tensors (TTM outputs, tiles).
         """
         self = object.__new__(cls)
         self._data = data

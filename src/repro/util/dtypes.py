@@ -85,12 +85,18 @@ def match_dtype(a, dtype: np.dtype, what: str = "U") -> np.ndarray:
     differs only in byte order is converted — same values, and a J x I_n
     matrix is negligible next to X.  A *different* supported float dtype
     raises :class:`DtypeError`: silently changing precision is the bug
-    this policy exists to prevent.  Anything else (ints, bools, Python
-    lists) is materialized in *dtype*.
+    this policy exists to prevent, and so does a complex array, whose
+    imaginary part the cast would drop.  Anything else (ints, bools,
+    Python lists) is materialized in *dtype*.
     """
     a = np.asarray(a)
     if a.dtype == dtype:
         return a
+    if a.dtype.kind == "c":
+        raise DtypeError(
+            f"{what} is complex ({a.dtype.name}); TTM operands must be "
+            "real — casting would drop the imaginary part"
+        )
     if (
         a.dtype.kind == "f"
         and is_supported_dtype(a.dtype)

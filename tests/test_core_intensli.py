@@ -1,5 +1,7 @@
 """Tests for the InTensLi facade and top-level repro.ttm."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,39 @@ import repro
 from repro.analysis import XEON_E7_4820
 from repro.core import InTensLi, ttm_inplace
 from repro.gemm.bench import synthetic_profile
+from repro.serve import TtmServer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.util.errors import DtypeError, PlanError, ShapeError
 from tests.helpers import ttm_oracle
+
+#: (case, error, entry points it applies to).  A served request names no
+#: plan and no output, so only the operand cases reach ``submit``.
+_PLAN_ENTRIES = ("ttm_inplace", "execute")
+_ALL_ENTRIES = _PLAN_ENTRIES + ("submit",)
+_TYPED_ERROR_CASES = [
+    ("ndarray x", TypeError, _PLAN_ENTRIES),
+    ("ndarray out", TypeError, _PLAN_ENTRIES),
+    ("wrong x shape", PlanError, _PLAN_ENTRIES),
+    ("wrong out shape", PlanError, _PLAN_ENTRIES),
+    ("wrong out dtype", DtypeError, _PLAN_ENTRIES),
+    ("1-D U", ShapeError, _ALL_ENTRIES),
+    ("wrong U width", ShapeError, _ALL_ENTRIES),
+    ("float32 U", DtypeError, _ALL_ENTRIES),
+    ("complex U", DtypeError, _ALL_ENTRIES),
+]
+
+
+def _submit_once(x, u, mode):
+    async def scenario():
+        server = TtmServer()
+        await server.start()
+        try:
+            return await server.submit(x, u, mode)
+        finally:
+            await server.stop()
+
+    return asyncio.run(scenario())
 
 
 class TestConstruction:
@@ -110,16 +141,13 @@ class TestExecution:
             lib.execute(plan, x, np.zeros((2, 6)),
                         out=DenseTensor.zeros((5, 3, 7)))
 
-    @pytest.mark.parametrize("entry", ["ttm_inplace", "execute"])
     @pytest.mark.parametrize(
-        "case, error",
+        "case, error, entry",
         [
-            ("ndarray x", TypeError),
-            ("ndarray out", TypeError),
-            ("wrong x shape", PlanError),
-            ("wrong out shape", PlanError),
-            ("wrong out dtype", DtypeError),
-            ("1-D U", ShapeError),
+            pytest.param(case, error, entry,
+                         id=f"{case}-{error.__name__}-{entry}")
+            for case, error, entries in _TYPED_ERROR_CASES
+            for entry in entries
         ],
     )
     def test_entry_points_raise_the_same_typed_error(self, entry, case, error):
@@ -138,13 +166,21 @@ class TestExecution:
             out = DenseTensor.zeros((4, 2, 6))
         elif case == "wrong out dtype":
             out = DenseTensor.zeros(plan.out_shape, dtype="float32")
-        else:
+        elif case == "1-D U":
             u = np.zeros(5)
+        elif case == "wrong U width":
+            u = np.zeros((3, 6))
+        elif case == "float32 U":
+            u = np.zeros((3, 5), dtype=np.float32)
+        else:
+            u = np.zeros((3, 5)) + 1j
         with pytest.raises(error) as info:
             if entry == "ttm_inplace":
                 ttm_inplace(x, u, plan=plan, out=out)
-            else:
+            elif entry == "execute":
                 lib.execute(plan, x, u, out=out)
+            else:
+                _submit_once(x, u, 1)
         assert type(info.value) is error
 
     def test_u_must_be_2d(self):

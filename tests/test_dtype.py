@@ -8,6 +8,7 @@ expose) routes to the blocked kernel with a one-time warning; mixing
 float widths is an error, never a conversion.
 """
 
+import asyncio
 import dataclasses
 import json
 import warnings
@@ -18,7 +19,7 @@ import pytest
 from repro.autotune.cache import PlanCache, PlanKey
 from repro.autotune.store import PlanStore
 from repro.core.estimator import ParameterEstimator
-from repro.core.intensli import InTensLi
+from repro.core.intensli import InTensLi, ttm
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.partition import kernel_working_set_bytes
 from repro.gemm import interface as gemm_interface
@@ -30,6 +31,7 @@ from repro.gemm.interface import (
     resolve_kernel,
 )
 from repro.obs import tracing
+from repro.serve import TtmServer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.testing import DTYPE_TOLERANCES, ttm_reference
@@ -263,6 +265,48 @@ class TestByteOrder:
         x = DenseTensor(mm)  # an explicit copy, through the budget guard
         assert x.data.dtype.isnative and x.is_inmem
         np.testing.assert_array_equal(x.data, np.arange(20.0).reshape(4, 5))
+
+
+class TestComplexRejected:
+    """Complex operands raise instead of losing their imaginary part."""
+
+    def _operands(self, complex_operand):
+        x, u = _case((3, 4, 5), 1, 2)
+        if complex_operand == "x":
+            return x.data + 1j, u
+        return x, u + 1j
+
+    def test_dense_tensor_rejects_complex(self):
+        for dtype in (None, "float32"):
+            with pytest.raises(DtypeError, match="complex"):
+                DenseTensor(np.ones((2, 3), dtype=np.complex64), dtype=dtype)
+
+    @pytest.mark.parametrize("complex_operand", ["x", "u"])
+    def test_ttm_rejects_complex(self, complex_operand):
+        x, u = self._operands(complex_operand)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DtypeError, match="complex"):
+                ttm(x, u, 1)
+
+    @pytest.mark.parametrize("complex_operand", ["x", "u"])
+    def test_server_submit_rejects_complex(self, complex_operand):
+        x, u = self._operands(complex_operand)
+
+        async def scenario():
+            server = TtmServer()
+            await server.start()
+            try:
+                with pytest.raises(DtypeError, match="complex"):
+                    await server.submit(x, u, 1)
+            finally:
+                await server.stop()
+            return server
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            server = asyncio.run(scenario())
+        assert server.stats.submitted == 0
 
 
 class TestPlanDtype:

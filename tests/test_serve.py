@@ -1,13 +1,15 @@
 """Tests for the multi-tenant TTM serving engine (``repro.serve``).
 
 Covers the serving contract end to end: admission control bounds what
-the server takes on (server-wide and per-tenant), coalesced fleets
-compute exactly what the per-request Algorithm-1 oracle computes (the
-Hypothesis property), the shared plan cache enforces per-tenant quotas
-with exact per-tenant hit accounting under concurrent readers, and the
+the server takes on (server-wide and per-tenant), every served product
+matches the equation-(1) reference across the shared case grid, each
+signature group costs exactly one executor hop, the shared plan cache
+enforces per-tenant quotas with exact per-tenant hit accounting under
+concurrent readers, the serving policy is validated up front, and the
 degradation ladder sheds load with typed ``OverloadError``\\ s —
-deadlines under an injected slow kernel, the serving watchdog, and
-memory pressure degrading a fleet to guarded per-request execution.
+deadlines under an injected slow kernel and the serving watchdog —
+while memory pressure still serves every request through the guarded
+in-place path.
 """
 
 import asyncio
@@ -15,11 +17,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.autotune import CacheStats, PlanCache, PlanKey, PlanStore
 from repro.baselines import ttm_copy
+from repro.cli import main as cli_main
 from repro.core.inttm import default_plan
 from repro.obs import ROOT, Tracer, tracing
 from repro.resilience import FaultInjector, fault_injection
@@ -28,6 +29,7 @@ from repro.serve import (
     OverloadError,
     ServeConfig,
     TtmServer,
+    coalesce,
     execute_fleet,
     fleet_staging_bytes,
     signature_of,
@@ -44,6 +46,12 @@ from repro.serve.workload import (
 )
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
+from repro.testing import (
+    DEFAULT_CASES,
+    DEGENERATE_CASES,
+    DTYPE_TOLERANCES,
+    ttm_reference,
+)
 from repro.util.errors import ShapeError
 
 
@@ -124,53 +132,37 @@ class TestAdmission:
         assert snap["max_inflight"] == 4
 
 
-# -- coalescing correctness ----------------------------------------------------
+# -- deprecated fleet names ----------------------------------------------------
 
 
-class TestFleet:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.lists(st.integers(2, 8), min_size=2, max_size=4).map(tuple),
-        data=st.data(),
-        batch=st.integers(1, 6),
-        layout=st.sampled_from([Layout.ROW_MAJOR, Layout.COL_MAJOR]),
-        dtype=st.sampled_from([np.float32, np.float64]),
-    )
-    def test_fleet_matches_per_request_oracle(
-        self, shape, data, batch, layout, dtype
-    ):
-        """The coalesced batch computes exactly what B oracle calls do."""
-        mode = data.draw(st.integers(0, len(shape) - 1))
-        j = data.draw(st.integers(1, 6))
-        requests = [
-            make_request(shape, mode, j, seed=i, layout=layout, dtype=dtype)
-            for i in range(batch)
-        ]
-        results = execute_fleet(signature_of(requests[0]), requests)
-        tol = 1e-5 if dtype is np.float32 else 1e-12
+class TestDeprecatedFleetNames:
+    def test_execute_fleet_warns_and_runs_each_request(self):
+        requests = [make_request((4, 5, 6), 1, 3, seed=i) for i in range(3)]
+        with pytest.warns(DeprecationWarning, match="execute_fleet"):
+            results = execute_fleet(signature_of(requests[0]), requests)
         for request, y in zip(requests, results):
-            expected = ttm_copy(request.x, request.u, mode)
-            assert y.shape == expected.shape
-            assert y.layout is request.x.layout
+            expected = ttm_copy(request.x, request.u, 1)
             np.testing.assert_allclose(
-                y.data, expected.data, rtol=tol, atol=tol
+                y.data, expected.data, rtol=1e-5, atol=1e-5
             )
 
-    def test_signature_mismatch_rejected(self):
-        a = make_request((4, 5, 6), 1, 3, seed=0)
-        b = make_request((4, 5, 7), 1, 3, seed=1)
-        with pytest.raises(ShapeError):
-            execute_fleet(signature_of(a), [a, b])
+    def test_fleet_staging_bytes_warns_and_stages_nothing(self):
+        sig = signature_of(make_request((4, 5, 6), 1, 3))
+        with pytest.warns(DeprecationWarning, match="fleet_staging_bytes"):
+            assert fleet_staging_bytes(sig, 7) == 0
 
-    def test_staging_bytes_price_the_three_buffers(self):
-        request = make_request((4, 5, 6), 1, 3)
-        sig = signature_of(request)
-        per = np.dtype(np.float32).itemsize * (3 * 5 + 5 * 24 + 3 * 24)
-        assert fleet_staging_bytes(sig, 7) == 7 * per
+    def test_serve_config_coalesce_warns(self):
+        with pytest.warns(DeprecationWarning, match="coalesce"):
+            ServeConfig(coalesce=False)
 
-    def test_empty_fleet(self):
-        request = make_request((4, 5, 6), 1, 3)
-        assert execute_fleet(signature_of(request), []) == []
+    def test_cli_no_coalesce_warns_and_serves(self, capsys):
+        argv = ["serve", "--requests", "8", "--tenants", "1",
+                "--concurrency", "4", "--verify", "--fail-on-shed",
+                "--no-coalesce"]
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert "--no-coalesce is deprecated" in captured.err
+        assert "completed       8" in captured.out
 
 
 # -- tenant-aware plan cache ---------------------------------------------------
@@ -423,10 +415,9 @@ class TestServer:
         assert server.stats.shed_watchdog == len(outcomes)
 
     def test_memory_pressure_degrades_to_per_request(self, monkeypatch):
-        """A byte budget too small for the fleet's staging buffers (but
-        enough for one request's working set) degrades the batch to
-        guarded per-request execution; every result still arrives and
-        still matches the oracle."""
+        """Under a tiny byte budget every request still runs through the
+        guarded in-place path: all are served, none is shed, and every
+        result matches the oracle."""
         monkeypatch.setenv("REPRO_MEM_LIMIT", "4096")
 
         async def scenario():
@@ -446,16 +437,109 @@ class TestServer:
             return server, requests, results
 
         server, requests, results = run(scenario())
-        assert server.stats.batched_requests == 0
-        assert server.stats.batch_fallbacks > 0
+        assert server.stats.completed == len(requests)
+        assert server.stats.unbatched_requests == len(requests)
+        assert server.stats.shed_total == 0
         for request, result in zip(requests, results):
-            # Results report what ran, not what the dispatcher grouped.
             assert not result.batched
-            assert result.batch_size == 1
             expected = ttm_copy(request.x, request.u, 1)
             np.testing.assert_allclose(
                 result.y.data, expected.data, rtol=1e-4, atol=1e-4
             )
+
+    def test_one_hop_per_signature_group(self):
+        """One drained batch of N requests over S signatures costs S
+        executor hops and stages nothing."""
+        geometries = [((6, 7, 8), 1, 4), ((8, 8, 8), 0, 3), ((5, 6), 1, 2)]
+        requests = [
+            make_request(*geometries[i % len(geometries)], seed=i)
+            for i in range(10)
+        ]
+        groups = coalesce(requests)
+        assert len(groups) == len(geometries)
+
+        async def scenario():
+            server = await serving(max_batch=64, batch_window_s=0.05)
+            try:
+                results = await asyncio.gather(
+                    *(
+                        server.submit(r.x, r.u, r.mode, tenant="t")
+                        for r in requests
+                    )
+                )
+            finally:
+                await server.stop()
+            return server, results
+
+        server, results = run(scenario())
+        assert server.stats.batches == len(groups)
+        assert server.stats.batched_requests == 0
+        assert server.stats.unbatched_requests == len(requests)
+        assert server.stats.max_batch == max(len(g) for _, g in groups)
+        sizes = {id(r): len(g) for _, g in groups for r in g}
+        for request, result in zip(requests, results):
+            assert result.batch_size == sizes[id(request)]
+            assert not result.batched
+
+    def test_serves_the_shared_case_grid(self):
+        """Every case x layout x dtype, X wrapped or raw, through one
+        server, matches the equation-(1) reference."""
+        rng = np.random.default_rng(0)
+        submissions = []
+        for layout in (Layout.ROW_MAJOR, Layout.COL_MAJOR):
+            for dtype in (np.float64, np.float32):
+                for shape, j, mode in DEFAULT_CASES + DEGENERATE_CASES:
+                    order = "C" if layout is Layout.ROW_MAJOR else "F"
+                    data = np.asarray(
+                        rng.standard_normal(shape), dtype=dtype, order=order
+                    )
+                    u = rng.standard_normal((j, shape[mode])).astype(dtype)
+                    submissions.append((DenseTensor(data, layout), u, mode))
+                    submissions.append((data, u, mode))
+
+        async def scenario():
+            server = await serving(max_batch=64)
+            try:
+                return await asyncio.gather(
+                    *(
+                        server.submit(x, u, mode, tenant="grid")
+                        for x, u, mode in submissions
+                    )
+                )
+            finally:
+                await server.stop()
+
+        results = run(scenario())
+        assert len(results) == 208
+        for (x, u, mode), result in zip(submissions, results):
+            data = x.data if isinstance(x, DenseTensor) else x
+            expect = ttm_reference(
+                data.astype(np.float64), u.astype(np.float64), mode
+            )
+            assert result.y.dtype == data.dtype
+            assert result.y.shape == expect.shape
+            rtol, atol = DTYPE_TOLERANCES[data.dtype.name]
+            np.testing.assert_allclose(
+                result.y.data.astype(np.float64), expect,
+                rtol=rtol, atol=atol,
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("max_batch", 0),
+            ("max_batch", -1),
+            ("batch_window_s", -0.001),
+            ("watchdog_s", 0),
+            ("default_deadline_s", -1),
+            ("max_inflight", 0),
+        ],
+    )
+    def test_config_is_validated_at_construction(self, field, value):
+        config = ServeConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            TtmServer(config=config)
 
     def test_submit_validates_operands(self):
         async def scenario():
@@ -468,6 +552,11 @@ class TestServer:
                     )
                 with pytest.raises(ShapeError):
                     await server.submit(request.x, request.u, 9, tenant="t")
+                # J = 0 raises like repro.ttm instead of never resolving.
+                with pytest.raises(ValueError, match="j must be >= 1"):
+                    await asyncio.wait_for(
+                        server.submit(request.x, request.u[:0], 1), 5
+                    )
             finally:
                 await server.stop()
 
