@@ -7,20 +7,19 @@ and its performance is near the exhaustive-search optimum.
 Reproduction: for a sweep of order-5 tensors, enumerate the same
 configuration space (degrees x thread splits x kernels), time every
 candidate (:class:`repro.core.tuner.ExhaustiveTuner`), and compare the
-estimator's predicted plan against the best found.
+estimator's predicted plan against the best found.  The predicted plan
+is priced from the same sweep, so a size where the estimator picks the
+best plan reads exactly 100%; only a plan outside the swept space is
+timed separately, by the tuner's own harness.
 
-``--convergence`` runs the calibration validation instead: fit a
-:class:`repro.perf.dse.CalibrationRecord` from a live sweep, then count
-on how many cases the *paper-default* estimator vs the *calibrated*
-estimator lands on (or within 10% of) the exhaustive optimum.  The
-exported ``fig12_convergence`` series gates in ``check_regression.py``
-("cal hits" may not fall), and ``--check`` additionally exits non-zero
-when calibration hits fewer cases than the paper defaults.
+The exported ``fig12_regret`` series is the estimator's regret: the
+geometric mean over the sizes of best / predicted rate (1.00 = always
+optimal).  ``check_regression.py`` gates it — it may not rise.
 """
 
 from __future__ import annotations
 
-import argparse
+import math
 import os
 import sys
 
@@ -34,8 +33,7 @@ from benchmarks.common import print_header, print_series
 from repro.util.formatting import format_table
 from repro.core import ExhaustiveTuner, InTensLi
 from repro.core.tuner import enumerate_plans
-from repro.perf.flops import gflops_rate, ttm_flops
-from repro.perf.timing import time_callable
+from repro.perf.flops import gflops_rate
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_tensor
 
@@ -48,16 +46,15 @@ def predicted_vs_best(side: int, j: int = J):
     shape = (side,) * 5
     x = random_tensor(shape, seed=side)
     u = np.random.default_rng(1).standard_normal((j, side))
-    lib = InTensLi()
-    predicted = lib.plan(shape, MODE, j)
-    out = DenseTensor.empty(predicted.out_shape, x.layout)
-    pred_seconds = time_callable(
-        lambda: lib.execute(predicted, x, u, out=out),
-        min_repeats=2, min_seconds=0.05,
-    )
-    pred_rate = gflops_rate(ttm_flops(shape, j), pred_seconds)
+    predicted = InTensLi().plan(shape, MODE, j)
     tuner = ExhaustiveTuner(min_seconds=0.05, min_repeats=2)
     result = tuner.sweep(x, u, MODE, max_threads=1, kernels=("blas",))
+    try:
+        pred_rate = result.gflops_of(predicted)
+    except ValueError:  # predicted plan outside the swept space
+        pred_rate = gflops_rate(
+            result.flops, tuner.time_plan(predicted, x, u)
+        )
     return {
         "shape": shape,
         "predicted_rate": pred_rate,
@@ -106,9 +103,11 @@ def main():
         "(mode-1 product, 5th-order tensors, J=16)"
     )
     rows = []
+    log_regret = 0.0
     for side in SIDES:
         case = predicted_vs_best(side)
         ratio = case["predicted_rate"] / case["best_rate"]
+        log_regret -= math.log(ratio)
         rows.append(
             [
                 f"{side}^5",
@@ -120,152 +119,23 @@ def main():
                 f"d={case['best_plan'].degree}",
             ]
         )
-    print_series(
+    # Per-size rates jitter too much to gate; the detail table is context.
+    print(format_table(
         ["size", "#configs", "predicted", "best", "pred/best",
          "pred plan", "best plan"],
         rows,
+    ))
+    print()
+    # Both rates come from one sweep on one host, so the ratio transfers
+    # across machines the way the speedup columns do.
+    print_series(
+        ["suite", "sizes", "regret"],
+        [["order5-J16", len(SIDES), f"{math.exp(log_regret / len(SIDES)):.2f}"]],
+        export_name="fig12_regret",
     )
+    print("regret = geometric mean of best / predicted rate (1.00 = optimal).")
     print("Paper: the heuristic choice is near the exhaustive optimum.")
 
 
-# -- calibration convergence ---------------------------------------------------
-
-#: A predicted plan "hits" the exhaustive optimum when it is the best
-#: plan outright or measures within this fraction of the best rate (the
-#: issue's "matches or within 10%" acceptance bar).
-HIT_FRACTION = 0.9
-
-
-def convergence_report(
-    sides=SIDES, budget: float = 30.0, min_seconds: float = 0.02
-):
-    """Paper-default vs calibrated estimator against exhaustive sweeps.
-
-    Runs a DSE sweep over the same order-5 geometry, fits a
-    :class:`~repro.perf.dse.CalibrationRecord`, and counts on how many
-    sizes each estimator's plan hits the exhaustive optimum.
-    """
-    from repro.perf.dse import DseCase, DseConfig, explore, fit_calibration
-
-    cases = tuple(DseCase(shape=(side,) * 5, mode=MODE, j=J) for side in sides)
-    config = DseConfig(
-        cases=cases, max_threads=1, min_seconds=min_seconds,
-        max_seconds=budget,
-    )
-    observations = explore(config)
-    record = fit_calibration(observations, source="fig12")
-
-    default_lib = InTensLi()
-    calibrated_lib = InTensLi()
-    calibrated_lib.attach_calibration(record)
-
-    tuner = ExhaustiveTuner(min_seconds=min_seconds, min_repeats=2)
-    rows = []
-    default_hits = calibrated_hits = 0
-    for side in sides:
-        shape = (side,) * 5
-        x = random_tensor(shape, seed=side)
-        u = np.random.default_rng(1).standard_normal((J, side))
-        result = tuner.sweep(x, u, MODE, max_threads=1, kernels=("blas",))
-        best_rate = result.best_gflops
-
-        def rate_of(plan, result=result, x=x, u=u):
-            try:
-                return result.gflops_of(plan)
-            except ValueError:  # predicted plan outside the swept space
-                return gflops_rate(result.flops, tuner.time_plan(plan, x, u))
-
-        row = [f"{side}^5", f"{best_rate:7.2f}"]
-        for lib in (default_lib, calibrated_lib):
-            plan = lib.plan(shape, MODE, J)
-            rate = rate_of(plan)
-            hit = plan == result.best_plan or rate >= HIT_FRACTION * best_rate
-            row.extend([f"{rate:7.2f}", "hit" if hit else "miss"])
-            if lib is default_lib:
-                default_hits += int(hit)
-            else:
-                calibrated_hits += int(hit)
-        rows.append(row)
-    return {
-        "rows": rows,
-        "cases": len(tuple(sides)),
-        "default_hits": default_hits,
-        "calibrated_hits": calibrated_hits,
-        "samples": record.samples,
-        "record": record,
-    }
-
-
-def convergence_main(budget: float = 30.0, quick: bool = False) -> dict:
-    sides = SIDES[:2] if quick else SIDES
-    min_seconds = 0.005 if quick else 0.02
-    print_header(
-        "Figure 12 convergence - paper-default vs calibrated estimator "
-        f"(mode-1, order-5, J={J}, {len(sides)} sizes)"
-    )
-    report = convergence_report(
-        sides=sides, budget=budget, min_seconds=min_seconds
-    )
-    # Detail table: printed for context only (not exported — per-size
-    # rates jitter too much to gate; the aggregate below is the contract).
-    print(format_table(
-        ["size", "best", "default", "", "calibrated", ""],
-        report["rows"],
-    ))
-    print()
-    # Laplace-smoothed so a zero-hit default column stays finite; both
-    # estimators time under identical conditions, so this ratio — unlike
-    # the raw counts — transfers across hosts and gates in CI.
-    ratio = (report["calibrated_hits"] + 1) / (report["default_hits"] + 1)
-    print_series(
-        ["suite", "cases", "samples", "default hits", "cal hits",
-         "cal/default"],
-        [[
-            "order5-J16",
-            report["cases"],
-            report["samples"],
-            report["default_hits"],
-            report["calibrated_hits"],
-            f"{ratio:.2f}",
-        ]],
-        export_name="fig12_convergence",
-    )
-    print(
-        "A 'hit' matches the exhaustive best plan or measures within "
-        f"{(1 - HIT_FRACTION) * 100:.0f}% of its rate; calibration should "
-        "hit at least as many cases as the paper defaults."
-    )
-    return report
-
-
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--convergence", action="store_true",
-        help="run the calibration-convergence comparison instead",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller sweep (2 sizes, short timings) for CI smoke",
-    )
-    parser.add_argument(
-        "--budget", type=float, default=30.0,
-        help="DSE sweep wall-clock budget in seconds (convergence mode)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero when calibration hits fewer cases than defaults",
-    )
-    cli_args = parser.parse_args()
-    if cli_args.convergence or cli_args.check:
-        outcome = convergence_main(budget=cli_args.budget, quick=cli_args.quick)
-        if cli_args.check and (
-            outcome["calibrated_hits"] < outcome["default_hits"]
-        ):
-            sys.exit(
-                f"calibrated estimator hit {outcome['calibrated_hits']}/"
-                f"{outcome['cases']} cases vs {outcome['default_hits']} for "
-                "paper defaults - calibration made planning worse"
-            )
-    else:
-        main()
+    main()

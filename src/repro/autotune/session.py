@@ -26,7 +26,7 @@ Usage::
 
 from __future__ import annotations
 
-import logging
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +40,6 @@ from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import match_dtype
 from repro.util.errors import ShapeError
-
-log = logging.getLogger("repro.autotune")
 
 
 class AutotuneSession:
@@ -64,16 +62,10 @@ class AutotuneSession:
         best measurement before it is promoted (guards against jitter).
     min_seconds:
         Timing floor per measured candidate, forwarded to the tuner.
-    calibrate:
-        Feed every refinement measurement into the incremental
-        design-space exploration (:mod:`repro.perf.dse`): observations
-        accumulate in the plan store's calibration section, thresholds
-        refit every ``calibration_refit_every`` new samples (once
-        ``calibration_min_samples`` exist), and the wrapped instance
-        adopts each refit immediately — plan quality improves with use.
-        A calibration already persisted for this machine is attached at
-        construction even before any new measurement.  Implies measuring
-        like ``refine``; enable both to also promote measured winners.
+    calibrate / calibration_min_samples / calibration_refit_every:
+        Deprecated: the run-time calibration tier was removed.
+        ``calibrate=True`` warns and enables ``refine`` (the measuring
+        loop it used to drive); the other two warn and are ignored.
     """
 
     def __init__(
@@ -87,43 +79,39 @@ class AutotuneSession:
         min_seconds: float = 0.002,
         kernels: Sequence[str] = ("blas",),
         autosave: bool = True,
-        calibrate: bool = False,
-        calibration_min_samples: int = 12,
-        calibration_refit_every: int = 8,
+        calibrate: bool | None = None,
+        calibration_min_samples: int | None = None,
+        calibration_refit_every: int | None = None,
     ) -> None:
         if refine_trials < 0:
             raise ShapeError(
                 f"refine_trials must be >= 0, got {refine_trials}"
             )
+        for name, value in (
+            ("calibrate", calibrate),
+            ("calibration_min_samples", calibration_min_samples),
+            ("calibration_refit_every", calibration_refit_every),
+        ):
+            if value is not None:
+                warnings.warn(
+                    f"AutotuneSession({name}=...) is deprecated: the "
+                    "run-time calibration tier was removed",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
         self.lib = intensli if intensli is not None else InTensLi()
         if cache is None:
             cache = PlanCache(path=path, autosave=autosave)
         self.cache = cache
-        self.refine = refine or calibrate
+        self.refine = refine or bool(calibrate)
         self.refine_trials = refine_trials
         self.refine_margin = refine_margin
         self.kernels = tuple(kernels)
         self._tuner = ExhaustiveTuner(min_seconds=min_seconds, min_repeats=1)
-        self._accumulator = None
-        if calibrate:
-            from repro.perf.dse import CalibrationAccumulator
-
-            self._accumulator = CalibrationAccumulator(
-                self.cache.store,
-                min_samples=calibration_min_samples,
-                refit_every=calibration_refit_every,
-            )
-            if self._accumulator.record is not None:
-                self.lib.attach_calibration(self._accumulator.record)
         # Route the wrapped instance's own plan() lookups through the
         # persistent cache too, so mixed use (session.ttm here, lib.plan
         # there) shares one source of truth.
         self.lib.attach_plan_cache(self.cache)
-
-    @property
-    def calibration(self):
-        """The current fitted record (None before enough evidence)."""
-        return self._accumulator.record if self._accumulator else None
 
     # -- planning -------------------------------------------------------------
 
@@ -237,37 +225,15 @@ class AutotuneSession:
         if entry.seconds is None:
             seconds = self._measure(plan, x, u)
             self.cache.record_trial(key, plan, seconds)
-            self._observe(plan, seconds)
         best_plan, best_seconds = entry.plan, entry.seconds
         for candidate in self._untried(key, entry):
             seconds = self._measure(candidate, x, u)
             self.cache.record_trial(key, candidate, seconds)
-            self._observe(candidate, seconds)
             if seconds < best_seconds * (1.0 - self.refine_margin):
                 best_plan, best_seconds = candidate, seconds
         if best_plan is not entry.plan:
             entry = self.cache.promote(key, best_plan, best_seconds)
-        self._maybe_adopt_refit()
         return entry.plan
-
-    def _observe(self, plan: TtmPlan, seconds: float) -> None:
-        """Feed one measurement into the calibration accumulator (if on)."""
-        if self._accumulator is None or seconds <= 0:
-            return
-        self._accumulator.observe(plan, seconds)
-
-    def _maybe_adopt_refit(self) -> None:
-        if self._accumulator is None:
-            return
-        record = self._accumulator.maybe_refit()
-        if record is not None:
-            # Skip the synthetic-profile rebuild on the hot path: the
-            # thresholds and PTH are what changes between refits.
-            self.lib.attach_calibration(record, refresh_profile=False)
-            log.info(
-                "adopted refit calibration (%d samples, digest %s)",
-                record.samples, record.digest(),
-            )
 
     def _untried(self, key: PlanKey, entry: CacheEntry) -> list[TtmPlan]:
         """The next alternates to measure for *key* (may be empty)."""

@@ -14,17 +14,12 @@ One store file holds every tuned decision for one machine, as JSON:
           "seconds": 1.2e-4,
           "trials": {"<digest>": 1.2e-4, "<digest>": 2.0e-4}
         }
-      },
-      "calibration": {
-        "record": { ... CalibrationRecord.to_dict ... },
-        "observations": [ ... DseObservation.to_dict ... ]
       }
     }
 
-The optional ``calibration`` section (schema v4) holds the fitted cost
-model of :mod:`repro.perf.dse` plus the capped raw observations it was
-fitted from; :meth:`PlanStore.save` preserves it across entry rewrites
-so plan promotions and calibration refits cannot clobber each other.
+Schema-4 stores written before the run-time calibration tier was removed
+may also carry a ``calibration`` section; it is ignored on load and
+dropped by the next :meth:`PlanStore.save`.
 
 The header reuses :mod:`repro.core.serialize`'s schema-version +
 machine-fingerprint envelope, so the three failure modes a persistent
@@ -104,9 +99,17 @@ class PlanStore:
         filesystems, EINTR-ish conditions) are retried with exponential
         backoff before giving up; a missing file returns ``{}`` at once.
         """
-        payload = self._load_payload()
-        if payload is None:
+        text = self._read_with_retries()
+        if text is None:
             return {}
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise StoreCorruptError(
+                f"plan store {self.path} is not valid JSON "
+                f"(half-written or mangled): {exc}"
+            ) from exc
+        check_cache_header(payload, self.fingerprint)
         entries = payload.get("entries")
         if not isinstance(entries, dict):
             raise StoreCorruptError(
@@ -118,40 +121,6 @@ class PlanStore:
                     f"plan store {self.path} entry {key!r} is malformed"
                 )
         return entries
-
-    def load_calibration(self) -> dict | None:
-        """The ``calibration`` section, or None when absent/no file.
-
-        Same header checks (and typed errors) as :meth:`load`; the
-        section's *internal* versioning — rejecting a stale fit — is the
-        caller's job (:func:`repro.perf.dse.load_calibration_record`).
-        """
-        payload = self._load_payload()
-        if payload is None:
-            return None
-        calibration = payload.get("calibration")
-        if calibration is None:
-            return None
-        if not isinstance(calibration, dict):
-            raise StoreCorruptError(
-                f"plan store {self.path} calibration section is not an object"
-            )
-        return calibration
-
-    def _load_payload(self) -> dict | None:
-        """The whole header-checked payload, or None for a missing file."""
-        text = self._read_with_retries()
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreCorruptError(
-                f"plan store {self.path} is not valid JSON "
-                f"(half-written or mangled): {exc}"
-            ) from exc
-        check_cache_header(payload, self.fingerprint)
-        return payload
 
     def _read_with_retries(self) -> str | None:
         """The raw store text, or None for a missing file.
@@ -195,45 +164,9 @@ class PlanStore:
         ) from last_exc
 
     def save(self, entries: dict) -> None:
-        """Atomically replace the store's entries, keeping its calibration.
-
-        The calibration section is written by a different producer (the
-        DSE engine) on a different cadence than plan promotions; save
-        re-reads and carries it so neither writer erases the other's
-        work.  An unreadable existing file simply means nothing to
-        preserve — the save proceeds and heals the store.
-        """
-        calibration = None
-        try:
-            calibration = self.load_calibration()
-        except Exception:  # corrupt/foreign store: overwrite it wholesale
-            log.debug(
-                "not preserving calibration from unreadable store %s",
-                self.path, exc_info=True,
-            )
-        self._write_payload(entries, calibration)
-
-    def save_calibration(self, calibration: dict | None) -> None:
-        """Atomically replace the calibration section, keeping entries.
-
-        ``None`` removes the section.  An unreadable existing file
-        yields empty entries — same healing policy as :meth:`save`.
-        """
-        entries: dict = {}
-        try:
-            entries = self.load()
-        except Exception:
-            log.debug(
-                "not preserving entries from unreadable store %s",
-                self.path, exc_info=True,
-            )
-        self._write_payload(entries, calibration)
-
-    def _write_payload(self, entries: dict, calibration: dict | None) -> None:
+        """Atomically replace the store file with *entries*."""
         payload = cache_header(self.fingerprint)
         payload["entries"] = entries
-        if calibration is not None:
-            payload["calibration"] = calibration
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(

@@ -4,12 +4,9 @@ Commands
 --------
 ``info``
     Print the host configuration (the table-2 analogue).
-``calibrate [probe|run|show]``
-    ``probe`` measures this host's roofline (peak GEMM + STREAM triad);
-    ``run`` sweeps the (kernel, degree, thread-split, dtype) space and
-    persists fitted MSTH/MLTH/PTH thresholds in the plan store
-    (:mod:`repro.perf.dse`); ``show`` prints the persisted record.
-    Bare ``calibrate`` keeps its original meaning (= ``probe``).
+``calibrate [probe]``
+    Measure this host's roofline (peak GEMM + STREAM triad).  The
+    deprecated ``run`` and ``show`` verbs only print a notice.
 ``plan SHAPE MODE J``
     Print the input-adaptive plan and the generated source for one TTM
     input, e.g. ``python -m repro plan 100x100x100 1 16``.
@@ -108,42 +105,10 @@ def cmd_calibrate_probe(_args) -> int:
     return 0
 
 
-def _calibration_store(path: str | None):
-    from repro.autotune import PlanStore, default_cache_path
-    from repro.perf.machine import machine_fingerprint
-
-    return PlanStore(path or default_cache_path(), machine_fingerprint())
-
-
-def cmd_calibrate_run(args) -> int:
-    from repro.perf.dse import DseConfig, run_calibration
-
-    store = _calibration_store(args.store)
-    config = DseConfig(
-        max_threads=args.threads,
-        max_seconds=args.budget,
-        min_seconds=args.min_seconds,
-    )
-    record = run_calibration(store, config)
-    print(f"store  {store.path}")
-    for label, value in record.summary_rows():
-        print(f"{label:28s} {value}")
-    return 0
-
-
-def cmd_calibrate_show(args) -> int:
-    from repro.perf.dse import load_calibration_record
-
-    store = _calibration_store(args.store)
-    record, observations = load_calibration_record(store)
-    print(f"store  {store.path}")
-    if record is None:
-        print("no calibration recorded; run `python -m repro calibrate run`")
-        return 0
-    for label, value in record.summary_rows():
-        print(f"{label:28s} {value}")
-    print(f"{'stored observations':28s} {len(observations)}")
-    print(f"{'digest':28s} {record.digest()}")
+def cmd_calibrate_deprecated(args) -> int:
+    print(f"warning: `calibrate {args.calibrate_command}` is deprecated and "
+          "does nothing: thresholds come from the GEMM profile or the "
+          "paper defaults", file=sys.stderr)
     return 0
 
 
@@ -593,39 +558,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     calibrate = sub.add_parser(
-        "calibrate",
-        help="measure this host and fit the cost model "
-             "(probe | run | show)",
+        "calibrate", help="measure this host's roofline (probe)"
     )
     calibrate.set_defaults(fn=cmd_calibrate_probe)
     calibrate_sub = calibrate.add_subparsers(dest="calibrate_command")
     calibrate_sub.add_parser(
         "probe", help="one-off roofline probe (peak GEMM + STREAM triad)"
     ).set_defaults(fn=cmd_calibrate_probe)
-    cal_run = calibrate_sub.add_parser(
-        "run",
-        help="sweep the configuration space and persist fitted "
-             "thresholds in the plan store",
-    )
-    cal_run.add_argument(
-        "--store", default=None,
-        help="plan store path (default: the autotune cache location)",
-    )
-    cal_run.add_argument(
-        "--budget", type=float, default=30.0,
-        help="wall-clock budget for the sweep, seconds",
-    )
-    cal_run.add_argument("--threads", type=int, default=1)
-    cal_run.add_argument(
-        "--min-seconds", type=float, default=0.005,
-        help="timing floor per measured candidate",
-    )
-    cal_run.set_defaults(fn=cmd_calibrate_run)
-    cal_show = calibrate_sub.add_parser(
-        "show", help="print the persisted calibration record"
-    )
-    cal_show.add_argument("--store", default=None)
-    cal_show.set_defaults(fn=cmd_calibrate_show)
+    for verb in ("run", "show"):
+        deprecated = calibrate_sub.add_parser(
+            verb, help="deprecated and ignored"
+        )
+        # The old options still parse, so existing scripts keep working.
+        for flag in ("--store", "--budget", "--threads", "--min-seconds"):
+            deprecated.add_argument(flag, help=argparse.SUPPRESS)
+        deprecated.set_defaults(fn=cmd_calibrate_deprecated)
 
     sub.add_parser(
         "verify", help="self-test every TTM entry point against the oracle"

@@ -44,6 +44,7 @@ from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import match_dtype
 from repro.util.errors import DtypeError, PlanError, ShapeError
+from repro.util.validation import check_mode, check_positive_int, check_shape
 
 #: Largest chain the exact order optimizer accepts.  The subset DP is
 #: O(2^N * N); beyond this the greedy order is the supported path.
@@ -492,16 +493,18 @@ def plan_chain(
     """
     from repro.core.inttm import default_plan
 
-    shape_t = tuple(int(s) for s in shape)
+    shape_t = check_shape(shape)
     layout = Layout.parse(layout)
     sig: list[tuple[int, int]] = []
     for s in steps:
         if isinstance(s, ChainStep):
-            sig.append((s.mode, s.j))
+            mode, j = s.mode, s.j
         else:
             mode, second = s
-            j = second.shape[0] if hasattr(second, "shape") else int(second)
-            sig.append((int(mode), int(j)))
+            j = second.shape[0] if hasattr(second, "shape") else second
+        sig.append(
+            (check_mode(mode, len(shape_t)), check_positive_int(j, "j"))
+        )
     probe = [
         ChainStep(mode, np.broadcast_to(0.0, (j, shape_t[mode])))
         for mode, j in sig

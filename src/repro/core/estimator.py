@@ -40,7 +40,12 @@ from repro.obs.tracer import active_tracer
 from repro.perf.profiler import active_hot_counters
 from repro.tensor.layout import Layout
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
-from repro.util.validation import check_mode, check_positive_int
+from repro.util.validation import (
+    check_mode,
+    check_positive_int,
+    check_probability,
+    check_shape,
+)
 
 
 class ParameterEstimator:
@@ -57,13 +62,8 @@ class ParameterEstimator:
     pth_bytes:
         The loop-vs-kernel allocation threshold (paper: 800 KB).
     kappa:
-        Fraction of peak defining the threshold window (paper: 0.8).
-    calibration:
-        A live-machine fit (:class:`repro.perf.dse.CalibrationRecord`,
-        or anything exposing ``thresholds_for(j, max_threads)`` and
-        ``digest()``).  When set, its fitted MSTH/MLTH windows take
-        precedence over both the profile and the paper defaults; those
-        remain the fallback whenever the record has nothing for a query.
+        Fraction of peak defining the threshold window (paper: 0.8);
+        validated to lie in [0, 1] here, not at first use.
     """
 
     def __init__(
@@ -73,73 +73,43 @@ class ParameterEstimator:
         pth_bytes: int = DEFAULT_PTH_BYTES,
         kappa: float = 0.8,
         refine_with_model: bool = True,
-        calibration=None,
     ) -> None:
         check_positive_int(max_threads, "max_threads")
         check_positive_int(pth_bytes, "pth_bytes")
         self.profile = profile
         self.max_threads = max_threads
         self.pth_bytes = pth_bytes
-        self.kappa = kappa
+        self.kappa = check_probability(kappa, "kappa")
         self.refine_with_model = refine_with_model
-        self._calibration = calibration
-        self._threshold_cache: dict[tuple, Thresholds] = {}
+        self._threshold_cache: dict[tuple[int, int], Thresholds] = {}
 
     # -- threshold derivation -------------------------------------------------
-
-    @property
-    def calibration(self):
-        """The attached live-machine fit (None = profile/paper only)."""
-        return self._calibration
-
-    @calibration.setter
-    def calibration(self, record) -> None:
-        # Swapping the fit invalidates every cached window: a key alone
-        # cannot distinguish "cached before the record changed in place".
-        self._calibration = record
-        self._threshold_cache.clear()
 
     def invalidate_thresholds(self) -> None:
         """Drop every cached window (call after mutating ``profile``)."""
         self._threshold_cache.clear()
 
-    def _calibration_token(self) -> str | None:
-        """A value identifying the current calibration for cache keys.
-
-        Records are content-addressed via ``digest()`` so two different
-        fits never alias; an object without one falls back to ``id``
-        (still correct under the setter's cache clear).
-        """
-        if self._calibration is None:
-            return None
-        digest = getattr(self._calibration, "digest", None)
-        return digest() if callable(digest) else f"id:{id(self._calibration)}"
-
     def thresholds_for(self, j: int) -> Thresholds:
         """MSTH/MLTH for output rank *j*.
 
-        Precedence: calibrated fit (when attached and it has a window
-        for this thread budget) > profile-derived > paper defaults.
+        Derived from the profile when there is one (cached per
+        ``(j, max_threads)``), otherwise the paper's measured defaults.
         """
         check_positive_int(j, "j")
-        key = (j, self.max_threads, self._calibration_token())
+        if self.profile is None:
+            return PAPER_THRESHOLDS
+        key = (j, self.max_threads)
         cached = self._threshold_cache.get(key)
         if cached is not None:
             return cached
-        thresholds: Thresholds | None = None
-        if self._calibration is not None:
-            thresholds = self._calibration.thresholds_for(j, self.max_threads)
-        if thresholds is None:
-            if self.profile is None:
-                return PAPER_THRESHOLDS
-            threads = self._profile_threads()
-            m_values = sorted({p.m for p in self.profile.points})
-            # Use the profiled m closest to J (the benchmark fixes m to a
-            # typical low-rank J; exact match is the common case).
-            m_probe = min(m_values, key=lambda m: abs(m - j))
-            thresholds = derive_thresholds(
-                self.profile, m_probe, threads=threads, kappa=self.kappa
-            )
+        threads = self._profile_threads()
+        m_values = sorted({p.m for p in self.profile.points})
+        # Use the profiled m closest to J (the benchmark fixes m to a
+        # typical low-rank J; exact match is the common case).
+        m_probe = min(m_values, key=lambda m: abs(m - j))
+        thresholds = derive_thresholds(
+            self.profile, m_probe, threads=threads, kappa=self.kappa
+        )
         self._threshold_cache[key] = thresholds
         return thresholds
 
@@ -183,7 +153,7 @@ class ParameterEstimator:
             counters.add("estimator_runs")
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-        shape_t = tuple(int(s) for s in shape)
+        shape_t = check_shape(shape)
         order = len(shape_t)
         mode = check_mode(mode, order)
         check_positive_int(j, "j")

@@ -56,7 +56,7 @@ from repro.util.dtypes import (
     match_dtype,
 )
 from repro.util.errors import ResourceError, ShapeError
-from repro.util.validation import check_mode, check_positive_int
+from repro.util.validation import check_mode, check_positive_int, check_shape
 
 
 class InTensLi:
@@ -140,43 +140,16 @@ class InTensLi:
     # -- planning -------------------------------------------------------------
 
     def attach_calibration(self, record, refresh_profile: bool = True) -> None:
-        """Adopt a live-machine calibration for all future planning.
+        """Deprecated no-op that warns; planning is left untouched.
 
-        *record* is duck-typed — anything with ``thresholds_for(j,
-        max_threads)`` and ``digest()``, in practice a
-        :class:`repro.perf.dse.CalibrationRecord` (this facade cannot
-        import it directly without inverting the layering); ``None``
-        detaches and returns to profile/paper thresholds.  The record's
-        fitted PTH replaces the estimator's when present, and with
-        *refresh_profile* a fitted roofline (peak + bandwidth) rebuilds
-        the synthetic profile so the model-refinement stage predicts
-        with calibrated rates too.  Per-process plan caches are cleared
-        — stale decisions made under the old thresholds must not
-        outlive them (the persistent cache keeps its entries: those are
-        *measured* promotions, which calibration refines toward, not
-        against).
+        Thresholds come from the GEMM profile, else the paper defaults.
         """
-        self.estimator.calibration = record
-        if record is not None:
-            pth = getattr(record, "pth_bytes", None)
-            if pth:
-                self.estimator.pth_bytes = int(pth)
-            if refresh_profile:
-                platform = None
-                platform_of = getattr(record, "platform", None)
-                if callable(platform_of):
-                    platform = platform_of()
-                if platform is not None:
-                    grid = sorted({(p.m, p.k, p.n) for p in self.profile.points})
-                    threads = self.profile.thread_counts()
-                    self.platform = platform
-                    self.profile = synthetic_profile(
-                        grid, platform, threads=threads
-                    )
-                    self.estimator.profile = self.profile
-                    self.estimator.invalidate_thresholds()
-        self._plan_cache.clear()
-        self._chain_cache.clear()
+        warnings.warn(
+            "InTensLi.attach_calibration is deprecated and ignored: "
+            "thresholds come from the GEMM profile or the paper defaults",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     def attach_plan_cache(self, cache) -> None:
         """Route plan lookups through a persistent cache.
@@ -208,7 +181,7 @@ class InTensLi:
         """
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-        shape_t = tuple(int(s) for s in shape)
+        shape_t = check_shape(shape)
         mode = check_mode(mode, len(shape_t))
         check_positive_int(j, "j")
         tracer = active_tracer()
@@ -315,8 +288,11 @@ class InTensLi:
         """
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-        shape_t = tuple(int(s) for s in shape)
-        sig = tuple((int(m), int(j)) for m, j in steps)
+        shape_t = check_shape(shape)
+        sig = tuple(
+            (check_mode(m, len(shape_t)), check_positive_int(j, "j"))
+            for m, j in steps
+        )
         order_key = order if isinstance(order, str) else tuple(order)
         key = (shape_t, sig, layout, dt.name, self.max_threads, order_key)
         tracer = active_tracer()

@@ -36,10 +36,9 @@ from repro.util.errors import (
 #: Version 3 added the plan dtype (and dtype-qualified cache keys):
 #: pre-dtype stores planned every signature as float64, so their entries
 #: would shadow float32 plans — readers invalidate them wholesale.
-#: Version 4 added the optional ``calibration`` section (fitted
-#: thresholds + raw DSE observations, :mod:`repro.perf.dse`): entries
-#: cached under uncalibrated thresholds may disagree with calibrated
-#: planning, so v3 stores invalidate wholesale too.
+#: Version 4 added an optional ``calibration`` section for a run-time
+#: threshold fit (since removed; readers ignore the section), and v3
+#: stores invalidate wholesale too.
 SCHEMA_VERSION = 4
 
 

@@ -108,9 +108,8 @@ class HotCounters(Counters):
     ``plan_cache_*`` names mirror the persistent autotune cache's
     :class:`~repro.autotune.CacheStats`.  The resilience layer reports
     one name per degradation (``kernel_fallbacks`` ... ``memory_replans``),
-    and the tiling, stream, recovery and calibration layers report
-    tiles, packed bytes, chunks, resumes, journal commits, durable store
-    publishes and host measurements.
+    and the tiling, stream and recovery layers report tiles, packed
+    bytes, chunks, resumes, journal commits and durable store publishes.
     """
 
     names = (
@@ -135,8 +134,6 @@ class HotCounters(Counters):
         "tiles_executed",
         "tile_pack_bytes",
         "stream_chunks",
-        "dse_measurements",
-        "calibration_refits",
         "tiles_resumed",
         "tiles_reverified",
         "journal_commits",

@@ -22,17 +22,6 @@ from repro.perf.calibrate import (
     measure_peak,
     measure_peak_gflops,
 )
-from repro.perf.dse import (
-    CalibrationAccumulator,
-    CalibrationRecord,
-    DseCase,
-    DseConfig,
-    DseObservation,
-    explore,
-    fit_calibration,
-    load_calibration_record,
-    run_calibration,
-)
 
 __all__ = [
     "host_platform",
@@ -42,15 +31,6 @@ __all__ = [
     "PeakMeasurement",
     "blas_pinning_available",
     "blas_threads",
-    "CalibrationAccumulator",
-    "CalibrationRecord",
-    "DseCase",
-    "DseConfig",
-    "DseObservation",
-    "explore",
-    "fit_calibration",
-    "load_calibration_record",
-    "run_calibration",
     "Timer",
     "best_of",
     "time_callable",

@@ -6,6 +6,7 @@ assume validated inputs for speed.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from repro.util.errors import ShapeError
@@ -31,6 +32,31 @@ def check_mode(mode: int, order: int) -> int:
     if not 0 <= mode < order:
         raise ShapeError(f"mode {mode} out of range for order-{order} tensor")
     return mode
+
+
+def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    """Validate a tensor shape and return it as a tuple of Python ints.
+
+    Extents must be integers — NumPy integers pass via
+    :func:`operator.index`; bools, floats and strings raise
+    :class:`TypeError` instead of being truncated — and non-negative
+    (:class:`ShapeError`).
+    """
+    extents = []
+    for extent in shape:
+        if isinstance(extent, bool):
+            raise TypeError(f"shape extents must be ints, got bool in {shape!r}")
+        try:
+            extent = operator.index(extent)
+        except TypeError:
+            raise TypeError(
+                f"shape extents must be ints, got "
+                f"{type(extent).__name__} in {shape!r}"
+            ) from None
+        if extent < 0:
+            raise ShapeError(f"shape extents must be >= 0, got {shape!r}")
+        extents.append(extent)
+    return tuple(extents)
 
 
 def check_axis(axis: int, ndim: int) -> int:

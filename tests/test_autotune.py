@@ -274,6 +274,58 @@ class TestAtomicSave:
         assert len(session.cache) == 0
 
 
+class TestLegacyStore:
+    def test_schema4_calibration_section_loads_then_drops(self, cache_path):
+        """Stores written while the calibration tier existed carry a
+        ``calibration`` section: their entries load unchanged, and the
+        next save drops the section but keeps every entry."""
+        writer = PlanCache(path=cache_path, fingerprint="fp", autosave=True)
+        key = PlanKey.make((5, 5, 5), 0, 2, ROW_MAJOR, 1)
+        plan = default_plan((5, 5, 5), 0, 2, ROW_MAJOR)
+        writer.put(key, plan)
+        payload = json.load(open(cache_path))
+        assert payload["schema"] == 4 == SCHEMA_VERSION
+        payload["calibration"] = {
+            "record": {"version": 1, "thresholds": {"1": [4096, 262144]}},
+            "observations": [{"shape": [5, 5, 5], "seconds": 1e-5}],
+        }
+        json.dump(payload, open(cache_path, "w"))
+        entries = payload["entries"]
+
+        reader = PlanCache(path=cache_path, fingerprint="fp")
+        assert reader.stats.invalidations == 0
+        assert len(reader) == 1
+        assert reader.peek(key).plan == plan
+        reader.save()
+        saved = json.load(open(cache_path))
+        assert "calibration" not in saved
+        assert saved["entries"] == entries
+
+
+class TestDeprecatedCalibration:
+    def test_calibration_names_warn_and_calibrate_still_refines(
+        self, cache_path
+    ):
+        with pytest.warns(DeprecationWarning, match="attach_calibration"):
+            InTensLi().attach_calibration(object())
+        for kwargs in (
+            {"calibrate": True},
+            {"calibration_min_samples": 4},
+            {"calibration_refit_every": 2},
+        ):
+            name = next(iter(kwargs))
+            with pytest.warns(DeprecationWarning, match=name):
+                session = make_session(cache_path, **kwargs)
+            assert session.refine is (name == "calibrate")
+        with pytest.warns(DeprecationWarning):
+            session = _ScriptedSession(
+                InTensLi(), path=cache_path, calibrate=True
+            )
+        x, u = inputs()
+        session.ttm(x, u, MODE)
+        assert session.measured  # calibrate=True drove the refine loop
+
+
 class _ScriptedSession(AutotuneSession):
     """Refinement with deterministic fake timings (no wall-clock flake)."""
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import CORE_I7_4770K, XEON_E7_4820
 from repro.core.estimator import ParameterEstimator
-from repro.core.partition import PAPER_THRESHOLDS, Thresholds
+from repro.core.partition import PAPER_THRESHOLDS
 from repro.core.plan import Strategy
 from repro.gemm.bench import synthetic_profile
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
@@ -60,25 +60,14 @@ class TestThresholdsFromProfile:
         assert 0 < t.msth_bytes <= t.mlth_bytes
 
 
-def make_calibration(msth=4096, mlth=262_144, threads=1):
-    """A minimal duck-typed calibration record (content-hashed)."""
-    from repro.perf.dse import CalibrationRecord
-
-    return CalibrationRecord(
-        fingerprint="prop-test",
-        thresholds={threads: Thresholds(msth, mlth)},
-    )
-
-
 class TestThresholdCacheKeyProperties:
     """The cached window must always equal a cold computation.
 
-    ``thresholds_for`` caches per ``(j, max_threads, calibration)``;
-    these properties drive a single estimator through arbitrary query
-    sequences — including mutating ``max_threads`` and swapping the
-    calibration mid-stream — and check every answer against a fresh
-    estimator with identical configuration (which cannot have stale
-    cache state by construction).
+    ``thresholds_for`` caches per ``(j, max_threads)``; this property
+    drives a single estimator through arbitrary query sequences —
+    including mutating ``max_threads`` mid-stream — and checks every
+    answer against a fresh estimator with identical configuration (which
+    cannot have stale cache state by construction).
     """
 
     @settings(max_examples=25, deadline=None)
@@ -87,7 +76,6 @@ class TestThresholdCacheKeyProperties:
             st.tuples(
                 st.integers(min_value=1, max_value=32),   # j
                 st.integers(min_value=1, max_value=8),    # max_threads
-                st.booleans(),                            # calibrated?
             ),
             min_size=1,
             max_size=12,
@@ -95,55 +83,14 @@ class TestThresholdCacheKeyProperties:
     )
     def test_cache_never_leaks_across_keys(self, queries):
         profile = make_profile(threads=(1, 4))
-        record = make_calibration()
         est = ParameterEstimator(profile=profile, max_threads=1)
-        for j, max_threads, calibrated in queries:
+        for j, max_threads in queries:
             est.max_threads = max_threads
-            est.calibration = record if calibrated else None
             cold = ParameterEstimator(
                 profile=make_profile(threads=(1, 4)),
                 max_threads=max_threads,
-                calibration=record if calibrated else None,
             )
             assert est.thresholds_for(j) == cold.thresholds_for(j)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        j=st.integers(min_value=1, max_value=32),
-        max_threads=st.integers(min_value=1, max_value=8),
-    )
-    def test_distinct_records_never_alias(self, j, max_threads):
-        """Two different fits share (j, max_threads) but not a window."""
-        est = ParameterEstimator(
-            profile=make_profile(), max_threads=max_threads
-        )
-        a = make_calibration(msth=1024, mlth=65_536)
-        b = make_calibration(msth=2048, mlth=131_072)
-        est.calibration = a
-        got_a = est.thresholds_for(j)
-        est.calibration = b
-        got_b = est.thresholds_for(j)
-        assert got_a == a.thresholds[1]
-        assert got_b == b.thresholds[1]
-        # Flipping back must not resurrect b's window for a's key.
-        est.calibration = a
-        assert est.thresholds_for(j) == a.thresholds[1]
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        j=st.integers(min_value=1, max_value=32),
-        max_threads=st.integers(min_value=1, max_value=8),
-    )
-    def test_paper_fallback_never_cached_as_calibrated(self, j, max_threads):
-        """Without profile or calibration the paper window always returns,
-        and attaching a record afterwards switches immediately."""
-        est = ParameterEstimator(max_threads=max_threads)
-        assert est.thresholds_for(j) == PAPER_THRESHOLDS
-        record = make_calibration()
-        est.calibration = record
-        assert est.thresholds_for(j) == record.thresholds[1]
-        est.calibration = None
-        assert est.thresholds_for(j) == PAPER_THRESHOLDS
 
 
 class TestEstimate:

@@ -8,6 +8,8 @@ import pytest
 import repro
 from repro.analysis import XEON_E7_4820
 from repro.core import InTensLi, ttm_inplace
+from repro.core.chain import plan_chain
+from repro.core.estimator import ParameterEstimator
 from repro.gemm.bench import synthetic_profile
 from repro.serve import TtmServer
 from repro.tensor.dense import DenseTensor
@@ -72,8 +74,52 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InTensLi(max_threads=0)
 
+    @pytest.mark.parametrize("kappa", [2.0, 5, -0.1])
+    def test_kappa_validated_at_construction(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            InTensLi(kappa=kappa)
+        with pytest.raises(ValueError, match="kappa"):
+            ParameterEstimator(kappa=kappa)
+
+
+def _plan(*args):
+    return InTensLi().plan(*args)
+
+
+def _plan_chain(*args):
+    return InTensLi().plan_chain(*args)
+
+
+def _estimate(*args):
+    return ParameterEstimator().estimate(*args)
+
 
 class TestPlanning:
+    @pytest.mark.parametrize(
+        "planner, args, error",
+        [
+            (_plan, ((8, 2.5, 8), 0, 4), TypeError),
+            (_plan, ((8, "9", 8), 0, 4), TypeError),
+            (_plan, ((8, True, 8), 0, 4), TypeError),
+            (_plan, ((8, -2, 8), 0, 4), ShapeError),
+            (_estimate, ((8, 2.5, 8), 0, 4), TypeError),
+            (_estimate, ((8, -2, 8), 0, 4), ShapeError),
+            (_plan_chain, ((8, 2.5, 8), [(0, 3)]), TypeError),
+            (_plan_chain, ((8, 8, 8), [(0, 2.7), (1, 3)]), TypeError),
+            (_plan_chain, ((8, 8, 8), [(0.9, 3)]), TypeError),
+            (plan_chain, ((8, 8, 8), [(0, 2.7)]), TypeError),
+            (plan_chain, ((8, -2, 8), [(0, 3)]), ShapeError),
+        ],
+    )
+    def test_planners_reject_non_integral_or_negative_input(
+        self, planner, args, error
+    ):
+        """Every planner raises the same typed error instead of
+        truncating a float extent, mode or J (or failing deep inside
+        with an unrelated message for a negative extent)."""
+        with pytest.raises(error):
+            planner(*args)
+
     def test_plans_are_cached(self):
         lib = InTensLi()
         p1 = lib.plan((20, 20, 20), 0, 4)

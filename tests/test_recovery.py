@@ -248,7 +248,7 @@ class TestStoreFsync:
         counters = HotCounters()
         previous = install_hot_counters(counters)
         try:
-            store._write_payload({}, None)
+            store.save({})
         finally:
             install_hot_counters(previous)
         assert counters.store_fsyncs == 1

@@ -15,6 +15,7 @@ from repro.util import (
     format_table,
     normalized_order,
 )
+from repro.util.validation import check_shape
 from repro.util.errors import (
     LayoutError,
     PlanError,
@@ -60,6 +61,13 @@ class TestValidation:
         assert check_axis(-1, 3) == 2
         with pytest.raises(ShapeError):
             check_axis(3, 3)
+
+    def test_check_shape(self):
+        assert check_shape((np.int64(4), 0, 2)) == (4, 0, 2)
+        with pytest.raises(TypeError):
+            check_shape((4, 2.0))
+        with pytest.raises(ShapeError):
+            check_shape((4, -1))
 
     def test_check_probability(self):
         assert check_probability(0.5, "p") == 0.5
