@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.plan import TtmPlan
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import match_dtype
+from repro.util.dtypes import dtype_name, match_dtype
 from repro.util.errors import DtypeError, PlanError, ShapeError
 from repro.util.validation import check_mode, check_positive_int, check_shape
 
@@ -587,12 +587,11 @@ class ScratchPool:
         self, slot: int, shape: tuple[int, ...], layout: Layout, dtype
     ) -> DenseTensor:
         """A tensor of *shape* backed by the slot's reusable buffer."""
-        dt = np.dtype(dtype)
-        key = (slot, layout, dt.name)
+        key = (slot, layout, dtype_name(dtype))
         n = math.prod(shape)
         buf = self._slots.get(key)
         if buf is None or buf.size < n:
-            buf = np.empty(n, dtype=dt)
+            buf = np.empty(n, dtype=dtype)
             self._slots[key] = buf
             self.allocations += 1
         else:

@@ -9,13 +9,21 @@ bounds, index expressions, and reshape extents are literals; the source
 is inspectable (``generate_source``) and the compiled callables are
 cached per plan.
 
+A plan compiles to one of two shapes.  The **batched** shape serves
+every plan on the single-threaded BLAS fast path that has batch modes or
+no loop modes: ``x``/``y`` become ``(outer..., batch, rows, cols)``
+views through one ``reshape`` and one ``transpose``, hoisted above the
+loops, and each outer index is one ``np.matmul``.  Every other plan
+(non-BLAS kernels, ``P_C > 1``, unbatched plans with loops) runs the
+**per-iteration** nest: one 2-D kernel call per loop index.
+
 The generated reshapes are views, never copies, because of one invariant
 the callers uphold: ``DenseTensor`` data is contiguous in its layout.
-Component modes are then a contiguous run of a contiguous tensor (Lemma
-4.1), whose strides still nest after the loop-mode axes are indexed
-away, and NumPy merges nesting axes without copying.  An output ``y``
-that broke the invariant would be reshaped into a copy and the writes
-lost, so the executor only hands generated code ``DenseTensor`` storage.
+Every mode role (component run, mode, batch run, loop mode) is then a
+consecutive run of a contiguous tensor (Lemma 4.1), and NumPy merges
+nesting axes without copying.  An output ``y`` that broke the invariant
+would be reshaped into a copy and the writes lost, so the executor only
+hands generated code ``DenseTensor`` storage.
 
 Each compiled function also carries its **dispatch counts**
 (:class:`DispatchCounts`), fixed when the body is emitted: how many 2-D
@@ -36,7 +44,7 @@ from repro.gemm.blocked import gemm_blocked
 from repro.gemm.interface import blas_dtype_legal, gemm
 from repro.gemm.threaded import gemm_threaded
 from repro.parallel.parfor import parfor
-from repro.tensor.layout import Layout, element_strides
+from repro.tensor.layout import Layout
 
 _CACHE: dict[TtmPlan, object] = {}
 
@@ -52,17 +60,6 @@ class DispatchCounts(NamedTuple):
     @property
     def dispatches(self) -> int:
         return self.gemm_calls + self.batched_calls
-
-
-def _index_expr(plan: TtmPlan, loop_vars: dict[int, str]) -> str:
-    """The subscript selecting one kernel's sub-tensor, e.g. ``i0, :, i1, :``."""
-    parts = []
-    for axis in range(plan.order):
-        if axis in loop_vars:
-            parts.append(loop_vars[axis])
-        else:
-            parts.append(":")
-    return ", ".join(parts)
 
 
 def _kernel_call(plan: TtmPlan) -> str:
@@ -82,220 +79,144 @@ def _kernel_call(plan: TtmPlan) -> str:
     return f"gemm({{a}}, {{b}}, out={{c}}, kernel={plan.kernel!r})"
 
 
-def _batched_form(plan: TtmPlan) -> str | None:
-    """A single batched-GEMM body when the whole loop nest collapses.
+def _batch_views(plan: TtmPlan) -> tuple[str, str]:
+    """Hoisted view expressions ``(x3, y3)`` for the batched shape.
 
-    When the loop modes are exactly the modes *between* the storage start
-    and the mode/component block — ``{0..n-1}`` for row-major forward,
-    ``{n+1..N-1}`` for column-major backward — the generated loop nest is
-    equivalent to one rank-3 batched matmul over contiguous views.  NumPy
-    executes the batch loop in C (one BLAS call per slice), which is the
-    closest Python analogue of the paper's compiled OpenMP loop nest, so
-    this is the preferred single-threaded code shape.
-    """
-    if plan.loop_threads > 1 or plan.kernel_threads > 1:
-        return None
-    if plan.kernel not in ("blas", "auto"):
-        return None
-    if not blas_dtype_legal(plan.np_dtype):
-        return None
-    if plan.degree == 0:
-        return None
-    i_n, p, j = plan.i_n, plan.component_extent, plan.j
-    loops = plan.loop_modes
-    batch = 1
-    for m in loops:
-        batch *= plan.shape[m]
-    forward = plan.strategy is Strategy.FORWARD
-    row_major = plan.layout is Layout.ROW_MAJOR
-    if forward and row_major and loops == tuple(range(plan.mode)):
-        # x viewed as (L, I_n, P) C-order; y as (L, J, P).
-        return (
-            f"    x3 = x.reshape(({batch}, {i_n}, {p}))\n"
-            f"    y3 = y.reshape(({batch}, {j}, {p}))\n"
-            f"    np.matmul(u, x3, out=y3)\n"
-        )
-    if (
-        not forward
-        and not row_major
-        and loops == tuple(range(plan.order - 1, plan.mode, -1))
-    ):
-        # x viewed as (P, I_n, L) F-order; batch over the trailing axis.
-        return (
-            f"    ut = u.T\n"
-            f"    x3 = x.reshape(({p}, {i_n}, {batch}), order='F')"
-            f".transpose(2, 0, 1)\n"
-            f"    y3 = y.reshape(({p}, {j}, {batch}), order='F')"
-            f".transpose(2, 0, 1)\n"
-            f"    np.matmul(x3, ut, out=y3)\n"
-        )
-    if (
-        not forward
-        and row_major
-        and plan.mode == plan.order - 1
-        and sorted(loops) == list(range(plan.degree, plan.mode))
-    ):
-        # Backward on the last row-major mode: blocks are [comp][loops][mode]
-        # in storage order; batch over the (middle) loop block.
-        return (
-            f"    ut = u.T\n"
-            f"    x3 = x.reshape(({p}, {batch}, {i_n}))"
-            f".transpose(1, 0, 2)\n"
-            f"    y3 = y.reshape(({p}, {batch}, {j}))"
-            f".transpose(1, 0, 2)\n"
-            f"    np.matmul(x3, ut, out=y3)\n"
-        )
-    if (
-        forward
-        and not row_major
-        and plan.mode == 0
-        and sorted(loops) == list(range(1, plan.order - plan.degree))
-    ):
-        # Forward on the first column-major mode: blocks are
-        # [mode][loops][comp] in index order; batch over the loop block.
-        return (
-            f"    x3 = x.reshape(({i_n}, {batch}, {p}), order='F')"
-            f".transpose(1, 0, 2)\n"
-            f"    y3 = y.reshape(({j}, {batch}, {p}), order='F')"
-            f".transpose(1, 0, 2)\n"
-            f"    np.matmul(u, x3, out=y3)\n"
-        )
-    return None
-
-
-def _batch_view_exprs(plan: TtmPlan) -> tuple[str, str, str, str]:
-    """Literal ``as_strided`` expressions for the batched operand views.
-
-    Returns ``(x3_expr, y3_expr, x_offset, y_offset)`` where the offset
-    strings are linear forms in the outer loop variables (``'0'`` when no
-    outer loop remains).  All extents and byte strides are resolved to
-    literals at generation time — the generated body does no stride
-    arithmetic beyond the offset dot-product.
+    Every mode role — each outer loop mode, the batch run, the contracted
+    mode and the component run — is a consecutive index run of storage
+    that is contiguous in the plan's layout, so one ``reshape`` merges
+    each run in place and one ``transpose`` orders the merged axes as
+    ``(outer..., batch, rows, cols)``: a copy-free view of the whole
+    operand, built once per call.  Rows/cols are (mode, component) for
+    forward plans and fiber plans (an empty component run becomes an
+    extent-1 axis), (component, mode) for backward ones.
     """
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    x_strides = element_strides(plan.shape, plan.layout)
-    y_strides = element_strides(plan.out_shape, plan.layout)
-    outer = plan.outer_loop_modes
-    batch = plan.batch_modes
-    comp = plan.component_modes
-    b = plan.batch_extent
-    i_n, p, j = plan.i_n, plan.component_extent, plan.j
+    comp, mode = plan.component_modes, (plan.mode,)
+    roles = [(m,) for m in plan.outer_loop_modes] + [plan.batch_modes]
+    roles += [mode, comp] if forward else [comp, mode]
+    # Reshape order is index order; an empty run (no batch modes, or a
+    # fiber plan's component run) is an extent-1 axis and goes first.
+    order = sorted(range(len(roles)), key=lambda k: min(roles[k], default=-1))
+    perm = tuple(order.index(k) for k in range(len(roles)))
+    order_kw = ", order='F'" if plan.layout is Layout.COL_MAJOR else ""
+    transpose = "" if perm == tuple(range(len(perm))) else f".transpose{perm}"
 
-    def run_stride(strides, shape, run):
-        # Merged-run element stride: the smallest stride of its non-size-1
-        # modes (nesting already validated by the plan); 1 for empty runs.
-        effective = [m for m in run if shape[m] != 1]
-        return min(strides[m] for m in effective) if effective else 1
+    def view(name: str, shape: tuple[int, ...]) -> str:
+        extents = tuple(math.prod(shape[m] for m in roles[k]) for k in order)
+        return f"{name}.reshape({extents}{order_kw}){transpose}"
 
-    itemsize = plan.itemsize
-
-    def views(strides, shape, row_extent):
-        bs = run_stride(strides, shape, batch)
-        rs = strides[plan.mode]
-        cs = run_stride(strides, shape, comp)
-        if forward:
-            return (
-                (b, row_extent, p),
-                (bs * itemsize, rs * itemsize, cs * itemsize),
-            )
-        return (
-            (b, p, row_extent),
-            (bs * itemsize, cs * itemsize, rs * itemsize),
-        )
-
-    x_extents, x_bstrides = views(x_strides, plan.shape, i_n)
-    y_extents, y_bstrides = views(y_strides, plan.out_shape, j)
-    x_off = " + ".join(
-        f"i{m}*{x_strides[m]}" for m in outer
-    ) or "0"
-    y_off = " + ".join(
-        f"i{m}*{y_strides[m]}" for m in outer
-    ) or "0"
-    x3 = f"_as_strided(xf[{{off}}:], {x_extents}, {x_bstrides})"
-    y3 = f"_as_strided(yf[{{off}}:], {y_extents}, {y_bstrides})"
-    return x3, y3, x_off, y_off
+    return view("x", plan.shape), view("y", plan.out_shape)
 
 
-def _generic_batched_source(
-    plan: TtmPlan,
-) -> tuple[list[str], DispatchCounts] | None:
-    """Body lines (and their dispatch counts) for the batch-modes shape.
+def _batched_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts] | None:
+    """Body lines (and their dispatch counts) for the one batched shape.
 
-    Applies whenever the plan marks a batchable run and the inner kernel
-    is the BLAS fast path: the batched run becomes one literal
-    ``np.matmul`` over rank-3 strided views, any outer loop-mode residue
-    stays a literal (or parfor-driven) nest.  Unlike
-    :func:`_batched_form`'s full-collapse reshapes, this handles partial
-    collapses.  None when the plan has no batch run or a non-BLAS kernel.
+    Applies when the inner kernel is the single-threaded BLAS fast path
+    and the plan has batch modes or no loop modes at all: the views are
+    hoisted above any loop, and each outer index (or the whole call) is
+    one ``np.matmul`` over its rank-3 slice.  None otherwise — the plan
+    then runs the per-iteration nest.
     """
-    if not plan.batch_modes:
+    if plan.loop_modes and not plan.batch_modes:
         return None
     if plan.kernel_threads > 1 or plan.kernel not in ("blas", "auto"):
         return None
     if not blas_dtype_legal(plan.np_dtype):
         return None
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
-    x3_t, y3_t, x_off, y_off = _batch_view_exprs(plan)
-    call = "np.matmul(u, x3, out=y3)" if forward else "np.matmul(x3, ut, out=y3)"
-    indent = "    "
-    lines: list[str] = []
-    lines.append(f"{indent}xf = x.reshape(-1, order='A')")
-    lines.append(f"{indent}yf = y.reshape(-1, order='A')")
+    x3, y3 = _batch_views(plan)
+    lines = [f"    x3 = {x3}", f"    y3 = {y3}"]
     if not forward:
-        lines.append(f"{indent}ut = u.T")
+        lines.append("    ut = u.T")
     outer = plan.outer_loop_modes
     b = plan.batch_extent
-    if not outer:
-        lines.append(f"{indent}x3 = " + x3_t.format(off="0"))
-        lines.append(f"{indent}y3 = " + y3_t.format(off="0"))
-        if plan.loop_threads > 1 and b > 1:
-            # No outer nest to split: chunk the batch run over P_L workers.
-            n_chunks = min(plan.loop_threads, b)
-            chunk = math.ceil(b / n_chunks)
-            inner = call.replace("x3", "x3[lo:hi]").replace("y3", "y3[lo:hi]")
-            lines.append(f"{indent}def body(_index):")
-            lines.append(f"{indent}    lo = _index[0] * {chunk}")
-            lines.append(f"{indent}    hi = min(lo + {chunk}, {b})")
-            lines.append(f"{indent}    {inner}")
-            lines.append(
-                f"{indent}parfor(({n_chunks},), body, "
-                f"threads={plan.loop_threads})"
-            )
-            return lines, DispatchCounts(0, n_chunks, b, chunk)
-        lines.append(f"{indent}{call}")
-        return lines, DispatchCounts(0, 1, b, b)
 
-    body_lines = [
-        "x3 = " + x3_t.format(off=x_off),
-        "y3 = " + y3_t.format(off=y_off),
-        call,
-    ]
-    loop_vars = {m: f"i{m}" for m in outer}
-    if plan.loop_threads > 1:
-        var_tuple = ", ".join(loop_vars[m] for m in outer)
-        lines.append(f"{indent}def body(_index):")
-        if len(outer) > 1:
-            lines.append(f"{indent}    {var_tuple} = _index")
-        else:
-            lines.append(f"{indent}    ({var_tuple},) = _index")
-        for bl in body_lines:
-            lines.append(f"{indent}    {bl}")
-        extents = plan.outer_loop_extents
-        lines.append(
-            f"{indent}parfor({extents!r}, body, threads={plan.loop_threads})"
-        )
+    def call(sub: str) -> str:
+        if forward:
+            return f"np.matmul(u, x3{sub}, out=y3{sub})"
+        return f"np.matmul(x3{sub}, ut, out=y3{sub})"
+
+    if outer:
+        index = ", ".join(f"i{m}" for m in outer)
+        lines += _nest(plan, outer, [call(f"[{index}]")])
+        calls = plan.outer_loop_iterations
+        return lines, DispatchCounts(0, calls, calls * b, b)
+    if plan.loop_threads > 1 and b > 1:
+        # No outer nest to split: chunk the batch run over P_L workers.
+        n_chunks = min(plan.loop_threads, b)
+        chunk = math.ceil(b / n_chunks)
+        lines += [
+            "    def body(_index):",
+            f"        lo = _index[0] * {chunk}",
+            f"        hi = min(lo + {chunk}, {b})",
+            f"        {call('[lo:hi]')}",
+            f"    parfor(({n_chunks},), body, threads={plan.loop_threads})",
+        ]
+        return lines, DispatchCounts(0, n_chunks, b, chunk)
+    lines.append(f"    {call('')}")
+    return lines, DispatchCounts(0, 1, b, b)
+
+
+def _looped_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts]:
+    """Body lines for the per-iteration nest: one kernel call per loop index.
+
+    Each iteration reshapes its own 2-D sub-tensor views; this is the
+    shape for non-BLAS kernels, ``P_C > 1`` and unbatched plans.
+    """
+    sub_expr = ", ".join(
+        f"i{m}" if m in plan.loop_modes else ":" for m in range(plan.order)
+    )
+    i_n, p, j = plan.i_n, plan.component_extent, plan.j
+    forward = plan.strategy is Strategy.FORWARD
+    order_kw = ", order='F'" if plan.layout is Layout.COL_MAJOR else ""
+
+    if plan.degree == 0:
+        x_shape, y_shape = (i_n, 1), (j, 1)
+    elif forward:
+        x_shape, y_shape = (i_n, p), (j, p)
     else:
-        depth = 0
-        for m in outer:
-            lines.append(
-                f"{indent}{'    ' * depth}for {loop_vars[m]} in "
-                f"range({plan.shape[m]}):"
-            )
-            depth += 1
-        for bl in body_lines:
-            lines.append(f"{indent}{'    ' * depth}{bl}")
-    calls = plan.outer_loop_iterations
-    return lines, DispatchCounts(0, calls, calls * b, b)
+        x_shape, y_shape = (p, i_n), (p, j)
+
+    lines = []
+    if not forward and plan.degree > 0:
+        lines.append("    ut = u.T")
+    body_lines = [
+        f"x_sub = x[{sub_expr}].reshape({x_shape}{order_kw})",
+        f"y_sub = y[{sub_expr}].reshape({y_shape}{order_kw})",
+    ]
+    if plan.degree == 0 or forward:
+        call = _kernel_call(plan).format(a="u", b="x_sub", c="y_sub")
+    else:
+        call = _kernel_call(plan).format(a="x_sub", b="ut", c="y_sub")
+    body_lines.append(call)
+    lines += _nest(plan, plan.loop_modes, body_lines)
+    return lines, DispatchCounts(plan.loop_iterations)
+
+
+def _nest(
+    plan: TtmPlan, modes: tuple[int, ...], body_lines: list[str]
+) -> list[str]:
+    """*body_lines* under a literal loop nest over *modes* (``parfor``
+    over their collapsed index space at P_L > 1)."""
+    loop_vars = [f"i{m}" for m in modes]
+    if plan.loop_threads > 1 and modes:
+        # Parallel driver: collapsed index space chunked over P_L threads.
+        var_tuple = ", ".join(loop_vars)
+        unpack = var_tuple if len(modes) > 1 else f"({var_tuple},)"
+        extents = tuple(plan.shape[m] for m in modes)
+        return [
+            "    def body(_index):",
+            f"        {unpack} = _index",
+            *[f"        {bl}" for bl in body_lines],
+            f"    parfor({extents!r}, body, threads={plan.loop_threads})",
+        ]
+    lines = [
+        f"    {'    ' * depth}for {var} in range({plan.shape[m]}):"
+        for depth, (m, var) in enumerate(zip(modes, loop_vars))
+    ]
+    lines += [f"    {'    ' * len(modes)}{bl}" for bl in body_lines]
+    return lines
 
 
 def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
@@ -309,75 +230,14 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
 
 def _emit(plan: TtmPlan, function_name: str) -> tuple[str, DispatchCounts]:
     """The source for *plan* and the dispatch counts its body performs."""
-    loop_vars = {m: f"i{m}" for m in plan.loop_modes}
-    sub_expr = _index_expr(plan, loop_vars)
-    i_n, p, j = plan.i_n, plan.component_extent, plan.j
-    forward = plan.strategy is Strategy.FORWARD
-    f_order = plan.layout is Layout.COL_MAJOR
-    order_kw = ", order='F'" if f_order else ""
-
-    if plan.degree == 0:
-        x_shape, y_shape = (i_n, 1), (j, 1)
-    elif forward:
-        x_shape, y_shape = (i_n, p), (j, p)
-    else:
-        x_shape, y_shape = (p, i_n), (p, j)
-
+    body, counts = _batched_source(plan) or _looped_source(plan)
     lines = [
         f"def {function_name}(x, u, y):",
         f'    """{plan.describe()}"""',
+        *body,
+        "    return y",
     ]
-    indent = "    "
-    batched = _batched_form(plan)
-    if batched is not None:
-        batch = plan.loop_iterations
-        return (
-            "\n".join(lines) + "\n" + batched + f"{indent}return y\n",
-            DispatchCounts(0, 1, batch, batch),
-        )
-    generic = _generic_batched_source(plan)
-    if generic is not None:
-        body, counts = generic
-        return "\n".join(lines + body + [f"{indent}return y"]) + "\n", counts
-    if not forward and plan.degree > 0:
-        lines.append(f"{indent}ut = u.T")
-
-    body_lines = [
-        f"x_sub = x[{sub_expr}].reshape({x_shape}{order_kw})",
-        f"y_sub = y[{sub_expr}].reshape({y_shape}{order_kw})",
-    ]
-    if plan.degree == 0 or forward:
-        call = _kernel_call(plan).format(a="u", b="x_sub", c="y_sub")
-    else:
-        call = _kernel_call(plan).format(a="x_sub", b="ut", c="y_sub")
-    body_lines.append(call)
-
-    if plan.loop_threads > 1 and plan.loop_modes:
-        # Parallel driver: collapsed index space chunked over P_L threads.
-        var_tuple = ", ".join(loop_vars[m] for m in plan.loop_modes)
-        lines.append(f"{indent}def body(_index):")
-        if len(plan.loop_modes) > 1:
-            lines.append(f"{indent}    {var_tuple} = _index")
-        else:
-            lines.append(f"{indent}    ({var_tuple},) = _index")
-        for bl in body_lines:
-            lines.append(f"{indent}    {bl}")
-        extents = plan.loop_extents
-        lines.append(
-            f"{indent}parfor({extents!r}, body, threads={plan.loop_threads})"
-        )
-    else:
-        depth = 0
-        for m in plan.loop_modes:
-            lines.append(
-                f"{indent}{'    ' * depth}for {loop_vars[m]} in "
-                f"range({plan.shape[m]}):"
-            )
-            depth += 1
-        for bl in body_lines:
-            lines.append(f"{indent}{'    ' * depth}{bl}")
-    lines.append(f"{indent}return y")
-    return "\n".join(lines) + "\n", DispatchCounts(plan.loop_iterations)
+    return "\n".join(lines) + "\n", counts
 
 
 def compile_plan(plan: TtmPlan):
@@ -393,7 +253,6 @@ def compile_plan(plan: TtmPlan):
     source, counts = _emit(plan, "inttm")
     namespace = {
         "np": np,
-        "_as_strided": np.lib.stride_tricks.as_strided,
         "gemm": gemm,
         "gemm_blocked": gemm_blocked,
         "gemm_threaded": gemm_threaded,

@@ -155,13 +155,16 @@ class InTensLi:
         """Route plan lookups through a persistent cache.
 
         *cache* is duck-typed — anything with ``get_plan(shape, mode, j,
-        layout, threads)`` and ``put_plan(..., plan, source)``; in
-        practice a :class:`repro.autotune.PlanCache` (this facade cannot
-        import it directly without inverting the layering).  While
-        attached, the cache replaces the private per-process dict as the
-        single source of truth, so decisions survive the process and are
-        shared with any :class:`repro.autotune.AutotuneSession` wrapping
-        this instance.
+        layout, threads)``, ``put_plan(..., plan, source)`` and
+        ``items()`` over ``(key, entry)`` pairs with ``key.threads`` and
+        ``entry.plan``; in practice a :class:`repro.autotune.PlanCache`
+        (this facade cannot import it directly without inverting the
+        layering).  While attached, the cache replaces the private
+        per-process dict as the single source of truth — for
+        :meth:`plan`, :meth:`load_plan_cache`, :meth:`save_plan_cache`
+        and :attr:`cached_plans` alike — so decisions survive the process
+        and are shared with any :class:`repro.autotune.AutotuneSession`
+        wrapping this instance.
         """
         self._persistent_cache = cache
 
@@ -249,9 +252,19 @@ class InTensLi:
             self._plan_cache[key] = plan
         return plan
 
+    def _cached(self) -> list[TtmPlan]:
+        """Every plan :meth:`plan` answers from without estimating."""
+        if self._persistent_cache is None:
+            return list(self._plan_cache.values())
+        return [
+            entry.plan
+            for key, entry in self._persistent_cache.items()
+            if key.threads == self.max_threads
+        ]
+
     @property
     def cached_plans(self) -> int:
-        return len(self._plan_cache)
+        return len(self._cached())
 
     @property
     def cached_chain_plans(self) -> int:
@@ -440,7 +453,7 @@ class InTensLi:
         """Persist every cached plan as JSON; returns the count saved."""
         from repro.core.serialize import save_plans
 
-        plans = list(self._plan_cache.values())
+        plans = self._cached()
         save_plans(plans, path)
         return len(plans)
 
@@ -448,13 +461,21 @@ class InTensLi:
         """Pre-populate the plan cache from JSON; returns the count loaded.
 
         Loaded plans take precedence over estimation for their inputs —
-        the offline-autotuning deployment mode.
+        the offline-autotuning deployment mode.  With a persistent cache
+        attached they land there, marked ``source="tuned"`` as
+        :meth:`tune` marks its winners.
         """
         from repro.core.serialize import load_plans
 
         plans = load_plans(path)
         for plan in plans:
-            self._plan_cache[plan.cache_key()] = plan
+            if self._persistent_cache is None:
+                self._plan_cache[plan.cache_key()] = plan
+            else:
+                self._persistent_cache.put_plan(
+                    plan.shape, plan.mode, plan.j, plan.layout,
+                    self.max_threads, plan, source="tuned", dtype=plan.dtype,
+                )
         return len(plans)
 
     # -- execution ------------------------------------------------------------

@@ -9,8 +9,8 @@ input, everything Algorithm 2 leaves open:
 * the **component modes** ``M_C`` merged into the inner GEMM;
 * the **loop modes** ``M_L`` iterated by the (possibly parallel) nest;
 * the **batch modes** ``M_B`` — the innermost run of ``M_L`` whose
-  iterations collapse into one batched GEMM (a rank-3 strided view fed
-  to ``np.matmul``) instead of Python-level per-index dispatches;
+  iterations collapse into one batched GEMM (a rank-3 view fed to
+  ``np.matmul``) instead of Python-level per-index dispatches;
 * the thread split ``P_L`` / ``P_C``;
 * the inner **kernel** (``blas`` fast path or ``blocked`` general-stride).
 
@@ -218,11 +218,11 @@ class TtmPlan:
     def gemm_dispatch_count(self) -> int:
         """GEMM dispatches the plan's loop nest performs.
 
-        Per-iteration execution dispatches once per loop index; batched
-        execution dispatches once per *outer* index, reducing the count by
-        the batch factor B.  Generated code can do better still: a loop
-        nest that collapses whole into one rank-3 matmul is a single
-        dispatch, batched plan or not (see :mod:`repro.core.codegen`).
+        An unbatched plan dispatches once per loop index; a batched plan
+        once per *outer* index, reducing the count by the batch factor B
+        (one dispatch in all when no outer loop remains).  Compiled code
+        on the single-threaded BLAS path performs exactly this many (see
+        :mod:`repro.core.codegen`); other kernels run the per-index nest.
         """
         if not self.batch_modes:
             return self.loop_iterations

@@ -29,7 +29,6 @@ from repro.gemm.interface import (
     resolve_kernel,
     unit_stride_dims,
 )
-from repro.gemm.batched import batched_slices_blas_legal, gemm_batched
 from repro.gemm.reference import gemm_reference
 from repro.gemm.blas_like import gemm_blas
 from repro.gemm.blocked import BlockSizes, gemm_blocked
@@ -43,10 +42,8 @@ from repro.gemm.bench import (
 
 __all__ = [
     "KERNELS",
-    "batched_slices_blas_legal",
     "blas_legal",
     "gemm",
-    "gemm_batched",
     "kernel_names",
     "resolve_kernel",
     "unit_stride_dims",

@@ -101,9 +101,9 @@ def gemm_blocked(
     tracer = active_tracer()
     if tracer.enabled:
         current = tracer.current_span()
-        # Callers routed through gemm()/gemm_batched(), and the executor's
-        # compiled calls, already opened a gemm-kernel span; other direct
-        # callers get one here.
+        # Callers routed through gemm(), and the executor's compiled
+        # calls, already opened a gemm-kernel span; other direct callers
+        # get one here.
         if current is None or current.name != "gemm-kernel":
             with tracer.span(
                 "gemm-kernel",

@@ -463,8 +463,10 @@ class TtmServer:
         """The shared plan for a signature, counted per requesting tenant.
 
         Each request in the group performs its own (cheap) cache lookup
-        so per-tenant hit rates stay exact; the first miss pays the
-        estimator once and publishes the plan for every later tenant.
+        so per-tenant hit rates stay exact; the first miss asks the
+        facade's :meth:`~repro.core.intensli.InTensLi.plan` once (so
+        plans pinned by ``load_plan_cache`` or ``tune`` are served) and
+        publishes the plan for every later tenant.
         """
         key = PlanKey.make(
             sig.shape,
@@ -483,12 +485,8 @@ class TtmServer:
             else:
                 misses.append(request.tenant)
         if plan is None:
-            plan = self._lib.estimator.estimate(
-                sig.shape,
-                sig.mode,
-                sig.j,
-                sig.layout,
-                dtype=np.dtype(sig.dtype),
+            plan = self._lib.plan(
+                sig.shape, sig.mode, sig.j, sig.layout, dtype=sig.dtype
             )
         for tenant in misses:
             self.plan_cache.put(key, plan, source="estimator", tenant=tenant)

@@ -170,207 +170,6 @@ def merged_matrix_view(
 inplace_mat = merged_matrix_view
 
 
-def _run_geometry(
-    strides: Sequence[int], shape: Sequence[int], run: Sequence[int]
-) -> tuple[int, int]:
-    """(extent, element stride) of a merged mode run; ``(1, 1)`` when empty."""
-    run_t = tuple(int(m) for m in run)
-    if not run_t:
-        return 1, 1
-    extent = math.prod(shape[m] for m in run_t)
-    return extent, merged_stride(strides, shape, run_t)
-
-
-def _strided_3d(
-    data: np.ndarray,
-    offset: int,
-    extents: tuple[int, int, int],
-    strides: tuple[int, int, int],
-) -> np.ndarray:
-    """A writable 3-D view at *offset* elements into *data*'s base."""
-    itemsize = data.itemsize
-    if any(e == 0 for e in extents):
-        # Empty batch/matrix dimension: no memory is addressed, so the
-        # bounds check is vacuous (zero-extent executor support).
-        if offset < 0:
-            raise ShapeError(f"view offset {offset} is negative")
-        return np.empty(extents, dtype=data.dtype)
-    span = offset + sum((e - 1) * s for e, s in zip(extents, strides))
-    if offset < 0 or span >= data.size:
-        raise ShapeError(
-            f"view geometry out of bounds: offset={offset}, "
-            f"extents={extents}, strides={strides}, buffer={data.size}"
-        )
-    flat = data.reshape(-1, order="A")
-    return np.lib.stride_tricks.as_strided(
-        flat[offset:],
-        shape=extents,
-        strides=tuple(s * itemsize for s in strides),
-        writeable=True,
-    )
-
-
-def merged_batch_view(
-    tensor: DenseTensor,
-    batch_modes: Sequence[int],
-    row_modes: Sequence[int],
-    col_modes: Sequence[int],
-    fixed: Mapping[int, int] | None = None,
-) -> np.ndarray:
-    """A 3-D ``(B, rows, cols)`` view stacking matrix views across a mode run.
-
-    This is the batched generalization of :func:`merged_matrix_view`: the
-    *batch_modes* run is merged into a leading batch dimension, so one
-    strided rank-3 view replaces ``B`` separate 2-D views — the operand
-    shape batched-GEMM primitives (``np.matmul`` over a 3-D array) want.
-    The same Lemma 4.1 nesting condition applies independently to the
-    batch, row, and column runs; the view is still pure ``as_strided``
-    arithmetic on the original storage, never a copy.
-
-    *row_modes*/*col_modes* may be empty, in which case that matrix
-    dimension is a degenerate extent-1 axis (the batched-fiber case).
-    """
-    t = _as_dense(tensor)
-    fixed = dict(fixed or {})
-    batch_t = tuple(int(m) for m in batch_modes)
-    rows_t = tuple(int(m) for m in row_modes)
-    cols_t = tuple(int(m) for m in col_modes)
-    if not batch_t:
-        raise ShapeError("merged_batch_view requires at least one batch mode")
-    groups = (set(batch_t), set(rows_t), set(cols_t), set(fixed))
-    claimed: set[int] = set()
-    for group in groups:
-        if claimed & group:
-            raise ShapeError(
-                f"batch {batch_t}, row {rows_t}, col {cols_t}, and fixed "
-                f"{sorted(fixed)} modes must be disjoint"
-            )
-        claimed |= group
-    if claimed != set(range(t.order)):
-        raise ShapeError(
-            f"modes {sorted(claimed)} do not cover all modes of an "
-            f"order-{t.order} tensor"
-        )
-    shape, strides = t.shape, t.strides
-    n_batch, batch_stride = _run_geometry(strides, shape, batch_t)
-    n_rows, row_stride = _run_geometry(strides, shape, rows_t)
-    n_cols, col_stride = _run_geometry(strides, shape, cols_t)
-    offset = _base_offset(strides, shape, fixed)
-    return _strided_3d(
-        t.data,
-        offset,
-        (n_batch, n_rows, n_cols),
-        (batch_stride, row_stride, col_stride),
-    )
-
-
-class MatrixViewFactory:
-    """Precomputed geometry for repeated :func:`merged_matrix_view` calls.
-
-    A loop nest over sub-tensors builds the same (row run, col run) view
-    once per loop iteration, with only the fixed indices changing.  All stride
-    arithmetic and legality checks are invariant across iterations, so
-    this factory hoists them: construction validates once, and
-    :meth:`view` reduces each iteration to an offset dot-product plus one
-    ``as_strided`` call.
-    """
-
-    __slots__ = ("_data", "_rows", "_cols", "_row_stride", "_col_stride",
-                 "_iter_strides")
-
-    def __init__(
-        self,
-        tensor: DenseTensor,
-        row_modes: Sequence[int],
-        col_modes: Sequence[int],
-        iter_modes: Sequence[int],
-    ) -> None:
-        t = _as_dense(tensor)
-        shape, strides = t.shape, t.strides
-        rows_t = tuple(int(m) for m in row_modes)
-        cols_t = tuple(int(m) for m in col_modes)
-        iter_t = tuple(int(m) for m in iter_modes)
-        claimed = set(rows_t) | set(cols_t) | set(iter_t)
-        if len(rows_t) + len(cols_t) + len(iter_t) != len(claimed):
-            raise ShapeError(
-                f"row {rows_t}, col {cols_t}, and iterated {iter_t} modes "
-                "must be disjoint"
-            )
-        if claimed != set(range(t.order)):
-            raise ShapeError(
-                f"modes {sorted(claimed)} do not cover all modes of an "
-                f"order-{t.order} tensor"
-            )
-        self._data = t.data
-        self._rows, self._row_stride = _run_geometry(strides, shape, rows_t)
-        self._cols, self._col_stride = _run_geometry(strides, shape, cols_t)
-        self._iter_strides = tuple(strides[m] for m in iter_t)
-
-    def view(self, index: Sequence[int]) -> np.ndarray:
-        """The 2-D view at one iteration *index* (aligned with iter_modes)."""
-        offset = 0
-        for i, s in zip(index, self._iter_strides):
-            offset += i * s
-        return _strided_2d(
-            self._data, offset, self._rows, self._cols,
-            self._row_stride, self._col_stride,
-        )
-
-
-class BatchViewFactory:
-    """Precomputed geometry for repeated :func:`merged_batch_view` calls.
-
-    A batched loop nest builds one ``(B, rows, cols)`` view per *outer*
-    loop iteration; as with :class:`MatrixViewFactory`, everything but the
-    base offset is loop-invariant and hoisted into construction.
-    """
-
-    __slots__ = ("_data", "_extents", "_strides", "_iter_strides")
-
-    def __init__(
-        self,
-        tensor: DenseTensor,
-        batch_modes: Sequence[int],
-        row_modes: Sequence[int],
-        col_modes: Sequence[int],
-        iter_modes: Sequence[int],
-    ) -> None:
-        t = _as_dense(tensor)
-        shape, strides = t.shape, t.strides
-        batch_t = tuple(int(m) for m in batch_modes)
-        rows_t = tuple(int(m) for m in row_modes)
-        cols_t = tuple(int(m) for m in col_modes)
-        iter_t = tuple(int(m) for m in iter_modes)
-        if not batch_t:
-            raise ShapeError("BatchViewFactory requires at least one batch mode")
-        claimed = set(batch_t) | set(rows_t) | set(cols_t) | set(iter_t)
-        n_claimed = len(batch_t) + len(rows_t) + len(cols_t) + len(iter_t)
-        if n_claimed != len(claimed) or claimed != set(range(t.order)):
-            raise ShapeError(
-                f"batch {batch_t}, row {rows_t}, col {cols_t}, and iterated "
-                f"{iter_t} modes must be disjoint and cover all "
-                f"{t.order} modes"
-            )
-        n_batch, batch_stride = _run_geometry(strides, shape, batch_t)
-        n_rows, row_stride = _run_geometry(strides, shape, rows_t)
-        n_cols, col_stride = _run_geometry(strides, shape, cols_t)
-        self._data = t.data
-        self._extents = (n_batch, n_rows, n_cols)
-        self._strides = (batch_stride, row_stride, col_stride)
-        self._iter_strides = tuple(strides[m] for m in iter_t)
-
-    @property
-    def batch_extent(self) -> int:
-        return self._extents[0]
-
-    def view(self, index: Sequence[int]) -> np.ndarray:
-        """The 3-D view at one outer index (aligned with iter_modes)."""
-        offset = 0
-        for i, s in zip(index, self._iter_strides):
-            offset += i * s
-        return _strided_3d(self._data, offset, self._extents, self._strides)
-
-
 def fiber(
     tensor: DenseTensor, mode: int, fixed: Mapping[int, int]
 ) -> np.ndarray:

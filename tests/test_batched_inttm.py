@@ -1,30 +1,24 @@
-"""Tests for the batched InTTM execution engine.
+"""Tests for the batched InTTM code shape.
 
-Covers the three layers the batched path threads together: the rank-3
-strided views (``merged_batch_view`` / ``BatchViewFactory``), the batched
-GEMM dispatch (``gemm_batched``), and the executor/plan/codegen plumbing
-(``batch_modes``) — with unbatched plans and the einsum oracle as
-references.
+Covers the two layers the batched path threads together: the hoisted
+rank-3 views generated code builds with one ``reshape`` and one
+``transpose``, and the plan/codegen/executor plumbing (``batch_modes``)
+— with unbatched plans and the einsum oracle as references.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.codegen import compile_plan
+from repro.core.codegen import _batch_views, compile_plan
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.partition import choose_batch_modes
 from repro.core.plan import Strategy, TtmPlan
 from repro.core.serialize import plan_from_dict, plan_to_dict
-from repro.gemm.batched import batched_slices_blas_legal, gemm_batched
 from repro.perf.profiler import track_hot_path
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.tensor.views import (
-    BatchViewFactory,
-    merged_batch_view,
-    merged_matrix_view,
-)
-from repro.util.errors import PlanError, ShapeError, StrideError
+from repro.tensor.views import merged_matrix_view
+from repro.util.errors import PlanError
 from tests.helpers import ttm_oracle
 
 # Orders 3-5, non-square extents, size-1 modes.
@@ -45,24 +39,35 @@ def _case(shape, mode, j, layout, seed=0):
     return x, u
 
 
+def _hoisted_x3(plan, x):
+    """Evaluate the generated ``x3`` view expression for *plan* on *x*."""
+    return eval(_batch_views(plan)[0], {}, {"x": x.data})
+
+
 class TestMergedBatchView:
+    """The hoisted ``(outer..., B, rows, cols)`` view generated code builds."""
+
     def test_stacks_matrix_views(self):
-        """The 3-D view's slices are exactly the per-index 2-D views."""
+        """The view's slices are exactly the per-index 2-D views."""
         rng = np.random.default_rng(1)
         x = DenseTensor(rng.standard_normal((4, 5, 6, 7)), ROW_MAJOR)
-        # mode=1 forward with comp=(3,): batch mode 2, outer mode 0 fixed.
+        # mode=1 forward with comp=(3,): batch mode 2, outer mode 0.
+        plan = default_plan(x.shape, 1, 3, ROW_MAJOR, degree=1)
+        assert plan.batch_modes == (2,) and plan.outer_loop_modes == (0,)
+        x3 = _hoisted_x3(plan, x)
+        assert x3.shape == (4, 6, 5, 7)
         for i0 in range(4):
-            x3 = merged_batch_view(x, (2,), (1,), (3,), {0: i0})
-            assert x3.shape == (6, 5, 7)
             for i2 in range(6):
                 expect = merged_matrix_view(x, (1,), (3,), {0: i0, 2: i2})
-                assert np.array_equal(x3[i2], expect)
+                assert np.array_equal(x3[i0, i2], expect)
 
     def test_merges_multi_mode_batch_run(self):
         rng = np.random.default_rng(2)
         x = DenseTensor(rng.standard_normal((3, 4, 5, 6)), ROW_MAJOR)
         # mode=2 forward, comp=(3,): batch run (0, 1) merges into B=12.
-        x3 = merged_batch_view(x, (0, 1), (2,), (3,), {})
+        plan = default_plan(x.shape, 2, 3, ROW_MAJOR)
+        assert plan.batch_modes == (0, 1)
+        x3 = _hoisted_x3(plan, x)
         assert x3.shape == (12, 5, 6)
         b = 0
         for i0 in range(3):
@@ -73,116 +78,30 @@ class TestMergedBatchView:
 
     def test_is_a_view_not_a_copy(self):
         x = DenseTensor.zeros((3, 4, 5), ROW_MAJOR)
-        x3 = merged_batch_view(x, (0,), (1,), (2,), {})
+        x3 = _hoisted_x3(default_plan(x.shape, 1, 2, ROW_MAJOR), x)
         x3[1, 2, 3] = 42.0
         assert x.data[1, 2, 3] == 42.0
 
     def test_empty_col_run_is_batched_fiber(self):
         rng = np.random.default_rng(3)
         x = DenseTensor(rng.standard_normal((3, 4, 5)), ROW_MAJOR)
-        x3 = merged_batch_view(x, (0, 1), (2,), (), {})
+        plan = default_plan(x.shape, 2, 2, ROW_MAJOR, degree=0)
+        x3 = _hoisted_x3(plan, x)
         assert x3.shape == (12, 5, 1)
         assert np.array_equal(x3[0][:, 0], x.data[0, 0, :])
 
-    def test_requires_batch_modes(self):
-        x = DenseTensor.zeros((3, 4), ROW_MAJOR)
-        with pytest.raises(ShapeError):
-            merged_batch_view(x, (), (0,), (1,), {})
-
-    def test_rejects_overlapping_groups(self):
-        x = DenseTensor.zeros((3, 4, 5), ROW_MAJOR)
-        with pytest.raises(ShapeError):
-            merged_batch_view(x, (0,), (0,), (1,), {2: 0})
-
-    def test_rejects_uncovered_modes(self):
-        x = DenseTensor.zeros((3, 4, 5), ROW_MAJOR)
-        with pytest.raises(ShapeError):
-            merged_batch_view(x, (0,), (1,), (), {})
-
     def test_factory_matches_direct_views(self):
+        """Column-major backward: batch run (3,) after outer mode 1."""
         rng = np.random.default_rng(4)
         x = DenseTensor(rng.standard_normal((4, 5, 6, 7)), COL_MAJOR)
-        factory = BatchViewFactory(x, (1,), (2,), (0,), (3,))
-        assert factory.batch_extent == 5
-        for i3 in range(7):
-            expect = merged_batch_view(x, (1,), (2,), (0,), {3: i3})
-            assert np.array_equal(factory.view((i3,)), expect)
-
-
-class TestGemmBatched:
-    def test_matches_slice_loop(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 3, 4))
-        b = rng.standard_normal((6, 4, 5))
-        out = gemm_batched(a, b)
-        for i in range(6):
-            assert np.array_equal(out[i], a[i] @ b[i])
-
-    def test_broadcasts_2d_operand(self):
-        rng = np.random.default_rng(6)
-        u = rng.standard_normal((3, 4))
-        b = rng.standard_normal((5, 4, 6))
-        out = gemm_batched(u, b)
-        for i in range(5):
-            assert np.array_equal(out[i], u @ b[i])
-
-    @pytest.mark.parametrize("kernel", ["auto", "blas", "blocked", "reference"])
-    def test_kernels_agree(self, kernel):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 3, 5))
-        b = rng.standard_normal((4, 5, 2))
-        expect = np.matmul(a, b)
-        assert np.allclose(gemm_batched(a, b, kernel=kernel), expect)
-
-    def test_writes_through_out(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((4, 3, 5))
-        b = rng.standard_normal((4, 5, 2))
-        out = np.empty((4, 3, 2))
-        result = gemm_batched(a, b, out=out)
-        assert result is out
-        assert np.array_equal(out, np.matmul(a, b))
-
-    def test_accumulate_adds_per_slice(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((3, 2, 4))
-        b = rng.standard_normal((3, 4, 5))
-        out = np.ones((3, 2, 5))
-        gemm_batched(a, b, out=out, accumulate=True)
-        assert np.allclose(out, 1.0 + np.matmul(a, b))
-
-    def test_accumulate_requires_out(self):
-        a = np.zeros((2, 3, 4))
-        b = np.zeros((2, 4, 5))
-        with pytest.raises(ShapeError):
-            gemm_batched(a, b, accumulate=True)
-
-    def test_rejects_mismatched_batch(self):
-        with pytest.raises(ShapeError):
-            gemm_batched(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
-
-    def test_rejects_all_2d(self):
-        with pytest.raises(ShapeError):
-            gemm_batched(np.zeros((3, 4)), np.zeros((4, 5)))
-
-    def test_blas_kernel_rejects_general_strides(self):
-        base = np.zeros((4, 8, 8))
-        # Both inner strides non-unit: not expressible slice-wise in BLAS.
-        a = np.lib.stride_tricks.as_strided(
-            base, shape=(4, 4, 4), strides=(512, 128, 16)
-        )
-        assert not batched_slices_blas_legal(a)
-        b = np.zeros((4, 4, 3))
-        with pytest.raises(StrideError):
-            gemm_batched(a, b, kernel="blas")
-
-    def test_auto_falls_back_on_general_strides(self):
-        rng = np.random.default_rng(10)
-        base = rng.standard_normal((4, 6, 6))
-        a = base[:, ::2, ::2]  # strides (*, 2, 2) elements: not BLAS-legal
-        b = rng.standard_normal((4, 3, 2))
-        out = gemm_batched(a, b, kernel="auto")
-        assert np.allclose(out, np.matmul(np.ascontiguousarray(a), b))
+        plan = default_plan(x.shape, 2, 3, COL_MAJOR, degree=1)
+        assert plan.outer_loop_modes == (1,) and plan.batch_modes == (3,)
+        x3 = _hoisted_x3(plan, x)
+        assert x3.shape == (5, 7, 4, 6)
+        for i1 in range(5):
+            for i3 in range(7):
+                expect = merged_matrix_view(x, (0,), (2,), {1: i1, 3: i3})
+                assert np.array_equal(x3[i1, i3], expect)
 
 
 class TestPlanBatchModes:
@@ -343,23 +262,17 @@ class TestBatchedEquivalence:
 
     def test_unbatched_plan_falls_back(self):
         """An explicitly unbatched plan dispatches once per loop index,
-        unless its whole loop nest collapses into one rank-3 matmul —
-        which generated code does for batched and unbatched plans alike."""
+        whether or not its loop nest could have collapsed."""
         j = 3
-        for shape, collapses in (((5, 4, 6), True), ((5, 4, 6, 3), False)):
+        for shape in ((5, 4, 6), (5, 4, 6, 3)):
             mode = 1
             x, u = _case(shape, mode, j, ROW_MAJOR, seed=16)
             plan = default_plan(shape, mode, j, ROW_MAJOR, degree=1,
                                 batched=False)
             with track_hot_path() as counters:
                 y = ttm_inplace(x, u, plan=plan)
-            if collapses:
-                assert counters.gemm_calls == 0
-                assert counters.batched_calls == 1
-                assert counters.batched_slices == plan.loop_iterations
-            else:
-                assert counters.batched_calls == 0
-                assert counters.gemm_calls == plan.loop_iterations
+            assert counters.batched_calls == 0
+            assert counters.gemm_calls == plan.loop_iterations
             np.testing.assert_allclose(
                 y.data, ttm_oracle(x.data, u, mode), rtol=1e-10, atol=1e-12
             )
@@ -414,5 +327,7 @@ class TestGeneratedBatched:
 
         plan = default_plan((9, 8, 7, 6), 1, 3, ROW_MAJOR, degree=1)
         src = generate_source(plan)
-        assert "_as_strided(" in src
-        assert "np.matmul(u, x3, out=y3)" in src
+        hoisted = "x3 = x.reshape((9, 8, 7, 6)).transpose(0, 2, 1, 3)"
+        assert src.index(hoisted) < src.index("for i0 in range(9):")
+        assert "np.matmul(u, x3[i0], out=y3[i0])" in src
+        assert "as_strided" not in src

@@ -7,7 +7,23 @@ from repro.core.codegen import clear_cache, compile_plan, generate_source
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
+from repro.testing import DEFAULT_CASES, DEGENERATE_CASES
+from repro.util.errors import PlanError
 from tests.helpers import TTM_CASES, ttm_oracle
+
+
+def grid_plans():
+    """Every P_L = P_C = 1 plan of the shared case grid: both layouts,
+    every legal degree, batched and unbatched."""
+    for shape, j, mode in DEFAULT_CASES + DEGENERATE_CASES:
+        for layout in (ROW_MAJOR, COL_MAJOR):
+            for degree in range(len(shape)):
+                for batched in (True, False):
+                    try:
+                        yield default_plan(shape, mode, j, layout,
+                                           degree=degree, batched=batched)
+                    except PlanError:
+                        continue  # degree out of range for this strategy
 
 
 def run_generated(plan, x, u):
@@ -65,15 +81,19 @@ class TestSourceStructure:
 
     def test_partial_collapse_batches_inner_run(self):
         # Degree 1 of an order-4 tensor: M_L = (0, 2) only partially
-        # collapses — mode 2 batches into a strided rank-3 matmul and
-        # mode 0 stays a literal outer loop.
+        # collapses — mode 2 batches into a rank-3 matmul and mode 0
+        # stays a literal outer loop around views hoisted above it.
         plan = default_plan((9, 8, 7, 6), 1, 3, ROW_MAJOR, kernel="blas",
                             degree=1)
         assert plan.batch_modes == (2,)
         src = generate_source(plan)
-        assert "for i0 in range(9):" in src
-        assert "_as_strided(" in src
-        assert "np.matmul(u, x3, out=y3)" in src
+        loop = src.index("for i0 in range(9):")
+        for view in (
+            "x3 = x.reshape((9, 8, 7, 6)).transpose(0, 2, 1, 3)",
+            "y3 = y.reshape((9, 3, 7, 6)).transpose(0, 2, 1, 3)",
+        ):
+            assert src.index(view) < loop
+        assert "np.matmul(u, x3[i0], out=y3[i0])" in src
 
     def test_blas_kernel_inlines_matmul(self):
         # An explicitly unbatched plan keeps the explicit nest with a
@@ -113,6 +133,24 @@ class TestSourceStructure:
     def test_custom_function_name(self):
         plan = default_plan((4, 4), 0, 2, ROW_MAJOR)
         assert "def my_ttm(" in generate_source(plan, function_name="my_ttm")
+
+
+class TestOneCodeShape:
+    def test_dispatch_counts_match_the_plan(self):
+        """Compiled code dispatches exactly what the plan promises: once
+        per outer index when batched, once per loop index otherwise."""
+        checked = 0
+        for plan in grid_plans():
+            counts = compile_plan(plan).counts
+            assert counts.dispatches == plan.gemm_dispatch_count, (
+                plan.describe()
+            )
+            checked += 1
+        assert checked > 100
+
+    def test_no_generated_source_uses_as_strided(self):
+        for plan in grid_plans():
+            assert "as_strided" not in generate_source(plan), plan.describe()
 
 
 class TestCompileCache:

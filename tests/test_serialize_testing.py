@@ -131,6 +131,31 @@ class TestInTensLiCachePersistence:
         assert fresh.plan((16, 16, 16), 0, 4) == custom
 
 
+    def test_attached_cache_holds_loaded_and_saved_plans(self, tmp_path):
+        from repro.autotune import PlanCache, PlanKey, PlanStore
+        from repro.core.serialize import load_plans, save_plans
+
+        shape, mode, j = (16, 16, 16), 0, 4
+        custom = default_plan(shape, mode, j, ROW_MAJOR, degree=1)
+        lib = InTensLi()
+        assert lib.plan(shape, mode, j) != custom
+        pinned = tmp_path / "pinned.json"
+        save_plans([custom], str(pinned))
+        cache = PlanCache(
+            store=PlanStore(str(tmp_path / "store.json")), autosave=False
+        )
+        fresh = InTensLi()
+        fresh.attach_plan_cache(cache)
+        assert fresh.load_plan_cache(str(pinned)) == 1
+        assert fresh.cached_plans == 1
+        assert fresh.plan(shape, mode, j) == custom
+        key = PlanKey.make(shape, mode, j, ROW_MAJOR, fresh.max_threads)
+        assert cache.peek(key).source == "tuned"
+        saved = tmp_path / "saved.json"
+        assert fresh.save_plan_cache(str(saved)) == 1
+        assert load_plans(str(saved)) == [custom]
+
+
 class TestPublicOracle:
     def test_reference_matches_einsum(self):
         rng = np.random.default_rng(1)

@@ -270,6 +270,38 @@ class TestServer:
         assert server.stats.shed_total == 0
         assert max(r.batch_size for r in results) > 1
 
+    def test_serves_plans_pinned_on_its_lib(self, tmp_path):
+        from repro.core import InTensLi
+        from repro.core.serialize import save_plans
+
+        shape, mode, j = (6, 7, 8), 1, 4
+        pinned = default_plan(shape, mode, j, Layout.ROW_MAJOR, degree=0,
+                              dtype="float32")
+        lib = InTensLi()
+        assert lib.plan(shape, mode, j, dtype="float32") != pinned
+        path = tmp_path / "pinned.json"
+        save_plans([pinned], str(path))
+        lib.load_plan_cache(str(path))
+        request = make_request(shape, mode, j)
+
+        async def scenario():
+            server = TtmServer(lib=lib)
+            await server.start()
+            try:
+                result = await server.submit(request.x, request.u, mode)
+            finally:
+                await server.stop()
+            return server, result
+
+        server, result = run(scenario())
+        key = PlanKey.make(shape, mode, j, Layout.ROW_MAJOR,
+                           lib.max_threads, "float32")
+        assert server.plan_cache.peek(key).plan == pinned
+        np.testing.assert_allclose(
+            result.y.data, ttm_copy(request.x, request.u, mode).data,
+            rtol=1e-4, atol=1e-4,
+        )
+
     def test_results_match_oracle_through_server(self):
         async def scenario():
             server = await serving(max_batch=8)
