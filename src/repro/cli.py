@@ -298,14 +298,10 @@ def cmd_tile_explain(args) -> int:
     shape = _parse_shape(args.shape)
     budget = _parse_bytes(args.budget) if args.budget else available_bytes()
     lib = InTensLi(max_threads=args.threads)
-
-    def planner(s, mode, j, layout, dtype=None):
-        return lib.plan(s, mode, j, layout, dtype=dtype)
-
     try:
         info = explain_tiling(
             shape, args.mode, args.j, args.layout, dtype=args.dtype,
-            budget=budget, planner=planner,
+            budget=budget, planner=lib.plan,
         )
     except ResourceError as exc:
         print(f"untileable: {exc}")
@@ -326,7 +322,7 @@ def cmd_tile_explain(args) -> int:
     if info["n_tiles"] > 1:
         # The tile-level plan shows what the estimator chose for the tile
         # geometry — often a different degree/batching than the full tensor.
-        tile_plan = planner(
+        tile_plan = lib.plan(
             tuple(info["max_tile_shape"]), args.mode, args.j, args.layout,
             dtype=args.dtype,
         )

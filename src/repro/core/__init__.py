@@ -15,9 +15,7 @@ top-level :func:`repro.ttm`.
 from repro.core.plan import TtmPlan, Strategy
 from repro.core.partition import (
     Thresholds,
-    available_component_modes,
     choose_degree,
-    component_modes_for_degree,
     derive_thresholds,
     kernel_working_set_bytes,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "TtmPlan",
     "Strategy",
     "Thresholds",
-    "available_component_modes",
     "choose_degree",
-    "component_modes_for_degree",
     "derive_thresholds",
     "kernel_working_set_bytes",
     "ThreadAllocation",

@@ -468,6 +468,46 @@ def _inverse(order: Sequence[int]) -> list[int]:
     return inv
 
 
+def _schedule(
+    shape: tuple[int, ...],
+    steps: Sequence[ChainStep],
+    order: "str | Sequence[int]",
+    itemsize: int,
+    flops_per_byte: float,
+) -> tuple[int, ...]:
+    """The execution order *order* names for *steps* on *shape*.
+
+    ``"auto"`` is the exact roofline-cost order for chains up to
+    :data:`MAX_OPTIMAL_STEPS` (greedy beyond), ``"greedy"`` and
+    ``"optimal"`` (flops) name the two orderers, ``"given"`` keeps the
+    sequence, and anything else must be a permutation of its indices.
+    """
+    if not isinstance(order, str):
+        schedule = tuple(int(i) for i in order)
+        if sorted(schedule) != list(range(len(steps))):
+            raise ShapeError(
+                f"order {schedule!r} is not a permutation of the chain"
+            )
+        return schedule
+    if order == "auto":
+        if len(steps) > MAX_OPTIMAL_STEPS:
+            return greedy_order(shape, steps)
+        return optimal_order(
+            shape, steps, cost="roofline", itemsize=itemsize,
+            flops_per_byte=flops_per_byte,
+        )
+    if order == "greedy":
+        return greedy_order(shape, steps)
+    if order == "optimal":
+        return optimal_order(shape, steps)
+    if order == "given":
+        return tuple(range(len(steps)))
+    raise ShapeError(
+        f"order must be 'auto', 'greedy', 'optimal', 'given', or a "
+        f"permutation, got {order!r}"
+    )
+
+
 def plan_chain(
     shape: Sequence[int],
     steps: Sequence["ChainStep | tuple[int, int]"],
@@ -486,12 +526,13 @@ def plan_chain(
     chains up to :data:`MAX_OPTIMAL_STEPS`, greedy beyond), ``"greedy"``,
     ``"optimal"`` (exact, flops objective), ``"given"``, or an explicit
     permutation.  *planner* builds each per-step plan — signature
-    ``planner(shape, mode, j, layout, dtype=...)`` — and defaults to
-    :func:`repro.core.inttm.default_plan`; :class:`repro.core.intensli
-    .InTensLi` passes its estimator-plus-cache planner here so chain
-    steps hit the persistent autotune store.
+    ``planner(shape, mode, j, layout, dtype=...)`` — and defaults to the
+    memoized :func:`repro.core.inttm.default_plan`; :class:`repro.core
+    .intensli.InTensLi` passes its own :meth:`~repro.core.intensli
+    .InTensLi.plan` here so chain steps hit the persistent autotune
+    store.
     """
-    from repro.core.inttm import default_plan
+    from repro.core.inttm import _default_planner
 
     shape_t = check_shape(shape)
     layout = Layout.parse(layout)
@@ -516,35 +557,10 @@ def plan_chain(
         dt = np.dtype(dtype)
     size = dt.itemsize if itemsize is None else itemsize
 
-    if isinstance(order, str):
-        if order == "auto":
-            if len(sig) <= MAX_OPTIMAL_STEPS:
-                schedule = optimal_order(
-                    shape_t, probe, cost="roofline", itemsize=size,
-                    flops_per_byte=flops_per_byte,
-                )
-            else:
-                schedule = greedy_order(shape_t, probe)
-        elif order == "greedy":
-            schedule = greedy_order(shape_t, probe)
-        elif order == "optimal":
-            schedule = optimal_order(shape_t, probe)
-        elif order == "given":
-            schedule = tuple(range(len(sig)))
-        else:
-            raise ShapeError(
-                f"order must be 'auto', 'greedy', 'optimal', 'given', or "
-                f"a permutation, got {order!r}"
-            )
-    else:
-        schedule = tuple(int(i) for i in order)
-        if sorted(schedule) != list(range(len(sig))):
-            raise ShapeError(
-                f"order {schedule!r} is not a permutation of the chain"
-            )
+    schedule = _schedule(shape_t, probe, order, size, flops_per_byte)
 
     if planner is None:
-        planner = default_plan
+        planner = _default_planner
     current = shape_t
     step_plans: list[TtmPlan] = []
     for idx in schedule:
@@ -794,31 +810,10 @@ def ttm_chain(
                 "out= requires the fused executor; step-at-a-time backends "
                 "allocate their own outputs"
             )
-        if isinstance(order, str):
-            if order == "greedy":
-                schedule: Sequence[int] = greedy_order(x.shape, steps_t)
-            elif order == "auto":
-                schedule = (
-                    optimal_order(x.shape, steps_t, cost="roofline",
-                                  itemsize=x.data.dtype.itemsize)
-                    if len(steps_t) <= MAX_OPTIMAL_STEPS
-                    else greedy_order(x.shape, steps_t)
-                )
-            elif order == "optimal":
-                schedule = optimal_order(x.shape, steps_t)
-            elif order == "given":
-                schedule = range(len(steps_t))
-            else:
-                raise ShapeError(
-                    f"order must be 'auto', 'greedy', 'optimal', 'given', "
-                    f"or a permutation, got {order!r}"
-                )
-        else:
-            schedule = [int(i) for i in order]
-            if sorted(schedule) != list(range(len(steps_t))):
-                raise ShapeError(
-                    f"order {schedule!r} is not a permutation of the chain"
-                )
+        schedule = _schedule(
+            x.shape, steps_t, order, x.data.dtype.itemsize,
+            DEFAULT_FLOPS_PER_BYTE,
+        )
         y = x
         for idx in schedule:
             step = steps_t[idx]

@@ -8,30 +8,33 @@ fixes every free parameter of Algorithm 2:
    column-major), keeping the inner kernel unit-strided;
 2. degree / ``M_C`` — via the MSTH/MLTH working-set window derived from
    the benchmark (figure 8's procedure);
-3. ``M_L`` and the loop order — the remaining modes, iterated in
-   increasing index order for row-major (decreasing for column-major) so
-   consecutive iterations touch nearby storage;
+3. ``M_L`` and the loop order — the remaining modes, nested
+   storage-monotone (increasing index order for row-major, decreasing
+   for column-major) so consecutive iterations touch nearby storage.
+   :func:`~repro.core.inttm.default_plan` enforces this order, and every
+   plan here — the threshold plan and each refine candidate — is built
+   through it;
 4. ``P_L`` / ``P_C`` — by the PTH rule;
-5. the kernel — ``blas`` when the sub-tensor views are BLAS-legal
-   (always true for the natural strategy), ``blocked`` otherwise.
+5. the kernel — ``blas`` when BLAS exposes the element type, ``blocked``
+   otherwise (the natural strategy's views are always BLAS-legal).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from typing import Sequence
 
 from repro.core.partition import (
     PAPER_THRESHOLDS,
     Thresholds,
     available_modes_for_strategy,
-    choose_batch_modes,
     choose_degree,
     component_modes_for_strategy,
     derive_thresholds,
     kernel_working_set_bytes,
     strategy_for,
 )
+from repro.core.inttm import default_plan
 from repro.core.plan import TtmPlan
 from repro.core.threads import DEFAULT_PTH_BYTES, allocate_threads
 from repro.gemm.bench import GemmProfile
@@ -154,8 +157,7 @@ class ParameterEstimator:
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
         shape_t = check_shape(shape)
-        order = len(shape_t)
-        mode = check_mode(mode, order)
+        mode = check_mode(mode, len(shape_t))
         check_positive_int(j, "j")
 
         tracer = active_tracer()
@@ -169,7 +171,7 @@ class ParameterEstimator:
                 dtype=dt.name,
                 threads=self.max_threads,
             ) as span:
-                plan = self._estimate_impl(shape_t, order, mode, j, layout, dt)
+                plan = self._estimate_impl(shape_t, mode, j, layout, dt)
                 span.set(
                     strategy=plan.strategy.value,
                     degree=plan.degree,
@@ -179,65 +181,22 @@ class ParameterEstimator:
                     kernel=plan.kernel,
                 )
             return plan
-        return self._estimate_impl(shape_t, order, mode, j, layout, dt)
+        return self._estimate_impl(shape_t, mode, j, layout, dt)
 
     def _estimate_impl(
-        self,
-        shape_t: tuple[int, ...],
-        order: int,
-        mode: int,
-        j: int,
-        layout: Layout,
-        dt,
+        self, shape_t: tuple[int, ...], mode: int, j: int, layout: Layout, dt
     ) -> TtmPlan:
-        strategy = strategy_for(order, mode, layout)
-        thresholds = self.thresholds_for(j)
         degree = choose_degree(
-            shape_t,
-            mode,
-            layout,
-            j,
-            thresholds,
-            strategy=strategy,
+            shape_t, mode, layout, j, self.thresholds_for(j),
             itemsize=dt.itemsize,
         )
-        comp = component_modes_for_strategy(order, mode, strategy, degree)
-        loops = self._loop_order(order, mode, comp, layout)
-
-        kernel_bytes = kernel_working_set_bytes(
-            shape_t, mode, j, comp, itemsize=dt.itemsize
-        )
-        loop_iters = 1
-        for m in loops:
-            loop_iters *= shape_t[m]
-        alloc = allocate_threads(
-            kernel_bytes,
-            self.max_threads,
-            # Zero-extent tensors have zero iterations; plan the (empty)
-            # nest as if it ran once so the thread split stays valid.
-            loop_iterations=max(1, loop_iters),
-            pth_bytes=self.pth_bytes,
-        )
-        plan = TtmPlan(
-            shape=shape_t,
-            mode=mode,
-            j=j,
-            layout=layout,
-            strategy=strategy,
-            component_modes=comp,
-            loop_modes=loops,
-            loop_threads=alloc.loop_threads,
-            kernel_threads=alloc.kernel_threads,
-            kernel="blas",
-            batch_modes=choose_batch_modes(shape_t, layout, mode, j, loops),
-            dtype=dt.name,
-        )
-        if not plan.views_blas_legal or not kernel_supports("blas", dt):
-            # Figure 7's dispatch: general-stride views need the BLIS-role
-            # kernel, and so do element types BLAS GEMM does not expose
-            # (float16).  Choosing blocked here keeps the dispatch-time
-            # capability fallback a safety net, not the normal path.
-            plan = dataclasses.replace(plan, kernel="blocked")
+        # Figure 7's dispatch: element types BLAS GEMM does not expose
+        # (float16) take the BLIS-role kernel up front, which keeps the
+        # dispatch-time capability fallback a safety net, not the normal
+        # path.  Strided views never force it: default_plan's natural
+        # strategy keeps a unit stride in every kernel view.
+        kernel = "blas" if kernel_supports("blas", dt) else "blocked"
+        plan = self._plan_at(shape_t, mode, j, layout, dt, kernel, degree)
         if (
             self.refine_with_model
             and self.profile is not None
@@ -247,6 +206,35 @@ class ParameterEstimator:
             # seconds, so there is nothing for the model to rank.
             plan = self._refine(plan)
         return plan
+
+    def _plan_at(
+        self, shape_t, mode, j, layout, dt, kernel: str, degree: int
+    ) -> TtmPlan:
+        """:func:`default_plan` at *degree*, with the PTH thread split.
+
+        The split is priced from the candidate's geometry before the plan
+        is built, so each candidate is constructed (and validated) once.
+        """
+        order = len(shape_t)
+        comp = component_modes_for_strategy(
+            order, mode, strategy_for(order, mode, layout), degree
+        )
+        alloc = allocate_threads(
+            kernel_working_set_bytes(
+                shape_t, mode, j, comp, itemsize=dt.itemsize
+            ),
+            self.max_threads,
+            # Zero-extent tensors have zero iterations; plan the (empty)
+            # nest as if it ran once so the thread split stays valid.
+            loop_iterations=max(1, math.prod(
+                shape_t[m] for m in range(order) if m != mode and m not in comp
+            )),
+            pth_bytes=self.pth_bytes,
+        )
+        return default_plan(
+            shape_t, mode, j, layout, alloc.loop_threads,
+            alloc.kernel_threads, kernel, degree=degree, dtype=dt,
+        )
 
     def _refine(self, plan: TtmPlan) -> TtmPlan:
         """Cross-check the threshold choice against the throughput model.
@@ -261,8 +249,9 @@ class ParameterEstimator:
         """
         from repro.core.predict import predict_gflops
 
-        order, mode = plan.order, plan.mode
-        available = available_modes_for_strategy(order, mode, plan.strategy)
+        available = available_modes_for_strategy(
+            plan.order, plan.mode, plan.strategy
+        )
         # Trust the model only within a margin of the profiled shape
         # range: near the boundary the nearest-neighbour lookup acts as a
         # plateau assumption (the grid's largest shapes already reflect
@@ -288,31 +277,9 @@ class ParameterEstimator:
         for degree in range(1, len(available) + 1):
             if degree == plan.degree:
                 continue
-            comp = component_modes_for_strategy(
-                order, mode, plan.strategy, degree
-            )
-            loops = self._loop_order(order, mode, comp, plan.layout)
-            kernel_bytes = kernel_working_set_bytes(
-                plan.shape, mode, plan.j, comp, itemsize=plan.itemsize
-            )
-            loop_iters = 1
-            for m in loops:
-                loop_iters *= plan.shape[m]
-            alloc = allocate_threads(
-                kernel_bytes,
-                self.max_threads,
-                loop_iterations=max(1, loop_iters),
-                pth_bytes=self.pth_bytes,
-            )
-            candidate = dataclasses.replace(
-                plan,
-                component_modes=comp,
-                loop_modes=loops,
-                loop_threads=alloc.loop_threads,
-                kernel_threads=alloc.kernel_threads,
-                batch_modes=choose_batch_modes(
-                    plan.shape, plan.layout, mode, plan.j, loops
-                ),
+            candidate = self._plan_at(
+                plan.shape, plan.mode, plan.j, plan.layout, plan.np_dtype,
+                plan.kernel, degree,
             )
             if not in_range(candidate):
                 continue
@@ -320,14 +287,3 @@ class ParameterEstimator:
             if best_rate is None or rate > best_rate:
                 best_plan, best_rate = candidate, rate
         return best_plan
-
-    @staticmethod
-    def _loop_order(
-        order: int, mode: int, comp: Sequence[int], layout: Layout
-    ) -> tuple[int, ...]:
-        remaining = [m for m in range(order) if m != mode and m not in comp]
-        # Row-major: increasing index order walks storage monotonically;
-        # column-major: the mirror image.
-        if layout is Layout.COL_MAJOR:
-            remaining.reverse()
-        return tuple(remaining)

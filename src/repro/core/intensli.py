@@ -341,12 +341,9 @@ class InTensLi:
     ) -> ChainPlan:
         plan = self._chain_cache.get(key)
         if plan is None:
-            def step_planner(shape, mode, j, lay, dtype=None):
-                return self.plan(shape, mode, j, lay, dtype=dtype)
-
             plan = plan_chain(
                 shape_t, sig, layout, dtype=dt, order=order,
-                planner=step_planner,
+                planner=self.plan,
                 flops_per_byte=self.machine_balance,
             )
             self._chain_cache[key] = plan
@@ -395,13 +392,9 @@ class InTensLi:
             dtype=x.data.dtype,
             order=order,
         )
-
-        def run_step(step_plan, x_cur, u, target):
-            return self.execute(step_plan, x_cur, u, out=target)
-
         return execute_chain(
             x, steps_t, plan, out=out, pool=self._chain_pool,
-            execute=run_step,
+            execute=self.execute,
         )
 
     def release_scratch(self) -> int:
@@ -605,12 +598,8 @@ class InTensLi:
         )
         if budget is None:
             return None
-
-        def planner(shape, mode, j, layout, dtype=None):
-            return self.plan(shape, mode, j, layout, dtype=dtype)
-
         try:
-            tiling = TilingPlanner(planner).plan(
+            tiling = TilingPlanner(self.plan).plan(
                 plan, budget=budget, out_preallocated=out is not None
             )
         except ResourceError:
@@ -619,7 +608,7 @@ class InTensLi:
             return None
         return execute_tiled(
             x, match_dtype(u, plan.np_dtype), tiling, out=out,
-            planner=planner, check_finite=check_finite,
+            planner=self.plan, check_finite=check_finite,
         )
 
     def ttm_stream(
@@ -637,12 +626,8 @@ class InTensLi:
         estimator and any attached persistent cache — a stream of
         equal-shaped chunks plans exactly once.
         """
-
-        def planner(shape, mode_, j, lay, dtype=None):
-            return self.plan(shape, mode_, j, lay, dtype=dtype)
-
         return _ttm_stream(
-            slices, u, mode, axis=axis, layout=layout, planner=planner
+            slices, u, mode, axis=axis, layout=layout, planner=self.plan
         )
 
 

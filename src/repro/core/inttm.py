@@ -21,12 +21,19 @@ implementation's tensor-sized matricization buffers simply do not exist.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import replace
 
 import numpy as np
 
 from repro.core.codegen import compile_plan
+from repro.core.partition import (
+    available_modes_for_strategy,
+    choose_batch_modes,
+    component_modes_for_strategy,
+    strategy_for,
+)
 from repro.core.plan import TtmPlan
 from repro.obs.tracer import active_tracer
 from repro.perf.profiler import active_hot_counters
@@ -46,6 +53,7 @@ from repro.util.validation import (
     check_finite_result,
     check_mode,
     check_positive_int,
+    check_shape,
 )
 
 log = logging.getLogger("repro.core")
@@ -63,33 +71,33 @@ def default_plan(
     batched: bool = True,
     dtype=None,
 ) -> TtmPlan:
-    """A maximal-merge plan (all available contiguous modes in ``M_C``).
+    """The plan for one input at *degree*: the one way to build a TtmPlan.
 
-    This is the un-tuned but always-correct choice; the estimator
-    (:mod:`repro.core.estimator`) refines the degree and thread split.
-    With ``batched=True`` (the default) the maximal stackable run of loop
-    modes is marked for batched execution; ``batched=False`` pins the
-    classic per-iteration loop.
+    The estimator (threshold plan and refine candidates), the exhaustive
+    tuner and the memory guard's lower-degree replans all build their
+    plans here; only :func:`repro.core.serialize.plan_from_dict` makes
+    one elsewhere.  *shape* goes through :func:`check_shape` and *dtype*
+    through :func:`canonical_dtype`.  ``M_C`` is the strategy's run of
+    *degree* modes at the leading dimension (maximal when None).  The
+    loop modes nest storage-monotone — increasing index order for
+    row-major, decreasing for column-major — and with ``batched=True``
+    (the default) the maximal stackable suffix of that nest is batched;
+    ``batched=False`` pins the classic per-iteration loop.
     """
-    shape_t = tuple(int(s) for s in shape)
+    shape_t = check_shape(shape)
     order = len(shape_t)
     mode = check_mode(mode, order)
     check_positive_int(j, "j")
     layout = Layout.parse(layout)
     dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
-    from repro.core.partition import (
-        available_modes_for_strategy,
-        choose_batch_modes,
-        component_modes_for_strategy,
-        strategy_for,
-    )
-
     strategy = strategy_for(order, mode, layout)
-    available = available_modes_for_strategy(order, mode, strategy)
     if degree is None:
-        degree = len(available)
+        degree = len(available_modes_for_strategy(order, mode, strategy))
     comp = component_modes_for_strategy(order, mode, strategy, degree)
-    loops = tuple(m for m in range(order) if m != mode and m not in comp)
+    loops = [m for m in range(order) if m != mode and m not in comp]
+    if layout is Layout.COL_MAJOR:
+        loops.reverse()
+    loops = tuple(loops)
     batch = (
         choose_batch_modes(shape_t, layout, mode, j, loops) if batched else ()
     )
@@ -107,6 +115,19 @@ def default_plan(
         batch_modes=batch,
         dtype=dt.name,
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
+    """The standalone planner: :func:`default_plan`, memoized.
+
+    The default ``planner`` of tiling, streaming and :func:`~repro.core
+    .chain.plan_chain` when no :class:`~repro.core.intensli.InTensLi`
+    supplies its own.  Pure in its (hashable) arguments, and a tiled run
+    asks for the same few tile shapes on every call, so per-tile
+    planning is a dict hit instead of a fresh partitioning.
+    """
+    return default_plan(shape, mode, j, layout, dtype=dtype)
 
 
 def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:

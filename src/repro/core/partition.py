@@ -22,6 +22,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.plan import Strategy
 from repro.gemm.bench import GemmProfile
 from repro.tensor.layout import Layout, element_strides
 from repro.util.errors import BenchmarkError, LayoutError, PlanError
@@ -64,8 +65,6 @@ def available_modes_for_strategy(order: int, mode: int, strategy) -> tuple[int, 
     Forward: the modes right of *mode* (the component run must end at
     N-1); backward: the modes left of it (the run must start at 0).
     """
-    from repro.core.plan import Strategy
-
     mode = check_mode(mode, order)
     if strategy is Strategy.FORWARD:
         return tuple(range(mode + 1, order))
@@ -76,8 +75,6 @@ def component_modes_for_strategy(
     order: int, mode: int, strategy, degree: int
 ) -> tuple[int, ...]:
     """The degree-sized component run for an explicit strategy."""
-    from repro.core.plan import Strategy
-
     available = available_modes_for_strategy(order, mode, strategy)
     if degree < 0 or degree > len(available):
         raise PlanError(
@@ -103,8 +100,6 @@ def strategy_for(order: int, mode: int, layout: Layout):
     kernel is still BLAS-legal (indeed it degenerates to a single GEMM on
     the whole, contiguously reshaped tensor).
     """
-    from repro.core.plan import Strategy
-
     natural = Strategy.natural_for(layout)
     if available_modes_for_strategy(order, mode, natural):
         return natural
@@ -114,45 +109,6 @@ def strategy_for(order: int, mode: int, layout: Layout):
     if available_modes_for_strategy(order, mode, flipped):
         return flipped
     return natural  # order-1 tensor: no component modes either way
-
-
-def available_component_modes(
-    order: int, mode: int, layout: Layout
-) -> tuple[int, ...]:
-    """Modes eligible for ``M_C`` under the layout's natural strategy.
-
-    Row-major (forward): the modes to the right of *mode*; column-major
-    (backward): the modes to its left.  (Lemma 4.1: at most
-    ``max(n-1, N-n)`` contiguous modes, anchored at the leading
-    dimension.)
-    """
-    mode = check_mode(mode, order)
-    if layout is Layout.ROW_MAJOR:
-        return tuple(range(mode + 1, order))
-    return tuple(range(0, mode))
-
-
-def component_modes_for_degree(
-    order: int, mode: int, layout: Layout, degree: int
-) -> tuple[int, ...]:
-    """The degree-sized component run anchored at the leading dimension.
-
-    Forward strategy takes the *last* ``degree`` modes (ending at N-1);
-    backward takes the *first* ``degree`` (starting at 0) — both keep the
-    unit-stride mode inside the merge, the requirement for the fast
-    kernel.
-    """
-    available = available_component_modes(order, mode, layout)
-    if degree < 0 or degree > len(available):
-        raise PlanError(
-            f"degree {degree} out of range: mode {mode} of an order-{order} "
-            f"{layout.name} tensor admits 0..{len(available)} component modes"
-        )
-    if degree == 0:
-        return ()
-    if layout is Layout.ROW_MAJOR:
-        return available[-degree:]
-    return available[:degree]
 
 
 def choose_batch_modes(

@@ -48,7 +48,6 @@ partial results (``axis != mode``) or accumulates partial contractions
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.chain import ScratchPool
-from repro.core.inttm import default_plan, ttm_inplace
+from repro.core.inttm import _default_planner, ttm_inplace
 from repro.core.plan import TtmPlan
 from repro.distributed.grid import tile_grid
 from repro.obs.tracer import active_tracer
@@ -94,20 +93,13 @@ from repro.util.errors import (
     ResourceError,
     ShapeError,
 )
+from repro.util.validation import check_shape
 
 #: ``planner(shape, mode, j, layout, dtype=...) -> TtmPlan`` — the seam
 #: through which tiling reuses whatever planning the caller has (the
 #: estimator via :meth:`repro.core.intensli.InTensLi.plan`, or the
-#: maximal default below).
+#: memoized maximal default of :mod:`repro.core.inttm`).
 Planner = Callable[..., TtmPlan]
-
-
-@functools.lru_cache(maxsize=256)
-def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
-    # Pure in its (hashable) arguments, and the tiles of a run ask for the
-    # same few shapes on every call: memoized, per-tile planning is a
-    # dict hit instead of a fresh partitioning.
-    return default_plan(shape, mode, j, layout, dtype=dtype)
 
 
 def _tile_count(extent: int, parts: int) -> int:
@@ -803,8 +795,7 @@ def explain_tiling(
     if planner is None:
         planner = _default_planner
     dt = np.dtype("float64" if dtype is None else dtype)
-    base_plan = planner(tuple(int(s) for s in shape), mode, j, layout,
-                        dtype=dt.name)
+    base_plan = planner(check_shape(shape), mode, j, layout, dtype=dt.name)
     tiling = TilingPlanner(planner).plan(base_plan, budget=budget)
     info = tiling.to_dict()
     info["base_plan"] = base_plan.describe()

@@ -16,12 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.codegen import compile_plan
-from repro.core.partition import (
-    available_modes_for_strategy,
-    choose_batch_modes,
-    component_modes_for_strategy,
-    strategy_for,
-)
+from repro.core.inttm import default_plan
+from repro.core.partition import available_modes_for_strategy, strategy_for
 from repro.core.plan import TtmPlan
 from repro.obs.tracer import active_tracer
 from repro.perf.flops import gflops_rate, ttm_flops
@@ -29,7 +25,7 @@ from repro.perf.profiler import active_hot_counters
 from repro.perf.timing import time_callable
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.validation import check_mode, check_positive_int
+from repro.util.validation import check_mode, check_positive_int, check_shape
 
 
 def enumerate_plans(
@@ -39,55 +35,37 @@ def enumerate_plans(
     layout: Layout | str = Layout.ROW_MAJOR,
     max_threads: int = 1,
     kernels: Sequence[str] = ("blas",),
-    dtype: str = "float64",
+    dtype="float64",
 ) -> list[TtmPlan]:
-    """Every legal configuration for one input.
+    """Every legal configuration for one input, built by :func:`default_plan`.
 
     The space is degrees ``1..len(available)`` (plus 0 only when no
     contiguous modes exist) x thread allocations x kernels.  With one
     thread the two allocations coincide and are deduplicated.
     """
     layout = Layout.parse(layout)
-    shape_t = tuple(int(s) for s in shape)
+    shape_t = check_shape(shape)
     order = len(shape_t)
     mode = check_mode(mode, order)
     check_positive_int(j, "j")
     check_positive_int(max_threads, "max_threads")
-    strategy = strategy_for(order, mode, layout)
-    available = available_modes_for_strategy(order, mode, strategy)
-    degrees = list(range(1, len(available) + 1)) if available else [0]
+    available = available_modes_for_strategy(
+        order, mode, strategy_for(order, mode, layout)
+    )
+    degrees = range(1, len(available) + 1) if available else [0]
     if max_threads == 1:
         allocations = [(1, 1)]
     else:
         allocations = [(max_threads, 1), (1, max_threads)]
-
-    plans = []
-    for degree in degrees:
-        comp = component_modes_for_strategy(order, mode, strategy, degree)
-        loops_fwd = [m for m in range(order) if m != mode and m not in comp]
-        if layout is Layout.COL_MAJOR:
-            loops_fwd.reverse()
-        loops = tuple(loops_fwd)
-        batch = choose_batch_modes(shape_t, layout, mode, j, loops)
-        for p_l, p_c in allocations:
-            for kernel in kernels:
-                plans.append(
-                    TtmPlan(
-                        shape=shape_t,
-                        mode=mode,
-                        j=j,
-                        layout=layout,
-                        strategy=strategy,
-                        component_modes=comp,
-                        loop_modes=loops,
-                        loop_threads=p_l,
-                        kernel_threads=p_c,
-                        kernel=kernel,
-                        batch_modes=batch,
-                        dtype=dtype,
-                    )
-                )
-    return plans
+    return [
+        default_plan(
+            shape_t, mode, j, layout, p_l, p_c, kernel, degree=degree,
+            dtype=dtype,
+        )
+        for degree in degrees
+        for p_l, p_c in allocations
+        for kernel in kernels
+    ]
 
 
 @dataclass

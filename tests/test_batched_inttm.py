@@ -91,17 +91,21 @@ class TestMergedBatchView:
         assert np.array_equal(x3[0][:, 0], x.data[0, 0, :])
 
     def test_factory_matches_direct_views(self):
-        """Column-major backward: batch run (3,) after outer mode 1."""
+        """Column-major backward: batch run (1,) after outer mode 3.
+
+        The loop nest is storage-monotone (decreasing for column-major),
+        so the outermost loop is mode 3 and the batch is mode 1.
+        """
         rng = np.random.default_rng(4)
         x = DenseTensor(rng.standard_normal((4, 5, 6, 7)), COL_MAJOR)
         plan = default_plan(x.shape, 2, 3, COL_MAJOR, degree=1)
-        assert plan.outer_loop_modes == (1,) and plan.batch_modes == (3,)
+        assert plan.outer_loop_modes == (3,) and plan.batch_modes == (1,)
         x3 = _hoisted_x3(plan, x)
-        assert x3.shape == (5, 7, 4, 6)
+        assert x3.shape == (7, 5, 4, 6)
         for i1 in range(5):
             for i3 in range(7):
                 expect = merged_matrix_view(x, (0,), (2,), {1: i1, 3: i3})
-                assert np.array_equal(x3[i1, i3], expect)
+                assert np.array_equal(x3[i3, i1], expect)
 
 
 class TestPlanBatchModes:

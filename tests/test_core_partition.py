@@ -8,16 +8,21 @@ from repro.core.partition import (
     PAPER_MSTH_BYTES,
     PAPER_THRESHOLDS,
     Thresholds,
-    available_component_modes,
+    available_modes_for_strategy,
     choose_degree,
-    component_modes_for_degree,
+    component_modes_for_strategy,
     derive_thresholds,
     describe_profile,
     kernel_working_set_bytes,
 )
+from repro.core.plan import Strategy
 from repro.gemm.bench import GemmProfile, ShapePoint, synthetic_profile
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.util.errors import BenchmarkError, PlanError
+
+
+FORWARD = Strategy.natural_for(ROW_MAJOR)
+BACKWARD = Strategy.natural_for(COL_MAJOR)
 
 
 class TestThresholds:
@@ -42,39 +47,39 @@ class TestThresholds:
 
 class TestAvailableComponentModes:
     def test_row_major_takes_trailing(self):
-        assert available_component_modes(5, 1, ROW_MAJOR) == (2, 3, 4)
-        assert available_component_modes(5, 4, ROW_MAJOR) == ()
+        assert available_modes_for_strategy(5, 1, FORWARD) == (2, 3, 4)
+        assert available_modes_for_strategy(5, 4, FORWARD) == ()
 
     def test_col_major_takes_leading(self):
-        assert available_component_modes(5, 3, COL_MAJOR) == (0, 1, 2)
-        assert available_component_modes(5, 0, COL_MAJOR) == ()
+        assert available_modes_for_strategy(5, 3, BACKWARD) == (0, 1, 2)
+        assert available_modes_for_strategy(5, 0, BACKWARD) == ()
 
     def test_lemma41_bound(self):
         """At most max(n-1, N-n) modes are mergeable (1-based lemma)."""
         for order in range(2, 6):
             for mode in range(order):
-                fwd = available_component_modes(order, mode, ROW_MAJOR)
-                bwd = available_component_modes(order, mode, COL_MAJOR)
+                fwd = available_modes_for_strategy(order, mode, FORWARD)
+                bwd = available_modes_for_strategy(order, mode, BACKWARD)
                 n1 = mode + 1  # 1-based mode
                 assert max(len(fwd), len(bwd)) == max(n1 - 1, order - n1)
 
 
 class TestComponentModesForDegree:
     def test_forward_anchored_at_last_mode(self):
-        assert component_modes_for_degree(5, 1, ROW_MAJOR, 2) == (3, 4)
-        assert component_modes_for_degree(5, 1, ROW_MAJOR, 3) == (2, 3, 4)
+        assert component_modes_for_strategy(5, 1, FORWARD, 2) == (3, 4)
+        assert component_modes_for_strategy(5, 1, FORWARD, 3) == (2, 3, 4)
 
     def test_backward_anchored_at_first_mode(self):
-        assert component_modes_for_degree(5, 3, COL_MAJOR, 2) == (0, 1)
+        assert component_modes_for_strategy(5, 3, BACKWARD, 2) == (0, 1)
 
     def test_degree_zero(self):
-        assert component_modes_for_degree(4, 1, ROW_MAJOR, 0) == ()
+        assert component_modes_for_strategy(4, 1, FORWARD, 0) == ()
 
     def test_out_of_range(self):
         with pytest.raises(PlanError):
-            component_modes_for_degree(4, 1, ROW_MAJOR, 3)
+            component_modes_for_strategy(4, 1, FORWARD, 3)
         with pytest.raises(PlanError):
-            component_modes_for_degree(4, 1, ROW_MAJOR, -1)
+            component_modes_for_strategy(4, 1, FORWARD, -1)
 
 
 class TestKernelWorkingSet:
@@ -171,11 +176,11 @@ class TestChooseDegree:
         # 100^5 tensor, mode 0: degrees 1..4 give P = 100..1e8.
         t = Thresholds(8 * 1024, 512 * 1024)  # tiny window
         degree = choose_degree((100,) * 5, 0, ROW_MAJOR, 16, t)
-        comp = component_modes_for_degree(5, 0, ROW_MAJOR, degree)
+        comp = component_modes_for_strategy(5, 0, FORWARD, degree)
         ws = kernel_working_set_bytes((100,) * 5, 0, 16, comp)
         assert ws <= t.mlth_bytes
         # The next degree would overflow the window.
-        comp_next = component_modes_for_degree(5, 0, ROW_MAJOR, degree + 1)
+        comp_next = component_modes_for_strategy(5, 0, FORWARD, degree + 1)
         assert (
             kernel_working_set_bytes((100,) * 5, 0, 16, comp_next)
             > t.mlth_bytes
