@@ -21,6 +21,7 @@ baseline backends want.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -46,20 +47,44 @@ def _default_backend() -> TtmBackend:
     return default_intensli()
 
 
+def _as_rank(rank, ranks) -> int:
+    if isinstance(rank, (bool, np.bool_)):
+        raise TypeError(f"Tucker ranks must be ints, got bool in {ranks!r}")
+    try:
+        return operator.index(rank)
+    except TypeError:
+        raise TypeError(
+            f"Tucker ranks must be ints, got {type(rank).__name__} in {ranks!r}"
+        ) from None
+
+
 def _check_ranks(shape: Sequence[int], ranks: Sequence[int] | int) -> tuple[int, ...]:
+    """Validate Tucker *ranks* for *shape*; returns one Python int per mode.
+
+    One integer applies to every mode, clipped to each extent; a sequence
+    names one rank per mode.  Ranks must be integers — NumPy integers pass
+    via :func:`operator.index`; bools and floats raise :class:`TypeError`
+    instead of being truncated — and lie in ``[1, I_n]``
+    (:class:`ShapeError`).  Shared by the dense and sparse Tucker entry
+    points.
+    """
     shape_t = tuple(int(s) for s in shape)
-    if isinstance(ranks, int):
-        ranks_t = tuple(min(ranks, s) for s in shape_t)
-    else:
-        ranks_t = tuple(int(r) for r in ranks)
-        if len(ranks_t) != len(shape_t):
-            raise ShapeError(
-                f"ranks {ranks_t} do not match tensor order {len(shape_t)}"
-            )
-        if any(r < 1 or r > s for r, s in zip(ranks_t, shape_t)):
-            raise ShapeError(
-                f"ranks {ranks_t} out of range for shape {shape_t}"
-            )
+    try:
+        items = tuple(ranks)
+    except TypeError:
+        rank = _as_rank(ranks, ranks)
+        if rank < 1:
+            raise ShapeError(f"Tucker rank must be >= 1, got {rank}") from None
+        return tuple(min(rank, s) for s in shape_t)
+    ranks_t = tuple(_as_rank(r, ranks) for r in items)
+    if len(ranks_t) != len(shape_t):
+        raise ShapeError(
+            f"ranks {ranks_t} do not match tensor order {len(shape_t)}"
+        )
+    if any(r < 1 or r > s for r, s in zip(ranks_t, shape_t)):
+        raise ShapeError(
+            f"ranks {ranks_t} out of range for shape {shape_t}"
+        )
     return ranks_t
 
 
@@ -85,6 +110,22 @@ class TuckerResult:
         return original / compressed
 
 
+#: Row count above which ``"auto"`` switches to the randomized solver.
+_GRAM_MAX_ROWS = 512
+
+
+def _use_randomized(method: str, rows: int, cols: int, rank: int,
+                    oversample: int = 8) -> bool:
+    """Whether *method* resolves to the randomized range finder."""
+    if method not in ("auto", "gram", "randomized"):
+        raise ShapeError(
+            f"unknown SVD method {method!r}; use gram|randomized|auto"
+        )
+    return method == "randomized" or (
+        method == "auto" and rows > _GRAM_MAX_ROWS and cols > rank + oversample
+    )
+
+
 def _leading_left_singular_vectors(
     mat: np.ndarray,
     rank: int,
@@ -96,34 +137,143 @@ def _leading_left_singular_vectors(
 
     Methods:
 
-    * ``"gram"`` — eigenbasis of ``A A^T``; cheap when the row count is
-      modest (the usual Tucker factor update), ~sqrt(eps) accuracy;
+    * ``"gram"`` — the exact reference: a full ``eigh`` of ``A A^T`` on
+      every call; cheap when the row count is modest (the usual Tucker
+      factor update), ~sqrt(eps) accuracy;
     * ``"randomized"`` — Halko-Martinsson-Tropp range finder with one
       power iteration; touches A only twice, the right choice when both
       dimensions are large;
-    * ``"auto"`` — gram for small row counts, randomized otherwise.
+    * ``"auto"`` — randomized when the row count exceeds 512 (and the
+      column count the sketch), otherwise the Gram solver of
+      :func:`_gram_basis`.
+
+    The decompositions reach this solver through :func:`_mode_basis`,
+    which builds the Gram of the first and last storage modes from a view
+    of the tensor instead of an unfolded copy, and under ``"auto"``
+    warm-starts :func:`_gram_basis` from the factor being replaced: one
+    subspace step, kept only if every Ritz pair passes the residual check
+    ``||G u - l u|| <= sqrt(eps) * l_max`` and the discarded trace
+    certifies the subspace as dominant; a full ``eigh`` otherwise, and
+    always when ``2 * rank`` exceeds the row count.
     """
     rows, cols = mat.shape
+    if not _use_randomized(method, rows, cols, rank, oversample):
+        return _gram_basis(mat @ mat.T, rank)
     keep = min(rank, rows)
-    if method == "auto":
-        method = "gram" if rows <= 512 or cols <= rank + oversample else "randomized"
-    if method == "gram":
-        gram = mat @ mat.T
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1][:keep]
-        return np.ascontiguousarray(eigvecs[:, order])
-    if method == "randomized":
-        rng = np.random.default_rng(seed)
-        sketch = min(cols, keep + oversample)
-        omega = rng.standard_normal((cols, sketch))
-        y = mat @ omega
-        # One power iteration sharpens the spectrum for slow decay.
-        y = mat @ (mat.T @ y)
-        q, _ = np.linalg.qr(y)
-        b = q.T @ mat
-        u_small, _s, _vt = np.linalg.svd(b, full_matrices=False)
-        return np.ascontiguousarray((q @ u_small)[:, :keep])
-    raise ShapeError(f"unknown SVD method {method!r}; use gram|randomized|auto")
+    counters = active_hot_counters()
+    if counters is not None:
+        counters.add("factor_solves")
+    rng = np.random.default_rng(seed)
+    sketch = min(cols, keep + oversample)
+    omega = rng.standard_normal((cols, sketch))
+    y = mat @ omega
+    # One power iteration sharpens the spectrum for slow decay.
+    y = mat @ (mat.T @ y)
+    q, _ = np.linalg.qr(y)
+    b = q.T @ mat
+    u_small, _s, _vt = np.linalg.svd(b, full_matrices=False)
+    return np.ascontiguousarray((q @ u_small)[:, :keep])
+
+
+def _gram_basis(gram: np.ndarray, rank: int,
+                previous: np.ndarray | None = None) -> np.ndarray:
+    """The top-*rank* eigenbasis of the symmetric PSD *gram*, leading first.
+
+    Without *previous*, or when ``2 * rank`` exceeds the row count (a
+    subspace step then costs about as much as the full solve), this is a
+    full ``eigh``.  Otherwise it takes one warm-started subspace step from
+    *previous*: ``Q = qr(G @ previous)``, then Rayleigh-Ritz through a
+    rank-by-rank ``eigh``.  The step is kept only if every Ritz pair
+    satisfies ``||G u_i - l_i u_i|| <= sqrt(eps) * l_max`` for the Gram's
+    dtype and the discarded trace is at most the smallest Ritz value (see
+    :func:`_warm_subspace_step`); otherwise the full ``eigh`` runs after
+    all.  Counts ``factor_solves``, ``factor_warm_solves`` and
+    ``factor_eigh_fallbacks`` into the active hot counters.
+    """
+    rows = gram.shape[0]
+    keep = min(rank, rows)
+    counters = active_hot_counters()
+    if counters is not None:
+        counters.add("factor_solves")
+    if (previous is not None and 1 <= keep and 2 * keep <= rows
+            and previous.shape == (rows, keep)):
+        basis = _warm_subspace_step(gram, previous)
+        if counters is not None:
+            counters.add("factor_warm_solves" if basis is not None
+                         else "factor_eigh_fallbacks")
+        if basis is not None:
+            return basis
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1][:keep]
+    return np.ascontiguousarray(eigvecs[:, order])
+
+
+def _warm_subspace_step(gram: np.ndarray,
+                        previous: np.ndarray) -> np.ndarray | None:
+    """One subspace-iteration step plus Rayleigh-Ritz; None if unconverged.
+
+    Two checks certify the result.  Every Ritz pair must have a small
+    residual, so the basis spans an (almost) invariant subspace.  The
+    residual alone accepts *any* invariant subspace, though, e.g. one
+    spanned by a start orthogonal to the dominant eigenvectors; so the
+    spectral mass the step leaves out, ``trace(G) - sum(ritz)``, must
+    not exceed the smallest kept Ritz value.  The Gram is positive
+    semidefinite, so then no discarded eigenvalue can outrank a kept one.
+    """
+    q, _ = np.linalg.qr(gram @ previous)
+    gq = gram @ q
+    ritz, w = np.linalg.eigh(q.T @ gq)
+    ritz, w = ritz[::-1], w[:, ::-1]
+    basis = q @ w
+    residual = np.linalg.norm(gq @ w - basis * ritz, axis=0)
+    bound = math.sqrt(np.finfo(gram.dtype).eps) * ritz[0]
+    leftover = np.trace(gram) - ritz.sum()
+    # ``not (...)`` also rejects NaNs and an all-zero Gram.
+    if not (ritz[0] > 0 and np.all(residual <= bound)
+            and leftover <= ritz[-1]):
+        return None
+    return np.ascontiguousarray(basis)
+
+
+def _mode_gram(x: DenseTensor, mode: int) -> np.ndarray:
+    """The Gram matrix ``X_(mode) X_(mode)^T``, read in place where possible.
+
+    The Gram does not depend on the order of the unfolding's columns.  When
+    *mode* is the first or last storage mode (axis 0 or axis N-1, in either
+    layout), a reshape of the storage is a column permutation of
+    ``X_(mode)`` and a view, so the product reads X without copying it.
+    Middle modes keep the physical :func:`unfold`: a Gram over batched
+    views measured slower there than the copy plus one GEMM.
+    """
+    data = np.asarray(x.data)
+    extent = x.shape[mode]
+    rest = math.prod(s for i, s in enumerate(x.shape) if i != mode)
+    order = x.layout.numpy_order
+    if mode == 0:
+        mat = data.reshape((extent, rest), order=order)
+        return mat @ mat.T
+    if mode == x.order - 1:
+        mat = data.reshape((rest, extent), order=order)
+        return mat.T @ mat
+    mat = unfold(x, mode)
+    return mat @ mat.T
+
+
+def _mode_basis(x: DenseTensor, mode: int, rank: int, method: str = "auto",
+                previous: np.ndarray | None = None) -> np.ndarray:
+    """The top-*rank* left singular basis of ``X_(mode)``.
+
+    :func:`_leading_left_singular_vectors` on the mode-*mode* unfolding,
+    except that the Gram solvers build the Gram with :func:`_mode_gram`;
+    only the randomized solver unfolds X physically.
+    """
+    rows = x.shape[mode]
+    cols = math.prod(s for i, s in enumerate(x.shape) if i != mode)
+    if _use_randomized(method, rows, cols, rank):
+        return _leading_left_singular_vectors(unfold(x, mode), rank,
+                                              method="randomized")
+    return _gram_basis(_mode_gram(x, mode), rank,
+                       previous if method == "auto" else None)
 
 
 def _project_all_but(
@@ -166,13 +316,15 @@ def hosvd(
     Factor *n* is the top-``R_n`` left singular vectors of the mode-n
     unfolding; the core is the full projection of X onto those bases.
     *svd_method* selects the factor solver (``auto``/``gram``/
-    ``randomized``; see :func:`_leading_left_singular_vectors`).
+    ``randomized``; see :func:`_leading_left_singular_vectors`).  With
+    no previous factor to warm-start from, ``"auto"`` runs a full
+    ``eigh`` of each mode's Gram, and builds the Gram of the first and
+    last storage modes from a view of X rather than an unfolded copy.
     """
     backend = ttm_backend or _default_backend()
     ranks_t = _check_ranks(x.shape, ranks)
     factors = [
-        _leading_left_singular_vectors(unfold(x, mode), rank,
-                                       method=svd_method)
+        _mode_basis(x, mode, rank, method=svd_method)
         for mode, rank in enumerate(ranks_t)
     ]
     core = _project_all_but(x, factors, skip=None, backend=backend)
@@ -223,6 +375,18 @@ def hooi(
     *other* factors — ``N * (N-1)`` mode-n products per sweep, exactly the
     TTM chain the paper's motivation describes.  Stops when the fit
     improves by less than *tolerance* or after *max_iterations* sweeps.
+
+    *svd_method* ``"auto"`` (the default) picks each factor's solver per
+    call: a full ``eigh`` of the mode's Gram when ``2 * R_n > I_n``, and
+    otherwise one subspace step warm-started from the factor it replaces,
+    kept only if every Ritz pair passes the residual check
+    ``||G u - l u|| <= sqrt(eps) * l_max`` and the trace the step
+    discards is at most its smallest Ritz value (a full ``eigh``
+    otherwise).  The Grams of the first and last storage modes are read
+    from a view of the projected tensor, not an unfolded copy.
+    ``"gram"`` runs a full ``eigh`` on every solve; ``"randomized"`` is
+    the range finder (see :func:`_leading_left_singular_vectors`).
+    ``||X||`` is computed once per call.
 
     *checkpoint_path* makes the iteration crash-resumable
     (:mod:`repro.resilience.recovery`): after every sweep the full state
@@ -293,6 +457,7 @@ def hooi(
                                      sweeps=len(history),
                                      fit=history[-1] if history else None):
                         pass
+    x_norm = float(np.linalg.norm(x.data))
     try:
         if factors is None:
             history = []
@@ -305,11 +470,12 @@ def hooi(
                 break
             for mode, rank in enumerate(ranks_t):
                 y = _project_all_but(x, factors, skip=mode, backend=backend)
-                factors[mode] = _leading_left_singular_vectors(
-                    unfold(y, mode), rank, method=svd_method
-                )
+                # The factor being replaced is the warm start; on a resumed
+                # run it is the checkpointed factor, so the bits match.
+                factors[mode] = _mode_basis(y, mode, rank, method=svd_method,
+                                            previous=factors[mode])
             core = _project_all_but(x, factors, skip=None, backend=backend)
-            fit = tucker_fit(x, core, factors)
+            fit = _fit_from_norms(x_norm, core)
             history.append(fit)
             if journal is not None:
                 faults = active_faults()
@@ -366,7 +532,11 @@ def tucker_fit(
     With orthonormal factors ``||X_hat|| = ||core||``, so the residual
     norm follows from norms alone — no reconstruction needed.
     """
-    x_norm = float(np.linalg.norm(x.data))
+    return _fit_from_norms(float(np.linalg.norm(x.data)), core)
+
+
+def _fit_from_norms(x_norm: float, core: DenseTensor) -> float:
+    """:func:`tucker_fit` given ``||X||`` (computed once per decomposition)."""
     if x_norm == 0.0:
         return 1.0
     core_norm = float(np.linalg.norm(core.data))

@@ -110,6 +110,11 @@ class HotCounters(Counters):
     one name per degradation (``kernel_fallbacks`` ... ``memory_replans``),
     and the tiling, stream and recovery layers report tiles, packed
     bytes, chunks, resumes, journal commits and durable store publishes.
+    The Tucker factor solver counts every solve (``factor_solves``), the
+    warm-started subspace steps it kept (``factor_warm_solves``) and the
+    ones whose checks failed and fell back to a full ``eigh``
+    (``factor_eigh_fallbacks``); full solves are the difference of the
+    first two.
     """
 
     names = (
@@ -138,6 +143,9 @@ class HotCounters(Counters):
         "tiles_reverified",
         "journal_commits",
         "store_fsyncs",
+        "factor_solves",
+        "factor_warm_solves",
+        "factor_eigh_fallbacks",
     )
     high_water = ("max_batch",)
     derived = ("dispatches", "total_slices")

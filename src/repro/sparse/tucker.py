@@ -15,24 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.decomp.tucker import TuckerResult
+from repro.decomp.tucker import (
+    TuckerResult,
+    _check_ranks,
+    _fit_from_norms,
+    _gram_basis,
+    _mode_gram,
+)
 from repro.sparse.coo import SparseTensor
 from repro.sparse.ops import ttm_semisparse, ttm_sparse
 from repro.tensor.dense import DenseTensor
-from repro.tensor.unfold import unfold
 from repro.util.errors import ShapeError
-
-
-def _check_ranks(shape, ranks) -> tuple[int, ...]:
-    shape_t = tuple(int(s) for s in shape)
-    if isinstance(ranks, int):
-        return tuple(min(ranks, s) for s in shape_t)
-    ranks_t = tuple(int(r) for r in ranks)
-    if len(ranks_t) != len(shape_t):
-        raise ShapeError(f"ranks {ranks_t} do not match shape {shape_t}")
-    if any(r < 1 or r > s for r, s in zip(ranks_t, shape_t)):
-        raise ShapeError(f"ranks {ranks_t} out of range for {shape_t}")
-    return ranks_t
 
 
 def project_all_but(
@@ -55,13 +48,6 @@ def project_all_but(
     return semi.to_dense()
 
 
-def _leading_basis(mat: np.ndarray, rank: int) -> np.ndarray:
-    gram = mat @ mat.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1][: min(rank, mat.shape[0])]
-    return np.ascontiguousarray(eigvecs[:, order])
-
-
 def hosvd_sparse(x: SparseTensor, ranks) -> TuckerResult:
     """Truncated HOSVD of a sparse tensor via sparse mode-n Gram matrices.
 
@@ -72,12 +58,10 @@ def hosvd_sparse(x: SparseTensor, ranks) -> TuckerResult:
     if not isinstance(x, SparseTensor):
         raise TypeError(f"x must be a SparseTensor, got {type(x).__name__}")
     ranks_t = _check_ranks(x.shape, ranks)
-    factors = []
-    for mode, rank in enumerate(ranks_t):
-        gram = _sparse_mode_gram(x, mode)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1][:rank]
-        factors.append(np.ascontiguousarray(eigvecs[:, order]))
+    factors = [
+        _gram_basis(_sparse_mode_gram(x, mode), rank)
+        for mode, rank in enumerate(ranks_t)
+    ]
     core = project_all_but(x, factors, skip=None)
     x_norm = float(np.linalg.norm(x.values))
     fit = _fit_from_norms(x_norm, core)
@@ -109,7 +93,8 @@ def hooi_sparse(
         iterations = sweep + 1
         for mode, rank in enumerate(ranks_t):
             projected = project_all_but(x, factors, skip=mode)
-            factors[mode] = _leading_basis(unfold(projected, mode), rank)
+            factors[mode] = _gram_basis(_mode_gram(projected, mode), rank,
+                                        previous=factors[mode])
         core = project_all_but(x, factors, skip=None)
         fit = _fit_from_norms(x_norm, core)
         history.append(fit)
@@ -205,13 +190,3 @@ class _SparseNormProxy:
         import math as _math
 
         return _math.prod(self.shape)
-
-
-def _fit_from_norms(x_norm: float, core: DenseTensor) -> float:
-    import math
-
-    if x_norm == 0.0:
-        return 1.0
-    core_norm = float(np.linalg.norm(core.data))
-    residual_sq = max(0.0, x_norm**2 - core_norm**2)
-    return 1.0 - math.sqrt(residual_sq) / x_norm
