@@ -54,7 +54,6 @@ def run_workload(refine: bool, profile):
     )
     lib = InTensLi(profile=profile)
     lib.estimator = estimator
-    lib._plan_cache.clear()
     rows = []
     for shape, mode, j in WORKLOAD:
         x = random_tensor(shape, seed=1)

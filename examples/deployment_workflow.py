@@ -7,8 +7,8 @@ walks the full deployment loop with on-disk artifacts:
 1. measure the GEMM shape benchmark and save it (``profile.json``);
 2. build plans for the production workload's TTM signatures and save the
    plan cache (``plans.json``);
-3. simulate a fresh production process: load both artifacts, verify no
-   re-estimation happens, and run.
+3. simulate a fresh production process: load both artifacts, run, and
+   check that the hot-path counters saw no estimator run.
 
 Run:  python examples/deployment_workflow.py
 """
@@ -22,6 +22,7 @@ import numpy as np
 import repro
 from repro.core import InTensLi
 from repro.gemm.bench import GemmProfile, default_shape_grid, measure_profile
+from repro.perf.profiler import track_hot_path
 
 #: The production workload: the TTM signatures of a rank-16 Tucker sweep
 #: over a 4th-order tensor.
@@ -60,16 +61,21 @@ def produce(profile_path: str, plans_path: str) -> None:
     rng = np.random.default_rng(0)
     x = repro.random_tensor(WORKLOAD[0][0], seed=1)
     total = 0.0
-    for shape, mode, j in WORKLOAD:
-        u = rng.standard_normal((j, shape[mode]))
-        t0 = time.perf_counter()
-        lib.ttm(x, u, mode)
-        dt = time.perf_counter() - t0
-        total += dt
-        rate = 2 * j * x.size / dt / 1e9
-        print(f"  mode {mode}: {dt * 1e3:7.1f} ms  ({rate:5.1f} GFLOP/s)")
-        del y
-    print(f"workload total {total * 1e3:.1f} ms with pinned configurations")
+    with track_hot_path() as counters:
+        for shape, mode, j in WORKLOAD:
+            u = rng.standard_normal((j, shape[mode]))
+            t0 = time.perf_counter()
+            y = lib.ttm(x, u, mode)
+            dt = time.perf_counter() - t0
+            total += dt
+            rate = 2 * j * x.size / dt / 1e9
+            print(f"  mode {mode}: {dt * 1e3:7.1f} ms  ({rate:5.1f} GFLOP/s)")
+            del y
+    assert counters.estimator_runs == 0, counters.estimator_runs
+    print(
+        f"workload total {total * 1e3:.1f} ms with pinned configurations "
+        f"({counters.plan_cache_hits} cache hits, 0 estimator runs)"
+    )
 
 
 def main() -> None:

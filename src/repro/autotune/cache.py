@@ -28,7 +28,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.autotune.store import PlanStore, default_cache_path
 from repro.core.plan import TtmPlan
@@ -48,13 +48,16 @@ def plan_digest(plan: TtmPlan) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class PlanKey:
+class PlanKey(NamedTuple):
     """The dispatch signature an autotuned decision is valid for.
 
     The dtype is part of the signature: a float32 plan and a float64
     plan for the same geometry make different threshold (and kernel)
     decisions and must never resolve to each other.
+
+    A key is a plain tuple: it hashes and compares equal to
+    ``(shape, mode, j, layout, threads, dtype)``, so a warm path can look
+    an entry up with that tuple and never build a key.
     """
 
     shape: tuple[int, ...]
@@ -158,6 +161,9 @@ class CacheStats(Counters):
 class PlanCache:
     """Disk-backed, fingerprint-guarded map from :class:`PlanKey` to plan.
 
+    Every :class:`~repro.core.intensli.InTensLi` plans through one:
+    :meth:`in_memory` until ``attach_plan_cache`` swaps in another.
+
     Parameters
     ----------
     path:
@@ -173,8 +179,12 @@ class PlanCache:
     tenant_quota:
         When set, the most entries any single tenant may have inserted
         and still resident; a tenant's insertion over quota evicts that
-        tenant's oldest entry (counted in ``stats.evictions``).  Per
-        tenant overrides via :meth:`set_tenant_quota`.
+        tenant's oldest entry (counted in ``stats.evictions``).  Kept as
+        the ``default_tenant_quota`` attribute; per tenant overrides via
+        :meth:`set_tenant_quota`.
+
+    ``stats`` (mirrored to HotCounters) counts every :meth:`get` and
+    :meth:`count`; :meth:`lookup` hits count in HotCounters only.
 
     Thread safety: entry mutation happens under one reentrant lock and
     stats accounting under the registry's own, so concurrent readers
@@ -199,16 +209,22 @@ class PlanCache:
         self.store = store
         self.autosave = autosave
         self.stats = CacheStats()
+        self.default_tenant_quota = tenant_quota
         self._lock = threading.RLock()
         self._entries: dict[PlanKey, CacheEntry] = {}
         self._tenant_keys: dict[str, list[PlanKey]] = {}
         self._tenant_quotas: dict[str, int] = {}
-        self._default_tenant_quota = tenant_quota
         self.reload()
+
+    @classmethod
+    def in_memory(cls) -> "PlanCache":
+        """A cache on a pathless store: no file, no fingerprint."""
+        return cls(store=PlanStore(None), autosave=False)
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _count(self, event: str, n: int = 1, tenant: str | None = None) -> None:
+    def count(self, event: str, n: int = 1, tenant: str | None = None) -> None:
+        """Add *n* to ``stats`` (and *tenant*'s row) and to HotCounters."""
         self.stats.add(event, n, tenant)
         counters = active_hot_counters()
         if counters is not None:
@@ -231,7 +247,7 @@ class PlanCache:
     def tenant_quota(self, tenant: str) -> int | None:
         """The effective entry quota for *tenant* (None: unlimited)."""
         with self._lock:
-            return self._tenant_quotas.get(tenant, self._default_tenant_quota)
+            return self._tenant_quotas.get(tenant, self.default_tenant_quota)
 
     def tenant_stats(self, tenant: str) -> CacheStats:
         """Lifetime hit/miss/eviction tallies attributed to *tenant*."""
@@ -247,7 +263,7 @@ class PlanCache:
             return len(self._tenant_keys.get(tenant, []))
 
     @property
-    def path(self) -> str:
+    def path(self) -> str | None:
         return self.store.path
 
     def __len__(self) -> int:
@@ -279,7 +295,7 @@ class PlanCache:
             # One bad entry poisons the file: a partially trusted cache
             # is worse than none.  Count it, log it, start estimating.
             fresh = {}
-            self._count("invalidations")
+            self.count("invalidations")
             log.warning(
                 "ignoring plan cache %s (%s: %s); falling back to the "
                 "estimator path",
@@ -315,8 +331,22 @@ class PlanCache:
     def get(self, key: PlanKey, tenant: str | None = None) -> CacheEntry | None:
         with self._lock:
             entry = self._entries.get(key)
-            self._count("hits" if entry is not None else "misses", tenant=tenant)
+            self.count("hits" if entry is not None else "misses", tenant=tenant)
             return entry
+
+    def lookup(self, key: tuple) -> TtmPlan | None:
+        """The plan under *key* (a plain tuple will do), read without a lock.
+
+        A hit counts ``HotCounters.plan_cache_hits`` only; a miss counts
+        nothing, since the caller that then estimates counts it.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        counters = active_hot_counters()
+        if counters is not None:
+            counters.add("plan_cache_hits")
+        return entry.plan
 
     def peek(self, key: PlanKey) -> CacheEntry | None:
         """Like :meth:`get` but without touching the hit/miss stats."""
@@ -341,16 +371,25 @@ class PlanCache:
             self._autosave()
         return entry
 
+    def keep(
+        self, plan: TtmPlan, threads: int, source: str = "estimator"
+    ) -> CacheEntry:
+        """:meth:`put` *plan* under its own signature at *threads*."""
+        key = PlanKey.make(
+            plan.shape, plan.mode, plan.j, plan.layout, threads, plan.dtype
+        )
+        return self.put(key, plan, source)
+
     def _charge_tenant_insert(self, key: PlanKey, tenant: str) -> None:
         """Record *tenant* inserting *key*, evicting over quota (locked)."""
         owned = self._tenant_keys.setdefault(tenant, [])
         if key in owned:
             return
-        quota = self._tenant_quotas.get(tenant, self._default_tenant_quota)
+        quota = self._tenant_quotas.get(tenant, self.default_tenant_quota)
         while quota is not None and len(owned) >= quota:
             oldest = owned.pop(0)
             if self._entries.pop(oldest, None) is not None:
-                self._count("evictions", tenant=tenant)
+                self.count("evictions", tenant=tenant)
                 log.info(
                     "tenant %s over plan-cache quota (%d); evicted %s",
                     tenant,
@@ -393,43 +432,6 @@ class PlanCache:
                 float(seconds),
                 entry.trials.get(plan_digest(plan), float("inf")),
             )
-            self._count("promotions")
+            self.count("promotions")
             self._autosave()
         return entry
-
-    # -- InTensLi plan-source protocol ----------------------------------------
-
-    def get_plan(
-        self,
-        shape: Sequence[int],
-        mode: int,
-        j: int,
-        layout: Layout | str,
-        threads: int,
-        dtype: str = "float64",
-        tenant: str | None = None,
-    ) -> TtmPlan | None:
-        """Duck-typed lookup used by ``InTensLi.attach_plan_cache``."""
-        entry = self.get(
-            PlanKey.make(shape, mode, j, layout, threads, dtype), tenant=tenant
-        )
-        return entry.plan if entry is not None else None
-
-    def put_plan(
-        self,
-        shape: Sequence[int],
-        mode: int,
-        j: int,
-        layout: Layout | str,
-        threads: int,
-        plan: TtmPlan,
-        source: str = "estimator",
-        dtype: str = "float64",
-        tenant: str | None = None,
-    ) -> None:
-        self.put(
-            PlanKey.make(shape, mode, j, layout, threads, dtype),
-            plan,
-            source,
-            tenant=tenant,
-        )

@@ -80,15 +80,16 @@ class PlanStore:
     The store is deliberately dumb: it moves header-checked dicts
     between disk and memory and raises the typed errors above.  Policy —
     what to do when a file is bad, what the entries mean — lives in
-    :class:`repro.autotune.cache.PlanCache`.
+    :class:`repro.autotune.cache.PlanCache`.  A store with no *path*
+    holds nothing: it loads ``{}`` and saves and clears nothing.
     """
 
-    def __init__(self, path: str, fingerprint: str | None = None) -> None:
+    def __init__(self, path: str | None, fingerprint: str | None = None) -> None:
         self.path = path
         self.fingerprint = fingerprint
 
     def exists(self) -> bool:
-        return os.path.exists(self.path)
+        return self.path is not None and os.path.exists(self.path)
 
     def load(self) -> dict:
         """The entries mapping from disk (``{}`` when no file exists).
@@ -132,6 +133,8 @@ class PlanStore:
         :class:`StoreCorruptError` — which :class:`repro.autotune.cache
         .PlanCache` already converts into a cold-cache restart.
         """
+        if self.path is None:
+            return None
         last_exc: OSError | None = None
         for attempt in range(_RETRY_ATTEMPTS):
             try:
@@ -165,6 +168,8 @@ class PlanStore:
 
     def save(self, entries: dict) -> None:
         """Atomically replace the store file with *entries*."""
+        if self.path is None:
+            return
         payload = cache_header(self.fingerprint)
         payload["entries"] = entries
         directory = os.path.dirname(os.path.abspath(self.path))
@@ -205,6 +210,8 @@ class PlanStore:
 
     def clear(self) -> bool:
         """Delete the store file; True when one existed."""
+        if self.path is None:
+            return False
         try:
             os.unlink(self.path)
         except FileNotFoundError:

@@ -5,7 +5,9 @@
 * it owns (or builds) the **MM benchmark** — measured on this host, or a
   deterministic synthetic profile for a platform preset;
 * for each new input signature it runs the **parameter estimator** and
-  caches the resulting plan;
+  caches the resulting plan in its one :class:`~repro.autotune.PlanCache`
+  (memory-only until :meth:`InTensLi.attach_plan_cache` swaps in a
+  store-backed one);
 * it executes plans as **generated code** (:mod:`repro.core.codegen`)
   through the single executor entry point
   :func:`repro.core.inttm.ttm_inplace`, or tile by tile when a plan's
@@ -17,7 +19,7 @@ The top-level :func:`repro.ttm` wraps a module-wide default instance.
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -58,9 +60,15 @@ from repro.util.dtypes import (
 from repro.util.errors import ResourceError, ShapeError
 from repro.util.validation import check_mode, check_positive_int, check_shape
 
+if TYPE_CHECKING:
+    from repro.autotune.cache import PlanCache
+
 
 class InTensLi:
     """Input-adaptive, in-place TTM with plan caching.
+
+    Every plan decision — estimated, tuned or loaded — lives in one
+    :class:`~repro.autotune.PlanCache`, read through :attr:`plan_cache`.
 
     Parameters
     ----------
@@ -132,8 +140,10 @@ class InTensLi:
             pth_bytes=pth_bytes,
             kappa=kappa,
         )
-        self._plan_cache: dict[tuple, TtmPlan] = {}
-        self._persistent_cache = None
+        # Imported here: repro.autotune imports this module.
+        from repro.autotune.cache import PlanCache
+
+        self._cache = PlanCache.in_memory()
         self._chain_cache: dict[tuple, ChainPlan] = {}
         self._chain_pool = ScratchPool()
 
@@ -151,22 +161,29 @@ class InTensLi:
             stacklevel=2,
         )
 
-    def attach_plan_cache(self, cache) -> None:
-        """Route plan lookups through a persistent cache.
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The one cache every plan of this facade is read from and kept in."""
+        return self._cache
 
-        *cache* is duck-typed — anything with ``get_plan(shape, mode, j,
-        layout, threads)``, ``put_plan(..., plan, source)`` and
-        ``items()`` over ``(key, entry)`` pairs with ``key.threads`` and
-        ``entry.plan``; in practice a :class:`repro.autotune.PlanCache`
-        (this facade cannot import it directly without inverting the
-        layering).  While attached, the cache replaces the private
-        per-process dict as the single source of truth — for
-        :meth:`plan`, :meth:`load_plan_cache`, :meth:`save_plan_cache`
-        and :attr:`cached_plans` alike — so decisions survive the process
-        and are shared with any :class:`repro.autotune.AutotuneSession`
-        wrapping this instance.
+    def attach_plan_cache(self, cache: PlanCache) -> None:
+        """Plan through *cache* from now on, in place of the current one.
+
+        Pinned entries (``source`` ``"tuned"`` or ``"measured"``, from
+        :meth:`tune`, :meth:`load_plan_cache` or refinement) carry over
+        into *cache*, replacing its ``"estimator"`` entries for the same
+        keys; its own pinned entries are kept.  Use a store-backed
+        :class:`~repro.autotune.PlanCache` to keep decisions across
+        processes and share them with an
+        :class:`~repro.autotune.AutotuneSession` wrapping this instance.
         """
-        self._persistent_cache = cache
+        for key, entry in self._cache.items():
+            if entry.source == "estimator":
+                continue
+            current = cache.peek(key)
+            if current is None or current.source == "estimator":
+                cache.put(key, entry.plan, entry.source, entry.seconds)
+        self._cache = cache
 
     def plan(
         self,
@@ -218,47 +235,25 @@ class InTensLi:
         layout: Layout,
         dt: np.dtype,
     ) -> TtmPlan:
+        key = (shape_t, mode, j, layout, self.max_threads, dtype_name(dt))
         tracer = active_tracer()
-        if self._persistent_cache is not None:
-            if tracer.enabled:
-                with tracer.span("cache-lookup", persistent=True) as span:
-                    plan = self._persistent_cache.get_plan(
-                        shape_t, mode, j, layout, self.max_threads,
-                        dtype=dt.name,
-                    )
-                    span.set(hit=plan is not None)
-            else:
-                plan = self._persistent_cache.get_plan(
-                    shape_t, mode, j, layout, self.max_threads, dtype=dt.name
-                )
-            if plan is None:
-                plan = self.estimator.estimate(
-                    shape_t, mode, j, layout, dtype=dt
-                )
-                self._persistent_cache.put_plan(
-                    shape_t, mode, j, layout, self.max_threads, plan,
-                    source="estimator", dtype=dt.name,
-                )
-            return plan
-        key = (shape_t, mode, j, layout, dtype_name(dt))
         if tracer.enabled:
-            with tracer.span("cache-lookup", persistent=False) as span:
-                plan = self._plan_cache.get(key)
+            with tracer.span("cache-lookup") as span:
+                plan = self._cache.lookup(key)
                 span.set(hit=plan is not None)
         else:
-            plan = self._plan_cache.get(key)
+            plan = self._cache.lookup(key)
         if plan is None:
+            self._cache.count("misses")
             plan = self.estimator.estimate(shape_t, mode, j, layout, dtype=dt)
-            self._plan_cache[key] = plan
+            self._cache.keep(plan, self.max_threads)
         return plan
 
     def _cached(self) -> list[TtmPlan]:
         """Every plan :meth:`plan` answers from without estimating."""
-        if self._persistent_cache is None:
-            return list(self._plan_cache.values())
         return [
             entry.plan
-            for key, entry in self._persistent_cache.items()
+            for key, entry in self._cache.items()
             if key.threads == self.max_threads
         ]
 
@@ -295,8 +290,8 @@ class InTensLi:
         *steps* is the ``(mode, J)`` sequence.  The chain plan is cached
         under a chain-qualified key — the full step signature, not any
         single product — while each per-step :class:`TtmPlan` flows
-        through :meth:`plan` and therefore through the persistent
-        autotune cache under its own per-step signature, so chains that
+        through :meth:`plan` and therefore through :attr:`plan_cache`
+        under its own per-step signature, so chains that
         share steps share tuned decisions.
         """
         layout = Layout.parse(layout)
@@ -434,12 +429,7 @@ class InTensLi:
             x, u, mode, max_threads=self.max_threads, kernels=kernels
         )
         best = result.best_plan
-        self._plan_cache[best.cache_key()] = best
-        if self._persistent_cache is not None:
-            self._persistent_cache.put_plan(
-                best.shape, best.mode, best.j, best.layout,
-                self.max_threads, best, source="tuned", dtype=best.dtype,
-            )
+        self._cache.keep(best, self.max_threads, source="tuned")
         return best
 
     def save_plan_cache(self, path: str) -> int:
@@ -454,21 +444,15 @@ class InTensLi:
         """Pre-populate the plan cache from JSON; returns the count loaded.
 
         Loaded plans take precedence over estimation for their inputs —
-        the offline-autotuning deployment mode.  With a persistent cache
-        attached they land there, marked ``source="tuned"`` as
-        :meth:`tune` marks its winners.
+        the offline-autotuning deployment mode.  They land in
+        :attr:`plan_cache` marked ``source="tuned"``, as :meth:`tune`
+        marks its winners, so they survive :meth:`attach_plan_cache`.
         """
         from repro.core.serialize import load_plans
 
         plans = load_plans(path)
         for plan in plans:
-            if self._persistent_cache is None:
-                self._plan_cache[plan.cache_key()] = plan
-            else:
-                self._persistent_cache.put_plan(
-                    plan.shape, plan.mode, plan.j, plan.layout,
-                    self.max_threads, plan, source="tuned", dtype=plan.dtype,
-                )
+            self._cache.keep(plan, self.max_threads, source="tuned")
         return len(plans)
 
     # -- execution ------------------------------------------------------------
@@ -521,15 +505,17 @@ class InTensLi:
                 )
         # Warm path: the tensor's shape, layout and dtype are already
         # canonical, so the plan-cache key is built straight from them.
-        key = (
-            data.shape, check_mode(mode, data.ndim), u.shape[0], x.layout,
-            dtype_name(data.dtype),
+        mode = check_mode(mode, data.ndim)
+        plan = self._cache.lookup(
+            (
+                data.shape, mode, u.shape[0], x.layout, self.max_threads,
+                dtype_name(data.dtype),
+            )
         )
-        plan = None
-        if self._persistent_cache is None:
-            plan = self._plan_cache.get(key)
         if plan is None:
-            plan = self.plan(*key)
+            plan = self.plan(
+                data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
+            )
         return self.execute(
             plan, x, u, out=out,
             check_finite=check_finite, allow_replan=allow_replan,
@@ -623,7 +609,7 @@ class InTensLi:
         :func:`repro.core.tiling.ttm_stream`), planned by this facade.
 
         Chunk plans flow through :meth:`plan` and therefore through the
-        estimator and any attached persistent cache — a stream of
+        estimator and :attr:`plan_cache` — a stream of
         equal-shaped chunks plans exactly once.
         """
         return _ttm_stream(

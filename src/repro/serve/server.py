@@ -26,10 +26,10 @@ The degradation ladder, in order of preference (DESIGN.md §12):
    :class:`~repro.util.errors.OverloadError` instead of waiting
    forever.  A shed request never returns a wrong tensor.
 
-Planning is shared: one :class:`repro.autotune.PlanCache` serves every
-tenant, with per-tenant hit/miss accounting and entry quotas, so one
-tenant's warm signatures speed up every other tenant that sends the
-same shapes while no tenant can monopolize the cache.
+Planning is shared: the lib's one :class:`repro.autotune.PlanCache`
+serves every tenant, with per-tenant hit/miss accounting and entry
+quotas, so one tenant's warm signatures speed up every other tenant that
+sends the same shapes while no tenant can monopolize the cache.
 
 Memory-budget policy: plans are cached per signature but memory
 *verdicts* are not — each group execution snapshots the budget once via
@@ -42,18 +42,15 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
-import tempfile
 import time
-import uuid
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.autotune.cache import PlanCache, PlanKey
-from repro.autotune.store import PlanStore
 from repro.core.intensli import InTensLi
 from repro.obs.counters import Counters
 from repro.obs.tracer import ROOT, active_tracer
@@ -82,8 +79,10 @@ class ServeConfig:
     ``workers`` sizes the thread pool groups run on (see the module
     docstring for why one is the default).  ``watchdog_s`` bounds how
     long the dispatcher waits on one group's execution before shedding
-    its requests; None disables the watchdog.  ``coalesce`` is
-    deprecated and ignored: setting it warns.
+    its requests; None disables the watchdog.  ``tenant_cache_quota``,
+    when set, is the default per-tenant entry quota of the plan cache
+    the server bills.  ``coalesce`` is deprecated and ignored: setting
+    it warns.
 
     :class:`TtmServer` validates the policy when it is constructed.
     """
@@ -182,22 +181,6 @@ class ServerStats(Counters):
         return flat
 
 
-def _private_plan_cache(quota: int | None) -> PlanCache:
-    """A process-private, non-persisting plan cache for one server.
-
-    The store path is fresh and never written (``autosave=False``), so
-    serving accumulates tenant-shared plans in memory without touching
-    the user's on-disk autotune cache; pass an explicit
-    :class:`PlanCache` to the server to share the persistent store.
-    """
-    path = os.path.join(
-        tempfile.gettempdir(), f"repro-serve-{uuid.uuid4().hex}.json"
-    )
-    return PlanCache(
-        store=PlanStore(path), autosave=False, tenant_quota=quota
-    )
-
-
 class TtmServer:
     """Concurrent multi-tenant TTM serving on top of :class:`InTensLi`.
 
@@ -209,9 +192,9 @@ class TtmServer:
     config:
         Serving policy; see :class:`ServeConfig`.
     plan_cache:
-        The tenant-shared :class:`~repro.autotune.PlanCache`.  Defaults
-        to a process-private, non-persisting cache (per-tenant quotas
-        from ``config.tenant_cache_quota``).
+        When given, attached to *lib* (its pinned plans carry over) so
+        the server bills tenants against it.  Either way the server
+        reads and bills *lib*'s one cache, :attr:`plan_cache`.
     """
 
     def __init__(
@@ -223,11 +206,12 @@ class TtmServer:
         self.config = config or ServeConfig()
         _check_config(self.config)
         self._lib = lib or InTensLi(max_threads=self.config.max_threads)
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else _private_plan_cache(self.config.tenant_cache_quota)
-        )
+        if plan_cache is not None:
+            self._lib.attach_plan_cache(plan_cache)
+        if self.config.tenant_cache_quota is not None:
+            self.plan_cache.default_tenant_quota = (
+                self.config.tenant_cache_quota
+            )
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             tenant_inflight=self.config.tenant_inflight,
@@ -239,6 +223,11 @@ class TtmServer:
         self._group_tasks: set[asyncio.Task] = set()
         self._next_id = 0
         self._running = False
+
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The tenant-shared cache: the lib's own :attr:`InTensLi.plan_cache`."""
+        return self._lib.plan_cache
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -460,13 +449,13 @@ class TtmServer:
     # -- planning -------------------------------------------------------------
 
     def _plan_for(self, sig: FleetSignature, requests: list):
-        """The shared plan for a signature, counted per requesting tenant.
+        """The shared plan for a signature, billed per requesting tenant.
 
-        Each request in the group performs its own (cheap) cache lookup
-        so per-tenant hit rates stay exact; the first miss asks the
-        facade's :meth:`~repro.core.intensli.InTensLi.plan` once (so
-        plans pinned by ``load_plan_cache`` or ``tune`` are served) and
-        publishes the plan for every later tenant.
+        One read of the lib's cache serves the whole group, and each
+        request is billed as one lookup (a hit or a miss) to its tenant,
+        so per-tenant hit rates stay exact.  On a miss the lib's
+        estimator plans once and the entry is charged to the first
+        request's tenant, against that tenant's quota.
         """
         key = PlanKey.make(
             sig.shape,
@@ -476,20 +465,17 @@ class TtmServer:
             self._lib.max_threads,
             sig.dtype,
         )
-        plan = None
-        misses: list[str] = []
-        for request in requests:
-            entry = self.plan_cache.get(key, tenant=request.tenant)
-            if entry is not None:
-                plan = entry.plan
-            else:
-                misses.append(request.tenant)
-        if plan is None:
-            plan = self._lib.plan(
-                sig.shape, sig.mode, sig.j, sig.layout, dtype=sig.dtype
-            )
-        for tenant in misses:
-            self.plan_cache.put(key, plan, source="estimator", tenant=tenant)
+        cache = self.plan_cache
+        entry = cache.peek(key)
+        event = "hits" if entry is not None else "misses"
+        for tenant, n in Counter(r.tenant for r in requests).items():
+            cache.count(event, n, tenant=tenant)
+        if entry is not None:
+            return entry.plan
+        plan = self._lib.estimator.estimate(
+            sig.shape, sig.mode, sig.j, sig.layout, dtype=sig.dtype
+        )
+        cache.put(key, plan, tenant=requests[0].tenant)
         return plan
 
     # -- execution (worker threads) -------------------------------------------

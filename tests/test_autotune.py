@@ -128,7 +128,141 @@ class TestSessionCaching:
         assert default_cache_path().endswith(os.path.join("repro", "plans.json"))
 
 
+class TestOnePlanCache:
+    """A facade keeps every decision in one cache; pins survive attaching."""
+
+    SIG = ((16, 16, 16), 0, 4)
+
+    def pinned(self):
+        return default_plan(*self.SIG, ROW_MAJOR, degree=1)
+
+    def key(self, lib):
+        return PlanKey.make(*self.SIG, ROW_MAJOR, lib.max_threads)
+
+    def store_cache(self, tmp_path):
+        return PlanCache(
+            store=PlanStore(str(tmp_path / "store.json")), autosave=False
+        )
+
+    def loaded_lib(self, tmp_path):
+        from repro.core.serialize import save_plans
+
+        pinned = self.pinned()
+        assert InTensLi().plan(*self.SIG) != pinned
+        path = tmp_path / "pinned.json"
+        save_plans([pinned], str(path))
+        lib = InTensLi()
+        assert lib.load_plan_cache(str(path)) == 1
+        return lib, pinned
+
+    def test_loaded_plan_survives_attach(self, tmp_path):
+        lib, pinned = self.loaded_lib(tmp_path)
+        cache = self.store_cache(tmp_path)
+        lib.attach_plan_cache(cache)
+        with track_hot_path() as counters:
+            assert lib.plan(*self.SIG) == pinned
+        assert counters.estimator_runs == 0
+        assert cache.peek(self.key(lib)).source == "tuned"
+        assert lib.plan_cache is cache
+
+    def test_pinned_plan_wins_over_attached_estimator_entry(self, tmp_path):
+        lib, pinned = self.loaded_lib(tmp_path)
+        cache = self.store_cache(tmp_path)
+        estimated = InTensLi().plan(*self.SIG)
+        cache.put(self.key(lib), estimated, source="estimator")
+        lib.attach_plan_cache(cache)
+        assert lib.plan(*self.SIG) == pinned
+
+    def test_attached_pinned_entry_is_kept(self, tmp_path):
+        lib, pinned = self.loaded_lib(tmp_path)
+        cache = self.store_cache(tmp_path)
+        theirs = default_plan(*self.SIG, ROW_MAJOR, degree=0)
+        cache.put(self.key(lib), theirs, source="measured", seconds=1e-6)
+        lib.attach_plan_cache(cache)
+        assert lib.plan(*self.SIG) == theirs
+
+    def test_tuned_plan_survives_attach(self, tmp_path):
+        lib = InTensLi()
+        x, u = inputs(shape=(4, 4, 4), j=2, mode=0)
+        best = lib.tune(x, u, 0, min_seconds=0.001)
+        lib.attach_plan_cache(self.store_cache(tmp_path))
+        with track_hot_path() as counters:
+            assert lib.plan((4, 4, 4), 0, 2) == best
+        assert counters.estimator_runs == 0
+
+    def test_session_wrapping_serves_loaded_plans(self, tmp_path, cache_path):
+        lib, pinned = self.loaded_lib(tmp_path)
+        session = AutotuneSession(lib, path=cache_path)
+        with track_hot_path() as counters:
+            assert session.plan(*self.SIG) == pinned
+            assert lib.plan(*self.SIG) == pinned
+        assert counters.estimator_runs == 0
+        assert session.cache.peek(session.key_for(*self.SIG)).source == "tuned"
+        # The pin reached the store: a new process is served it too.
+        reborn = make_session(cache_path)
+        assert reborn.plan(*self.SIG) == pinned
+
+    def test_facade_hit_counts_hot_counters_only(self):
+        lib = InTensLi()
+        cache = lib.plan_cache
+        assert cache.path is None  # memory-only: no store file, no stamp
+        x, u = inputs()
+        with track_hot_path() as counters:
+            lib.ttm(x, u, MODE)
+            lib.ttm(x, u, MODE)
+            lib.plan(x.shape, MODE, J)
+        assert counters.plan_cache_misses == 1
+        assert counters.plan_cache_hits == 2
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+    def test_lock_free_hits_under_concurrent_planners(self):
+        """Every plan call counts one hit or one miss and gets its plan."""
+        import sys
+        import threading
+
+        lib = InTensLi()
+        sigs = [((6, 7, 8), mode, j) for mode in range(3) for j in (2, 3)]
+        threads, per_thread = 8, 150
+        barrier = threading.Barrier(threads)
+        wrong = []
+
+        def planner(offset):
+            barrier.wait()
+            for i in range(per_thread):
+                shape, mode, j = sigs[(offset + i) % len(sigs)]
+                plan = lib.plan(shape, mode, j)
+                if (plan.shape, plan.mode, plan.j) != (shape, mode, j):
+                    wrong.append(plan)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with track_hot_path() as counters:
+                pool = [
+                    threading.Thread(target=planner, args=(t,))
+                    for t in range(threads)
+                ]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert wrong == []
+        total = counters.plan_cache_hits + counters.plan_cache_misses
+        assert total == threads * per_thread
+        assert counters.plan_cache_misses == lib.plan_cache.stats.misses
+        assert len(lib.plan_cache) == len(sigs)
+
+
 class TestPlanKey:
+    def test_is_the_plain_signature_tuple(self):
+        key = PlanKey.make(SHAPE, MODE, J, ROW_MAJOR, 4, "float32")
+        plain = (SHAPE, MODE, J, ROW_MAJOR, 4, "float32")
+        assert key == plain and hash(key) == hash(plain)
+        assert {key: 1}[plain] == 1
+
     def test_encode_decode_roundtrip(self):
         key = PlanKey.make(SHAPE, MODE, J, ROW_MAJOR, 4)
         assert PlanKey.decode(key.encode()) == key

@@ -390,13 +390,13 @@ class TestAutotuneCacheDtype:
                           fingerprint="test")
         p64 = default_plan((6, 7, 8), 1, 4, ROW_MAJOR)
         p32 = default_plan((6, 7, 8), 1, 4, ROW_MAJOR, dtype="float32")
-        cache.put_plan((6, 7, 8), 1, 4, ROW_MAJOR, 1, p64, dtype="float64")
-        cache.put_plan((6, 7, 8), 1, 4, ROW_MAJOR, 1, p32, dtype="float32")
+        k64 = PlanKey.make((6, 7, 8), 1, 4, ROW_MAJOR, 1, "float64")
+        k32 = PlanKey.make((6, 7, 8), 1, 4, ROW_MAJOR, 1, "float32")
+        cache.put(k64, p64)
+        cache.put(k32, p32)
         assert len(cache) == 2
-        got64 = cache.get_plan((6, 7, 8), 1, 4, ROW_MAJOR, 1, dtype="float64")
-        got32 = cache.get_plan((6, 7, 8), 1, 4, ROW_MAJOR, 1, dtype="float32")
-        assert got64.dtype == "float64"
-        assert got32.dtype == "float32"
+        assert cache.get(k64).plan.dtype == "float64"
+        assert cache.get(k32).plan.dtype == "float32"
 
     def test_pre_dtype_store_invalidates_gracefully(self, tmp_path):
         # A schema-2 (pre-dtype) cache file must degrade to an empty
@@ -421,7 +421,7 @@ class TestAutotuneCacheDtype:
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
         # The cache is usable immediately after invalidation.
-        cache.put_plan((6, 7, 8), 1, 4, ROW_MAJOR, 1, plan)
+        cache.put(PlanKey.make((6, 7, 8), 1, 4, ROW_MAJOR, 1), plan)
         assert len(PlanCache(path=str(path), fingerprint="test")) == 1
 
     def test_v2_keys_without_dtype_are_rejected(self):

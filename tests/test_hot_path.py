@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.autotune import PlanCache
 from repro.core.intensli import InTensLi, default_intensli
 from repro.obs import tracing
 from repro.perf.profiler import track_hot_path
@@ -190,4 +191,18 @@ def test_warm_call_stays_within_the_front_end_call_budget(
     x, u = _operands(shape, mode, j, dtype, layout)
     repro.ttm(x, u, mode)
     calls = _repro_calls(lambda: repro.ttm(x, u, mode))
+    assert 0 < calls <= CALL_BUDGET
+
+
+@pytest.mark.parametrize("shape, mode, j, dtype, layout", BUDGET_CASES)
+def test_budget_holds_with_a_store_backed_cache_attached(
+    monkeypatch, tmp_path, shape, mode, j, dtype, layout
+):
+    """The attached cache is read on the same lock-free warm path."""
+    monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
+    lib = InTensLi()
+    lib.attach_plan_cache(PlanCache(path=str(tmp_path / "plans.json")))
+    x, u = _operands(shape, mode, j, dtype, layout)
+    lib.ttm(x, u, mode)
+    calls = _repro_calls(lambda: lib.ttm(x, u, mode))
     assert 0 < calls <= CALL_BUDGET

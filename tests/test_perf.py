@@ -1,6 +1,7 @@
 """Tests for the perf utilities (timers, flops, profiler, machine info)."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.perf import (
     time_callable,
     ttm_flops,
 )
+from repro.perf import profiler as profiler_module
 from repro.perf.profiler import NullProfiler
 
 
@@ -82,20 +84,23 @@ class TestFlops:
 
 
 class TestPhaseProfiler:
-    def test_phases_accumulate(self):
+    def test_phases_accumulate(self, monkeypatch):
+        # A scripted clock: each phase reads it at entry and at exit.
+        ticks = iter([10.0, 10.5, 20.0, 20.25, 30.0, 30.25])
+        monkeypatch.setattr(
+            profiler_module, "time", SimpleNamespace(perf_counter=ticks.__next__)
+        )
         prof = PhaseProfiler()
         with prof.phase("transform"):
-            time.sleep(0.001)
+            pass
         with prof.phase("multiply"):
-            time.sleep(0.001)
+            pass
         with prof.phase("transform"):
-            time.sleep(0.001)
+            pass
         p = prof.profile
-        assert p.seconds["transform"] > p.seconds["multiply"]
-        assert 0.0 < p.time_fraction("transform") < 1.0
-        assert p.time_fraction("transform") + p.time_fraction("multiply") == (
-            pytest.approx(1.0)
-        )
+        assert p.seconds == {"transform": 0.75, "multiply": 0.25}
+        assert p.time_fraction("transform") == 0.75
+        assert p.time_fraction("multiply") == 0.25
 
     def test_bytes_charging(self):
         prof = PhaseProfiler()

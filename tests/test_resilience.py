@@ -464,7 +464,7 @@ def test_plan_cache_goes_cold_when_store_read_exhausts(tmp_path, monkeypatch):
     # End to end: PlanCache's existing corrupt-store policy (restart
     # cold) composes with the retry loop instead of crashing the caller.
     import repro.autotune.store as store_mod
-    from repro.autotune import PlanCache
+    from repro.autotune import PlanCache, PlanKey
 
     monkeypatch.setattr(store_mod, "_RETRY_BASE_SECONDS", 0.0)
     store = _store_with_entries(tmp_path)
@@ -473,7 +473,7 @@ def test_plan_cache_goes_cold_when_store_read_exhausts(tmp_path, monkeypatch):
     )
     with fault_injection(faults):
         cache = PlanCache(path=store.path)
-        assert cache.get_plan((4, 5, 6), 1, 3, "ROW_MAJOR", 1) is None
+        assert cache.get(PlanKey.make((4, 5, 6), 1, 3, "ROW_MAJOR", 1)) is None
 
 
 # -- check_finite -------------------------------------------------------------

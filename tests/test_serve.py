@@ -23,6 +23,7 @@ from repro.baselines import ttm_copy
 from repro.cli import main as cli_main
 from repro.core.inttm import default_plan
 from repro.obs import ROOT, Tracer, tracing
+from repro.perf.profiler import track_hot_path
 from repro.resilience import FaultInjector, fault_injection
 from repro.serve import (
     AdmissionController,
@@ -624,6 +625,49 @@ class TestServer:
         b = server.plan_cache.tenant_stats("b")
         assert (a.hits, a.misses) == (1, 1)
         assert (b.hits, b.misses) == (1, 0)
+
+    def test_bills_the_libs_one_cache(self, tmp_path):
+        from repro.core import InTensLi
+
+        lib = InTensLi()
+        server = TtmServer(lib=lib, config=ServeConfig(tenant_cache_quota=3))
+        assert server.plan_cache is lib.plan_cache
+        assert lib.plan_cache.default_tenant_quota == 3
+        shared = PlanCache(
+            store=PlanStore(str(tmp_path / "plans.json")), autosave=False
+        )
+        server = TtmServer(lib=lib, plan_cache=shared)
+        assert lib.plan_cache is shared and server.plan_cache is shared
+
+    def test_one_read_bills_every_request_of_a_group(self):
+        """A group of 4 is one cache read, billed as 4 tenant lookups."""
+
+        async def scenario():
+            server = await serving(max_batch=8, batch_window_s=0.05)
+            request = make_request((8, 8, 8), 1, 4)
+            try:
+                for _ in range(2):
+                    await asyncio.gather(
+                        *(
+                            server.submit(request.x, request.u, 1, tenant=t)
+                            for t in ("a", "a", "b", "b")
+                        )
+                    )
+            finally:
+                await server.stop()
+            return server
+
+        with track_hot_path() as counters:
+            server = run(scenario())
+        cache = server.plan_cache
+        assert server.stats.batches == 2
+        a, b = cache.tenant_stats("a"), cache.tenant_stats("b")
+        assert (a.hits, a.misses, b.hits, b.misses) == (2, 2, 2, 2)
+        assert (cache.stats.hits, cache.stats.misses) == (4, 4)
+        assert (counters.plan_cache_hits, counters.plan_cache_misses) == (4, 4)
+        assert counters.estimator_runs == 1
+        # The entry is charged to the first request's tenant only.
+        assert (cache.tenant_entries("a"), cache.tenant_entries("b")) == (1, 0)
 
     def test_serve_batch_spans_are_rooted(self):
         """Worker-thread batches trace as ROOT-parented span trees."""
