@@ -50,7 +50,6 @@ from repro.gemm.bench import (
 from repro.obs.tracer import active_tracer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.resilience.memory import preflight_skips
 from repro.util.dtypes import (
     DEFAULT_DTYPE,
     canonical_dtype,
@@ -516,9 +515,9 @@ class InTensLi:
             plan = self.plan(
                 data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
             )
-        return self.execute(
-            plan, x, u, out=out,
-            check_finite=check_finite, allow_replan=allow_replan,
+        return _run_plan(
+            x, u, plan, out, check_finite=check_finite,
+            allow_replan=allow_replan, reroute=self._maybe_execute_tiled,
         )
 
     def execute(
@@ -540,25 +539,16 @@ class InTensLi:
         see the same output tensor, and the same typed errors, either
         way.
 
-        The call is pre-flighted once: when
-        :func:`~repro.resilience.memory.preflight_skips` shows that
-        neither the tiling check nor the memory guard could act (a small
-        in-memory call, no armed faults, no ``$REPRO_MEM_LIMIT``), both
-        are skipped; otherwise both run exactly as before.
+        The call is pre-flighted once, by the executor's body
+        (:func:`~repro.core.inttm._run_plan`): when
+        :func:`~repro.resilience.memory.preflight_skips` holds (a small
+        in-memory call, no armed faults, no ``$REPRO_MEM_LIMIT``), the
+        tiling check and the memory guard could not act and both are
+        skipped; otherwise both run.
         """
-        guard = not (
-            isinstance(x, DenseTensor)
-            and preflight_skips(
-                plan, x_inmem=x.is_inmem, allocate_out=out is None
-            )
-        )
-        if guard:
-            tiled = self._maybe_execute_tiled(plan, x, u, out, check_finite)
-            if tiled is not None:
-                return tiled
         return _run_plan(
             x, u, plan, out, check_finite=check_finite,
-            allow_replan=allow_replan, guard=guard,
+            allow_replan=allow_replan, reroute=self._maybe_execute_tiled,
         )
 
     def _maybe_execute_tiled(

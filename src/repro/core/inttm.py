@@ -1,10 +1,11 @@
 """The in-place TTM executor: Algorithm 2, run as generated code.
 
-``ttm_inplace`` is the single entry point that executes a plan.  It
-validates the operands once, pre-flights the memory the call needs,
-then runs the plan's compiled loop nest (:func:`repro.core.codegen
-.compile_plan`) on copy-free views of the input and output storage,
-writing straight through the output tensor.
+One body, ``_run_plan``, executes every plan: ``ttm_inplace`` and the
+:class:`~repro.core.intensli.InTensLi` facade both call it.  It
+pre-flights the memory the call needs, validates the operands once,
+then calls the plan's compiled loop nest (:attr:`TtmPlan.compiled`, from
+:func:`repro.core.codegen.compile_plan`) on copy-free views of the input
+and output storage, writing straight through the output tensor.
 
 Kernel failures degrade the whole call, not one loop index: a
 recoverable error reruns the call with the plan recompiled one kernel
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import functools
 import logging
+import os
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.codegen import compile_plan
 from repro.core.partition import (
     available_modes_for_strategy,
     choose_batch_modes,
@@ -39,7 +40,11 @@ from repro.obs.tracer import active_tracer
 from repro.perf.profiler import active_hot_counters
 from repro.resilience.fallback import fallback_tiers, recoverable
 from repro.resilience.faults import active_faults, record_degradation
-from repro.resilience.memory import guard_memory
+from repro.resilience.memory import (
+    MEM_LIMIT_KEY,
+    PREFLIGHT_MIN_BYTES,
+    guard_memory,
+)
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, match_dtype
@@ -130,44 +135,6 @@ def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
     return default_plan(shape, mode, j, layout, dtype=dtype)
 
 
-def _check_inputs(x: DenseTensor, u: np.ndarray, plan: TtmPlan) -> np.ndarray:
-    if not isinstance(x, DenseTensor):
-        raise TypeError(
-            f"x must be a DenseTensor, got {type(x).__name__}; wrap ndarrays "
-            "so the storage layout is explicit"
-        )
-    data = x.data
-    if data.dtype != plan.np_dtype:
-        raise DtypeError(
-            f"plan was built for dtype {plan.dtype}, but x is "
-            f"{data.dtype.name}; re-plan for the tensor's dtype"
-        )
-    # Dtype policy: reject or preserve, never upcast.  A silent
-    # ``asarray(u, dtype=float64)`` here used to upcast-and-copy float32
-    # operands — the exact allocation cost this library exists to avoid.
-    u = match_dtype(u, plan.np_dtype)
-    if u.ndim != 2:
-        raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
-    if data.shape != plan.shape or x.layout is not plan.layout:
-        raise PlanError(
-            f"plan was built for shape {plan.shape} / {plan.layout.name}, "
-            f"got {data.shape} / {x.layout.name}"
-        )
-    if u.shape != (plan.j, plan.i_n):
-        raise ShapeError(
-            f"U shape {u.shape} does not match (J={plan.j}, I_n={plan.i_n})"
-        )
-    return u
-
-
-def _empty_out(plan: TtmPlan) -> DenseTensor:
-    """Y for *plan*, uninitialized: geometry and dtype come from the plan."""
-    data = np.empty(
-        plan.out_shape, dtype=plan.np_dtype, order=plan.layout.numpy_order
-    )
-    return DenseTensor._wrap(data, plan.layout, plan.out_strides)
-
-
 def _check_out(plan: TtmPlan, out) -> None:
     if not isinstance(out, DenseTensor):
         raise TypeError(f"out must be a DenseTensor, got {type(out).__name__}")
@@ -184,70 +151,80 @@ def _check_out(plan: TtmPlan, out) -> None:
         )
 
 
-def _run_compiled(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:
-    """One call of *plan*'s compiled code: checkpoint, span, counters."""
-    fn = compile_plan(plan)
-    counts = fn.counts
-    faults = active_faults()
+def _call_kernel(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray, faults,
+                 tracer) -> None:
+    """One call of *plan*'s kernel under its fault checkpoint and span."""
+    compiled = plan.compiled
     if faults is not None:
         # The compiled body may be a bare np.matmul with no gemm-layer
         # checkpoint inside, so the whole call checks in at its dispatch.
         faults.check(
             "kernel-raise", kernel=plan.kernel,
-            batched=counts.batched_calls > 0,
+            batched=compiled.counts.batched_calls > 0,
         )
-    tracer = active_tracer()
     if tracer.enabled:
         m, k, n = plan.kernel_shape
         # Gemm-layer calls inside the body see this span as current and
         # open no second one.
         with tracer.span(
             "gemm-kernel", kernel=plan.kernel, dtype=plan.dtype,
-            m=m, k=k, n=n, dispatches=counts.dispatches,
+            m=m, k=k, n=n, dispatches=compiled.counts.dispatches,
         ):
-            fn(x, u, y)
+            compiled.fn(x, u, y)
     else:
-        fn(x, u, y)
-    counters = active_hot_counters()
-    if counters is not None:
-        # DispatchCounts' fields are hot-counter names.
-        for name, n in zip(counts._fields, counts):
-            counters.add(name, n)
+        compiled.fn(x, u, y)
 
 
-def _execute(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray) -> None:
-    """Run *plan*, degrading the whole call one kernel tier per failure.
+def _run_tiers(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray, faults,
+               tracer) -> TtmPlan:
+    """:func:`_call_kernel`, then :func:`_degrade` if it raises."""
+    try:
+        _call_kernel(plan, x, u, y, faults, tracer)
+        return plan
+    except Exception as exc:
+        return _degrade(plan, x, u, y, exc, faults, tracer)
 
-    A recoverable error reruns the call with the plan recompiled at the
-    next tier of :func:`~repro.resilience.fallback.fallback_tiers`
-    (``blas -> blocked -> reference``).  Overwrite mode rewrites every
-    element of *y*, so nothing from a failed tier survives.
+
+def _degrade(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray,
+             exc: Exception, faults, tracer) -> TtmPlan:
+    """Rerun the call one kernel tier down per recoverable failure.
+
+    Entered only after *plan*'s own kernel raised *exc*; returns the plan
+    of the tier that completed.  The tiers are
+    :func:`~repro.resilience.fallback.fallback_tiers` (``blas -> blocked
+    -> reference``), each *plan* recompiled at that kernel.  A
+    non-recoverable error propagates unchanged, and a failure of the
+    last tier raises :class:`~repro.util.errors.KernelExecutionError`.
+    Overwrite mode rewrites every element of *y*, so nothing from a
+    failed tier survives.
     """
     tiers = fallback_tiers(plan.kernel)
-    for i, kernel in enumerate(tiers):
-        tier_plan = plan if i == 0 else replace(plan, kernel=kernel)
+    for kernel, lower in zip(tiers, tiers[1:]):
+        if not recoverable(exc):
+            raise exc
+        log.warning(
+            "gemm kernel %r failed (%s: %s); degrading to %r",
+            kernel, type(exc).__name__, exc, lower,
+        )
+        record_degradation(
+            "kernel_fallbacks",
+            degraded=True,
+            degraded_from=kernel,
+            degraded_to=lower,
+            degraded_error=type(exc).__name__,
+        )
+        tier_plan = replace(plan, kernel=lower)
         try:
-            _run_compiled(tier_plan, x, u, y)
-            return
-        except Exception as exc:
-            if not recoverable(exc):
-                raise
-            if i + 1 == len(tiers):
-                raise KernelExecutionError(
-                    f"every GEMM kernel tier failed ({' -> '.join(tiers)}); "
-                    f"last error from {kernel!r}: {type(exc).__name__}: {exc}"
-                ) from exc
-            log.warning(
-                "gemm kernel %r failed (%s: %s); degrading to %r",
-                kernel, type(exc).__name__, exc, tiers[i + 1],
-            )
-            record_degradation(
-                "kernel_fallbacks",
-                degraded=True,
-                degraded_from=kernel,
-                degraded_to=tiers[i + 1],
-                degraded_error=type(exc).__name__,
-            )
+            _call_kernel(tier_plan, x, u, y, faults, tracer)
+            return tier_plan
+        except Exception as err:
+            exc = err
+    if not recoverable(exc):
+        raise exc
+    raise KernelExecutionError(
+        f"every GEMM kernel tier failed ({' -> '.join(tiers)}); "
+        f"last error from {tiers[-1]!r}: {type(exc).__name__}: {exc}"
+    ) from exc
 
 
 def ttm_inplace(
@@ -300,7 +277,7 @@ def ttm_inplace(
         )
     return _run_plan(
         x, u, plan, out, accumulate=accumulate, check_finite=check_finite,
-        allow_replan=allow_replan, guard=True,
+        allow_replan=allow_replan,
     )
 
 
@@ -313,30 +290,83 @@ def _run_plan(
     accumulate: bool = False,
     check_finite: bool = False,
     allow_replan: bool = False,
-    guard: bool,
+    reroute=None,
 ) -> DenseTensor:
-    """Validate, pre-flight, allocate and run *plan*: the executor's body.
+    """Pre-flight, validate, allocate and run *plan*: the executor's body.
 
-    ``guard=False`` skips :func:`guard_memory`; only a caller that has
-    already established :func:`~repro.resilience.memory.preflight_skips`
-    for this very call (the :class:`~repro.core.intensli.InTensLi`
-    facade) may pass it, because then the guard provably returns the
-    plan unchanged without probing.
+    Every entry point runs here: :meth:`~repro.core.intensli.InTensLi
+    .ttm` straight from its plan-cache hit, :meth:`~repro.core.intensli
+    .InTensLi.execute` and :func:`ttm_inplace`.  What the plan fixes is
+    read from :attr:`TtmPlan.compiled`; what a call can change is checked
+    on every call.
+
+    The pre-flight is the test :func:`~repro.resilience.memory
+    .preflight_skips` states: an in-memory input, a footprint below
+    :data:`~repro.resilience.memory.PREFLIGHT_MIN_BYTES`, no armed fault
+    injector and no ``$REPRO_MEM_LIMIT``, the last two re-read on every
+    call.  When it holds, *reroute* and :func:`guard_memory` would both
+    admit the plan unchanged without a probe, so both are skipped.
+    Otherwise *reroute* (the facade's tiling check, called as
+    ``reroute(plan, x, u, out, check_finite)``) gets the call first and
+    its non-None result is returned as is, then the guard runs after
+    validation.
     """
-    u = _check_inputs(x, u, plan)
+    compiled = plan.compiled
+    allocate_out = out is None or accumulate
+    faults = active_faults()
+    skip = (
+        faults is None
+        and isinstance(x, DenseTensor)
+        and x._inmem
+        and (compiled.footprint if allocate_out else compiled.footprint_in_place)
+        < PREFLIGHT_MIN_BYTES
+        and MEM_LIMIT_KEY not in os.environ._data
+    )
+    if not skip and reroute is not None:
+        y = reroute(plan, x, u, out, check_finite)
+        if y is not None:
+            return y
+
+    if not isinstance(x, DenseTensor):
+        raise TypeError(
+            f"x must be a DenseTensor, got {type(x).__name__}; wrap ndarrays "
+            "so the storage layout is explicit"
+        )
+    data = x._data
+    dtype = plan.np_dtype
+    if data.dtype != dtype:
+        raise DtypeError(
+            f"plan was built for dtype {plan.dtype}, but x is "
+            f"{data.dtype.name}; re-plan for the tensor's dtype"
+        )
+    # Dtype policy: reject or preserve, never upcast.  A silent
+    # ``asarray(u, dtype=float64)`` here used to upcast-and-copy float32
+    # operands — the exact allocation cost this library exists to avoid.
+    if type(u) is not np.ndarray or u.dtype != dtype:
+        u = match_dtype(u, dtype)
+    if u.ndim != 2:
+        raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
+    if data.shape != plan.shape or x._layout is not plan.layout:
+        raise PlanError(
+            f"plan was built for shape {plan.shape} / {plan.layout.name}, "
+            f"got {data.shape} / {x.layout.name}"
+        )
+    if u.shape != (plan.j, plan.i_n):
+        raise ShapeError(
+            f"U shape {u.shape} does not match (J={plan.j}, I_n={plan.i_n})"
+        )
     if out is not None:
         _check_out(plan, out)
-    # Pre-flight: size the allocations before making them, so memory
-    # pressure surfaces as a typed error (or a lower-degree replan)
-    # instead of an OOM kill mid-write.  Accumulation computes into an
-    # output-sized scratch first, so the guard prices that too.
-    if guard:
+    if not skip:
+        # Size the allocations before making them, so memory pressure
+        # surfaces as a typed error (or a lower-degree replan) instead of
+        # an OOM kill mid-write.  Accumulation computes into an
+        # output-sized scratch first, so the guard prices that too.
         plan = guard_memory(
-            plan, allocate_out=out is None or accumulate,
-            allow_replan=allow_replan,
+            plan, allocate_out=allocate_out, allow_replan=allow_replan
         )
-    y = out if out is not None else _empty_out(plan)
-    target = _empty_out(plan) if accumulate else y
+        compiled = plan.compiled
+    target = np.empty(*compiled.empty_args) if allocate_out else out._data
 
     tracer = active_tracer()
     if tracer.enabled:
@@ -352,13 +382,31 @@ def _run_plan(
             dtype=plan.dtype,
             flops=plan.total_flops,
         ):
-            _execute(plan, x.data, u, target.data)
+            ran = _run_tiers(plan, data, u, target, faults, tracer)
+    elif faults is None:
+        # The warm path: one direct kernel call, degrading only on a raise.
+        try:
+            compiled.fn(data, u, target)
+            ran = plan
+        except Exception as exc:
+            ran = _degrade(plan, data, u, target, exc, None, tracer)
     else:
-        _execute(plan, x.data, u, target.data)
-    if accumulate:
-        # Added once, after success: a failed tier never leaves partial
-        # sums in *out*.
-        np.add(y.data, target.data, out=y.data)
+        ran = _run_tiers(plan, data, u, target, faults, tracer)
+    counters = active_hot_counters()
+    if counters is not None:
+        # DispatchCounts' fields are hot-counter names.
+        counts = ran.compiled.counts
+        for name, n in zip(counts._fields, counts):
+            counters.add(name, n)
+
+    if out is None:
+        y = DenseTensor._wrap(target, plan.layout, compiled.out_strides)
+    else:
+        y = out
+        if accumulate:
+            # Added once, after success: a failed tier never leaves
+            # partial sums in *out*.
+            np.add(out._data, target, out=out._data)
     if check_finite:
         check_finite_result(y.data, kernel=plan.kernel, context="ttm")
     return y

@@ -25,9 +25,11 @@ import enum
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.resilience.memory import plan_footprint_bytes
 from repro.tensor.layout import Layout, element_strides
 from repro.util.dtypes import SUPPORTED_DTYPES
 from repro.util.errors import LayoutError, PlanError
@@ -39,10 +41,31 @@ class Strategy(enum.Enum):
     FORWARD = "forward"    # M_C from {n+1, ..., N-1} (rightmost modes)
     BACKWARD = "backward"  # M_C from {0, ..., n-1} (leftmost modes)
 
+    # Identity hashing, as for Layout: plans hash a strategy field.
+    __hash__ = object.__hash__
+
     @classmethod
     def natural_for(cls, layout: Layout) -> "Strategy":
         """The unit-stride strategy for a storage layout."""
         return cls.FORWARD if layout is Layout.ROW_MAJOR else cls.BACKWARD
+
+
+class CompiledPlan(NamedTuple):
+    """What every call of one plan reuses: :attr:`TtmPlan.compiled`."""
+
+    #: The generated loop nest, ``fn(x_data, u, y_data)``
+    #: (:func:`repro.core.codegen.compile_plan`).
+    fn: Callable
+    #: Its :class:`~repro.core.codegen.DispatchCounts`.
+    counts: Any
+    #: ``np.empty(*empty_args)`` allocates the output: (shape, dtype, order).
+    empty_args: tuple
+    #: Element strides of that output.
+    out_strides: tuple[int, ...]
+    #: :func:`~repro.resilience.memory.plan_footprint_bytes` when the
+    #: executor allocates the output, and when the caller passed it.
+    footprint: int
+    footprint_in_place: int
 
 
 @dataclass(frozen=True)
@@ -50,12 +73,13 @@ class TtmPlan:
     """A fully specified in-place TTM execution recipe.
 
     Derived geometry the executor reads on every call (output shape and
-    strides, kernel shape, element type, working set) is computed once
-    per plan as a :func:`functools.cached_property`.  The cache lives in
-    the instance ``__dict__`` next to the fields but is not one of them:
-    ``==``, ``hash``, :func:`dataclasses.replace` (a fresh instance, so a
-    fresh cache) and serialization see only the fields, and pickling
-    drops it (:meth:`__getstate__`).
+    strides, kernel shape, element type, working set) and the compiled
+    kernel with its pre-flight footprints (:attr:`compiled`) are computed
+    once per plan as a :func:`functools.cached_property`.  The cache
+    lives in the instance ``__dict__`` next to the fields but is not one
+    of them: ``==``, ``hash``, :func:`dataclasses.replace` (a fresh
+    instance, so a fresh cache) and serialization see only the fields,
+    and pickling drops it (:meth:`__getstate__`).
     """
 
     shape: tuple[int, ...]
@@ -292,6 +316,30 @@ class TtmPlan:
         scratch footprint and write traffic.
         """
         return self.itemsize * math.prod(self.out_shape)
+
+    @cached_property
+    def compiled(self) -> CompiledPlan:
+        """The generated kernel and the constants every call of it needs.
+
+        Built on the first execution of this plan instance and kept, so
+        a warm call neither hashes the plan to find its kernel nor
+        recomputes the output's allocation arguments or the footprints
+        its memory pre-flight compares against.
+        """
+        # Imported here: codegen imports this module.
+        from repro.core.codegen import compile_plan
+
+        fn = compile_plan(self)
+        return CompiledPlan(
+            fn=fn,
+            counts=fn.counts,
+            empty_args=(
+                self.out_shape, self.np_dtype, self.layout.numpy_order
+            ),
+            out_strides=self.out_strides,
+            footprint=plan_footprint_bytes(self, allocate_out=True),
+            footprint_in_place=plan_footprint_bytes(self, allocate_out=False),
+        )
 
     @property
     def kernel_flops(self) -> int:

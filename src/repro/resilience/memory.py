@@ -23,7 +23,9 @@ guard stands down (None).  Small calls skip the probe entirely: below
 :data:`PREFLIGHT_MIN_BYTES` a failure is implausible and the hot path
 should not pay a file read per TTM.  :func:`preflight_skips` states that
 condition once for the tiling check and the guard, so a caller about to
-run both can skip the pair when neither could act.
+run both can skip the pair when neither could act; the executor makes
+the same test inline from the footprints its plan caches
+(:attr:`~repro.core.plan.TtmPlan.compiled`).
 
 Budget read policy
 ------------------
@@ -58,6 +60,12 @@ _pin_state = threading.local()
 
 #: Environment variable capping the bytes the guard believes available.
 MEM_LIMIT_ENV = "REPRO_MEM_LIMIT"
+
+#: :data:`MEM_LIMIT_ENV` as ``os.environ`` stores it.  ``MEM_LIMIT_KEY in
+#: os.environ._data`` reads the same dict as ``MEM_LIMIT_ENV in
+#: os.environ``, without the two ``KeyError``\ s that test raises and
+#: catches when the variable is unset (~1 µs per warm TTM).
+MEM_LIMIT_KEY = os.environ.encodekey(MEM_LIMIT_ENV)
 
 #: Footprints below this skip the availability probe (no env cap, no
 #: faults armed): probing /proc per tiny TTM would cost more than the
@@ -152,14 +160,16 @@ def preflight_skips(
     check and :func:`guard_memory` begin with this test and stand down
     without a probe when it holds, so a caller that gets True may skip
     both and provably run the same plan.  Out-of-core inputs never
-    skip: the tiling check probes them.
+    skip: the tiling check probes them.  The executor
+    (``repro.core.inttm._run_plan``) inlines this test; keep the two
+    alike.
     """
     return (
         x_inmem
         and plan_footprint_bytes(plan, allocate_out=allocate_out)
         < PREFLIGHT_MIN_BYTES
         and active_faults() is None
-        and MEM_LIMIT_ENV not in os.environ
+        and MEM_LIMIT_KEY not in os.environ._data
     )
 
 

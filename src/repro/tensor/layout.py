@@ -32,6 +32,11 @@ class Layout(enum.Enum):
     ROW_MAJOR = "C"
     COL_MAJOR = "F"
 
+    # Members are singletons and enum ``==`` is identity, so identity
+    # hashing agrees with equality; ``Enum.__hash__`` is Python-level and
+    # every plan-cache key holds a layout.
+    __hash__ = object.__hash__
+
     @property
     def numpy_order(self) -> str:
         """The NumPy ``order=`` character for this layout."""

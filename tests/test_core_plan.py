@@ -1,5 +1,6 @@
 """Tests for TtmPlan validation and derived geometry."""
 
+import copy as copy_module
 import dataclasses
 import json
 import math
@@ -8,13 +9,16 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.autotune.cache import PlanKey
 from repro.core import InTensLi
+from repro.core.codegen import compile_plan
 from repro.core.plan import Strategy, TtmPlan
 from repro.core.serialize import plan_from_dict, plan_to_dict, plans_to_json
+from repro.resilience.memory import plan_footprint_bytes
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, Layout, element_strides
 from repro.util.errors import PlanError
 from repro.tensor.dense import DenseTensor
-from repro.testing import DEFAULT_CASES
+from repro.testing import DEFAULT_CASES, ttm_reference
 from tests.test_golden_plans import (
     decision_key,
     golden_path,
@@ -301,3 +305,99 @@ class TestViewsBlasLegal:
                 plan = est.estimate((10, 11, 12, 13), mode, 4, layout)
                 if plan.kernel == "blas":
                     assert plan.views_blas_legal
+
+
+def _executed(lib, shape=(6, 7, 8), mode=1, j=4, layout=ROW_MAJOR):
+    """A plan *lib* has run twice, so its per-plan record is built."""
+    rng = np.random.default_rng(1)
+    x = DenseTensor(rng.standard_normal(shape), layout)
+    u = rng.standard_normal((j, shape[mode]))
+    for _ in range(2):
+        lib.ttm(x, u, mode)
+    return lib.plan(shape, mode, j, layout), x, u
+
+
+class TestCompiledRecord:
+    """The per-plan kernel record is derived state, never plan state."""
+
+    def test_record_holds_the_kernel_and_its_constants(self):
+        plan, _, _ = _executed(InTensLi())
+        assert "compiled" in vars(plan)
+        rec = plan.compiled
+        assert rec.fn is compile_plan(plan)
+        assert rec.counts == rec.fn.counts
+        assert rec.empty_args == (plan.out_shape, plan.np_dtype, "C")
+        assert rec.out_strides == plan.out_strides
+        assert rec.footprint == plan_footprint_bytes(plan)
+        assert rec.footprint_in_place == plan_footprint_bytes(
+            plan, allocate_out=False
+        )
+
+    def test_equality_hash_replace_pickle_and_dict_ignore_it(self):
+        warm, _, _ = _executed(InTensLi())
+        cold = plan_from_dict(plan_to_dict(warm))
+        assert "compiled" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert plan_to_dict(warm) == plan_to_dict(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        for copy in (dataclasses.replace(warm), pickle.loads(pickle.dumps(warm))):
+            assert copy == warm and "compiled" not in vars(copy)
+
+    @pytest.mark.parametrize("how", ["replace", "pickle"])
+    def test_a_copied_plan_rederives_the_record_and_runs(self, how):
+        lib = InTensLi()
+        warm, x, u = _executed(lib)
+        copy = (
+            dataclasses.replace(warm) if how == "replace"
+            else pickle.loads(pickle.dumps(warm))
+        )
+        y = lib.execute(copy, x, u)
+        assert "compiled" in vars(copy)
+        # Equal plans share one compiled kernel.
+        assert copy.compiled.fn is warm.compiled.fn
+        np.testing.assert_allclose(
+            y.data, ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12
+        )
+
+    def test_a_kernel_swap_gets_its_own_record(self):
+        warm, x, u = _executed(InTensLi())
+        blocked = dataclasses.replace(warm, kernel="blocked")
+        assert "compiled" not in vars(blocked)
+        assert blocked.compiled.fn is not warm.compiled.fn
+        assert blocked.compiled.fn.__source__ != warm.compiled.fn.__source__
+
+
+class TestEnumHashing:
+    """Layout and Strategy hash by identity: cheap, and equality-consistent."""
+
+    MEMBERS = (*Layout, *Strategy)
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=str)
+    def test_copies_are_the_identical_member(self, member):
+        for copy in (
+            pickle.loads(pickle.dumps(member)),
+            copy_module.copy(member),
+            copy_module.deepcopy(member),
+        ):
+            assert copy is member and hash(copy) == hash(member)
+
+    @pytest.mark.parametrize("member", MEMBERS, ids=str)
+    def test_hash_is_identity_and_dicts_find_parsed_members(self, member):
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[type(member)(member.value)] == 1
+
+    def test_plan_key_round_trip_is_unchanged(self):
+        for layout in Layout:
+            key = PlanKey.make((20, 20, 20), 1, 16, layout.value, 4)
+            text = key.encode()
+            assert text == f"20x20x20|m1|J16|{layout.name}|T4|float64"
+            back = PlanKey.decode(text)
+            assert back == key and hash(back) == hash(key)
+            assert back.layout is layout
+
+    @pytest.mark.parametrize("plan", GEOMETRY_PLANS, ids=str)
+    def test_serialize_round_trip_is_unchanged(self, plan):
+        back = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
+        assert back == plan and hash(back) == hash(plan)
+        assert back.layout is plan.layout and back.strategy is plan.strategy
+        assert plans_to_json([back]) == plans_to_json([plan])

@@ -7,7 +7,9 @@ fault, no ``$REPRO_MEM_LIMIT``) and the footprint is below
 which would both admit the plan unchanged.  These tests pin that the
 skip is exact: the budget is still re-read on every call, armed faults
 still fire, tracing still sees every span and counter, and the front
-end stays within a fixed budget of calls into the package.
+end stays within a fixed budget of calls into the package.  A kernel
+that raises on the untraced, uninjected warm path still degrades exactly
+as a cold call does.
 
 Run with ``REPRO_MEM_LIMIT`` set (as the fault-injection CI job does)
 they exercise the forced, probing branch of the same pre-flight.
@@ -24,6 +26,7 @@ import pytest
 import repro
 from repro.autotune import PlanCache
 from repro.core.intensli import InTensLi, default_intensli
+from repro.core.inttm import ttm_inplace
 from repro.obs import tracing
 from repro.perf.profiler import track_hot_path
 from repro.resilience import FaultInjector, fault_injection
@@ -40,8 +43,9 @@ BUDGET_CASES = (
     ((12, 10, 8, 6), 2, 4, "float32", COL_MAJOR),
 )
 
-#: Calls into ``repro`` code one warm ``repro.ttm`` may make.
-CALL_BUDGET = 40
+#: Calls into ``repro`` code one warm ``repro.ttm``, ``InTensLi.execute``
+#: or ``ttm_inplace`` may make.
+CALL_BUDGET = 20
 
 #: Counters a warm call must report exactly like a cold one.
 DISPATCH_COUNTERS = ("gemm_calls", "batched_calls", "batched_slices")
@@ -206,3 +210,85 @@ def test_budget_holds_with_a_store_backed_cache_attached(
     lib.ttm(x, u, mode)
     calls = _repro_calls(lambda: lib.ttm(x, u, mode))
     assert 0 < calls <= CALL_BUDGET
+
+
+@pytest.mark.parametrize("shape, mode, j, dtype, layout", BUDGET_CASES)
+def test_served_and_chain_steps_stay_within_the_call_budget(
+    monkeypatch, shape, mode, j, dtype, layout
+):
+    """``InTensLi.execute`` (every served request) and ``ttm_inplace``
+    into a preallocated output (every chain step) run the same body."""
+    monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
+    x, u = _operands(shape, mode, j, dtype, layout)
+    lib = InTensLi()
+    plan = lib.plan(shape, mode, j, layout, dtype=dtype)
+    out = DenseTensor.empty(plan.out_shape, plan.layout, dtype=dtype)
+    calls = {
+        "execute": lambda: lib.execute(plan, x, u),
+        "ttm_inplace": lambda: ttm_inplace(x, u, plan=plan, out=out),
+    }
+    for name, call in calls.items():
+        call()
+        assert 0 < _repro_calls(call) <= CALL_BUDGET, name
+
+
+# -- a kernel failure on the warm path degrades like a cold one ---------------
+
+
+def _raising_once(fn, exc):
+    """*fn*, except that its first call raises *exc*."""
+    state = {"raised": False}
+
+    def kernel(x, u, y):
+        if not state["raised"]:
+            state["raised"] = True
+            raise exc
+        return fn(x, u, y)
+
+    return kernel
+
+
+@pytest.mark.parametrize("shape, mode, j, dtype, layout", BUDGET_CASES)
+def test_warm_kernel_error_degrades_like_a_cold_call(
+    monkeypatch, shape, mode, j, dtype, layout
+):
+    """No injector, no tracer: the warm path's own ``try`` catches it."""
+    monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
+    x, u = _operands(shape, mode, j, dtype, layout)
+    counters = ("kernel_fallbacks",) + DISPATCH_COUNTERS
+    repro.ttm(x, u, mode)
+    plan = default_intensli().plan(shape, mode, j, layout, dtype=dtype)
+    record = plan.compiled
+    monkeypatch.setitem(
+        vars(plan), "compiled",
+        record._replace(fn=_raising_once(record.fn, MemoryError("no room"))),
+    )
+    warm = _outcome(lambda: repro.ttm(x, u, mode), counters)
+    faults = FaultInjector().arm("kernel-raise", exc=MemoryError("no room"))
+    with fault_injection(faults):
+        cold = _outcome(lambda: InTensLi().ttm(x, u, mode), counters)
+    assert faults.count("kernel-raise") == 1
+    assert warm[1]["kernel_fallbacks"] == 1
+    _same(warm, cold)
+    rtol, atol = DTYPE_TOLERANCES[dtype]
+    np.testing.assert_allclose(
+        warm[0][1], ttm_reference(x.data, u, mode), rtol=rtol, atol=atol
+    )
+
+
+def test_warm_non_recoverable_kernel_error_propagates_unchanged(monkeypatch):
+    monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
+    shape, mode, j = (6, 7, 8), 1, 4
+    x, u = _operands(shape, mode, j)
+    repro.ttm(x, u, mode)
+    plan = default_intensli().plan(shape, mode, j, x.layout)
+    error = TypeError("not a kernel problem")
+    record = plan.compiled
+    monkeypatch.setitem(
+        vars(plan), "compiled",
+        record._replace(fn=_raising_once(record.fn, error)),
+    )
+    with track_hot_path() as tally, pytest.raises(TypeError) as info:
+        repro.ttm(x, u, mode)
+    assert info.value is error
+    assert tally.kernel_fallbacks == 0
