@@ -1,57 +1,42 @@
 """Estimator-driven tiling: TTM for tensors larger than the memory budget.
 
-The memory pre-flight guard (:mod:`repro.resilience.memory`) was, until
-this module, a *bouncer*: a call whose footprint exceeded the budget was
-refused (or degraded to a lower-degree plan, which shrinks only the
-kernel working set, not the output).  Tiling turns it into a *planner*.
 When a TTM's working set exceeds the budget — the normal state of
-affairs for memmap-backed tensors, whose whole point is not fitting in
-RAM — the :class:`TilingPlanner` partitions the non-contracted modes
-into block ranges (the same balanced blocks the distributed simulation
-uses, via :func:`repro.distributed.grid.tile_grid`) and the executor
-runs the existing plan/kernel machinery tile by tile:
+memmap-backed tensors — the :class:`TilingPlanner` turns the memory guard
+(:mod:`repro.resilience.memory`) from a bouncer into a planner.  Mode-``n``
+TTM is embarrassingly tileable over every mode except ``n``
+(``Y[b] = X[b] x_n U`` for any block ``b``, no partial sums), so the
+planner cuts the non-contracted modes into block ranges
+(:func:`repro.distributed.grid.tile_grid`), outermost storage mode first:
+those tiles are contiguous views of X and Y.  Inner-mode splits make
+tiles strided; they are packed through a bounded
+:class:`~repro.core.chain.ScratchPool` (GETT-style).
 
-* Mode-``n`` TTM is **embarrassingly tileable** over every mode except
-  ``n``: ``Y[b] = X[b] x_n U`` for any block ``b`` of the non-contracted
-  index space, so tiles are independent and the union of their outputs
-  is exactly ``Y``.  No partial sums, no numerical difference from the
-  one-shot product.
-* The planner prefers splitting the **outermost storage mode** (axis 0
-  for row-major, axis N-1 for column-major): those tiles are contiguous
-  *views* of both X and Y, so tiling costs zero staging copies — the
-  paper's in-place discipline extended across the budget boundary.  Only
-  when the outermost mode alone cannot shrink the footprint enough (or
-  is the contracted mode) does it split inner modes, which makes tiles
-  strided; those are *packed* through a bounded
-  :class:`~repro.core.chain.ScratchPool` (GETT-style: copy a tile into a
-  contiguous buffer sized to the budget, multiply, scatter the result).
-* Each tile gets its own :class:`~repro.core.plan.TtmPlan` from the
-  configured planner (the estimator adapts to the tile's geometry, not
-  the full tensor's), cached per distinct tile shape — interior and
-  boundary tiles reuse two plans total.
+A tile is one more loop level of the paper's Algorithm 2 over views of
+the same operands, and this module runs that level once.  Every
+out-of-core unit — a tile of :func:`execute_tiled` or a chunk of
+:func:`ttm_stream` — goes through one plan/run/land/commit loop
+(:func:`_run_units`), which plans each distinct unit shape once with the
+configured planner.  A stream with ``axis != mode`` is a tiling whose
+input tiles come from an iterator; with ``axis == mode`` it is a k-split
+whose units accumulate into one output (GEMM's ``beta=1``).
 
-Failure atomicity: every per-tile decision — plan construction, scratch
-sizing, the ``alloc-fail`` fault checkpoint — is pre-flighted for *all*
-tiles before the first output byte is written, so an execution that
-cannot complete leaves the output untouched rather than half-written.
-Disk outputs extend this across *process* death: an ``out_path`` result
-is staged in ``<out_path>.partial`` and atomically published only when
-complete, and ``journal_path=`` adds checksummed per-tile commit records
-so a killed job resumes from its last committed tile
-(:mod:`repro.resilience.recovery`).
-
-:func:`ttm_stream` is the orthogonal API for tensors that do not exist
-yet: it consumes slices produced incrementally along one axis and emits
-partial results (``axis != mode``) or accumulates partial contractions
-(``axis == mode``, GEMM's k-split with ``beta=1``).
+Failure atomicity: :func:`execute_tiled` pre-flights every tile (plan,
+scratch sizing, the ``alloc-fail`` checkpoint) before the first output
+byte is written, so a run that cannot complete leaves its output
+untouched.  An ``out_path`` result is staged in ``<out_path>.partial``
+and published only when complete, and ``journal_path=`` adds a
+checksummed commit record per unit, opened and resumed through one path
+(:func:`_journaled`), so a killed job resumes from its last committed
+unit (:mod:`repro.resilience.recovery`).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +74,7 @@ from repro.tensor.layout import Layout
 from repro.util.dtypes import match_dtype
 from repro.util.errors import (
     DtypeError,
+    LayoutError,
     RecoveryError,
     ResourceError,
     ShapeError,
@@ -422,6 +408,127 @@ def tiling_opportunity(
     return budget
 
 
+class _Unit(NamedTuple):
+    """One tile or stream chunk, its views and record read once."""
+
+    index: int
+    ranges: tuple[tuple[int, int], ...]
+    x: np.ndarray
+    layout: Layout
+    u: np.ndarray
+    #: Where the result lands; None allocates a fresh output.
+    out: np.ndarray | None
+    accumulate: bool
+    #: The journal commit record, less its checksum.
+    record: dict
+
+
+def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
+               j: int) -> TtmPlan:
+    """The plan for *unit*, built once per distinct unit shape."""
+    key = (unit.x.shape, unit.layout, unit.x.dtype)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = planner(
+            unit.x.shape, mode, j, unit.layout, dtype=unit.x.dtype.name
+        )
+    return plan
+
+
+@contextmanager
+def _journaled(journal_path, header: dict | None, rtype: str,
+               key: str = "index"):
+    """Open or resume a job's journal; yield ``(journal, committed
+    units, done)`` and close it on the way out — flushed but unfinished,
+    so resumable, unless the caller closed it with its ``done`` record."""
+    if journal_path is None:
+        yield None, {}, False
+        return
+    journal, records = open_or_resume(journal_path, header)
+    try:
+        yield journal, committed_units(records, rtype, key=key), \
+            is_done(records)
+    finally:
+        journal.close()
+
+
+def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
+               plans: dict, counter: str, journal=None, state_path=None):
+    """Plan, run, land and commit each unit of an out-of-core TTM.
+
+    A unit whose input and output are contiguous views runs in place; a
+    strided one is packed through a :class:`ScratchPool`, multiplied and
+    scattered back (GETT-style).  The loop yields ``(unit, result)``
+    *before* committing the unit, so a stream's commit follows its
+    consumer's next pull; a drained loop commits each unit as soon as it
+    has run.  The commit checks the ``crash`` fault point at
+    ``<type>-commit`` (output bytes written, record not yet journaled),
+    lands the unit — the region CRC of its output, or for an accumulator
+    the durably published *state_path* sidecar — and appends its record.
+    """
+    tracer = active_tracer()
+    faults = active_faults()
+    counters = active_hot_counters()
+    pool = ScratchPool()
+    for unit in units:
+        plan = _plan_unit(plans, planner, unit, mode, j)
+        flag = ("C_CONTIGUOUS" if unit.layout is Layout.ROW_MAJOR
+                else "F_CONTIGUOUS")
+        packed = not unit.x.flags[flag] or (
+            unit.out is not None and not unit.out.flags[flag]
+        )
+        span = (
+            tracer.span(
+                "tile-exec", tile=unit.index,
+                ranges=[list(r) for r in unit.ranges],
+                tile_shape=list(unit.x.shape), packed=packed,
+            )
+            if tracer.enabled
+            else nullcontext()
+        )
+        with span:
+            if packed:
+                before = pool.nbytes
+                x_tile = pool.request(0, unit.x.shape, unit.layout,
+                                      unit.x.dtype)
+                y = pool.request(1, unit.out.shape, unit.layout,
+                                 unit.x.dtype)
+                if faults is not None:
+                    faults.observe(
+                        "alloc", site="tile-scratch", tile=unit.index,
+                        bytes=pool.nbytes - before, pool_nbytes=pool.nbytes,
+                        kernel_ws=plan_footprint_bytes(
+                            plan, allocate_out=False
+                        ),
+                    )
+                np.copyto(x_tile.data, unit.x)
+                ttm_inplace(x_tile, unit.u, plan=plan, out=y)
+                np.copyto(unit.out, y.data)
+            else:
+                y = ttm_inplace(
+                    DenseTensor._wrap(unit.x, unit.layout), unit.u,
+                    plan=plan,
+                    out=None if unit.out is None
+                    else DenseTensor._wrap(unit.out, unit.layout),
+                    accumulate=unit.accumulate,
+                )
+        if counters is not None:
+            counters.add(counter)
+            if packed:
+                counters.add("tile_pack_bytes", x_tile.nbytes + y.nbytes)
+        yield unit, y
+        if journal is not None:
+            rtype = unit.record["type"]
+            if faults is not None:
+                faults.check("crash", site=f"{rtype}-commit",
+                             **{rtype: unit.index})
+            if unit.accumulate:
+                crc = atomic_save_array(state_path, y.data)
+            else:
+                crc = region_checksum(y.data)
+            journal.append({**unit.record, "crc": crc})
+
+
 def execute_tiled(
     x: DenseTensor,
     u: np.ndarray,
@@ -482,11 +589,8 @@ def execute_tiled(
         )
     if planner is None:
         planner = _default_planner
-    layout = tiling.layout
-    want_flag = "C_CONTIGUOUS" if layout is Layout.ROW_MAJOR else "F_CONTIGUOUS"
     final_path = None if out is not None or out_path is None else str(out_path)
-    journal = None
-    committed: dict[int, dict] = {}
+    header = u_sidecar = None
     if journal_path is not None:
         header = {
             "kind": "ttm-tiled",
@@ -497,47 +601,36 @@ def execute_tiled(
             "out_path": final_path,
             "x_path": memmap_path(x),
         }
-        u_sidecar = None
         if header["x_path"] is not None and final_path is not None:
             # Both operands reloadable from disk: record a U sidecar so
             # `python -m repro recover resume` can finish the job from
             # the manifest alone, with no caller process.
-            u_sidecar = f"{journal_path}.u.npy"
-            header["u_path"] = u_sidecar
-        journal, records = open_or_resume(journal_path, header)
-        committed = committed_units(records, "tile")
+            u_sidecar = header["u_path"] = f"{journal_path}.u.npy"
+    with _journaled(journal_path, header, "tile") as (journal, committed,
+                                                      done):
         if u_sidecar is not None and not os.path.exists(u_sidecar):
             atomic_save_array(u_sidecar, u)
-        if is_done(records) and final_path is not None \
-                and os.path.exists(final_path):
-            journal.close()
+        if done and final_path is not None and os.path.exists(final_path):
             return open_memmap_tensor(final_path, "r+")
-    try:
         out = _execute_tiled_body(
-            x, u, tiling, out, final_path, planner,
-            np_dtype, layout, want_flag, journal, committed,
+            x, u, tiling, out, final_path, planner, journal, committed
         )
         if check_finite:
             from repro.util.validation import check_finite_result
 
             check_finite_result(out.data, kernel="tiled", context="ttm")
-    except BaseException:
-        # Leave the journal flushed-but-unfinished: the run is resumable
-        # from exactly the committed tiles.
         if journal is not None:
-            journal.close()
-        raise
-    if journal is not None:
-        journal.close({"type": "done", "tiles": tiling.n_tiles})
+            journal.close({"type": "done", "tiles": tiling.n_tiles})
     if final_path is not None:
         publish_file(partial_path(final_path), final_path)
     return out
 
 
 def _execute_tiled_body(
-    x, u, tiling, out, final_path, planner,
-    np_dtype, layout, want_flag, journal, committed,
+    x, u, tiling, out, final_path, planner, journal, committed,
 ) -> DenseTensor:
+    layout = tiling.layout
+    np_dtype = np.dtype(tiling.dtype)
     with pinned_budget(tiling.budget) as budget:
         if out is None:
             out_bytes = np_dtype.itemsize * math.prod(tiling.out_shape)
@@ -583,136 +676,56 @@ def _execute_tiled_body(
                     f"{tiling.dtype}"
                 )
 
-        faults = active_faults()
-        specs = [spec for spec in tiling.tiles() if spec.size > 0]
+        units = []
+        for spec in tiling.tiles():
+            x_view = x.data[spec.in_slices]
+            if x_view.size:
+                units.append(_Unit(
+                    spec.index, spec.ranges, x_view, layout, u,
+                    out.data[spec.out_slices], False,
+                    {"type": "tile", "index": spec.index},
+                ))
         # Pre-flight every tile before writing anything: plan it, size
         # its scratch, and visit the alloc-fail checkpoint, so a failure
         # at tile k surfaces before tile 0 has written a byte.
-        tile_plans: dict[tuple[int, ...], TtmPlan] = {}
-        for spec in specs:
-            tile_plan = tile_plans.get(spec.tile_shape)
-            if tile_plan is None:
-                tile_plan = planner(
-                    spec.tile_shape, tiling.mode, tiling.j, layout,
-                    dtype=tiling.dtype,
-                )
-                tile_plans[spec.tile_shape] = tile_plan
+        faults = active_faults()
+        plans: dict = {}
+        for unit in units:
+            _plan_unit(plans, planner, unit, tiling.mode, tiling.j)
             if faults is not None:
-                scratch = np_dtype.itemsize * (
-                    spec.size + math.prod(spec.out_tile_shape)
-                )
                 faults.check(
-                    "alloc-fail", site="tile-scratch", tile=spec.index,
-                    bytes=scratch,
+                    "alloc-fail", site="tile-scratch", tile=unit.index,
+                    bytes=np_dtype.itemsize * (unit.x.size + unit.out.size),
                 )
 
-        tracer = active_tracer()
-        skip: set[int] = set()
+        counters = active_hot_counters()
         if committed:
             # Never trust a commit record: re-checksum what actually
             # landed, skip matches, recompute the rest (torn pages from
             # the crash, bit rot, a truncated partial).
-            vspan = (
-                tracer.span(
-                    "recover-resume", kind="ttm-tiled",
-                    committed=len(committed), tiles=len(specs),
-                )
-                if tracer.enabled
-                else None
-            )
-            try:
-                if vspan is not None:
-                    vspan.__enter__()
-                reverified = 0
-                for spec in specs:
-                    record = committed.get(spec.index)
-                    if record is None:
-                        continue
-                    reverified += 1
-                    crc = region_checksum(out.data[spec.out_slices])
-                    if crc == record.get("crc"):
-                        skip.add(spec.index)
-                if vspan is not None:
-                    vspan.set(verified=len(skip),
-                              recomputed=reverified - len(skip))
-            finally:
-                if vspan is not None:
-                    vspan.__exit__(None, None, None)
-            counters = active_hot_counters()
+            with active_tracer().span(
+                "recover-resume", kind="ttm-tiled",
+                committed=len(committed), tiles=len(units),
+            ) as span:
+                checked = [unit for unit in units if unit.index in committed]
+                kept = {
+                    unit.index for unit in checked
+                    if region_checksum(unit.out)
+                    == committed[unit.index].get("crc")
+                }
+                if span is not None:
+                    span.set(verified=len(kept),
+                             recomputed=len(checked) - len(kept))
             if counters is not None:
-                counters.add("tiles_resumed", len(skip))
-                counters.add("tiles_reverified", reverified)
+                counters.add("tiles_resumed", len(kept))
+                counters.add("tiles_reverified", len(checked))
+            units = [unit for unit in units if unit.index not in kept]
 
-        pool = ScratchPool()
-        pack_bytes = 0
-        for spec in specs:
-            if spec.index in skip:
-                continue
-            tile_plan = tile_plans[spec.tile_shape]
-            x_sub = x.data[spec.in_slices]
-            y_sub = out.data[spec.out_slices]
-            view_ok = x_sub.flags[want_flag] and y_sub.flags[want_flag]
-            span = (
-                tracer.span(
-                    "tile-exec",
-                    tile=spec.index,
-                    ranges=[list(r) for r in spec.ranges],
-                    tile_shape=list(spec.tile_shape),
-                    packed=not view_ok,
-                )
-                if tracer.enabled
-                else None
-            )
-            try:
-                if span is not None:
-                    span.__enter__()
-                if view_ok:
-                    x_tile = DenseTensor._wrap(x_sub, layout)
-                    y_tile = DenseTensor._wrap(y_sub, layout)
-                    ttm_inplace(x_tile, u, plan=tile_plan, out=y_tile)
-                    landed = y_sub
-                else:
-                    before = pool.nbytes
-                    x_tile = pool.request(
-                        0, spec.tile_shape, layout, np_dtype
-                    )
-                    y_tile = pool.request(
-                        1, spec.out_tile_shape, layout, np_dtype
-                    )
-                    if faults is not None:
-                        faults.observe(
-                            "alloc", site="tile-scratch", tile=spec.index,
-                            bytes=pool.nbytes - before,
-                            pool_nbytes=pool.nbytes,
-                            kernel_ws=plan_footprint_bytes(
-                                tile_plan, allocate_out=False
-                            ),
-                        )
-                    np.copyto(x_tile.data, x_sub)
-                    ttm_inplace(x_tile, u, plan=tile_plan, out=y_tile)
-                    np.copyto(y_sub, y_tile.data)
-                    landed = y_tile.data
-                    pack_bytes += x_tile.nbytes + y_tile.nbytes
-                if journal is not None:
-                    crc = region_checksum(landed)
-                    if faults is not None:
-                        # Output bytes written, commit record not yet
-                        # journaled: the widest crash window a resumed
-                        # run must recompute across.
-                        faults.check("crash", site="tile-commit",
-                                     tile=spec.index)
-                    journal.append(
-                        {"type": "tile", "index": spec.index, "crc": crc}
-                    )
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
-
-        counters = active_hot_counters()
+        for _ in _run_units(units, tiling.mode, tiling.j, planner, plans,
+                            "tiles_executed", journal):
+            pass
         if counters is not None:
             counters.add("tiled_ttms")
-            counters.add("tiles_executed", len(specs) - len(skip))
-            counters.add("tile_pack_bytes", pack_bytes)
         out.flush()
     return out
 
@@ -843,10 +856,15 @@ def ttm_stream(
         partial sum: ``Y += chunk x_mode U[:, lo:hi]`` (a k-split GEMM
         accumulation, exact in float — addition order matches the
         blocked kernel's).  One final chunk carrying the complete result
-        is yielded after the stream ends.
+        is yielded after the stream ends.  The accumulator takes the
+        first chunk's layout; a later chunk in another layout is a
+        :class:`~repro.util.errors.LayoutError`.
 
-    The generator is lazy: nothing is consumed until iterated.  For the
-    assembled tensor in one call use :func:`ttm_stream_collect`.
+    Either way each chunk is one unit of the same plan/run/land/commit
+    loop :func:`execute_tiled` runs its tiles through, and is traced as
+    a ``tile-exec`` span.  The generator is lazy: nothing is consumed
+    until iterated.  For the assembled tensor in one call use
+    :func:`ttm_stream_collect`.
 
     *journal_path* gives the stream a **resumable cursor**
     (:mod:`repro.resilience.recovery`): each chunk appends a commit
@@ -868,17 +886,8 @@ def ttm_stream(
     if u.ndim != 2:
         raise ShapeError(f"U must be 2-D (J x I_n), got {u.ndim}-D")
     j = int(u.shape[0])
-    counters = active_hot_counters()
-    faults = active_faults()
-
-    lo = 0
-    accum: DenseTensor | None = None
-    rest_shape: tuple[int, ...] | None = None
-    saw_chunk = False
-    journal = None
-    committed: dict[int, dict] = {}
-    accum_path = None
-    resume_upto = 0
+    k_split = axis == mode
+    header = state_path = None
     if journal_path is not None:
         decision = {"mode": int(mode), "axis": int(axis), "j": j,
                     "layout": layout.name}
@@ -888,147 +897,131 @@ def ttm_stream(
             "decision": decision,
             "inputs": {"u": fingerprint_array(u)},
         }
-        if axis == mode:
-            accum_path = f"{journal_path}.accum.npy"
-            header["state_path"] = accum_path
-        journal, records = open_or_resume(journal_path, header)
-        committed = committed_units(records, "chunk", key="chunk")
+        if k_split:
+            state_path = header["state_path"] = f"{journal_path}.accum.npy"
+    with _journaled(journal_path, header, "chunk", key="chunk") as (
+        journal, committed, _
+    ):
+        resume_upto = 0
         while resume_upto in committed:  # contiguous committed prefix
             resume_upto += 1
-        if axis == mode and resume_upto:
+        saved = None
+        if k_split and resume_upto:
             # The cursor is only as good as the accumulator it points
             # into: verify the sidecar against its last commit record,
             # else restart the accumulation from chunk 0.
-            if (os.path.exists(accum_path)
-                    and file_checksum(accum_path)
+            if (os.path.exists(state_path)
+                    and file_checksum(state_path)
                     == committed[resume_upto - 1].get("crc")):
-                accum = DenseTensor(np.load(accum_path), layout)
+                saved = np.load(state_path)
             else:
                 resume_upto = 0
+        counters = active_hot_counters()
         if resume_upto and counters is not None:
             counters.add("tiles_resumed", resume_upto)
-            counters.add("tiles_reverified", 1 if axis == mode else 0)
-    n_chunks = 0
-    try:
-        for i, chunk in enumerate(slices):
-            if isinstance(chunk, DenseTensor):
-                x_chunk = chunk
-            else:
-                x_chunk = DenseTensor(np.asarray(chunk), layout)
-            if not 0 <= axis < x_chunk.order:
-                raise ShapeError(
-                    f"stream axis {axis} out of range for "
-                    f"order-{x_chunk.order} chunks"
-                )
-            if not 0 <= mode < x_chunk.order:
-                raise ShapeError(
-                    f"mode {mode} out of range for order-{x_chunk.order} "
-                    "chunks"
-                )
-            other = tuple(
-                e for a, e in enumerate(x_chunk.shape) if a != axis
-            )
-            if rest_shape is None:
-                rest_shape = other
-            elif other != rest_shape:
-                raise ShapeError(
-                    f"stream chunk has non-axis extents {other}, previous "
-                    f"chunks had {rest_shape}"
-                )
-            saw_chunk = True
-            u_arr = match_dtype(u, x_chunk.data.dtype)
-            hi = lo + x_chunk.shape[axis]
-            n_chunks = i + 1
-            if i < resume_upto:
-                record = committed[i]
-                if record.get("lo") != lo or record.get("hi") != hi:
-                    raise RecoveryError(
-                        f"journal {journal_path} committed chunk {i} as "
-                        f"rows [{record.get('lo')}, {record.get('hi')}), "
-                        f"this stream produced [{lo}, {hi}); the streams "
-                        "differ — delete the journal to start over"
+            counters.add("tiles_reverified", int(k_split))
+
+        lo = n_chunks = 0
+        accum = None
+
+        def units() -> Iterator[_Unit]:
+            nonlocal lo, n_chunks, accum
+            rest_shape = None
+            for i, chunk in enumerate(slices):
+                if isinstance(chunk, DenseTensor):
+                    x_chunk = chunk
+                else:
+                    x_chunk = DenseTensor(np.asarray(chunk), layout)
+                shape = x_chunk.shape
+                if not 0 <= axis < len(shape):
+                    raise ShapeError(
+                        f"stream axis {axis} out of range for "
+                        f"order-{len(shape)} chunks"
                     )
-                lo = hi
-                continue
-            if counters is not None:
-                counters.add("stream_chunks")
-            if axis != mode:
-                if u_arr.shape[1] != x_chunk.shape[mode]:
+                if not 0 <= mode < len(shape):
+                    raise ShapeError(
+                        f"mode {mode} out of range for order-{len(shape)} "
+                        "chunks"
+                    )
+                other = shape[:axis] + shape[axis + 1:]
+                if rest_shape is None:
+                    rest_shape = other
+                elif other != rest_shape:
+                    raise ShapeError(
+                        f"stream chunk has non-axis extents {other}, "
+                        f"previous chunks had {rest_shape}"
+                    )
+                u_arr = match_dtype(u, x_chunk.data.dtype)
+                start, lo = lo, lo + shape[axis]
+                n_chunks = i + 1
+                if k_split:
+                    if lo > u_arr.shape[1]:
+                        raise ShapeError(
+                            f"stream chunks cover {lo} contracted indices, "
+                            f"U has only I_n={u_arr.shape[1]} columns"
+                        )
+                    if accum is None:
+                        # The one place the accumulator's layout is
+                        # decided: chunk 0's, fresh or resumed.
+                        accum = (
+                            DenseTensor.zeros(
+                                shape[:mode] + (j,) + shape[mode + 1:],
+                                x_chunk.layout, dtype=x_chunk.data.dtype,
+                            )
+                            if saved is None
+                            else DenseTensor(saved, x_chunk.layout)
+                        )
+                    elif x_chunk.layout is not accum.layout:
+                        raise LayoutError(
+                            f"stream chunk {i} is {x_chunk.layout.name}, "
+                            f"the accumulator (chunk 0's layout) is "
+                            f"{accum.layout.name}; every chunk of an "
+                            "axis == mode stream must share one layout"
+                        )
+                elif u_arr.shape[1] != shape[mode]:
                     raise ShapeError(
                         f"U shape {u_arr.shape} != (J={j}, "
-                        f"I_n={x_chunk.shape[mode]})"
+                        f"I_n={shape[mode]})"
                     )
-                plan = planner(
-                    x_chunk.shape, mode, j, x_chunk.layout,
-                    dtype=x_chunk.data.dtype.name,
+                if i < resume_upto:
+                    record = committed[i]
+                    if record.get("lo") != start or record.get("hi") != lo:
+                        raise RecoveryError(
+                            f"journal {journal_path} committed chunk {i} "
+                            f"as rows [{record.get('lo')}, "
+                            f"{record.get('hi')}), this stream produced "
+                            f"[{start}, {lo}); the streams differ — delete "
+                            "the journal to start over"
+                        )
+                    continue
+                yield _Unit(
+                    i,
+                    tuple((start, lo) if a == axis else (0, e)
+                          for a, e in enumerate(shape)),
+                    x_chunk.data, x_chunk.layout,
+                    # U's column block for a k-split chunk's contracted
+                    # indices: a strided view every kernel tier accepts.
+                    u_arr[:, start:lo] if k_split else u_arr,
+                    accum.data if k_split else None, k_split,
+                    {"type": "chunk", "chunk": i, "lo": start, "hi": lo},
                 )
-                y = ttm_inplace(x_chunk, u_arr, plan=plan)
-                yield StreamChunk(lo, hi, y)
-                if journal is not None:
-                    # Reaching here means the consumer pulled the next
-                    # item: the chunk is durably theirs, commit it.
-                    crc = region_checksum(y.data)
-                    if faults is not None:
-                        faults.check("crash", site="chunk-commit", chunk=i)
-                    journal.append(
-                        {"type": "chunk", "chunk": i, "lo": lo, "hi": hi,
-                         "crc": crc}
-                    )
-            else:
-                if hi > u_arr.shape[1]:
-                    raise ShapeError(
-                        f"stream chunks cover {hi} contracted indices, U "
-                        f"has only I_n={u_arr.shape[1]} columns"
-                    )
-                if accum is None:
-                    out_shape = (
-                        x_chunk.shape[:mode] + (j,)
-                        + x_chunk.shape[mode + 1 :]
-                    )
-                    accum = DenseTensor.zeros(
-                        out_shape, x_chunk.layout, dtype=x_chunk.data.dtype
-                    )
-                # U's column block for this chunk's contracted indices —
-                # a strided view, which every kernel tier accepts.
-                plan = planner(
-                    x_chunk.shape, mode, j, x_chunk.layout,
-                    dtype=x_chunk.data.dtype.name,
-                )
-                ttm_inplace(
-                    x_chunk, u_arr[:, lo:hi], plan=plan, out=accum,
-                    accumulate=True,
-                )
-                if journal is not None:
-                    # Crash-check *before* the sidecar publish: a kill
-                    # here loses exactly this chunk, so resume lands on
-                    # cursor i instead of restarting the accumulation.
-                    if faults is not None:
-                        faults.check("crash", site="chunk-commit", chunk=i)
-                    crc = atomic_save_array(accum_path, accum.data)
-                    journal.append(
-                        {"type": "chunk", "chunk": i, "lo": lo, "hi": hi,
-                         "crc": crc}
-                    )
-            lo = hi
-        if not saw_chunk:
+
+        for unit, y in _run_units(units(), mode, j, planner, {},
+                                  "stream_chunks", journal, state_path):
+            if not k_split:
+                yield StreamChunk(*unit.ranges[axis], y)
+        if not n_chunks:
             raise ShapeError("ttm_stream received an empty stream of slices")
-        if axis == mode:
-            if lo != u.shape[1]:
-                raise ShapeError(
-                    f"stream covered {lo} contracted indices of "
-                    f"I_n={u.shape[1]}; partial result withheld (it would "
-                    "be silently wrong)"
-                )
-            if journal is not None:
-                journal.close({"type": "done", "chunks": n_chunks})
-            yield StreamChunk(0, int(u.shape[0]), accum)
-        elif journal is not None:
-            journal.close({"type": "done", "chunks": n_chunks})
-    finally:
-        # An abandoned or failed stream leaves the journal flushed but
-        # unfinished — resumable; close() after close(done) is a no-op.
+        if k_split and lo != u.shape[1]:
+            raise ShapeError(
+                f"stream covered {lo} contracted indices of "
+                f"I_n={u.shape[1]}; partial result withheld (it would "
+                "be silently wrong)"
+            )
         if journal is not None:
-            journal.close()
+            journal.close({"type": "done", "chunks": n_chunks})
+        if k_split:
+            yield StreamChunk(0, j, accum)
 
 
 def ttm_stream_collect(

@@ -87,11 +87,12 @@ def region_checksum(arr) -> int:
     adversarial corruption is out of scope.
     """
     a = np.asarray(arr)
+    if not (a.flags["C_CONTIGUOUS"] or a.flags["F_CONTIGUOUS"]):
+        # Keep the memory order: a strided view of a column-major array
+        # must sum like the column-major tile packed from it.
+        a = a.copy(order="K")
     if not a.flags["C_CONTIGUOUS"]:
-        if a.flags["F_CONTIGUOUS"]:
-            a = a.T
-        else:
-            a = np.ascontiguousarray(a)
+        a = a.T
     return zlib.crc32(a) & 0xFFFFFFFF
 
 

@@ -17,6 +17,7 @@ Three tiers of proof, in increasing severity:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from repro.decomp.tucker import hooi
 from repro.perf.profiler import HotCounters, install_hot_counters
 from repro.resilience.faults import InjectedFault, fault_injection
 from repro.resilience.recovery import (
+    JOURNAL_SCHEMA,
     Journal,
     atomic_save_array,
     committed_units,
@@ -46,6 +48,7 @@ from repro.resilience.recovery import (
     digest_payload,
     file_checksum,
     fingerprint_array,
+    fingerprint_tensor,
     is_done,
     open_or_resume,
     partial_path,
@@ -381,6 +384,42 @@ class TestInProcessResume:
         np.testing.assert_allclose(
             np.asarray(y.data), ttm_oracle(np.asarray(x.data), u, 1)
         )
+
+
+    def test_column_major_packed_tiles_verify_and_resume(self, tmp_path):
+        # Inner-mode cuts pack every tile.  The commit CRC of a packed
+        # column-major tile must equal the one verify and resume read
+        # back from the strided output region.
+        shape, j, mode = (8, 6, 5), 4, 1
+        x, u = _case(shape, j, mode, layout=Layout.COL_MAJOR)
+        tiling = _forced_tiling(shape, mode, j, layout=Layout.COL_MAJOR,
+                                parts=(2, 1, 2))
+        ref_path = str(tmp_path / "ref.bin")
+        execute_tiled(x, u, tiling, out_path=ref_path,
+                      journal_path=str(tmp_path / "ref.json"))
+        report = verify_journal(str(tmp_path / "ref.json"))
+        assert report.ok and report.verified == tiling.n_tiles
+
+        out_path = str(tmp_path / "y.bin")
+        journal_path = str(tmp_path / "j.json")
+        with fault_injection() as faults:
+            faults.arm("crash", exc=InjectedFault, site="tile-commit",
+                       tile=3)
+            with pytest.raises(InjectedFault):
+                execute_tiled(x, u, tiling, out_path=out_path,
+                              journal_path=journal_path)
+        counters = HotCounters()
+        previous = install_hot_counters(counters)
+        try:
+            execute_tiled(x, u, tiling, out_path=out_path,
+                          journal_path=journal_path)
+        finally:
+            install_hot_counters(previous)
+        assert counters.tiles_reverified == 3
+        assert counters.tiles_resumed == 3
+        assert counters.tiles_executed == 1
+        with open(out_path, "rb") as a, open(ref_path, "rb") as b:
+            assert a.read() == b.read()
 
 
 # -- property: resume == uninterrupted, across the geometry grid ---------------
@@ -734,6 +773,36 @@ class TestStreamCursor:
         )
 
 
+    def test_column_major_accumulator_resumes(self, tmp_path):
+        # The accumulator takes chunk 0's layout on the fresh run and on
+        # the resumed one alike, whatever the layout= argument says.
+        rng = np.random.default_rng(10)
+        x_arr = rng.standard_normal((12, 6, 5))
+        u = rng.standard_normal((4, 12))
+        chunks = [DenseTensor(x_arr[i * 3:(i + 1) * 3], "col")
+                  for i in range(4)]
+        journal_path = str(tmp_path / "j.json")
+        ref = list(ttm_stream(chunks, u, mode=0, axis=0))[-1]
+        with fault_injection() as faults:
+            faults.arm("crash", exc=InjectedFault, site="chunk-commit",
+                       chunk=2)
+            with pytest.raises(InjectedFault):
+                list(ttm_stream(chunks, u, mode=0, axis=0,
+                                journal_path=journal_path))
+        counters = HotCounters()
+        previous = install_hot_counters(counters)
+        try:
+            got = list(ttm_stream(chunks, u, mode=0, axis=0,
+                                  journal_path=journal_path))[-1]
+        finally:
+            install_hot_counters(previous)
+        assert counters.tiles_resumed == 2
+        assert got.data.layout is Layout.COL_MAJOR
+        np.testing.assert_array_equal(
+            np.asarray(got.data.data), np.asarray(ref.data.data)
+        )
+
+
 # -- HOOI checkpointing --------------------------------------------------------
 
 
@@ -789,3 +858,174 @@ class TestChecksums:
         view = arr.view(np.uint8)
         view[100] ^= 0x01
         assert region_checksum(arr) != before
+
+    def test_strided_region_sums_like_its_packed_copy(self):
+        rng = np.random.default_rng(5)
+        for order in ("C", "F"):
+            arr = np.array(rng.standard_normal((6, 5, 4)), order=order)
+            region = arr[1:4, 1:3, 1:3]
+            packed = np.array(region, order=order)
+            assert region_checksum(region) == region_checksum(packed)
+
+
+# -- journals in the on-disk format of earlier builds --------------------------
+
+
+def _write_journal(path, header, records):
+    """Write a journal line by line, spelling every field out."""
+    with open(path, "w") as fh:
+        for line in [header, *records]:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+class TestEarlierFormatJournals:
+    """Journals hand-written in the schema-1 format resume unchanged.
+
+    Header fields: ``type``, ``kind``, ``digest``, ``decision``,
+    ``inputs``, ``schema``, plus ``out_path``/``x_path``/``u_path`` for a
+    tiled job and ``state_path`` for an accumulating stream.  Records:
+    ``{"type": "tile", "index", "crc"}`` and ``{"type": "chunk", "chunk",
+    "lo", "hi", "crc"}``.
+    """
+
+    def test_schema_is_one(self):
+        assert JOURNAL_SCHEMA == 1
+
+    def test_tiled_job_resumes_verifies_and_describes(self, tmp_path):
+        rng = np.random.default_rng(21)
+        shape, j, mode = (12, 6, 5), 4, 1
+        x_path = str(tmp_path / "x.bin")
+        x = open_memmap_tensor(x_path, "w+", shape=shape, dtype="float64")
+        x.data[:] = rng.standard_normal(shape)
+        x.flush()
+        u = rng.standard_normal((j, shape[mode]))
+        tiling = _forced_tiling(shape, mode, j)
+        ref = execute_tiled(x, u, tiling, out_path=str(tmp_path / "ref.bin"))
+        ref_data = np.array(ref.data)
+
+        out_path = str(tmp_path / "y.bin")
+        journal_path = str(tmp_path / "job.json")
+        u_path = journal_path + ".u.npy"
+        np.save(u_path, u)
+        # The partial holds tiles 0 and 1; the rest never landed.
+        part = open_memmap_tensor(partial_path(out_path), "w+",
+                                  shape=tiling.out_shape, dtype="float64")
+        specs = list(tiling.tiles())
+        records = []
+        for spec in specs[:2]:
+            part.data[spec.out_slices] = ref_data[spec.out_slices]
+            records.append({"type": "tile", "index": spec.index,
+                            "crc": region_checksum(
+                                ref_data[spec.out_slices])})
+        part.flush()
+        del part
+        _write_journal(journal_path, {
+            "type": "header",
+            "kind": "ttm-tiled",
+            "digest": digest_payload(tiling.to_dict()),
+            "decision": tiling.to_dict(),
+            "inputs": {"x": fingerprint_tensor(x), "u": fingerprint_array(u)},
+            "out_path": out_path,
+            "x_path": x_path,
+            "u_path": u_path,
+            "schema": 1,
+        }, records)
+
+        rows = dict(describe_journal(journal_path))
+        assert rows["kind"] == "ttm-tiled"
+        assert rows["tiles committed"] == f"2 / {tiling.n_tiles}"
+        assert rows["status"] == "interrupted (resumable)"
+        report = verify_journal(journal_path)
+        assert report.ok and report.verified == 2 and not report.done
+
+        counters = HotCounters()
+        previous = install_hot_counters(counters)
+        try:
+            result = resume_job(journal_path)
+        finally:
+            install_hot_counters(previous)
+        assert result["out_path"] == out_path
+        assert counters.tiles_resumed == 2
+        assert counters.tiles_executed == tiling.n_tiles - 2
+        np.testing.assert_array_equal(np.load(out_path), ref_data)
+        report = verify_journal(journal_path)
+        assert report.ok and report.done
+        assert report.verified == tiling.n_tiles
+        assert dict(describe_journal(journal_path))["status"] == "complete"
+
+    @staticmethod
+    def _stream_header(u, mode, axis, state_path=None):
+        decision = {"mode": mode, "axis": axis, "j": int(u.shape[0]),
+                    "layout": "ROW_MAJOR"}
+        header = {
+            "type": "header",
+            "kind": "ttm-stream",
+            "digest": digest_payload(decision),
+            "decision": decision,
+            "inputs": {"u": fingerprint_array(u)},
+            "schema": 1,
+        }
+        if state_path is not None:
+            header["state_path"] = state_path
+        return header
+
+    def test_yielding_stream_resumes(self, tmp_path):
+        rng = np.random.default_rng(22)
+        x_arr = rng.standard_normal((12, 6, 5))
+        u = rng.standard_normal((4, 6))
+        chunks = [x_arr[i * 3:(i + 1) * 3] for i in range(4)]
+        ref = list(ttm_stream(chunks, u, mode=1, axis=0))
+        journal_path = str(tmp_path / "j.json")
+        _write_journal(journal_path, self._stream_header(u, 1, 0), [
+            {"type": "chunk", "chunk": i, "lo": 3 * i, "hi": 3 * i + 3,
+             "crc": region_checksum(ref[i].data.data)}
+            for i in range(2)
+        ])
+        assert dict(describe_journal(journal_path))["chunks committed"] \
+            == "2"
+        got = list(ttm_stream(chunks, u, mode=1, axis=0,
+                              journal_path=journal_path))
+        assert [(c.lo, c.hi) for c in got] == [(6, 9), (9, 12)]
+        for chunk, want in zip(got, ref[2:]):
+            np.testing.assert_array_equal(chunk.data.data, want.data.data)
+        report = verify_journal(journal_path)
+        assert report.ok and report.done and report.verified == 4
+        with pytest.raises(RecoveryError, match="re-invoking ttm_stream"):
+            resume_job(journal_path)
+
+    def test_accumulating_stream_resumes(self, tmp_path):
+        rng = np.random.default_rng(23)
+        x_arr = rng.standard_normal((12, 6, 5))
+        u = rng.standard_normal((4, 12))
+        chunks = [x_arr[i * 3:(i + 1) * 3] for i in range(4)]
+        ref = list(ttm_stream(chunks, u, mode=0, axis=0))[-1]
+        journal_path = str(tmp_path / "j.json")
+        state_path = journal_path + ".accum.npy"
+        records = []
+        for i in range(2):
+            # The accumulator after chunks 0..i: the same k-split over
+            # the leading columns of U.
+            partial = list(ttm_stream(chunks[:i + 1], u[:, :3 * (i + 1)],
+                                      mode=0, axis=0))[-1]
+            np.save(state_path, partial.data.data)
+            records.append({"type": "chunk", "chunk": i, "lo": 3 * i,
+                            "hi": 3 * i + 3,
+                            "crc": file_checksum(state_path)})
+        _write_journal(journal_path,
+                       self._stream_header(u, 0, 0, state_path), records)
+        report = verify_journal(journal_path)
+        assert report.ok and report.target == state_path
+        counters = HotCounters()
+        previous = install_hot_counters(counters)
+        try:
+            got = list(ttm_stream(chunks, u, mode=0, axis=0,
+                                  journal_path=journal_path))
+        finally:
+            install_hot_counters(previous)
+        assert counters.tiles_resumed == 2
+        assert counters.stream_chunks == 2
+        assert len(got) == 1
+        np.testing.assert_array_equal(got[0].data.data, ref.data.data)
+        assert verify_journal(journal_path).done
+        assert dict(describe_journal(journal_path))["state_path"] \
+            == state_path

@@ -49,7 +49,12 @@ from repro.resilience.memory import (
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.testing import DEFAULT_CASES, DTYPE_TOLERANCES
-from repro.util.errors import DtypeError, ResourceError, ShapeError
+from repro.util.errors import (
+    DtypeError,
+    LayoutError,
+    ResourceError,
+    ShapeError,
+)
 from tests.helpers import ttm_oracle
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "tiling_plans.json"
@@ -482,6 +487,31 @@ def test_stream_error_contracts():
     # Float dtype mismatches are rejected, never silently converted.
     with pytest.raises(DtypeError, match="cast U explicitly"):
         list(ttm_stream([np.ones((4, 3), dtype=np.float32)], u, 0, axis=1))
+
+
+def test_stream_accumulator_refuses_a_second_layout():
+    # The accumulator takes chunk 0's layout; a later chunk in the other
+    # layout is a typed error naming the chunk, not a failed out= check.
+    x, u = _case_arrays((6, 4, 5), 3, 0)
+    chunks = [DenseTensor(x.data[0:2]), DenseTensor(x.data[2:4]),
+              DenseTensor(x.data[4:6], COL_MAJOR)]
+    with pytest.raises(LayoutError, match="stream chunk 2 is COL_MAJOR"):
+        list(ttm_stream(chunks, u, 0, axis=0))
+
+
+def test_stream_chunks_are_traced_like_tiles():
+    shape, j, mode = (9, 6, 5), 3, 1
+    x, u = _case_arrays(shape, j, mode)
+    with tracing() as tracer:
+        chunks = list(ttm_stream(_chunked(x.data, 0, pieces=3), u, mode))
+    assert len(chunks) == 3
+    spans = [s for s in tracer.collector.spans() if s.name == "tile-exec"]
+    assert [s.attrs["tile"] for s in spans] == [0, 1, 2]
+    assert [s.attrs["ranges"] for s in spans] == [
+        [[lo, lo + 3], [0, 6], [0, 5]] for lo in (0, 3, 6)
+    ]
+    assert all(s.attrs["tile_shape"] == [3, 6, 5] for s in spans)
+    assert not any(s.attrs["packed"] for s in spans)
 
 
 def test_facade_stream_uses_the_estimator_planner():
