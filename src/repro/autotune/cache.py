@@ -186,6 +186,11 @@ class PlanCache:
     ``stats`` (mirrored to HotCounters) counts every :meth:`get` and
     :meth:`count`; :meth:`lookup` hits count in HotCounters only.
 
+    ``generation`` goes up whenever an answer may change (a pin by a
+    non-``"estimator"`` :meth:`put`/:meth:`keep`, :meth:`promote`, an
+    eviction, :meth:`clear`, :meth:`reload`); the facade drops its
+    cached chain plans when it moves.
+
     Thread safety: entry mutation happens under one reentrant lock and
     stats accounting under the registry's own, so concurrent readers
     under the multi-tenant serving layer observe exact
@@ -214,6 +219,7 @@ class PlanCache:
         self._entries: dict[PlanKey, CacheEntry] = {}
         self._tenant_keys: dict[str, list[PlanKey]] = {}
         self._tenant_quotas: dict[str, int] = {}
+        self.generation = 0
         self.reload()
 
     @classmethod
@@ -306,6 +312,7 @@ class PlanCache:
         with self._lock:
             self._entries = fresh
             self._tenant_keys = {}
+            self.generation += 1
             return len(self._entries)
 
     def save(self) -> None:
@@ -323,6 +330,7 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries = {}
             self._tenant_keys = {}
+            self.generation += 1
         self.store.clear()
         return dropped
 
@@ -368,6 +376,8 @@ class PlanCache:
             if tenant is not None and key not in self._entries:
                 self._charge_tenant_insert(key, tenant)
             self._entries[key] = entry
+            if source != "estimator":
+                self.generation += 1
             self._autosave()
         return entry
 
@@ -389,6 +399,7 @@ class PlanCache:
         while quota is not None and len(owned) >= quota:
             oldest = owned.pop(0)
             if self._entries.pop(oldest, None) is not None:
+                self.generation += 1
                 self.count("evictions", tenant=tenant)
                 log.info(
                     "tenant %s over plan-cache quota (%d); evicted %s",
@@ -428,6 +439,7 @@ class PlanCache:
             entry.plan = plan
             entry.source = "measured"
             entry.seconds = float(seconds)
+            self.generation += 1
             entry.trials[plan_digest(plan)] = min(
                 float(seconds),
                 entry.trials.get(plan_digest(plan), float("inf")),

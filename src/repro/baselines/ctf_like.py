@@ -55,11 +55,6 @@ def processor_grid(order: int, nproc: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _cyclic_assignment(extent: int, procs: int) -> np.ndarray:
-    """Element -> processor coordinate along one mode (cyclic layout)."""
-    return np.arange(extent) % procs
-
-
 def distribute_cyclic(
     x: DenseTensor, grid: tuple[int, ...]
 ) -> list[np.ndarray]:

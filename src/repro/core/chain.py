@@ -29,12 +29,18 @@ dimension blocking):
 *backend* callable it executes step-at-a-time as before (the honest
 path for baseline backends that cannot write into preallocated
 outputs); with a :class:`ChainPlan` (or none of either) it runs fused.
+Its fused path and :meth:`repro.core.intensli.InTensLi.ttm_chain` share
+one front end (:func:`_fused_chain`): the steps are normalized and
+validated once, on the real matrices, before the first product; the
+chain is planned from the parsed ``(mode, J)`` signature; one executor
+body runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,29 +74,44 @@ class ChainStep:
         return self.matrix.shape[0]
 
 
-def _check_chain(shape: Sequence[int], steps: Sequence[ChainStep]) -> None:
+def _check_chain(
+    shape: Sequence[int],
+    steps: Sequence["ChainStep | tuple[int, np.ndarray | int]"],
+) -> tuple[tuple[int, int], ...]:
+    """Validate a chain on *shape* and return its ``(mode, J)`` signature.
+
+    Steps are :class:`ChainStep` objects, ``(mode, matrix)`` pairs or
+    ``(mode, J)`` signature pairs.  A matrix must be 2-D with ``I_n``
+    columns; every mode must be in range and appear once, every ``J`` be
+    a positive int.  The cost models, the orderers, both planners and
+    both chain entry points validate through here.
+    """
+    sig: list[tuple[int, int]] = []
     seen = set()
-    for step in steps:
-        if step.mode in seen:
+    for s in steps:
+        mode, second = (s.mode, s.matrix) if isinstance(s, ChainStep) else s
+        mode = check_mode(mode, len(shape))
+        if mode in seen:
             raise ShapeError(
-                f"mode {step.mode} appears twice in the chain; fold repeated "
+                f"mode {mode} appears twice in the chain; fold repeated "
                 "products into one matrix first"
             )
-        seen.add(step.mode)
-        if not 0 <= step.mode < len(shape):
-            raise ShapeError(
-                f"mode {step.mode} out of range for order {len(shape)}"
-            )
-        if step.matrix.ndim != 2 or step.matrix.shape[1] != shape[step.mode]:
-            raise ShapeError(
-                f"chain step at mode {step.mode} has matrix shape "
-                f"{step.matrix.shape}, expected (J, {shape[step.mode]})"
-            )
+        seen.add(mode)
+        if hasattr(second, "shape"):
+            if second.ndim != 2 or second.shape[1] != shape[mode]:
+                raise ShapeError(
+                    f"chain step at mode {mode} has matrix shape "
+                    f"{second.shape}, expected (J, {shape[mode]})"
+                )
+            second = second.shape[0]
+        sig.append((mode, check_positive_int(second, "j")))
+    return tuple(sig)
 
 
 def _coerce_steps(
     steps: Sequence["ChainStep | tuple[int, np.ndarray]"],
     dtype: np.dtype,
+    transpose: bool = False,
 ) -> list[ChainStep]:
     """Normalize *steps* to :class:`ChainStep`, preserving the chain dtype.
 
@@ -98,16 +119,20 @@ def _coerce_steps(
     .match_dtype`): a matrix already in the chain dtype passes through
     untouched; a *different* supported float dtype is rejected; a
     byte-swapped or non-float matrix is materialized in the chain dtype.
+    With *transpose* every matrix is ``(I_n, J)`` and is applied through
+    its transpose view (the Tucker projection's convention; no copy).
     """
     out: list[ChainStep] = []
     for s in steps:
         if isinstance(s, ChainStep):
-            mode, matrix = s.mode, np.asarray(s.matrix)
+            mode, matrix = s.mode, s.matrix
         else:
-            mode, matrix = int(s[0]), np.asarray(s[1])
+            mode, matrix = int(s[0]), s[1]
         matrix = match_dtype(
             matrix, dtype, what=f"the matrix of chain step at mode {mode}"
         )
+        if transpose:
+            matrix = matrix.T
         if isinstance(s, ChainStep) and matrix is s.matrix:
             out.append(s)
         else:
@@ -118,36 +143,38 @@ def _coerce_steps(
 # -- cost models ---------------------------------------------------------------
 
 
-def _chain_sizes(
-    shape: Sequence[int], steps: Sequence[ChainStep]
-) -> dict[int, int]:
-    """Element count of the intermediate after each *subset* of steps.
+def _running_sizes(
+    shape: Sequence[int],
+    sig: Sequence[tuple[int, int]],
+    order: Sequence[int],
+) -> list[int]:
+    """Element counts of the intermediate before the first step of *order*
+    and after each one.
 
-    The running size depends only on *which* steps were applied, never
-    on their order, so it is memoized per bitmask: ``sizes[mask]`` is
-    the intermediate's element count after applying exactly the steps
-    whose bits are set.  Both the flop and byte cost models below (and
-    the exact order DP) read from this one table instead of re-deriving
-    intermediate shapes per permutation.
+    Each product replaces ``I_n`` by ``J_n`` in the running shape, so the
+    count is kept multiplicatively (one divide/multiply per step).  The
+    one size walk: the three cost functions read it along an order, and
+    :func:`optimal_order`'s subset DP along each subset's steps.
     """
-    n = len(steps)
-    base = [int(s) for s in shape]
-    sizes = {0: math.prod(base)}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        prev = sizes[mask ^ low]
-        step = steps[idx]
-        old = base[step.mode]
-        if old:
-            sizes[mask] = prev // old * step.j
-        else:
-            extents = list(base)
-            for k in range(n):
-                if mask >> k & 1:
-                    extents[steps[k].mode] = steps[k].j
-            sizes[mask] = math.prod(extents)
+    extents = [int(s) for s in shape]
+    sizes = [math.prod(extents)]
+    for idx in order:
+        mode, j = sig[idx]
+        old = extents[mode]
+        extents[mode] = j
+        # A zero extent leaves nothing to divide by: recount instead.
+        sizes.append(sizes[-1] // old * j if old else math.prod(extents))
     return sizes
+
+
+def _walk(
+    shape: Sequence[int], steps: Sequence[ChainStep], order: Sequence[int] | None
+) -> tuple:
+    """Validate *steps* and walk them: ``(signature, order, sizes)``."""
+    sig = _check_chain(shape, steps)
+    if order is None:
+        order = range(len(sig))
+    return sig, order, _running_sizes(shape, sig, order)
 
 
 def chain_flops(shape: Sequence[int], steps: Sequence[ChainStep],
@@ -155,24 +182,10 @@ def chain_flops(shape: Sequence[int], steps: Sequence[ChainStep],
     """Total flops of executing *steps* in the given order (indices into
     *steps*; default: as given).
 
-    Each product costs ``2 * J_n * prod(current shape)`` and replaces
-    ``I_n`` by ``J_n`` in the running shape.  The running element count
-    is maintained multiplicatively (one divide/multiply per step)
-    instead of re-deriving the intermediate shape at every step.
+    Each product costs ``2 * J_n * prod(current shape)``.
     """
-    _check_chain(shape, steps)
-    current = [int(s) for s in shape]
-    if order is None:
-        order = range(len(steps))
-    total = 0
-    size = math.prod(current)
-    for idx in order:
-        step = steps[idx]
-        total += 2 * step.j * size
-        old = current[step.mode]
-        current[step.mode] = step.j
-        size = size // old * step.j if old else math.prod(current)
-    return total
+    sig, order, sizes = _walk(shape, steps, order)
+    return sum(2 * sig[idx][1] * sizes[k] for k, idx in enumerate(order))
 
 
 def chain_intermediate_bytes(
@@ -187,21 +200,9 @@ def chain_intermediate_bytes(
     chain generates beyond reading X itself); *peak* is the largest
     single intermediate — the quantity that sizes the scratch pool.
     """
-    _check_chain(shape, steps)
-    current = [int(s) for s in shape]
-    if order is None:
-        order = range(len(steps))
-    size = math.prod(current)
-    total = 0
-    peak = 0
-    for idx in order:
-        step = steps[idx]
-        old = current[step.mode]
-        current[step.mode] = step.j
-        size = size // old * step.j if old else math.prod(current)
-        total += size * itemsize
-        peak = max(peak, size * itemsize)
-    return total, peak
+    _, _, sizes = _walk(shape, steps, order)
+    outputs = sizes[1:]
+    return sum(outputs) * itemsize, max(outputs, default=0) * itemsize
 
 
 def chain_cost(
@@ -220,20 +221,11 @@ def chain_cost(
     smallest-intermediates order when it is bandwidth-bound, which is
     what the fused executor's wall clock actually tracks.
     """
-    _check_chain(shape, steps)
-    current = [int(s) for s in shape]
-    if order is None:
-        order = range(len(steps))
-    size = math.prod(current)
+    sig, order, sizes = _walk(shape, steps, order)
     cost = 0.0
-    for idx in order:
-        step = steps[idx]
-        before = size
-        old = current[step.mode]
-        current[step.mode] = step.j
-        size = size // old * step.j if old else math.prod(current)
-        cost += (before + size) * itemsize
-        cost += 2.0 * step.j * before / flops_per_byte
+    for k, idx in enumerate(order):
+        cost += (sizes[k] + sizes[k + 1]) * itemsize
+        cost += 2.0 * sig[idx][1] * sizes[k] / flops_per_byte
     return cost
 
 
@@ -248,14 +240,18 @@ def greedy_order(shape: Sequence[int], steps: Sequence[ChainStep]) -> tuple[int,
     brute-force :func:`optimal_order` in tests.  Ties broken by mode
     index for determinism.
     """
-    _check_chain(shape, steps)
+    return _greedy(shape, _check_chain(shape, steps))
+
+
+def _greedy(shape: Sequence[int], sig) -> tuple[int, ...]:
+    """:func:`greedy_order` of an already validated signature."""
 
     def criterion(idx: int) -> float:
-        step = steps[idx]
-        return 1.0 / step.j - 1.0 / shape[step.mode]
+        mode, j = sig[idx]
+        return 1.0 / j - 1.0 / shape[mode]
 
     return tuple(
-        sorted(range(len(steps)), key=lambda i: (-criterion(i), steps[i].mode))
+        sorted(range(len(sig)), key=lambda i: (-criterion(i), sig[i][0]))
     )
 
 
@@ -271,14 +267,14 @@ def optimal_order(
     *cost* selects the objective: ``"flops"`` (the classic count) or
     ``"roofline"`` (:func:`chain_cost`'s byte-equivalents, pricing
     intermediate traffic against compute).  The DP memoizes intermediate
-    sizes per applied-step subset (:func:`_chain_sizes`) and runs in
+    sizes per applied-step subset (:func:`_running_sizes`) and runs in
     O(2^N * N) instead of the old O(N!) permutation scan; chains longer
     than :data:`MAX_OPTIMAL_STEPS` raise :class:`ValueError` explicitly
     instead of silently burning exponential time — use the greedy order
     there.
     """
-    _check_chain(shape, steps)
-    n = len(steps)
+    sig = _check_chain(shape, steps)
+    n = len(sig)
     if n == 0:
         return ()
     if n > MAX_OPTIMAL_STEPS:
@@ -289,11 +285,15 @@ def optimal_order(
         )
     if cost not in ("flops", "roofline"):
         raise ValueError(f"cost must be 'flops' or 'roofline', got {cost!r}")
-    sizes = _chain_sizes(shape, steps)
+    # The running size depends only on *which* steps were applied.
+    sizes = [
+        _running_sizes(shape, sig, [k for k in range(n) if mask >> k & 1])[-1]
+        for mask in range(1 << n)
+    ]
 
     def step_cost(idx: int, mask_before: int) -> float:
         before = sizes[mask_before]
-        flops = 2.0 * steps[idx].j * before
+        flops = 2.0 * sig[idx][1] * before
         if cost == "flops":
             return flops
         after = sizes[mask_before | (1 << idx)]
@@ -345,7 +345,8 @@ class ChainPlan:
     point.  The plan also fixes the scratch schedule: every intermediate
     (all but the final product) lands in one of two ping-pong slots, so
     the executor's allocation count is a property of the plan, not of
-    the data.
+    the data.  :attr:`total_flops` and :attr:`scratch_elements`, which
+    every ``chain-exec`` span reports, are computed once per plan.
     """
 
     shape: tuple[int, ...]
@@ -397,7 +398,7 @@ class ChainPlan:
         """Output shape of every step, in execution order."""
         return tuple(plan.out_shape for plan in self.step_plans)
 
-    @property
+    @cached_property
     def total_flops(self) -> int:
         return sum(plan.total_flops for plan in self.step_plans)
 
@@ -414,7 +415,7 @@ class ChainPlan:
             math.prod(s) * self.itemsize for s in self.intermediate_shapes
         )
 
-    @property
+    @cached_property
     def scratch_elements(self) -> tuple[int, ...]:
         """Element capacity of each ping-pong slot the executor needs.
 
@@ -470,12 +471,12 @@ def _inverse(order: Sequence[int]) -> list[int]:
 
 def _schedule(
     shape: tuple[int, ...],
-    steps: Sequence[ChainStep],
+    sig: Sequence[tuple[int, int]],
     order: "str | Sequence[int]",
     itemsize: int,
     flops_per_byte: float,
 ) -> tuple[int, ...]:
-    """The execution order *order* names for *steps* on *shape*.
+    """The execution order *order* names for the chain *sig* on *shape*.
 
     ``"auto"`` is the exact roofline-cost order for chains up to
     :data:`MAX_OPTIMAL_STEPS` (greedy beyond), ``"greedy"`` and
@@ -484,24 +485,24 @@ def _schedule(
     """
     if not isinstance(order, str):
         schedule = tuple(int(i) for i in order)
-        if sorted(schedule) != list(range(len(steps))):
+        if sorted(schedule) != list(range(len(sig))):
             raise ShapeError(
                 f"order {schedule!r} is not a permutation of the chain"
             )
         return schedule
     if order == "auto":
-        if len(steps) > MAX_OPTIMAL_STEPS:
-            return greedy_order(shape, steps)
+        if len(sig) > MAX_OPTIMAL_STEPS:
+            return _greedy(shape, sig)
         return optimal_order(
-            shape, steps, cost="roofline", itemsize=itemsize,
+            shape, sig, cost="roofline", itemsize=itemsize,
             flops_per_byte=flops_per_byte,
         )
     if order == "greedy":
-        return greedy_order(shape, steps)
+        return _greedy(shape, sig)
     if order == "optimal":
-        return optimal_order(shape, steps)
+        return optimal_order(shape, sig)
     if order == "given":
-        return tuple(range(len(steps)))
+        return tuple(range(len(sig)))
     raise ShapeError(
         f"order must be 'auto', 'greedy', 'optimal', 'given', or a "
         f"permutation, got {order!r}"
@@ -532,46 +533,44 @@ def plan_chain(
     .InTensLi.plan` here so chain steps hit the persistent autotune
     store.
     """
+    shape_t = check_shape(shape)
+    return _plan_signature(
+        shape_t, _check_chain(shape_t, steps), Layout.parse(layout),
+        np.dtype("float64" if dtype is None else dtype), order,
+        planner=planner, itemsize=itemsize, flops_per_byte=flops_per_byte,
+    )
+
+
+def _plan_signature(
+    shape: tuple[int, ...],
+    sig: Sequence[tuple[int, int]],
+    layout: Layout,
+    dtype: np.dtype,
+    order: "str | Sequence[int]",
+    planner: Callable[..., TtmPlan] | None = None,
+    itemsize: int | None = None,
+    flops_per_byte: float = DEFAULT_FLOPS_PER_BYTE,
+) -> ChainPlan:
+    """:func:`plan_chain` for an already validated ``(mode, J)`` signature."""
     from repro.core.inttm import _default_planner
 
-    shape_t = check_shape(shape)
-    layout = Layout.parse(layout)
-    sig: list[tuple[int, int]] = []
-    for s in steps:
-        if isinstance(s, ChainStep):
-            mode, j = s.mode, s.j
-        else:
-            mode, second = s
-            j = second.shape[0] if hasattr(second, "shape") else second
-        sig.append(
-            (check_mode(mode, len(shape_t)), check_positive_int(j, "j"))
-        )
-    probe = [
-        ChainStep(mode, np.broadcast_to(0.0, (j, shape_t[mode])))
-        for mode, j in sig
-    ]
-    _check_chain(shape_t, probe)
-    if dtype is None:
-        dt = np.dtype("float64")
-    else:
-        dt = np.dtype(dtype)
-    size = dt.itemsize if itemsize is None else itemsize
-
-    schedule = _schedule(shape_t, probe, order, size, flops_per_byte)
-
+    schedule = _schedule(
+        shape, sig, order, dtype.itemsize if itemsize is None else itemsize,
+        flops_per_byte,
+    )
     if planner is None:
         planner = _default_planner
-    current = shape_t
+    current = shape
     step_plans: list[TtmPlan] = []
     for idx in schedule:
         mode, j = sig[idx]
-        plan = planner(current, mode, j, layout, dtype=dt.name)
+        plan = planner(current, mode, j, layout, dtype=dtype.name)
         step_plans.append(plan)
         current = plan.out_shape
     return ChainPlan(
-        shape=shape_t,
+        shape=shape,
         layout=layout,
-        dtype=dt.name,
+        dtype=dtype.name,
         order=schedule,
         step_plans=tuple(step_plans),
     )
@@ -617,15 +616,6 @@ class ScratchPool:
         view = buf[:n].reshape(shape, order=layout.numpy_order)
         return DenseTensor._wrap(view, layout)
 
-    def reserve(self, plan: ChainPlan) -> None:
-        """Pre-size the slots a plan needs (at most two allocations)."""
-        for slot, elements in enumerate(plan.scratch_elements):
-            key = (slot, plan.layout, plan.dtype)
-            buf = self._slots.get(key)
-            if buf is None or buf.size < elements:
-                self._slots[key] = np.empty(elements, dtype=plan.dtype)
-                self.allocations += 1
-
     @property
     def nbytes(self) -> int:
         return sum(buf.nbytes for buf in self._slots.values())
@@ -655,8 +645,8 @@ def execute_chain(
     ``execute(plan, x, u, out) -> DenseTensor`` — and defaults to
     :func:`repro.core.inttm.ttm_inplace`.  Intermediates
     alternate between the pool's two slots; the final product is written
-    into *out* when given, else into a freshly allocated tensor (the
-    return value — never scratch).
+    into *out* when given, else into a fresh output allocated as the
+    executor allocates one (the return value — never scratch).
     """
     from repro.core.inttm import ttm_inplace
     from repro.obs.tracer import active_tracer
@@ -704,46 +694,8 @@ def execute_chain(
     tracer = active_tracer()
     allocations_before = pool.allocations
     reuses_before = pool.reuses
-
-    def run() -> DenseTensor:
-        current = x
-        result = current
-        for k, idx in enumerate(plan.order):
-            step_plan = plan.step_plans[k]
-            step = steps[idx]
-            last = k == plan.n_steps - 1
-            if last:
-                target = out
-                if target is None:
-                    target = DenseTensor.empty(
-                        step_plan.out_shape, plan.layout, dtype=plan.dtype
-                    )
-                reused = False
-            else:
-                before = pool.reuses
-                target = pool.request(
-                    k % 2, step_plan.out_shape, plan.layout, plan.dtype
-                )
-                reused = pool.reuses > before
-            if tracer.enabled:
-                with tracer.span(
-                    "chain-step",
-                    step=k,
-                    source_index=idx,
-                    mode=step_plan.mode,
-                    j=step_plan.j,
-                    slot=None if last else k % 2,
-                    buffer_reused=reused,
-                    out_shape=list(step_plan.out_shape),
-                ):
-                    result = execute(step_plan, current, step.matrix, target)
-            else:
-                result = execute(step_plan, current, step.matrix, target)
-            current = result
-        return result
-
-    if not tracer.enabled:
-        return run()
+    last = plan.n_steps - 1
+    current = x
     with tracer.span(
         "chain-exec",
         steps=plan.n_steps,
@@ -753,12 +705,41 @@ def execute_chain(
         scratch_slots=len(plan.scratch_elements),
         caller_out=out is not None,
     ) as span:
-        result = run()
-        span.set(
-            scratch_allocations=pool.allocations - allocations_before,
-            scratch_reuses=pool.reuses - reuses_before,
-        )
-    return result
+        for k, idx in enumerate(plan.order):
+            step_plan = plan.step_plans[k]
+            reused = False
+            if k < last:
+                reuses = pool.reuses
+                target = pool.request(
+                    k % 2, step_plan.out_shape, plan.layout, plan.dtype
+                )
+                reused = pool.reuses > reuses
+            elif out is None:
+                # The executor's own allocation: no re-derived strides.
+                compiled = step_plan.compiled
+                target = DenseTensor._wrap(
+                    np.empty(*compiled.empty_args), plan.layout,
+                    compiled.out_strides,
+                )
+            else:
+                target = out
+            with tracer.span(
+                "chain-step",
+                step=k,
+                source_index=idx,
+                mode=step_plan.mode,
+                j=step_plan.j,
+                slot=k % 2 if k < last else None,
+                buffer_reused=reused,
+                out_shape=list(step_plan.out_shape),
+            ):
+                current = execute(step_plan, current, steps[idx].matrix, target)
+        if span is not None:
+            span.set(
+                scratch_allocations=pool.allocations - allocations_before,
+                scratch_reuses=pool.reuses - reuses_before,
+            )
+    return current
 
 
 def ttm_chain(
@@ -796,32 +777,49 @@ def ttm_chain(
             f"x must be a DenseTensor, got {type(x).__name__}; wrap ndarrays "
             "so the storage layout is explicit"
         )
+    if backend is None:
+        return _fused_chain(x, steps, order, out, pool, plan=plan)
     steps_t = _coerce_steps(steps, x.data.dtype)
-    _check_chain(x.shape, steps_t)
-
-    if backend is not None:
-        if plan is not None:
-            raise PlanError(
-                "pass either a step-at-a-time backend or a fused ChainPlan, "
-                "not both"
-            )
-        if out is not None:
-            raise PlanError(
-                "out= requires the fused executor; step-at-a-time backends "
-                "allocate their own outputs"
-            )
-        schedule = _schedule(
-            x.shape, steps_t, order, x.data.dtype.itemsize,
-            DEFAULT_FLOPS_PER_BYTE,
+    sig = _check_chain(x.shape, steps_t)
+    if plan is not None:
+        raise PlanError(
+            "pass either a step-at-a-time backend or a fused ChainPlan, "
+            "not both"
         )
-        y = x
-        for idx in schedule:
-            step = steps_t[idx]
-            y = backend(y, step.matrix, step.mode)
-        return y
+    if out is not None:
+        raise PlanError(
+            "out= requires the fused executor; step-at-a-time backends "
+            "allocate their own outputs"
+        )
+    schedule = _schedule(
+        x.shape, sig, order, x.data.dtype.itemsize, DEFAULT_FLOPS_PER_BYTE
+    )
+    y = x
+    for idx in schedule:
+        step = steps_t[idx]
+        y = backend(y, step.matrix, step.mode)
+    return y
 
+
+def _fused_chain(
+    x: DenseTensor,
+    steps: Sequence["ChainStep | tuple[int, np.ndarray]"],
+    order: "str | Sequence[int]",
+    out: DenseTensor | None,
+    pool: ScratchPool | None,
+    plan: ChainPlan | None = None,
+    plan_signature: Callable[..., ChainPlan] = _plan_signature,
+    execute: Callable[..., DenseTensor] | None = None,
+    transpose: bool = False,
+) -> DenseTensor:
+    """The fused front end of :func:`ttm_chain` and :meth:`repro.core
+    .intensli.InTensLi.ttm_chain`: normalize and validate the steps once,
+    before the first product, plan from the parsed ``(mode, J)``
+    signature with ``plan_signature(shape, sig, layout, dtype, order)``
+    unless *plan* is given, and run it through :func:`execute_chain`.
+    """
+    steps_t = _coerce_steps(steps, x.data.dtype, transpose)
+    sig = _check_chain(x.shape, steps_t)
     if plan is None:
-        plan = plan_chain(
-            x.shape, steps_t, x.layout, dtype=x.data.dtype, order=order
-        )
-    return execute_chain(x, steps_t, plan, out=out, pool=pool)
+        plan = plan_signature(x.shape, sig, x.layout, x.data.dtype, order)
+    return execute_chain(x, steps_t, plan, out=out, pool=pool, execute=execute)

@@ -26,10 +26,10 @@ import numpy as np
 from repro.analysis.roofline import CORE_I7_4770K, RooflinePlatform
 from repro.core.chain import (
     ChainPlan,
-    ChainStep,
     ScratchPool,
-    execute_chain,
-    plan_chain,
+    _check_chain,
+    _fused_chain,
+    _plan_signature,
 )
 from repro.core.estimator import ParameterEstimator
 from repro.core.inttm import _run_plan
@@ -144,6 +144,7 @@ class InTensLi:
 
         self._cache = PlanCache.in_memory()
         self._chain_cache: dict[tuple, ChainPlan] = {}
+        self._chain_generation = self._cache.generation
         self._chain_pool = ScratchPool()
 
     # -- planning -------------------------------------------------------------
@@ -183,6 +184,7 @@ class InTensLi:
             if current is None or current.source == "estimator":
                 cache.put(key, entry.plan, entry.source, entry.seconds)
         self._cache = cache
+        self._chain_generation = None
 
     def plan(
         self,
@@ -262,7 +264,7 @@ class InTensLi:
 
     @property
     def cached_chain_plans(self) -> int:
-        return len(self._chain_cache)
+        return len(self._chain_plans())
 
     @property
     def machine_balance(self) -> float:
@@ -291,56 +293,67 @@ class InTensLi:
         single product — while each per-step :class:`TtmPlan` flows
         through :meth:`plan` and therefore through :attr:`plan_cache`
         under its own per-step signature, so chains that
-        share steps share tuned decisions.
+        share steps share tuned decisions.  Cached chain plans are
+        dropped whenever :attr:`plan_cache` changes an answer (a pin, a
+        promotion, a clear or reload) or is swapped by
+        :meth:`attach_plan_cache`, so no chain runs a replaced step plan.
         """
-        layout = Layout.parse(layout)
-        dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
         shape_t = check_shape(shape)
-        sig = tuple(
-            (check_mode(m, len(shape_t)), check_positive_int(j, "j"))
-            for m, j in steps
+        return self._cached_chain_plan(
+            shape_t,
+            _check_chain(shape_t, steps),
+            Layout.parse(layout),
+            DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype),
+            order,
         )
-        order_key = order if isinstance(order, str) else tuple(order)
-        key = (shape_t, sig, layout, dt.name, self.max_threads, order_key)
-        tracer = active_tracer()
-        if not tracer.enabled:
-            return self._plan_chain_impl(key, shape_t, sig, layout, dt, order)
-        with tracer.span(
-            "chain-plan",
-            shape=list(shape_t),
-            steps=[[m, j] for m, j in sig],
-            layout=layout.name,
-            dtype=dt.name,
-            threads=self.max_threads,
-        ) as span:
-            cached = key in self._chain_cache
-            plan = self._plan_chain_impl(key, shape_t, sig, layout, dt, order)
-            span.set(
-                cache_hit=cached,
-                order=list(plan.order),
-                flops=plan.total_flops,
-                peak_intermediate_bytes=plan.peak_intermediate_bytes,
-                scratch_slots=len(plan.scratch_elements),
-            )
-        return plan
 
-    def _plan_chain_impl(
+    def _chain_plans(self) -> dict[tuple, ChainPlan]:
+        """The chain-plan memo, emptied first if the plan cache moved on."""
+        generation = self._cache.generation
+        if generation != self._chain_generation:
+            self._chain_cache.clear()
+            self._chain_generation = generation
+        return self._chain_cache
+
+    def _cached_chain_plan(
         self,
-        key: tuple,
         shape_t: tuple[int, ...],
         sig: tuple[tuple[int, int], ...],
         layout: Layout,
         dt: np.dtype,
         order: "str | Sequence[int]",
     ) -> ChainPlan:
-        plan = self._chain_cache.get(key)
-        if plan is None:
-            plan = plan_chain(
-                shape_t, sig, layout, dtype=dt, order=order,
-                planner=self.plan,
-                flops_per_byte=self.machine_balance,
-            )
-            self._chain_cache[key] = plan
+        """:meth:`plan_chain` for an already validated signature."""
+        order_key = order if isinstance(order, str) else tuple(order)
+        key = (shape_t, sig, layout, dtype_name(dt), self.max_threads, order_key)
+        chains = self._chain_plans()
+        plan = chains.get(key)
+        tracer = active_tracer()
+        if plan is not None and not tracer.enabled:
+            return plan
+        with tracer.span(
+            "chain-plan",
+            shape=list(shape_t),
+            steps=[[m, j] for m, j in sig],
+            layout=layout.name,
+            dtype=dtype_name(dt),
+            threads=self.max_threads,
+        ) as span:
+            hit = plan is not None
+            if not hit:
+                plan = chains[key] = _plan_signature(
+                    shape_t, sig, layout, dt, order,
+                    planner=self.plan,
+                    flops_per_byte=self.machine_balance,
+                )
+            if span is not None:
+                span.set(
+                    cache_hit=hit,
+                    order=list(plan.order),
+                    flops=plan.total_flops,
+                    peak_intermediate_bytes=plan.peak_intermediate_bytes,
+                    scratch_slots=len(plan.scratch_elements),
+                )
         return plan
 
     def ttm_chain(
@@ -356,7 +369,9 @@ class InTensLi:
         *steps* are ``(mode, matrix)`` pairs or :class:`ChainStep`
         objects; with ``transpose=True`` every matrix is ``(I_n, J)``
         and applied transposed (the Tucker projection's convention),
-        served by transpose views — no copies.  Intermediates ping-pong
+        served by transpose views — no copies.  The steps are checked
+        once, before the first product, exactly as :func:`~repro.core
+        .chain.ttm_chain` checks them.  Intermediates ping-pong
         through this instance's scratch pool (reused across calls, so
         HOOI sweeps converge to zero allocations); the final product is
         written into *out* when given.  Each step runs through
@@ -364,31 +379,10 @@ class InTensLi:
         """
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
-        steps_t = []
-        for s in steps:
-            if isinstance(s, ChainStep):
-                mode, matrix = s.mode, s.matrix
-            else:
-                mode, matrix = int(s[0]), s[1]
-            matrix = match_dtype(matrix, x.data.dtype)
-            if matrix.ndim != 2:
-                raise ShapeError(
-                    f"chain step at mode {mode} must be 2-D, got "
-                    f"{matrix.ndim}-D"
-                )
-            if transpose:
-                matrix = matrix.T  # view; BLAS-legal
-            steps_t.append(ChainStep(mode, matrix))
-        plan = self.plan_chain(
-            x.shape,
-            [(s.mode, s.j) for s in steps_t],
-            x.layout,
-            dtype=x.data.dtype,
-            order=order,
-        )
-        return execute_chain(
-            x, steps_t, plan, out=out, pool=self._chain_pool,
-            execute=self.execute,
+        return _fused_chain(
+            x, steps, order, out, self._chain_pool,
+            plan_signature=self._cached_chain_plan, execute=self.execute,
+            transpose=transpose,
         )
 
     def release_scratch(self) -> int:

@@ -11,6 +11,7 @@ decisions via a golden fixture (regenerate with ``--regen-golden``).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autotune import PlanCache, PlanKey
 from repro.core import InTensLi
 from repro.core.chain import (
     MAX_OPTIMAL_STEPS,
@@ -35,6 +37,8 @@ from repro.core.chain import (
 )
 from repro.core.explain import explain_chain
 from repro.core.inttm import ttm_inplace
+from repro.core.serialize import save_plans
+from repro.perf import track_hot_path
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.util.errors import DtypeError, PlanError, ShapeError
@@ -412,3 +416,144 @@ def test_golden_chain_fixture_is_executable():
     steps = make_steps(shape, sig, rng)
     y = ttm_chain(x, steps, order="auto")
     assert np.allclose(y.data, oracle_chain(x.data, steps), atol=1e-9)
+
+
+# -- cached chain plans follow the one plan cache ------------------------------
+
+
+STALE_SHAPE, STALE_SIG = (12, 10, 8), [(0, 4), (1, 3)]
+
+
+def _pin_by_load(lib, plan, tmp_path):
+    path = str(tmp_path / "pinned.json")
+    save_plans([plan], path)
+    lib.load_plan_cache(path)
+
+
+def _pin_by_attach(lib, plan, tmp_path):
+    cache = PlanCache.in_memory()
+    cache.keep(plan, lib.max_threads, source="tuned")
+    lib.attach_plan_cache(cache)
+
+
+def _pin_by_promote(lib, plan, tmp_path):
+    key = PlanKey.make(
+        plan.shape, plan.mode, plan.j, plan.layout, lib.max_threads, plan.dtype
+    )
+    lib.plan_cache.promote(key, plan, 1e-3)
+
+
+def _pin_by_keep(lib, plan, tmp_path):
+    lib.plan_cache.keep(plan, lib.max_threads, source="tuned")
+
+
+@pytest.mark.parametrize(
+    "pin",
+    [_pin_by_load, _pin_by_attach, _pin_by_promote, _pin_by_keep],
+    ids=["load_plan_cache", "attach_plan_cache", "promote", "keep"],
+)
+def test_facade_chain_plans_follow_a_pinned_step_plan(pin, tmp_path):
+    """A pin replaces a step plan for the chain as it does for plan()."""
+    rng = np.random.default_rng(12)
+    lib = InTensLi(max_threads=1)
+    stale = lib.plan_chain(STALE_SHAPE, STALE_SIG)
+    first = stale.step_plans[0]
+    assert first.kernel == "blas"
+    blocked = replace(first, kernel="blocked")
+
+    pin(lib, blocked, tmp_path)
+
+    assert lib.plan(first.shape, first.mode, first.j) == blocked
+    fresh = lib.plan_chain(STALE_SHAPE, STALE_SIG)
+    assert fresh is not stale
+    assert fresh.step_plans[0] == blocked
+    assert lib.plan_chain(STALE_SHAPE, STALE_SIG) is fresh
+    x = DenseTensor(rng.standard_normal(STALE_SHAPE))
+    steps = make_steps(STALE_SHAPE, STALE_SIG, rng)
+    y = lib.ttm_chain(x, steps)
+    assert np.allclose(y.data, oracle_chain(x.data, steps), atol=1e-9)
+
+
+def test_estimator_misses_keep_cached_chain_plans():
+    """Planning new signatures only fills misses: no chain plan drops."""
+    lib = InTensLi(max_threads=1)
+    a = lib.plan_chain(STALE_SHAPE, STALE_SIG)
+    lib.plan((30, 20, 10), 2, 5)
+    lib.plan_chain((9, 8, 7), [(0, 2), (2, 3)])
+    assert lib.plan_chain(STALE_SHAPE, STALE_SIG) is a
+    assert lib.cached_chain_plans == 2
+
+
+# -- both entry points reject a bad chain alike, before any product ------------
+
+
+BAD_X_SHAPE = (6, 7, 8)
+
+#: name -> (steps on BAD_X_SHAPE, exception type, exact message).  Every
+#: chain has one defect, on the step executed second under order="given".
+BAD_CHAINS = {
+    "late-width": (
+        [(0, np.ones((2, 6))), (1, np.ones((2, 9)))],
+        ShapeError,
+        "chain step at mode 1 has matrix shape (2, 9), expected (J, 7)",
+    ),
+    "1-d": (
+        [(0, np.ones((2, 6))), (1, np.ones(7))],
+        ShapeError,
+        "chain step at mode 1 has matrix shape (7,), expected (J, 7)",
+    ),
+    "float32": (
+        [(0, np.ones((2, 6))), (1, np.ones((2, 7), dtype=np.float32))],
+        DtypeError,
+        "the matrix of chain step at mode 1 has dtype float32 but x is "
+        "float64; cast the matrix of chain step at mode 1 explicitly — "
+        "mixing float widths would silently change the result's precision",
+    ),
+    "complex": (
+        [(0, np.ones((2, 6))), (1, np.ones((2, 7), dtype=np.complex128))],
+        DtypeError,
+        "the matrix of chain step at mode 1 is complex (complex128); TTM "
+        "operands must be real — casting would drop the imaginary part",
+    ),
+    "duplicate-mode": (
+        [(0, np.ones((2, 6))), (0, np.ones((2, 6)))],
+        ShapeError,
+        "mode 0 appears twice in the chain; fold repeated products into "
+        "one matrix first",
+    ),
+    "mode-out-of-range": (
+        [(0, np.ones((2, 6))), (3, np.ones((2, 5)))],
+        ShapeError,
+        "mode 3 out of range for order-3 tensor",
+    ),
+    "j-zero": (
+        [(0, np.ones((2, 6))), (1, np.ones((0, 7)))],
+        ValueError,
+        "j must be >= 1, got 0",
+    ),
+}
+
+CHAIN_ENTRY_POINTS = {
+    "ttm_chain": lambda x, steps, out: ttm_chain(
+        x, steps, order="given", out=out
+    ),
+    "InTensLi.ttm_chain": lambda x, steps, out: InTensLi(
+        max_threads=1
+    ).ttm_chain(x, steps, order="given", out=out),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CHAIN_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(BAD_CHAINS))
+def test_chain_entry_points_reject_a_bad_chain_alike(entry, case):
+    """Same type, same message, nothing dispatched, out= untouched."""
+    steps, error, message = BAD_CHAINS[case]
+    x = DenseTensor(np.ones(BAD_X_SHAPE))
+    out = DenseTensor(np.full((2, 2, 8), 7.0))
+    with track_hot_path() as counters:
+        with pytest.raises(error) as info:
+            CHAIN_ENTRY_POINTS[entry](x, steps, out)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert counters.dispatches == 0
+    assert np.all(out.data == 7.0)

@@ -23,6 +23,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -240,6 +242,30 @@ class TestAtomicLanding:
         assert file_checksum(path) == crc
         assert not os.path.exists(partial_path(path))
         np.testing.assert_array_equal(np.load(path), arr)
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 300_001])
+    def test_file_checksum_is_the_crc_of_the_whole_file(self, tmp_path, size):
+        """Chunk boundaries (the buffer is 64 KiB) never change the CRC."""
+        path = tmp_path / "blob"
+        payload = np.random.default_rng(size).bytes(size)
+        path.write_bytes(payload)
+        assert file_checksum(str(path)) == zlib.crc32(payload) & 0xFFFFFFFF
+
+    def test_atomic_save_checksums_without_a_large_buffer(self, tmp_path):
+        """Saving a 16 KiB array peaks far below the 1 MiB a whole-chunk
+        read allocated for every checksum."""
+        arr = np.arange(2048, dtype=np.float64)
+        path = str(tmp_path / "a.npy")
+        atomic_save_array(str(tmp_path / "warm.npy"), arr)
+        tracemalloc.start()
+        try:
+            crc = atomic_save_array(path, arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+        with open(path, "rb") as fh:
+            assert crc == zlib.crc32(fh.read()) & 0xFFFFFFFF
 
 
 # -- satellite: plan-store durability ------------------------------------------
