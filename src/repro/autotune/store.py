@@ -28,10 +28,11 @@ exceptions: :class:`~repro.util.errors.StoreCorruptError` (truncated or
 mangled JSON — e.g. a reader racing a non-atomic writer),
 :class:`~repro.util.errors.SchemaMismatchError` (file from another
 release) and :class:`~repro.util.errors.FingerprintMismatchError` (file
-from another machine).  Writes go through a temp file that is fsync'd
-before an ``os.replace`` (and the directory fsync'd after), so a
-concurrent reader only ever sees the old or the new file — never a
-half-written one — and a power loss cannot publish a torn store either.
+from another machine).  Writes go through a unique temp file that
+:func:`repro.resilience.recovery.publish_file` fsyncs, renames into
+place and follows with a directory fsync, so a concurrent reader only
+ever sees the old or the new file — never a half-written one — and a
+power loss cannot publish a torn store either.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
 
 from repro.core.serialize import cache_header, check_cache_header
 from repro.perf.profiler import active_hot_counters
 from repro.resilience.faults import active_faults, record_degradation
+from repro.resilience.recovery import _publish_text
 from repro.util.errors import StoreCorruptError
 
 log = logging.getLogger("repro.autotune")
@@ -172,38 +173,8 @@ class PlanStore:
             return
         payload = cache_header(self.fingerprint)
         payload["entries"] = entries
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=".plans-", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                # os.replace alone only orders the rename against other
-                # *renames*; without flushing the temp file's data (and
-                # the directory entry) to media first, a power loss can
-                # publish a zero-length or torn store at the final path.
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            dir_fd = None
-        if dir_fd is not None:
-            try:
-                os.fsync(dir_fd)
-            except OSError:
-                pass
-            finally:
-                os.close(dir_fd)
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
+        _publish_text(self.path, json.dumps(payload, indent=2), ".plans-")
         counters = active_hot_counters()
         if counters is not None:
             counters.add("store_fsyncs")

@@ -430,11 +430,6 @@ class ChainPlan:
             slots[slot] = max(slots[slot], size)
         return tuple(s for s in slots if s > 0)
 
-    @property
-    def scratch_bytes(self) -> int:
-        """Total bytes of the (at most two) reusable scratch buffers."""
-        return sum(self.scratch_elements) * self.itemsize
-
     def describe(self) -> str:
         dims = "x".join(str(s) for s in self.shape)
         out = "x".join(str(s) for s in self.out_shape)
@@ -446,27 +441,6 @@ class ChainPlan:
             f"({'/'.join(str(e) for e in self.scratch_elements) or '0'}) "
             f"flops={self.total_flops}]"
         )
-
-    def cache_key(self) -> tuple:
-        """The chain-qualified signature this plan answers.
-
-        The whole chain is the unit of planning, so the key carries the
-        full (mode, J) sequence — two chains sharing a prefix still plan
-        (and cache) independently, while their individual step plans
-        share the per-step :class:`repro.autotune.PlanCache` entries.
-        """
-        signature = tuple(
-            (plan.mode, plan.j)
-            for plan in (self.step_plans[i] for i in _inverse(self.order))
-        )
-        return (self.shape, signature, self.layout, self.dtype)
-
-
-def _inverse(order: Sequence[int]) -> list[int]:
-    inv = [0] * len(order)
-    for pos, idx in enumerate(order):
-        inv[idx] = pos
-    return inv
 
 
 def _schedule(

@@ -22,6 +22,7 @@ import json
 from typing import Iterable
 
 from repro.core.plan import Strategy, TtmPlan
+from repro.resilience.recovery import _publish_text
 from repro.tensor.layout import Layout
 from repro.util.errors import (
     FingerprintMismatchError,
@@ -155,8 +156,8 @@ def plans_from_json(
 def save_plans(
     plans: Iterable[TtmPlan], path: str, fingerprint: str | None = None
 ) -> None:
-    with open(path, "w") as fh:
-        fh.write(plans_to_json(plans, fingerprint=fingerprint))
+    _publish_text(path, plans_to_json(plans, fingerprint=fingerprint),
+                  ".plans-")
 
 
 def load_plans(

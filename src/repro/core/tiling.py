@@ -25,16 +25,16 @@ scratch sizing, the ``alloc-fail`` checkpoint) before the first output
 byte is written, so a run that cannot complete leaves its output
 untouched.  An ``out_path`` result is staged in ``<out_path>.partial``
 and published only when complete, and ``journal_path=`` adds a
-checksummed commit record per unit, opened and resumed through one path
-(:func:`_journaled`), so a killed job resumes from its last committed
-unit (:mod:`repro.resilience.recovery`).
+checksummed commit record per unit, opened, resumed and closed through
+recovery's one journal lifecycle, so a killed job resumes from its last
+committed unit (:mod:`repro.resilience.recovery`).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,15 +56,15 @@ from repro.resilience.memory import (
 )
 from repro.resilience.recovery import (
     Journal,
+    _check_tiles,
+    _count_resume,
+    _journaled,
+    _resume_sidecar,
     atomic_save_array,
-    committed_units,
     digest_payload,
-    file_checksum,
     fingerprint_array,
     fingerprint_tensor,
-    is_done,
     memmap_path,
-    open_or_resume,
     partial_path,
     publish_file,
     region_checksum,
@@ -435,23 +435,6 @@ def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
     return plan
 
 
-@contextmanager
-def _journaled(journal_path, header: dict | None, rtype: str,
-               key: str = "index"):
-    """Open or resume a job's journal; yield ``(journal, committed
-    units, done)`` and close it on the way out — flushed but unfinished,
-    so resumable, unless the caller closed it with its ``done`` record."""
-    if journal_path is None:
-        yield None, {}, False
-        return
-    journal, records = open_or_resume(journal_path, header)
-    try:
-        yield journal, committed_units(records, rtype, key=key), \
-            is_done(records)
-    finally:
-        journal.close()
-
-
 def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
                plans: dict, counter: str, journal=None, state_path=None):
     """Plan, run, land and commit each unit of an out-of-core TTM.
@@ -606,21 +589,19 @@ def execute_tiled(
             # `python -m repro recover resume` can finish the job from
             # the manifest alone, with no caller process.
             u_sidecar = header["u_path"] = f"{journal_path}.u.npy"
-    with _journaled(journal_path, header, "tile") as (journal, committed,
-                                                      done):
+    with _journaled(journal_path, header, "tile") as run:
         if u_sidecar is not None and not os.path.exists(u_sidecar):
             atomic_save_array(u_sidecar, u)
-        if done and final_path is not None and os.path.exists(final_path):
+        if run.done and final_path is not None and os.path.exists(final_path):
             return open_memmap_tensor(final_path, "r+")
         out = _execute_tiled_body(
-            x, u, tiling, out, final_path, planner, journal, committed
+            x, u, tiling, out, final_path, planner, run.journal, run.committed
         )
         if check_finite:
             from repro.util.validation import check_finite_result
 
             check_finite_result(out.data, kernel="tiled", context="ttm")
-        if journal is not None:
-            journal.close({"type": "done", "tiles": tiling.n_tiles})
+        run.final = {"type": "done", "tiles": tiling.n_tiles}
     if final_path is not None:
         publish_file(partial_path(final_path), final_path)
     return out
@@ -698,7 +679,6 @@ def _execute_tiled_body(
                     bytes=np_dtype.itemsize * (unit.x.size + unit.out.size),
                 )
 
-        counters = active_hot_counters()
         if committed:
             # Never trust a commit record: re-checksum what actually
             # landed, skip matches, recompute the rest (torn pages from
@@ -707,23 +687,16 @@ def _execute_tiled_body(
                 "recover-resume", kind="ttm-tiled",
                 committed=len(committed), tiles=len(units),
             ) as span:
-                checked = [unit for unit in units if unit.index in committed]
-                kept = {
-                    unit.index for unit in checked
-                    if region_checksum(unit.out)
-                    == committed[unit.index].get("crc")
-                }
+                kept, recomputed = _check_tiles(tiling, out.data, committed)
                 if span is not None:
-                    span.set(verified=len(kept),
-                             recomputed=len(checked) - len(kept))
-            if counters is not None:
-                counters.add("tiles_resumed", len(kept))
-                counters.add("tiles_reverified", len(checked))
+                    span.set(verified=len(kept), recomputed=len(recomputed))
+            _count_resume(len(committed), len(kept))
             units = [unit for unit in units if unit.index not in kept]
 
         for _ in _run_units(units, tiling.mode, tiling.j, planner, plans,
                             "tiles_executed", journal):
             pass
+        counters = active_hot_counters()
         if counters is not None:
             counters.add("tiled_ttms")
         out.flush()
@@ -899,27 +872,22 @@ def ttm_stream(
         }
         if k_split:
             state_path = header["state_path"] = f"{journal_path}.accum.npy"
-    with _journaled(journal_path, header, "chunk", key="chunk") as (
-        journal, committed, _
-    ):
+    with _journaled(journal_path, header, "chunk", key="chunk") as run:
+        committed = run.committed
         resume_upto = 0
         while resume_upto in committed:  # contiguous committed prefix
             resume_upto += 1
         saved = None
-        if k_split and resume_upto:
+        if resume_upto and not k_split:
+            _count_resume(0, resume_upto)
+        elif resume_upto:
             # The cursor is only as good as the accumulator it points
             # into: verify the sidecar against its last commit record,
             # else restart the accumulation from chunk 0.
-            if (os.path.exists(state_path)
-                    and file_checksum(state_path)
-                    == committed[resume_upto - 1].get("crc")):
+            if _resume_sidecar(state_path, committed, resume_upto):
                 saved = np.load(state_path)
             else:
                 resume_upto = 0
-        counters = active_hot_counters()
-        if resume_upto and counters is not None:
-            counters.add("tiles_resumed", resume_upto)
-            counters.add("tiles_reverified", int(k_split))
 
         lo = n_chunks = 0
         accum = None
@@ -1007,7 +975,7 @@ def ttm_stream(
                 )
 
         for unit, y in _run_units(units(), mode, j, planner, {},
-                                  "stream_chunks", journal, state_path):
+                                  "stream_chunks", run.journal, state_path):
             if not k_split:
                 yield StreamChunk(*unit.ranges[axis], y)
         if not n_chunks:
@@ -1018,10 +986,9 @@ def ttm_stream(
                 f"I_n={u.shape[1]}; partial result withheld (it would "
                 "be silently wrong)"
             )
-        if journal is not None:
-            journal.close({"type": "done", "chunks": n_chunks})
-        if k_split:
-            yield StreamChunk(0, j, accum)
+        run.final = {"type": "done", "chunks": n_chunks}
+    if k_split:
+        yield StreamChunk(0, j, accum)
 
 
 def ttm_stream_collect(

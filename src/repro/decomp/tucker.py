@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -342,21 +341,17 @@ def _hooi_converged(history: Sequence[float], tolerance: float) -> bool:
     return len(history) >= 2 and history[-1] - history[-2] < tolerance
 
 
-def _save_hooi_state(state_path: str, factors, core: DenseTensor,
-                     history: Sequence[float]) -> int:
-    """Durably publish one sweep's full state; returns the file's CRC."""
-    part = recovery.partial_path(state_path)
+def _hooi_state(factors, core: DenseTensor,
+                history: Sequence[float]) -> dict[str, np.ndarray]:
+    """One sweep's full state (factors, core, fit history) as ``.npz``
+    members, row-major so a resumed run replays the same bits."""
     payload = {
         f"factor_{m}": np.ascontiguousarray(f)
         for m, f in enumerate(factors)
     }
     payload["core"] = np.ascontiguousarray(core.data)
     payload["fit_history"] = np.asarray(history, dtype=np.float64)
-    with open(part, "wb") as fh:
-        np.savez(fh, **payload)
-    crc = recovery.file_checksum(part)
-    recovery.publish_file(part, state_path)
-    return crc
+    return payload
 
 
 def hooi(
@@ -403,11 +398,7 @@ def hooi(
     ranks_t = _check_ranks(x.shape, ranks)
     if max_iterations < 1:
         raise ShapeError(f"max_iterations must be >= 1, got {max_iterations}")
-    journal = None
-    state_path = None
-    factors = None
-    core = None
-    history: list[float] = []
+    header = state_path = None
     if checkpoint_path is not None:
         state_path = f"{checkpoint_path}.state.npz"
         decision = {
@@ -430,41 +421,34 @@ def hooi(
             "tolerance": float(tolerance),
             "svd_method": str(svd_method),
         }
-        journal, records = recovery.open_or_resume(checkpoint_path, header)
-        committed = recovery.committed_units(records, "sweep", key="sweep")
-        if committed and os.path.exists(state_path):
-            last = max(committed)
-            # The sidecar is trusted only if it matches its last commit
-            # record byte-for-byte; anything else restarts from scratch.
-            if (recovery.file_checksum(state_path)
-                    == committed[last].get("crc")):
-                with np.load(state_path) as state:
-                    factors = [
-                        np.ascontiguousarray(state[f"factor_{m}"])
-                        for m in range(len(ranks_t))
-                    ]
-                    core = DenseTensor(
-                        np.ascontiguousarray(state["core"]), x.layout
-                    )
-                    history = [float(f) for f in state["fit_history"]]
-                counters = active_hot_counters()
-                if counters is not None:
-                    counters.add("tiles_resumed", len(history))
-                    counters.add("tiles_reverified")
-                tracer = active_tracer()
-                if tracer.enabled:
-                    with tracer.span("recover-resume", kind="hooi",
-                                     sweeps=len(history),
-                                     fit=history[-1] if history else None):
-                        pass
-    x_norm = float(np.linalg.norm(x.data))
-    try:
-        if factors is None:
+    with recovery._journaled(checkpoint_path, header, "sweep",
+                             key="sweep") as run:
+        committed = run.committed
+        # The sidecar is trusted only if it matches its last commit
+        # record byte-for-byte; anything else restarts from scratch.
+        if committed and recovery._resume_sidecar(state_path, committed,
+                                                  max(committed) + 1):
+            with np.load(state_path) as state:
+                factors = [
+                    np.ascontiguousarray(state[f"factor_{m}"])
+                    for m in range(len(ranks_t))
+                ]
+                core = DenseTensor(np.ascontiguousarray(state["core"]),
+                                   x.layout)
+                history = [float(f) for f in state["fit_history"]]
+            tracer = active_tracer()
+            if tracer.enabled:
+                with tracer.span("recover-resume", kind="hooi",
+                                 sweeps=len(history),
+                                 fit=history[-1] if history else None):
+                    pass
+        else:
             history = []
             state = init or hosvd(x, ranks_t, ttm_backend=backend,
                                   svd_method=svd_method)
             factors = [f.copy() for f in state.factors]
             core = state.core
+        x_norm = float(np.linalg.norm(x.data))
         for sweep in range(len(history), max_iterations):
             if _hooi_converged(history, tolerance):
                 break
@@ -477,21 +461,19 @@ def hooi(
             core = _project_all_but(x, factors, skip=None, backend=backend)
             fit = _fit_from_norms(x_norm, core)
             history.append(fit)
-            if journal is not None:
+            if run.journal is not None:
                 faults = active_faults()
                 if faults is not None:
                     # Sweep computed, nothing checkpointed: the crash
                     # window that must cost exactly one recomputed sweep.
                     faults.check("crash", site="sweep-end", sweep=sweep)
-                crc = _save_hooi_state(state_path, factors, core, history)
-                journal.append({"type": "sweep", "sweep": sweep,
-                                "fit": fit, "crc": crc})
-    except BaseException:
-        if journal is not None:
-            journal.close()
-        raise
-    if journal is not None:
-        journal.close({"type": "done", "sweeps": len(history)})
+                payload = _hooi_state(factors, core, history)
+                crc = recovery._land_sidecar(
+                    state_path, lambda fh: np.savez(fh, **payload)
+                )
+                run.journal.append({"type": "sweep", "sweep": sweep,
+                                    "fit": fit, "crc": crc})
+        run.final = {"type": "done", "sweeps": len(history)}
     return TuckerResult(
         core=core,
         factors=factors,

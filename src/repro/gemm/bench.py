@@ -26,6 +26,7 @@ import numpy as np
 from repro.analysis.roofline import RooflinePlatform, gemm_model_gflops
 from repro.perf.flops import gemm_flops, gflops_rate
 from repro.perf.timing import time_callable
+from repro.resilience.recovery import _publish_text
 from repro.util.errors import BenchmarkError
 from repro.util.rng import default_rng
 from repro.util.validation import check_positive_int
@@ -125,8 +126,7 @@ class GemmProfile:
         return cls(points, payload.get("meta"))
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        _publish_text(path, self.to_json(), ".profile-")
 
     @classmethod
     def load(cls, path: str) -> "GemmProfile":

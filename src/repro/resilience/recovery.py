@@ -31,8 +31,8 @@ and power loss alike.
 The consumers are :func:`repro.core.tiling.execute_tiled` /
 ``ttm_tiled`` (``journal_path=``), :func:`repro.core.tiling.ttm_stream`
 (resumable chunk cursors), and :func:`repro.decomp.tucker.hooi`
-(``checkpoint_path=``); ``python -m repro recover {show,resume,verify}``
-is the operator surface.  The deterministic ``crash`` fault point
+(``checkpoint_path=``), all through :func:`_journaled`;
+``python -m repro recover {show,resume,verify}`` is the operator surface.  The deterministic ``crash`` fault point
 (:mod:`repro.resilience.faults`) makes process death a test input at
 sites ``tile-commit``, ``journal-append``, ``chunk-commit`` and
 ``sweep-end``.
@@ -43,10 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -213,17 +215,45 @@ def publish_file(partial: str, final: str) -> None:
     fsync_dir(final)
 
 
-def atomic_save_array(path: str, arr: np.ndarray) -> int:
-    """Write an ``.npy`` durably via the partial + publish protocol.
-
-    Returns the CRC-32 of the written file so callers can journal it.
-    """
+def _land_sidecar(path: str, write: Callable[[BinaryIO], None]) -> int:
+    """The one sidecar landing: *write* ``<path>.partial``, CRC the file,
+    publish it; returns the CRC for the unit's commit record."""
     part = partial_path(path)
     with open(part, "wb") as fh:
-        np.save(fh, np.ascontiguousarray(arr))
+        write(fh)
     crc = file_checksum(part)
     publish_file(part, path)
     return crc
+
+
+def atomic_save_array(path: str, arr: np.ndarray) -> int:
+    """Write an ``.npy`` durably via the partial + publish protocol.
+
+    The array is saved in its own memory order (``.npy`` records
+    ``fortran_order``), so a column-major array is neither copied to row
+    major nor reloaded as one.  Returns the CRC-32 of the written file so
+    callers can journal it.
+    """
+    return _land_sidecar(path, lambda fh: np.save(fh, arr))
+
+
+def _publish_text(path: str, text: str, prefix: str) -> None:
+    """Land *text* at *path* complete-or-untouched, through a unique
+    temp file (concurrent writers never share one) and :func:`publish_file`.
+    """
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=prefix, suffix=".tmp", dir=os.path.dirname(os.path.abspath(path))
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        publish_file(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 # -- the journal ---------------------------------------------------------------
@@ -405,6 +435,79 @@ def is_done(records: Sequence[dict]) -> bool:
     return any(record.get("type") == "done" for record in records)
 
 
+# -- the one journal client ----------------------------------------------------
+
+
+@dataclass
+class _Run:
+    """One job's open journal and the units it has already committed."""
+
+    journal: Journal | None
+    committed: dict[int, dict]
+    done: bool
+    #: The ``done`` record to close with on a clean exit.
+    final: dict | None = None
+
+
+@contextmanager
+def _journaled(journal_path, header: dict | None, rtype: str,
+               key: str = "index"):
+    """The one journal lifecycle: open or resume *journal_path*, yield a
+    :class:`_Run` of its committed *rtype* units, and close it with
+    ``run.final`` on a clean exit, else flushed but resumable."""
+    if journal_path is None:
+        yield _Run(None, {}, False)
+        return
+    journal, records = open_or_resume(journal_path, header)
+    run = _Run(journal, committed_units(records, rtype, key=key),
+               is_done(records))
+    try:
+        yield run
+    except BaseException:
+        journal.close()
+        raise
+    journal.close(run.final)
+
+
+def _count_resume(checked: int, kept: int) -> None:
+    """Count a resume: ``tiles_reverified`` per check made, passed or
+    failed, and ``tiles_resumed`` per unit kept."""
+    counters = active_hot_counters()
+    if counters is not None:
+        counters.add("tiles_reverified", checked)
+        counters.add("tiles_resumed", kept)
+
+
+def _sidecar_matches(path, record: dict) -> bool:
+    """Whether the sidecar at *path* is the file *record* committed."""
+    return os.path.exists(path) and file_checksum(path) == record.get("crc")
+
+
+def _resume_sidecar(path, committed: dict[int, dict], upto: int) -> bool:
+    """Whether the sidecar matches unit ``upto - 1``'s commit, so units
+    ``0..upto-1`` resume from it; counts the check and what it keeps."""
+    ok = _sidecar_matches(path, committed[upto - 1])
+    _count_resume(1, upto if ok else 0)
+    return ok
+
+
+def _check_tiles(tiling, out: np.ndarray,
+                 committed: dict[int, dict]) -> tuple[set[int], list[int]]:
+    """Re-checksum the committed tiles of *tiling* against *out*:
+    ``(kept, mismatched)`` tile indices."""
+    specs = {spec.index: spec for spec in tiling.tiles()}
+    kept: set[int] = set()
+    mismatched: list[int] = []
+    for index, record in sorted(committed.items()):
+        spec = specs.get(index)
+        if (spec is not None
+                and region_checksum(out[spec.out_slices]) == record.get("crc")):
+            kept.add(index)
+        else:
+            mismatched.append(index)
+    return kept, mismatched
+
+
 # -- verification --------------------------------------------------------------
 
 
@@ -494,20 +597,12 @@ def _verify_impl(journal_path, header, records, kind, done,
         from repro.tensor.dense import open_memmap_tensor
 
         out = open_memmap_tensor(actual, "r")
-        committed = committed_units(records, "tile")
-        mismatched = []
-        specs = {spec.index: spec for spec in tiling.tiles()}
-        for index, record in sorted(committed.items()):
-            spec = specs.get(index)
-            if spec is None:
-                mismatched.append(index)
-                continue
-            crc = region_checksum(out.data[spec.out_slices])
-            if crc != record.get("crc"):
-                mismatched.append(index)
+        kept, mismatched = _check_tiles(
+            tiling, out.data, committed_units(records, "tile")
+        )
         return VerifyReport(
-            str(journal_path), kind, actual, tiling.n_tiles,
-            len(committed) - len(mismatched), mismatched, done=done,
+            str(journal_path), kind, actual, tiling.n_tiles, len(kept),
+            mismatched, done=done,
         )
     if kind in ("hooi", "ttm-stream"):
         rtype = "sweep" if kind == "hooi" else "chunk"
@@ -525,17 +620,13 @@ def _verify_impl(journal_path, header, records, kind, done,
             return VerifyReport(str(journal_path), kind, sidecar,
                                 len(committed), 0, [], missing=True,
                                 done=done)
-        last = max(committed) if committed else None
-        mismatched = []
-        verified = 0
-        if last is not None:
-            if file_checksum(sidecar) == committed[last].get("crc"):
-                verified = 1
-            else:
-                mismatched.append(last)
-        return VerifyReport(str(journal_path), kind, sidecar,
-                            1 if committed else 0, verified, mismatched,
-                            done=done)
+        if not committed:
+            return VerifyReport(str(journal_path), kind, sidecar, 0, 0, [],
+                                done=done)
+        last = max(committed)
+        ok = _sidecar_matches(sidecar, committed[last])
+        return VerifyReport(str(journal_path), kind, sidecar, 1, int(ok),
+                            [] if ok else [last], done=done)
     raise RecoveryError(
         f"journal {journal_path} has unknown kind {kind!r}"
     )

@@ -68,6 +68,17 @@ class TestGemmProfile:
         profile.save(str(path))
         assert len(GemmProfile.load(str(path))) == len(profile)
 
+    def test_failed_save_keeps_the_previous_file(self, profile, tmp_path):
+        path = tmp_path / "profile.json"
+        profile.save(str(path))
+        before = path.read_bytes()
+        broken = GemmProfile(profile.points, {"platform": object()})
+        with pytest.raises(TypeError):
+            broken.save(str(path))
+        assert path.read_bytes() == before
+        assert len(GemmProfile.load(str(path))) == len(profile)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+
     def test_empty_profile_rejected(self):
         with pytest.raises(BenchmarkError):
             GemmProfile([])
