@@ -12,8 +12,8 @@ execution on the same operands:
   on the packed path); the regression gate holds the tax steady rather
   than hoping for a win.
 * ``tiles`` / ``path`` — the geometry the planner actually chose: how
-  many tiles, and whether they are zero-copy views or staged through
-  the pack-multiply-scatter scratch pool.
+  many tiles, and whether they run in place as (possibly strided)
+  views or are staged through the pack-multiply-scatter scratch pool.
 * The full run adds a disk leg: the same contraction with a
   memmap-backed input and output (``ttm_tiled(..., out_path=...)``),
   reported as wall seconds — informational, since it times the page
@@ -49,9 +49,10 @@ from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import ROW_MAJOR
 from repro.tensor.generate import random_tensor
 
-#: (shape, J, mode) cases.  mode == last on ROW_MAJOR tiles as views
-#: (the outer storage mode sits inside the kernel window); leading
-#: modes force the packed pack-multiply-scatter path.
+#: (shape, J, mode) cases.  mode == last on ROW_MAJOR cuts axis 0, a
+#: contiguous view; mode 0 cuts axis 1, the outermost mode of the
+#: component run (1, 2), so its strided tiles still run in place
+#: (Lemma 4.1).  A cut inside a merged run would pack.
 FULL_CASES = [
     ((64, 48, 32), 16, 2),
     ((48, 32, 64), 16, 0),

@@ -43,7 +43,6 @@ import os
 import time
 
 from repro.core.serialize import cache_header, check_cache_header
-from repro.perf.profiler import active_hot_counters
 from repro.resilience.faults import active_faults, record_degradation
 from repro.resilience.recovery import _publish_text
 from repro.util.errors import StoreCorruptError
@@ -175,9 +174,6 @@ class PlanStore:
         payload["entries"] = entries
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         _publish_text(self.path, json.dumps(payload, indent=2), ".plans-")
-        counters = active_hot_counters()
-        if counters is not None:
-            counters.add("store_fsyncs")
 
     def clear(self) -> bool:
         """Delete the store file; True when one existed."""

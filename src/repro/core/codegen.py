@@ -23,7 +23,9 @@ Every mode role (component run, mode, batch run, loop mode) is then a
 consecutive run of a contiguous tensor (Lemma 4.1), and NumPy merges
 nesting axes without copying.  An output ``y`` that broke the invariant
 would be reshaped into a copy and the writes lost, so the executor only
-hands generated code ``DenseTensor`` storage.
+hands generated code ``DenseTensor`` storage, plus the tiling layer's
+strided tiles whose merged runs still nest
+(:func:`repro.core.tiling.runs_in_place`).
 
 Each compiled function also carries its **dispatch counts**
 (:class:`DispatchCounts`), fixed when the body is emitted: how many 2-D

@@ -6,9 +6,11 @@ memmap-backed tensors — the :class:`TilingPlanner` turns the memory guard
 TTM is embarrassingly tileable over every mode except ``n``
 (``Y[b] = X[b] x_n U`` for any block ``b``, no partial sums), so the
 planner cuts the non-contracted modes into block ranges
-(:func:`repro.distributed.grid.tile_grid`), outermost storage mode first:
-those tiles are contiguous views of X and Y.  Inner-mode splits make
-tiles strided; they are packed through a bounded
+(:func:`repro.distributed.grid.tile_grid`), outermost storage mode first.
+A tile is a strided view of X and Y, and it runs in place whenever every
+mode run its plan merges is copy-free on the tile's own strides
+(Lemma 4.1, :func:`runs_in_place`); only a tile whose split cuts inside
+a merged run is packed through a bounded
 :class:`~repro.core.chain.ScratchPool` (GETT-style).
 
 A tile is one more loop level of the paper's Algorithm 2 over views of
@@ -32,6 +34,7 @@ committed unit (:mod:`repro.resilience.recovery`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -66,11 +69,11 @@ from repro.resilience.recovery import (
     fingerprint_tensor,
     memmap_path,
     partial_path,
-    publish_file,
     region_checksum,
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
-from repro.tensor.layout import Layout
+from repro.tensor.layout import Layout, element_strides
+from repro.tensor.views import merged_stride
 from repro.util.dtypes import match_dtype
 from repro.util.errors import (
     DtypeError,
@@ -139,8 +142,9 @@ class TilingPlan:
 
     ``parts[m]`` is the number of blocks mode *m* is cut into
     (``parts[mode] == 1`` always — the contracted mode is never split).
-    ``packed`` records whether tiles need staging copies (inner-mode
-    splits) or run as pure views (outermost-mode splits only).
+    ``packed`` records whether some tile needs staging copies (a split
+    inside a run its plan merges) or every tile runs in place as a
+    strided view (:func:`runs_in_place`).
     """
 
     shape: tuple[int, ...]
@@ -241,8 +245,10 @@ class TilingPlanner:
     or the axis is fully split, then moves inward.  The footprint of a
     candidate cut is priced with a *real* plan for the maximal tile shape
     (the configured planner — estimator or default — adapts degree,
-    batching, and kernel to the tile), so the decision and the execution
-    can never disagree about what a tile costs.
+    batching, and kernel to the tile), plus staging bytes only when some
+    tile fails :func:`runs_in_place` — the test the executor applies — so
+    the decision and the execution can never disagree about what a tile
+    costs.
     """
 
     def __init__(self, planner: Planner | None = None) -> None:
@@ -324,7 +330,7 @@ class TilingPlanner:
             axes = [a for a in reversed(range(order)) if a != base_plan.mode]
 
         while True:
-            foot, packed = self._tile_footprint(base_plan, parts)
+            foot, packed = self._tile_footprint(base_plan, parts, budget)
             if foot <= budget:
                 if not any(p > 1 for p in parts):
                     # Transients already fit; the overage was entirely
@@ -347,21 +353,43 @@ class TilingPlanner:
                 )
 
     def _tile_footprint(
-        self, base_plan: TtmPlan, parts: Sequence[int]
+        self, base_plan: TtmPlan, parts: Sequence[int],
+        budget: int | None = None,
     ) -> tuple[int, bool]:
-        """Bytes one tile of the current cut allocates, and whether it packs."""
+        """Bytes one tile of the current cut allocates, and whether it packs.
+
+        A cut packs when any of its distinct tile shapes does: each gets
+        its own plan, so each is checked against the parent's strides
+        (:func:`~repro.distributed.grid.tile_grid` cuts an extent into
+        blocks of two lengths at most, its floor and ceiling shares).
+        A cut whose kernel working set alone exceeds *budget* is rejected
+        whatever it packs, so it is priced as packed without the check.
+        """
         shape = base_plan.shape
+        layout = base_plan.layout
         tshape = tuple(
             _max_block(e, p) for e, p in zip(shape, parts)
         )
         tile_plan = self._planner(
-            tshape, base_plan.mode, base_plan.j, base_plan.layout,
+            tshape, base_plan.mode, base_plan.j, layout,
             dtype=base_plan.dtype,
         )
         foot = plan_footprint_bytes(tile_plan, allocate_out=False)
-        packed = not view_tileable(
-            parts, shape, base_plan.mode, base_plan.layout
-        )
+        packed = budget is not None and foot > budget
+        if not packed:
+            x_strides = element_strides(shape, layout)
+            for sub in itertools.product(*(
+                {e // _tile_count(e, p), _max_block(e, p)}
+                for e, p in zip(shape, parts)
+            )):
+                sub_plan = self._planner(
+                    sub, base_plan.mode, base_plan.j, layout,
+                    dtype=base_plan.dtype,
+                )
+                if not runs_in_place(sub_plan, x_strides,
+                                     base_plan.out_strides):
+                    packed = True
+                    break
         if packed:
             itemsize = base_plan.itemsize
             x_tile = itemsize * math.prod(tshape)
@@ -372,21 +400,28 @@ class TilingPlanner:
         return foot, packed
 
 
-def view_tileable(
-    parts: Sequence[int], shape: Sequence[int], mode: int, layout: Layout
+def runs_in_place(
+    plan: TtmPlan, x_strides: Sequence[int], y_strides: Sequence[int]
 ) -> bool:
-    """True when this cut's tiles are contiguous views of X *and* Y.
+    """Lemma 4.1 on a tile: whether *plan* runs copy-free on these strides.
 
-    A slice along only the outermost storage mode (axis 0 row-major,
-    axis N-1 column-major) of a contiguous array is itself contiguous,
-    and the output — which differs from the input only at *mode* — is
-    sliced the same way, so both sides stay views.  Any inner-mode split
-    (or a split when the outermost mode is the contracted one) makes the
-    tiles strided and forces packing.
+    *x_strides*/*y_strides* are the element strides of the tile's input
+    and output views — a tile of a layout-contiguous tensor keeps its
+    parent's strides.  The generated kernel (every degrade tier too)
+    reshapes each run of modes it merges — the component run ``M_C``
+    and the batch run — into one matrix dimension, and a reshape is a
+    view exactly when the run's strides nest (:func:`~repro.tensor.views
+    .merged_stride`).  A split on a run's outermost mode keeps the
+    nesting; a split inside a run breaks it, and that tile is packed.
     """
-    outer = 0 if layout is Layout.ROW_MAJOR else len(shape) - 1
-    split = {a for a, p in enumerate(parts) if p > 1}
-    return split <= {outer} and (not split or outer != mode)
+    try:
+        for run in (plan.component_modes, plan.batch_modes):
+            if run:
+                merged_stride(x_strides, plan.shape, run)
+                merged_stride(y_strides, plan.out_shape, run)
+    except LayoutError:
+        return False
+    return True
 
 
 def tiling_opportunity(
@@ -423,28 +458,44 @@ class _Unit(NamedTuple):
     record: dict
 
 
+def _element_strides(a: np.ndarray) -> tuple[int, ...]:
+    return tuple(s // a.itemsize for s in a.strides)
+
+
 def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
-               j: int) -> TtmPlan:
-    """The plan for *unit*, built once per distinct unit shape."""
-    key = (unit.x.shape, unit.layout, unit.x.dtype)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = planner(
+               j: int) -> tuple[TtmPlan, bool, tuple, tuple | None]:
+    """The plan for *unit*, whether it packs (:func:`runs_in_place`
+    fails) and its views' element strides (None for a fresh output),
+    decided once per distinct unit shape and strides."""
+    key = (unit.x.shape, unit.layout, unit.x.dtype, unit.x.strides,
+           None if unit.out is None else unit.out.strides)
+    found = plans.get(key)
+    if found is None:
+        plan = planner(
             unit.x.shape, mode, j, unit.layout, dtype=unit.x.dtype.name
         )
-    return plan
+        x_strides = _element_strides(unit.x)
+        out_strides = None if unit.out is None else _element_strides(unit.out)
+        found = plans[key] = (
+            plan,
+            not runs_in_place(plan, x_strides,
+                              out_strides or plan.out_strides),
+            x_strides,
+            out_strides,
+        )
+    return found
 
 
 def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
                plans: dict, counter: str, journal=None, state_path=None):
     """Plan, run, land and commit each unit of an out-of-core TTM.
 
-    A unit whose input and output are contiguous views runs in place; a
-    strided one is packed through a :class:`ScratchPool`, multiplied and
-    scattered back (GETT-style).  The loop yields ``(unit, result)``
-    *before* committing the unit, so a stream's commit follows its
-    consumer's next pull; a drained loop commits each unit as soon as it
-    has run.  The commit checks the ``crash`` fault point at
+    A unit whose plan :func:`runs_in_place` on its views' strides runs as
+    those views; any other is packed through a :class:`ScratchPool`,
+    multiplied and scattered back (GETT-style).  The loop yields
+    ``(unit, result)`` *before* committing the unit, so a stream's commit
+    follows its consumer's next pull; a drained loop commits each unit
+    as soon as it has run.  The commit checks the ``crash`` fault point at
     ``<type>-commit`` (output bytes written, record not yet journaled),
     lands the unit — the region CRC of its output, or for an accumulator
     the durably published *state_path* sidecar — and appends its record.
@@ -454,11 +505,8 @@ def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
     counters = active_hot_counters()
     pool = ScratchPool()
     for unit in units:
-        plan = _plan_unit(plans, planner, unit, mode, j)
-        flag = ("C_CONTIGUOUS" if unit.layout is Layout.ROW_MAJOR
-                else "F_CONTIGUOUS")
-        packed = not unit.x.flags[flag] or (
-            unit.out is not None and not unit.out.flags[flag]
+        plan, packed, x_strides, out_strides = _plan_unit(
+            plans, planner, unit, mode, j
         )
         span = (
             tracer.span(
@@ -489,10 +537,11 @@ def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
                 np.copyto(unit.out, y.data)
             else:
                 y = ttm_inplace(
-                    DenseTensor._wrap(unit.x, unit.layout), unit.u,
-                    plan=plan,
+                    DenseTensor._wrap(unit.x, unit.layout, x_strides),
+                    unit.u, plan=plan,
                     out=None if unit.out is None
-                    else DenseTensor._wrap(unit.out, unit.layout),
+                    else DenseTensor._wrap(unit.out, unit.layout,
+                                           out_strides),
                     accumulate=unit.accumulate,
                 )
         if counters is not None:
@@ -506,7 +555,7 @@ def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
                 faults.check("crash", site=f"{rtype}-commit",
                              **{rtype: unit.index})
             if unit.accumulate:
-                crc = atomic_save_array(state_path, y.data)
+                crc = atomic_save_array(state_path, y.data, journal)
             else:
                 crc = region_checksum(y.data)
             journal.append({**unit.record, "crc": crc})
@@ -540,13 +589,14 @@ def execute_tiled(
     An *out_path* result lands **complete-or-untouched**: tiles write to
     ``<out_path>.partial``, which is fsync'd and atomically renamed into
     place only after every tile (journal or not) — a file at *out_path*
-    is never a torn result.  *journal_path* additionally makes the run
-    **resumable across process death** (:mod:`repro.resilience
-    .recovery`): each completed tile appends a checksummed commit record,
-    and a rerun with the same journal re-verifies committed tiles
-    against the landed bytes, skips the ones that match, and recomputes
-    the rest.  A journal for a different job (decision digest or input
-    fingerprints differ) raises
+    is never a torn result.  With a journal beside it, the rename shares
+    the journal's one directory fsync at close.  *journal_path*
+    additionally makes the run **resumable across process death**
+    (:mod:`repro.resilience.recovery`): each completed tile appends a
+    checksummed commit record, and a rerun with the same journal
+    re-verifies committed tiles against the landed bytes, skips the
+    ones that match, and recomputes the rest.  A journal for a
+    different job (decision digest or input fingerprints differ) raises
     :class:`~repro.util.errors.RecoveryError`.
     """
     if not isinstance(x, DenseTensor):
@@ -591,7 +641,7 @@ def execute_tiled(
             u_sidecar = header["u_path"] = f"{journal_path}.u.npy"
     with _journaled(journal_path, header, "tile") as run:
         if u_sidecar is not None and not os.path.exists(u_sidecar):
-            atomic_save_array(u_sidecar, u)
+            atomic_save_array(u_sidecar, u, run.journal)
         if run.done and final_path is not None and os.path.exists(final_path):
             return open_memmap_tensor(final_path, "r+")
         out = _execute_tiled_body(
@@ -602,8 +652,8 @@ def execute_tiled(
 
             check_finite_result(out.data, kernel="tiled", context="ttm")
         run.final = {"type": "done", "tiles": tiling.n_tiles}
-    if final_path is not None:
-        publish_file(partial_path(final_path), final_path)
+        if final_path is not None:
+            run.land = (partial_path(final_path), final_path)
     return out
 
 
@@ -612,6 +662,7 @@ def _execute_tiled_body(
 ) -> DenseTensor:
     layout = tiling.layout
     np_dtype = np.dtype(tiling.dtype)
+    caller_out = out is not None
     with pinned_budget(tiling.budget) as budget:
         if out is None:
             out_bytes = np_dtype.itemsize * math.prod(tiling.out_shape)
@@ -699,7 +750,10 @@ def _execute_tiled_body(
         counters = active_hot_counters()
         if counters is not None:
             counters.add("tiled_ttms")
-        out.flush()
+        if caller_out:
+            # A caller's memmap is theirs to keep: msync it.  A partial of
+            # ours needs no msync, publish_file's fsync writes it back.
+            out.flush()
     return out
 
 

@@ -469,7 +469,8 @@ def hooi(
                     faults.check("crash", site="sweep-end", sweep=sweep)
                 payload = _hooi_state(factors, core, history)
                 crc = recovery._land_sidecar(
-                    state_path, lambda fh: np.savez(fh, **payload)
+                    state_path, lambda fh: np.savez(fh, **payload),
+                    run.journal,
                 )
                 run.journal.append({"type": "sweep", "sweep": sweep,
                                     "fit": fit, "crc": crc})

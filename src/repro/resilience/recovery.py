@@ -18,15 +18,17 @@ a CRC-32 content checksum of the bytes it landed.  Appends are a single
 ``write`` of one line, so a crash can tear at most the final line, which
 the parser drops; fsync is grouped on a time interval
 (:data:`SYNC_INTERVAL_S`) so durability costs O(elapsed time), not
-O(commits).  A commit record is never *trusted* on resume: the landed
-bytes are re-checksummed first, and a mismatch (torn page, bit rot)
-recomputes the unit instead of silently keeping it.
+O(commits).  The journal also owns its directory's durability: its own
+creation and every sidecar or output rename it lands share one
+directory fsync, made at the journal's next sync.  A commit record is
+never *trusted* on resume: the landed bytes are re-checksummed first,
+and a mismatch (torn page, bit rot) recomputes the unit instead of
+silently keeping it.
 
 **Complete-or-untouched landing** — outputs written to a path go to
-``<path>.partial`` and are published with flush + fsync +
-``os.replace`` only after every unit committed, so a file at the
-requested path is always a complete, verified result, across crashes
-and power loss alike.
+``<path>.partial`` and are published with fsync + ``os.replace`` only
+after every unit committed, so a file at the requested path is always
+a complete, verified result, across crashes and power loss alike.
 
 The consumers are :func:`repro.core.tiling.execute_tiled` /
 ``ttm_tiled`` (``journal_path=``), :func:`repro.core.tiling.ttm_stream`
@@ -66,8 +68,9 @@ JOURNAL_SCHEMA = 1
 #: most this much *committed-but-unsynced* work to a power cut (a plain
 #: ``kill -9`` loses nothing: the page cache survives the process), and
 #: in exchange journal durability costs O(elapsed time) instead of one
-#: fsync per tile.  The header, the final record, and every checkpoint
-#: sidecar publish are always fsync'd.
+#: fsync per tile.  The final record is always fsync'd, and every
+#: checkpoint sidecar's data before its rename; the header and the
+#: directory entries become durable at the journal's next sync.
 SYNC_INTERVAL_S = 0.05
 
 #: Bytes sampled per region (head, middle, tail) by the input
@@ -174,59 +177,83 @@ def partial_path(path) -> str:
     return f"{path}.partial"
 
 
+def _fsync(fd: int) -> None:
+    """``os.fsync``, counted under ``store_fsyncs``: every sync this layer
+    makes (file data, directories, the journal) goes through here."""
+    os.fsync(fd)
+    counters = active_hot_counters()
+    if counters is not None:
+        counters.add("store_fsyncs")
+
+
 def fsync_file(path) -> None:
-    """fsync an existing file by path (flushes the page cache to media)."""
+    """fsync an existing file by path (flushes the page cache to media).
+
+    On Linux this also writes back pages dirtied through a shared
+    ``mmap`` of the file, so a memmapped output needs no ``msync`` first.
+    """
     fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        _fsync(fd)
     finally:
         os.close(fd)
 
 
-def fsync_dir(path) -> None:
-    """fsync a directory so a rename inside it survives power loss.
+def _parent(path) -> str:
+    return os.path.dirname(os.path.abspath(path)) or "."
+
+
+def _fsync_directory(directory: str) -> None:
+    """fsync *directory* so the renames inside it survive power loss.
 
     Best-effort: some filesystems refuse O_RDONLY on directories; the
     rename itself is still atomic there, only its durability window
     widens to the next metadata flush.
     """
     try:
-        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".",
-                     os.O_RDONLY)
+        fd = os.open(directory, os.O_RDONLY)
     except OSError:
         return
     try:
-        os.fsync(fd)
+        _fsync(fd)
     except OSError:
         pass
     finally:
         os.close(fd)
 
 
-def publish_file(partial: str, final: str) -> None:
+def publish_file(partial: str, final: str, journal=None) -> None:
     """Atomically publish a completed ``.partial`` file at its final path.
 
     fsync the data, ``os.replace`` into place, fsync the directory: the
     complete-or-untouched commit protocol.  After this returns, a file
-    at *final* is a complete result even across power loss.
+    at *final* is a complete result even across power loss.  With a
+    *journal*, the directory fsync is deferred to that journal's next
+    sync (:meth:`Journal._sync`), which every record depending on this
+    file must pass through before it is durable itself.
     """
     fsync_file(partial)
     os.replace(partial, final)
-    fsync_dir(final)
+    if journal is None:
+        _fsync_directory(_parent(final))
+    else:
+        journal._defer_dir(final)
 
 
-def _land_sidecar(path: str, write: Callable[[BinaryIO], None]) -> int:
+def _land_sidecar(path: str, write: Callable[[BinaryIO], None],
+                  journal=None) -> int:
     """The one sidecar landing: *write* ``<path>.partial``, CRC the file,
-    publish it; returns the CRC for the unit's commit record."""
+    publish it (through *journal*, if any); returns the CRC for the
+    unit's commit record."""
     part = partial_path(path)
     with open(part, "wb") as fh:
         write(fh)
     crc = file_checksum(part)
-    publish_file(part, path)
+    publish_file(part, path, journal)
     return crc
 
 
-def atomic_save_array(path: str, arr: np.ndarray) -> int:
+def atomic_save_array(path: str, arr: np.ndarray, journal=None) -> int:
     """Write an ``.npy`` durably via the partial + publish protocol.
 
     The array is saved in its own memory order (``.npy`` records
@@ -234,7 +261,7 @@ def atomic_save_array(path: str, arr: np.ndarray) -> int:
     major nor reloaded as one.  Returns the CRC-32 of the written file so
     callers can journal it.
     """
-    return _land_sidecar(path, lambda fh: np.save(fh, arr))
+    return _land_sidecar(path, lambda fh: np.save(fh, arr), journal)
 
 
 def _publish_text(path: str, text: str, prefix: str) -> None:
@@ -266,9 +293,13 @@ class Journal:
     One header line, then one commit record per completed unit of work,
     then a ``done`` record.  Appends are single ``write`` calls (a crash
     tears at most the trailing line); fsync is grouped on
-    :data:`SYNC_INTERVAL_S`.  Use :meth:`fresh` to start a job,
-    :meth:`read` to inspect one, and :func:`open_or_resume` for the
-    create-or-continue decision executors need.
+    :data:`SYNC_INTERVAL_S`.  A sync (:meth:`_sync`) first fsyncs every
+    directory holding a deferred rename — the journal's own creation, a
+    sidecar or an output landed through it — then the journal file, and
+    only when something changed since the last one.  Use :meth:`fresh`
+    to start a job, :meth:`read` to inspect one, and
+    :func:`open_or_resume` for the create-or-continue decision executors
+    need.
     """
 
     path: str
@@ -276,11 +307,19 @@ class Journal:
     sync_interval_s: float = SYNC_INTERVAL_S
     _fd: int | None = field(default=None, repr=False)
     _last_sync: float = field(default=0.0, repr=False)
+    #: Bytes written to the journal file since its last fsync.
+    _unsynced: bool = field(default=False, repr=False)
+    #: Directories whose entries await the next sync's fsync.
+    _dirs: set = field(default_factory=set, repr=False)
 
     @classmethod
     def fresh(cls, path, header: dict,
               sync_interval_s: float = SYNC_INTERVAL_S) -> "Journal":
-        """Create (truncating any previous journal) and fsync the header."""
+        """Create (truncating any previous journal) and write the header.
+
+        The header and the journal's directory entry become durable at
+        the first sync, with the first records that depend on them.
+        """
         header = dict(header)
         header["type"] = "header"
         header["schema"] = JOURNAL_SCHEMA
@@ -289,8 +328,8 @@ class Journal:
             str(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
         )
         os.write(journal._fd, cls._encode(header))
-        os.fsync(journal._fd)
-        fsync_dir(str(path))
+        journal._unsynced = True
+        journal._defer_dir(path)
         journal._last_sync = time.monotonic()
         return journal
 
@@ -347,7 +386,7 @@ class Journal:
         return (json.dumps(record, sort_keys=True,
                            separators=(",", ":")) + "\n").encode()
 
-    def append(self, record: dict, sync: bool = False) -> None:
+    def append(self, record: dict) -> None:
         """Append one commit record (a single write; grouped fsync).
 
         The deterministic ``crash`` fault point fires here with
@@ -361,23 +400,37 @@ class Journal:
             faults.check("crash", site="journal-append",
                          record=record.get("type"))
         os.write(self._fd, self._encode(record))
+        self._unsynced = True
         counters = active_hot_counters()
         if counters is not None:
             counters.add("journal_commits")
-        now = time.monotonic()
-        if sync or now - self._last_sync >= self.sync_interval_s:
-            os.fsync(self._fd)
-            self._last_sync = now
+        if time.monotonic() - self._last_sync >= self.sync_interval_s:
+            self._sync()
+
+    def _defer_dir(self, path) -> None:
+        """Make the directory entry of *path* durable at the next sync."""
+        self._dirs.add(_parent(path))
+
+    def _sync(self) -> None:
+        """fsync what changed since the last sync: each deferred directory
+        first (a record never names a file whose entry is less durable
+        than itself), then the journal file."""
+        for directory in sorted(self._dirs):
+            _fsync_directory(directory)
+        self._dirs.clear()
+        if self._unsynced:
+            _fsync(self._fd)
+            self._unsynced = False
+        self._last_sync = time.monotonic()
 
     def close(self, final: dict | None = None) -> None:
-        """Append an optional final record, fsync, and release the fd."""
+        """Append an optional final record, sync, and release the fd."""
         if self._fd is None:
             return
         try:
             if final is not None:
-                self.append(final, sync=True)
-            else:
-                os.fsync(self._fd)
+                self.append(final)
+            self._sync()
         finally:
             os.close(self._fd)
             self._fd = None
@@ -447,26 +500,38 @@ class _Run:
     done: bool
     #: The ``done`` record to close with on a clean exit.
     final: dict | None = None
+    #: ``(partial, final)`` paths of an output to publish on a clean exit.
+    land: tuple[str, str] | None = None
 
 
 @contextmanager
 def _journaled(journal_path, header: dict | None, rtype: str,
                key: str = "index"):
     """The one journal lifecycle: open or resume *journal_path*, yield a
-    :class:`_Run` of its committed *rtype* units, and close it with
-    ``run.final`` on a clean exit, else flushed but resumable."""
+    :class:`_Run` of its committed *rtype* units, and on a clean exit
+    write ``run.final`` (unless the journal is already done), publish
+    ``run.land`` and close; on an error close it flushed but resumable.
+
+    The final record, the output's rename and everything deferred
+    before them become durable in one :meth:`Journal._sync` at close.
+    """
     if journal_path is None:
-        yield _Run(None, {}, False)
+        run = _Run(None, {}, False)
+        yield run
+        if run.land is not None:
+            publish_file(*run.land)
         return
     journal, records = open_or_resume(journal_path, header)
     run = _Run(journal, committed_units(records, rtype, key=key),
                is_done(records))
     try:
         yield run
-    except BaseException:
+        if run.final is not None and not run.done:
+            journal.append(run.final)
+        if run.land is not None:
+            publish_file(*run.land, journal)
+    finally:
         journal.close()
-        raise
-    journal.close(run.final)
 
 
 def _count_resume(checked: int, kept: int) -> None:

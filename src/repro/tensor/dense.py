@@ -149,7 +149,10 @@ class DenseTensor:
         The caller guarantees *data* is already contiguous in *layout*
         order with a supported native dtype — e.g. a slice it just
         allocated — and may pass its element *strides* when it already
-        knows them (a plan's ``out_strides``).  Skips the ``__init__``
+        knows them (a plan's ``out_strides``).  The one exception is the
+        tiling layer's strided tile view, wrapped with its own strides
+        only after :func:`repro.core.tiling.runs_in_place` showed that
+        its plan reads and writes it without a copy.  Skips the ``__init__``
         checks, which dominate the cost of constructing many small
         tensors (TTM outputs, tiles).
         """

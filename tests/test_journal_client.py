@@ -11,11 +11,15 @@ doing for every client:
   reload);
 * every resume check is counted, passed or failed;
 * HOOI checkpoints resume from the CLI bit-for-bit, restart from a
-  corrupt sidecar, and describe themselves like the other job kinds.
+  corrupt sidecar, and describe themselves like the other job kinds;
+* a landed job pays a fixed sync budget, counted under ``store_fsyncs``:
+  4 for a journaled tiled job, 2 without a journal, none to rerun a
+  finished one, and a finished journal gets no second ``done``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -31,14 +35,17 @@ from repro.core.serialize import load_plans, save_plans
 from repro.core.tiling import ttm_stream, ttm_tiled
 from repro.decomp.tucker import hooi
 from repro.perf.profiler import HotCounters, install_hot_counters
+from repro.resilience import recovery
 from repro.resilience.faults import InjectedFault, fault_injection
 from repro.resilience.recovery import (
+    Journal,
     atomic_save_array,
     describe_journal,
     verify_journal,
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import ROW_MAJOR
+from repro.testing import ttm_reference
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -280,3 +287,86 @@ def test_describe_hooi_and_stream_journals(tmp_path):
         ("state_path", f"{stream_path}.accum.npy"),
         ("status", "complete"),
     ]
+
+
+# -- the sync budget of a landed job -------------------------------------------
+
+
+@pytest.fixture
+def sync_spy(monkeypatch):
+    """Count ``np.memmap.flush`` calls, and pin the grouped-sync interval
+    so a slow run cannot add an interval sync to the fixed budget."""
+    flushes = []
+    real_flush = np.memmap.flush
+
+    def flush(self):
+        flushes.append(self.filename)
+        real_flush(self)
+
+    monkeypatch.setattr(np.memmap, "flush", flush)
+    monkeypatch.setattr(recovery, "open_or_resume", functools.partial(
+        recovery.open_or_resume, sync_interval_s=3600.0))
+    return flushes
+
+
+def _memmapped_case(tmp_path):
+    rng = np.random.default_rng(21)
+    np.save(str(tmp_path / "x.npy"), rng.standard_normal((16, 12, 10)))
+    return open_memmap_tensor(str(tmp_path / "x.npy"), "r"), \
+        rng.standard_normal((5, 12))
+
+
+def test_journaled_tiled_job_makes_four_syncs(tmp_path, sync_spy):
+    """U sidecar data, output data, the journal at close, and one fsync
+    of the directory they share — nothing else, and no msync."""
+    x, u = _memmapped_case(tmp_path)
+    out, journal = str(tmp_path / "y.npy"), str(tmp_path / "y.journal")
+    _, counters = _counted(lambda: ttm_tiled(
+        x, u, 1, budget=1024, out_path=out, journal_path=journal))
+    assert counters.tiles_executed > 1
+    assert counters.store_fsyncs == 4
+    assert sync_spy == []
+    np.testing.assert_allclose(np.load(out), ttm_reference(x.data, u, 1),
+                               rtol=1e-10, atol=1e-12)
+    assert verify_journal(journal, out).ok
+    # Rerunning the finished job writes nothing and syncs nothing.
+    _, rerun = _counted(lambda: ttm_tiled(
+        x, u, 1, budget=1024, out_path=out, journal_path=journal))
+    assert rerun.store_fsyncs == 0 and rerun.tiles_executed == 0
+    assert [r["type"] for r in Journal.read(journal)[1]].count("done") == 1
+
+
+def test_plain_landed_job_makes_two_syncs(tmp_path, sync_spy):
+    """Output data and its directory; no msync before the fsync."""
+    x, u = _memmapped_case(tmp_path)
+    out = str(tmp_path / "y.npy")
+    _, counters = _counted(lambda: ttm_tiled(x, u, 1, budget=1024,
+                                             out_path=out))
+    assert counters.tiles_executed > 1
+    assert counters.store_fsyncs == 2
+    assert sync_spy == []
+    np.testing.assert_allclose(np.load(out), ttm_reference(x.data, u, 1),
+                               rtol=1e-10, atol=1e-12)
+
+
+def test_caller_memmap_out_is_still_flushed(tmp_path, sync_spy):
+    x, u = _memmapped_case(tmp_path)
+    out = open_memmap_tensor(str(tmp_path / "y.npy"), "w+",
+                             shape=(16, 5, 10), dtype="float64")
+    ttm_tiled(x, u, 1, budget=1024, out=out)
+    assert len(sync_spy) == 1
+
+
+def test_hooi_reruns_leave_one_done_record(tmp_path):
+    x = _hooi_tensor()
+    path = str(tmp_path / "job.json")
+    first = hooi(x, (3, 3, 3), max_iterations=3, tolerance=0.0,
+                 checkpoint_path=path)
+    for _ in range(3):
+        again, counters = _counted(lambda: hooi(
+            x, (3, 3, 3), max_iterations=3, tolerance=0.0,
+            checkpoint_path=path))
+        assert counters.store_fsyncs == 0
+        _assert_same_decomposition(again, first)
+    types = [r["type"] for r in Journal.read(path)[1]]
+    assert types == ["sweep", "sweep", "sweep", "done"]

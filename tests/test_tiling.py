@@ -26,17 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.codegen import _batch_views
 from repro.core.intensli import InTensLi
-from repro.core.inttm import default_plan
+from repro.core.inttm import _default_planner, default_plan
+from repro.core.plan import Strategy
 from repro.core.tiling import (
+    TilingPlan,
     TilingPlanner,
     execute_tiled,
     explain_tiling,
+    runs_in_place,
     tiling_opportunity,
     ttm_stream,
     ttm_stream_collect,
     ttm_tiled,
-    view_tileable,
 )
 from repro.obs.tracer import tracing
 from repro.perf.profiler import track_hot_path
@@ -47,8 +50,8 @@ from repro.resilience.memory import (
     plan_footprint_bytes,
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
-from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.testing import DEFAULT_CASES, DTYPE_TOLERANCES
+from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, element_strides
+from repro.testing import DEFAULT_CASES, DTYPE_TOLERANCES, ttm_reference
 from repro.util.errors import (
     DtypeError,
     LayoutError,
@@ -71,6 +74,16 @@ def _case_arrays(shape, j, mode, layout=ROW_MAJOR, dtype="float64", seed=0):
     )
     u = rng.standard_normal((j, shape[mode])).astype(dtype)
     return x, u
+
+
+def _forced_tiling(shape, mode, j, layout, parts):
+    """A :class:`TilingPlan` with a hand-picked cut and no budget."""
+    return TilingPlan(
+        shape=tuple(shape), mode=mode, j=j, layout=layout,
+        dtype="float64", parts=tuple(parts), budget=None,
+        base_footprint_bytes=0, tile_footprint_bytes=0, packed=False,
+        reason="test-forced",
+    )
 
 
 def _min_tile_budget(shape, mode, j, layout, dtype="float64"):
@@ -158,13 +171,103 @@ def test_tiles_partition_the_index_space():
     assert sum(1 for _ in tiling.tiles()) == tiling.n_tiles
 
 
-def test_view_tileable_predicate():
-    assert view_tileable((4, 1, 1), (8, 8, 8), 1, ROW_MAJOR)
-    assert not view_tileable((4, 1, 1), (8, 8, 8), 0, ROW_MAJOR)  # outer==mode
-    assert not view_tileable((1, 2, 1), (8, 8, 8), 0, ROW_MAJOR)  # inner split
-    assert view_tileable((1, 1, 4), (8, 8, 8), 1, COL_MAJOR)
-    assert not view_tileable((4, 1, 1), (8, 8, 8), 1, COL_MAJOR)
-    assert view_tileable((1, 1, 1), (8, 8, 8), 0, ROW_MAJOR)  # no split at all
+def _tile_runs_in_place(shape, mode, j, layout, tile_shape):
+    """:func:`runs_in_place` for one tile shape of a contiguous parent."""
+    plan = default_plan(tile_shape, mode, j, layout)
+    out_shape = shape[:mode] + (j,) + shape[mode + 1:]
+    return runs_in_place(plan, element_strides(shape, layout),
+                         element_strides(out_shape, layout))
+
+
+def test_runs_in_place_predicate():
+    shape = (8, 8, 8)
+    # Row-major mode 1: M_C = (2,); any split outside the run is a view.
+    assert _tile_runs_in_place(shape, 1, 4, ROW_MAJOR, (4, 8, 8))
+    assert _tile_runs_in_place(shape, 1, 4, ROW_MAJOR, (8, 8, 4))
+    # Row-major mode 0: M_C = (1, 2).  A split on the run's outermost
+    # mode keeps it nesting; a split inside it does not.
+    assert _tile_runs_in_place(shape, 0, 4, ROW_MAJOR, (8, 4, 8))
+    assert not _tile_runs_in_place(shape, 0, 4, ROW_MAJOR, (8, 8, 4))
+    # ... unless the inner mode is cut to single elements (stride-free).
+    assert _tile_runs_in_place(shape, 0, 4, ROW_MAJOR, (8, 8, 1))
+    # Column-major mirrors: mode 2 merges M_C = (0, 1), outermost is 1.
+    assert _tile_runs_in_place(shape, 2, 4, COL_MAJOR, (8, 4, 8))
+    assert not _tile_runs_in_place(shape, 2, 4, COL_MAJOR, (4, 8, 8))
+    assert _tile_runs_in_place(shape, 0, 4, ROW_MAJOR, shape)  # no split
+
+
+def _kernel_views(plan, x, y):
+    """Every view a compiled *plan* and its degrade tiers build from the
+    operands: the batched shape's hoisted views and the per-iteration
+    nest's 2-D views (at loop index 0)."""
+    x3, y3 = _batch_views(plan)
+    views = [(eval(x3, {"x": x}), x), (eval(y3, {"y": y}), y)]
+    order = "F" if plan.layout is COL_MAJOR else "C"
+    sub = tuple(0 if m in plan.loop_modes else slice(None)
+                for m in range(plan.order))
+    p = plan.component_extent
+    if plan.degree == 0:
+        shapes = ((plan.i_n, 1), (plan.j, 1))
+    elif plan.strategy is Strategy.FORWARD:
+        shapes = ((plan.i_n, p), (plan.j, p))
+    else:
+        shapes = ((p, plan.i_n), (p, plan.j))
+    views.append((x[sub].reshape(shapes[0], order=order), x))
+    views.append((y[sub].reshape(shapes[1], order=order), y))
+    return views
+
+
+def _tilings_to_check(shape, mode, j, layout):
+    """The planner's cut at each golden budget and at the deepest one,
+    plus a forced two-way split of every non-contracted axis."""
+    base = default_plan(shape, mode, j, layout)
+    budgets = GOLDEN_BUDGETS + (_min_tile_budget(shape, mode, j, layout),)
+    for budget in budgets:
+        try:
+            yield TilingPlanner().plan(base, budget=budget,
+                                       out_preallocated=True)
+        except ResourceError:
+            continue
+    for axis in range(len(shape)):
+        if axis != mode and shape[axis] > 1:
+            parts = tuple(2 if a == axis else 1 for a in range(len(shape)))
+            yield _forced_tiling(shape, mode, j, layout, parts)
+
+
+@pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+def test_in_place_tiles_reshape_to_views(layout):
+    """Lemma 4.1, checked: a tile the predicate passes reshapes to every
+    view its plan (and each degrade tier) builds without a copy, and a
+    tile it fails would be copied — and the planner's ``packed`` flag is
+    exactly "some tile fails"."""
+    failures = []
+    for shape, j, mode in DEFAULT_CASES:
+        x = np.zeros(shape, order="F" if layout is COL_MAJOR else "C")
+        out_shape = shape[:mode] + (j,) + shape[mode + 1:]
+        y = np.zeros(out_shape, order="F" if layout is COL_MAJOR else "C")
+        for tiling in _tilings_to_check(shape, mode, j, layout):
+            packs = False
+            for spec in tiling.tiles():
+                x_tile, y_tile = x[spec.in_slices], y[spec.out_slices]
+                if not x_tile.size:
+                    continue
+                plan = _default_planner(x_tile.shape, mode, j, layout)
+                passes = runs_in_place(
+                    plan, element_strides(shape, layout),
+                    element_strides(out_shape, layout),
+                )
+                packs = packs or not passes
+                shared = all(np.shares_memory(view, base) for view, base
+                             in _kernel_views(plan, x_tile, y_tile))
+                if shared != passes:
+                    failures.append(
+                        f"{shape} m{mode} J{j} {layout.name} tile "
+                        f"{spec.ranges}: predicate {passes}, views "
+                        f"shared {shared}")
+            if tiling.reason != "test-forced" and packs != tiling.packed:
+                failures.append(f"{tiling.describe()}: packed flag "
+                                f"{tiling.packed}, tiles pack {packs}")
+    assert not failures, "\n".join(failures)
 
 
 def test_tiling_opportunity_fast_path_and_engagement(monkeypatch):
@@ -209,11 +312,12 @@ def test_tiled_matches_untiled_and_oracle_everywhere(layout, dtype):
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("mode,expect_packed", [(2, False), (0, True)])
+@pytest.mark.parametrize("mode,expect_packed", [(2, False), (0, False)])
 def test_tiled_view_and_packed_paths(mode, expect_packed):
     # Row-major, mode 2: axis-0 tiles are views of X and Y and shrink
-    # the backward kernel; mode 0: only inner splits help, so tiles are
-    # staged through the scratch pool.
+    # the backward kernel; mode 0: the cut falls on axis 1, the
+    # outermost mode of the component run (1, 2), so the strided tiles
+    # still run in place (Lemma 4.1) with no staging copies.
     shape, j = (12, 10, 8), 4
     x, u = _case_arrays(shape, j, mode)
     base = default_plan(shape, mode, j, ROW_MAJOR)
@@ -229,6 +333,43 @@ def test_tiled_view_and_packed_paths(mode, expect_packed):
     assert counters.tiled_ttms == 1
     assert counters.tiles_executed == tiling.n_tiles
     assert (counters.tile_pack_bytes > 0) is expect_packed
+
+
+def test_split_inside_a_merged_run_still_packs():
+    # Mode 0 row-major merges M_C = (1, 2); cutting axis 2 breaks the
+    # run's nesting, so every tile is staged through scratch.
+    shape, j, mode = (12, 10, 8), 4, 0
+    x, u = _case_arrays(shape, j, mode)
+    tiling = _forced_tiling(shape, mode, j, ROW_MAJOR, (1, 1, 2))
+    out = DenseTensor.empty(tiling.out_shape, ROW_MAJOR)
+    with track_hot_path() as counters:
+        got = execute_tiled(x, u, tiling, out=out)
+    np.testing.assert_allclose(
+        got.data, ttm_oracle(x.data, u, mode), rtol=1e-10, atol=1e-12
+    )
+    assert counters.tiles_executed == 2
+    assert counters.tile_pack_bytes == 8 * (x.data.size + out.data.size)
+
+
+@pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+def test_in_place_strided_tile_degrades_and_matches_reference(layout):
+    # Every tile's first kernel tier raises; the blocked tier runs on the
+    # same strided views, and the result still lands in place.
+    shape, j = (12, 10, 8), 4
+    mode, parts = (0, (1, 2, 1)) if layout is ROW_MAJOR else (2, (1, 2, 1))
+    x, u = _case_arrays(shape, j, mode, layout)
+    tiling = _forced_tiling(shape, mode, j, layout, parts)
+    out = DenseTensor.empty(tiling.out_shape, layout)
+    with fault_injection() as faults, track_hot_path() as counters:
+        faults.arm("kernel-raise", exc=MemoryError("no room"), times=2,
+                   kernel="auto")
+        got = execute_tiled(x, u, tiling, out=out)
+    assert faults.count("kernel-raise") == 2
+    assert counters.kernel_fallbacks == 2
+    assert counters.tile_pack_bytes == 0
+    np.testing.assert_allclose(
+        got.data, ttm_reference(x.data, u, mode), rtol=1e-10, atol=1e-12
+    )
 
 
 def test_execute_tiled_validates_inputs():
