@@ -38,6 +38,7 @@ body runs it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -550,6 +551,25 @@ def _plan_signature(
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _standalone_chain_plan(
+    shape: tuple[int, ...],
+    sig: tuple[tuple[int, int], ...],
+    layout: Layout,
+    dtype: np.dtype,
+    order: "str | tuple[int, ...]",
+) -> ChainPlan:
+    """The standalone chain planner: :func:`_plan_signature`, memoized.
+
+    What :func:`ttm_chain` plans with when no :class:`~repro.core
+    .intensli.InTensLi` supplies its own.  Pure in its (hashable)
+    arguments, like :func:`~repro.core.inttm._default_planner`, so a
+    repeated chain reuses its schedule and step plans instead of
+    re-planning the whole chain on every call.
+    """
+    return _plan_signature(shape, sig, layout, dtype, order)
+
+
 # -- the scratch pool ----------------------------------------------------------
 
 
@@ -782,7 +802,7 @@ def _fused_chain(
     out: DenseTensor | None,
     pool: ScratchPool | None,
     plan: ChainPlan | None = None,
-    plan_signature: Callable[..., ChainPlan] = _plan_signature,
+    plan_signature: Callable[..., ChainPlan] = _standalone_chain_plan,
     execute: Callable[..., DenseTensor] | None = None,
     transpose: bool = False,
 ) -> DenseTensor:
@@ -795,5 +815,7 @@ def _fused_chain(
     steps_t = _coerce_steps(steps, x.data.dtype, transpose)
     sig = _check_chain(x.shape, steps_t)
     if plan is None:
+        if not isinstance(order, str):
+            order = tuple(order)
         plan = plan_signature(x.shape, sig, x.layout, x.data.dtype, order)
     return execute_chain(x, steps_t, plan, out=out, pool=pool, execute=execute)

@@ -7,7 +7,9 @@ fixes every free parameter of Algorithm 2:
 1. strategy  — by layout (forward for row-major, backward for
    column-major), keeping the inner kernel unit-strided;
 2. degree / ``M_C`` — via the MSTH/MLTH working-set window derived from
-   the benchmark (figure 8's procedure);
+   the benchmark (figure 8's procedure), cross-checked by the throughput
+   model; a leading-mode product (the contracted mode is the unit-stride
+   mode) takes degree N-1 outright, one contiguous GEMM;
 3. ``M_L`` and the loop order — the remaining modes, nested
    storage-monotone (increasing index order for row-major, decreasing
    for column-major) so consecutive iterations touch nearby storage.
@@ -41,7 +43,7 @@ from repro.gemm.bench import GemmProfile
 from repro.gemm.interface import kernel_supports
 from repro.obs.tracer import active_tracer
 from repro.perf.profiler import active_hot_counters
-from repro.tensor.layout import Layout
+from repro.tensor.layout import Layout, leading_mode
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype
 from repro.util.validation import (
     check_mode,
@@ -49,6 +51,19 @@ from repro.util.validation import (
     check_probability,
     check_shape,
 )
+
+
+def leading_mode_rule(order: int, mode: int, layout: Layout) -> bool:
+    """True when the estimator plans degree ``N-1`` outright.
+
+    That is a product of order >= 2 over the unit-stride mode (the last
+    mode in row-major, mode 0 in column-major).  Its degree-(N-1) plan
+    is one contiguous GEMM — ``x.reshape(-1, I_n) @ u.T`` row-major,
+    ``u @ x.reshape(I_0, -1)`` column-major — while every smaller degree
+    batches transposed views whose rows sit ``B * I_n`` elements apart,
+    measured 3-6x slower at power-of-two extents.
+    """
+    return order >= 2 and mode == leading_mode(order, layout)
 
 
 class ParameterEstimator:
@@ -186,16 +201,21 @@ class ParameterEstimator:
     def _estimate_impl(
         self, shape_t: tuple[int, ...], mode: int, j: int, layout: Layout, dt
     ) -> TtmPlan:
-        degree = choose_degree(
-            shape_t, mode, layout, j, self.thresholds_for(j),
-            itemsize=dt.itemsize,
-        )
         # Figure 7's dispatch: element types BLAS GEMM does not expose
         # (float16) take the BLIS-role kernel up front, which keeps the
         # dispatch-time capability fallback a safety net, not the normal
         # path.  Strided views never force it: default_plan's natural
         # strategy keeps a unit stride in every kernel view.
         kernel = "blas" if kernel_supports("blas", dt) else "blocked"
+        order = len(shape_t)
+        if leading_mode_rule(order, mode, layout):
+            return self._plan_at(
+                shape_t, mode, j, layout, dt, kernel, order - 1
+            )
+        degree = choose_degree(
+            shape_t, mode, layout, j, self.thresholds_for(j),
+            itemsize=dt.itemsize,
+        )
         plan = self._plan_at(shape_t, mode, j, layout, dt, kernel, degree)
         if (
             self.refine_with_model
@@ -247,7 +267,7 @@ class ParameterEstimator:
         the threshold plan unless another degree predicts strictly
         faster.
         """
-        from repro.core.predict import predict_gflops
+        from repro.core.predict import predict_gflops, profile_shape
 
         available = available_modes_for_strategy(
             plan.order, plan.mode, plan.strategy
@@ -263,7 +283,7 @@ class ParameterEstimator:
         margin = 8
 
         def in_range(candidate: TtmPlan) -> bool:
-            m, k, n = candidate.kernel_shape
+            m, k, n = profile_shape(candidate)
             return (
                 m <= margin * max_m
                 and k <= margin * max_k

@@ -2,16 +2,17 @@
 
 Autotuners earn trust by showing their work.  :func:`explain_plan`
 renders a plan's decision trail in the terms of the paper's §4.3.1 —
-which strategy and why, how the degree relates to the MSTH/MLTH window,
-which side of PTH the kernel fell on, and whether the views are
-BLAS-legal — as plain text for the CLI (``repro plan --explain``) and
-for logging in deployments.
+which strategy and why, how the degree relates to the MSTH/MLTH window
+(or that the leading-mode rule fixed it), which side of PTH the kernel
+fell on, and whether the views are BLAS-legal — as plain text for the
+CLI (``repro plan --explain``) and for logging in deployments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.estimator import leading_mode_rule
 from repro.core.partition import Thresholds
 from repro.core.plan import Strategy, TtmPlan
 from repro.core.threads import DEFAULT_PTH_BYTES
@@ -54,7 +55,16 @@ def explain_plan(
         f"degree: {plan.degree} — inner GEMM is ({m} x {k}) @ ({k} x {n}), "
         f"working set {format_bytes(ws)}"
     )
-    if thresholds is not None:
+    if (
+        leading_mode_rule(plan.order, plan.mode, plan.layout)
+        and plan.degree == plan.order - 1
+    ):
+        degree_line += (
+            f"; the leading-mode rule — mode {plan.mode} carries the unit "
+            "stride, so degree N-1 runs the whole product as one contiguous "
+            "GEMM (no MSTH/MLTH window or model refinement)."
+        )
+    elif thresholds is not None:
         if thresholds.contains(ws):
             degree_line += (
                 f"; inside the [MSTH={format_bytes(thresholds.msth_bytes)}, "

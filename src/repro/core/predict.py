@@ -2,10 +2,11 @@
 
 Given a GEMM shape profile (measured or synthetic), predict the
 throughput of a TTM plan without running it: the inner kernel's rate
-comes from the profile at the plan's kernel shape and thread count, and
-a per-iteration dispatch overhead models the loop nest.  This is how the
-framework can *rank* candidate plans offline — and how figure 9 can be
-projected onto the paper's two platforms from their roofline presets.
+comes from the profile at the plan's :func:`profile_shape` and thread
+count, and a per-iteration dispatch overhead models the loop nest.  This
+is how the framework can *rank* candidate plans offline — and how
+figure 9 can be projected onto the paper's two platforms from their
+roofline presets.
 """
 
 from __future__ import annotations
@@ -19,13 +20,25 @@ from repro.util.errors import BenchmarkError
 LOOP_OVERHEAD_SECONDS = 4.0e-6
 
 
+def profile_shape(plan: TtmPlan) -> tuple[int, int, int]:
+    """The plan's inner GEMM as the profile measures it: ``(J, I_n, P)``.
+
+    The profile fixes m to J (:func:`~repro.gemm.bench.default_shape_grid`).
+    A forward kernel dispatches exactly that shape; a backward one
+    dispatches its transpose ``(P, I_n, J)`` — the same product and
+    access pattern — so both are priced at the same profile point.
+    ``plan.kernel_shape`` stays the dispatched shape.
+    """
+    return (plan.j, plan.i_n, plan.component_extent)
+
+
 def predict_seconds(
     plan: TtmPlan,
     profile: GemmProfile,
     loop_overhead: float = LOOP_OVERHEAD_SECONDS,
 ) -> float:
     """Predicted wall seconds for one execution of *plan*."""
-    m, k, n = plan.kernel_shape
+    m, k, n = profile_shape(plan)
     threads = plan.kernel_threads
     counts = profile.thread_counts()
     if threads not in counts:

@@ -83,21 +83,45 @@ FINGERPRINT_SAMPLE_BYTES = 1 << 16
 # -- checksums and fingerprints ----------------------------------------------
 
 
+#: Contiguous runs shorter than this are packed before their CRC: one
+#: small copy costs less than a ``zlib.crc32`` call per run.
+_CRC_MIN_RUN_BYTES = 4096
+
+
 def region_checksum(arr) -> int:
-    """CRC-32 over an array region's bytes (copying only if strided).
+    """CRC-32 over an array region's bytes in memory order.
 
     The content checksum the journal commits and resume verifies.  Any
     single-bit flip changes a CRC-32, which is the integrity class this
     layer defends against (torn pages, partial writes, bit rot) —
     adversarial corruption is out of scope.
+
+    Memory order is the order ``copy(order="K")`` packs: axes by
+    decreasing stride, so a strided view of a column-major array sums
+    like the column-major tile packed from it.  A strided region is fed
+    to the CRC one contiguous inner run at a time, without a copy,
+    unless its runs are short.
     """
     a = np.asarray(arr)
-    if not (a.flags["C_CONTIGUOUS"] or a.flags["F_CONTIGUOUS"]):
-        # Keep the memory order: a strided view of a column-major array
-        # must sum like the column-major tile packed from it.
-        a = a.copy(order="K")
-    if not a.flags["C_CONTIGUOUS"]:
+    if a.flags["F_CONTIGUOUS"] and not a.flags["C_CONTIGUOUS"]:
         a = a.T
+    if not a.flags["C_CONTIGUOUS"]:
+        a = a.transpose(
+            sorted(range(a.ndim), key=lambda ax: -abs(a.strides[ax]))
+        )
+        # The trailing axes that are contiguous together form one run.
+        inner, run = a.ndim, a.itemsize
+        while inner and (a.shape[inner - 1] == 1
+                         or a.strides[inner - 1] == run):
+            inner -= 1
+            run *= a.shape[inner]
+        if run < _CRC_MIN_RUN_BYTES:
+            a = np.ascontiguousarray(a)
+        else:
+            crc = 0
+            for index in np.ndindex(a.shape[:inner]):
+                crc = zlib.crc32(a[index], crc)
+            return crc & 0xFFFFFFFF
     return zlib.crc32(a) & 0xFFFFFFFF
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chain import (
+    ChainPlan,
     ChainStep,
     chain_flops,
     greedy_order,
@@ -137,6 +138,29 @@ class TestExecution:
         steps = make_steps((6, 7, 8), (2, None, 3), seed=7)
         y = ttm_chain(x, steps)
         assert np.allclose(y.data, self.oracle_chain(x.data, steps))
+
+    @pytest.mark.parametrize("order", ["greedy", [1, 0]])
+    def test_repeated_fused_chain_plans_once(self, order, monkeypatch):
+        """The standalone fused path memoizes its chain plan: a second
+        identical call builds no new ChainPlan."""
+        built = []
+        post_init = ChainPlan.__post_init__
+
+        def counting(plan):
+            built.append(plan)
+            post_init(plan)
+
+        monkeypatch.setattr(ChainPlan, "__post_init__", counting)
+        rng = np.random.default_rng(8)
+        shape = (9, 7, 5)
+        x = DenseTensor(rng.standard_normal(shape))
+        steps = make_steps(shape, (4, None, 3), seed=9)
+        first = ttm_chain(x, steps, order=order)
+        n_built = len(built)
+        second = ttm_chain(x, steps, order=order)
+        assert len(built) == n_built
+        assert np.array_equal(first.data, second.data)
+        assert np.allclose(second.data, self.oracle_chain(x.data, steps))
 
 
 class TestModeCommutativity:

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import CORE_I7_4770K, XEON_E7_4820
 from repro.core.estimator import ParameterEstimator
+from repro.core.inttm import default_plan
 from repro.core.partition import PAPER_THRESHOLDS
 from repro.core.plan import Strategy
+from repro.core.predict import predict_seconds
 from repro.gemm.bench import synthetic_profile
-from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
+from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, leading_mode
 
 
 def make_profile(platform=CORE_I7_4770K, threads=(1, 4), m=16):
@@ -188,3 +190,40 @@ class TestEstimate:
         xeon = ParameterEstimator(profile=make_profile(XEON_E7_4820),
                                   max_threads=4)
         assert i7.thresholds_for(16) != xeon.thresholds_for(16)
+
+
+class TestProfileOrientation:
+    """The profile fixes m = J, so a backward kernel (P x I_n) @ (I_n x J)
+    is priced at its forward mirror's point (J, I_n, P)."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_backward_priced_like_its_forward_mirror(self, degree):
+        profile = make_profile()
+        backward = default_plan((28, 28, 28), 2, 16, ROW_MAJOR,
+                                degree=degree)
+        forward = default_plan((28, 28, 28), 0, 16, COL_MAJOR,
+                               degree=degree)
+        assert backward.strategy is Strategy.BACKWARD
+        assert forward.strategy is Strategy.FORWARD
+        assert backward.kernel_shape == forward.kernel_shape[::-1]
+        assert predict_seconds(backward, profile) == predict_seconds(
+            forward, profile
+        )
+
+
+class TestLeadingModeRule:
+    """A product over the unit-stride mode is one contiguous GEMM."""
+
+    @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+    @pytest.mark.parametrize(
+        "shape",
+        [(28, 28, 28), (12, 10, 8, 6), (48,) * 4, (16,) * 6],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_leading_mode_plans_one_dispatch(self, shape, layout):
+        est = ParameterEstimator(profile=make_profile(), max_threads=1)
+        plan = est.estimate(shape, leading_mode(len(shape), layout), 16,
+                            layout)
+        assert plan.degree == len(shape) - 1
+        assert plan.loop_modes == ()
+        assert plan.gemm_dispatch_count == 1

@@ -54,3 +54,13 @@ class TestExplainPlan:
     def test_describe_line_is_first(self):
         plan = default_plan((5, 5), 0, 2, ROW_MAJOR)
         assert explain_plan(plan).splitlines()[0] == plan.describe()
+
+    def test_leading_mode_rule_is_named(self):
+        for shape, mode, layout in (((20, 30, 40), 2, ROW_MAJOR),
+                                    ((40, 30, 20), 0, COL_MAJOR)):
+            plan = default_plan(shape, mode, 16, layout, degree=2)
+            text = explain_plan(plan, PAPER_THRESHOLDS)
+            assert "leading-mode rule" in text
+            assert "MSTH=" not in text
+        strided = default_plan((20, 30, 40), 2, 16, ROW_MAJOR, degree=1)
+        assert "leading-mode rule" not in explain_plan(strided)

@@ -894,6 +894,41 @@ class TestChecksums:
             packed = np.array(region, order=order)
             assert region_checksum(region) == region_checksum(packed)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_strided_crc_equals_copy_based_crc(self, order, dtype):
+        """Run by run or packed, a strided region's CRC is the CRC of its
+        copy in memory order."""
+
+        def copy_crc(region):
+            packed = region.copy(order="K")
+            if not packed.flags["C_CONTIGUOUS"]:
+                packed = packed.T
+            return zlib.crc32(packed) & 0xFFFFFFFF
+
+        rng = np.random.default_rng(6)
+        shape = (12, 40, 64) if order == "C" else (64, 40, 12)
+        arr = np.array(rng.standard_normal(shape), dtype=dtype, order=order)
+        regions = [
+            arr[2:10, 8:24, :] if order == "C" else arr[:, 8:24, 2:10],
+            arr[:, 3:5, :],
+            arr[1:7, 2:9, 5:60],
+            arr[::2, :, ::3],
+            arr[:, ::-1, :],
+        ]
+        for region in regions:
+            assert not region.flags["C_CONTIGUOUS"]
+            assert not region.flags["F_CONTIGUOUS"]
+            assert region_checksum(region) == copy_crc(region)
+        # The first region's contiguous runs are long: no copy is made.
+        tracemalloc.start()
+        try:
+            region_checksum(regions[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < regions[0].nbytes // 2
+
 
 # -- journals in the on-disk format of earlier builds --------------------------
 
