@@ -26,7 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -62,10 +61,6 @@ class AutotuneSession:
         best measurement before it is promoted (guards against jitter).
     min_seconds:
         Timing floor per measured candidate, forwarded to the tuner.
-    calibrate / calibration_min_samples / calibration_refit_every:
-        Deprecated: the run-time calibration tier was removed.
-        ``calibrate=True`` warns and enables ``refine`` (the measuring
-        loop it used to drive); the other two warn and are ignored.
     """
 
     def __init__(
@@ -79,31 +74,16 @@ class AutotuneSession:
         min_seconds: float = 0.002,
         kernels: Sequence[str] = ("blas",),
         autosave: bool = True,
-        calibrate: bool | None = None,
-        calibration_min_samples: int | None = None,
-        calibration_refit_every: int | None = None,
     ) -> None:
         if refine_trials < 0:
             raise ShapeError(
                 f"refine_trials must be >= 0, got {refine_trials}"
             )
-        for name, value in (
-            ("calibrate", calibrate),
-            ("calibration_min_samples", calibration_min_samples),
-            ("calibration_refit_every", calibration_refit_every),
-        ):
-            if value is not None:
-                warnings.warn(
-                    f"AutotuneSession({name}=...) is deprecated: the "
-                    "run-time calibration tier was removed",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
         self.lib = intensli if intensli is not None else InTensLi()
         if cache is None:
             cache = PlanCache(path=path, autosave=autosave)
         self.cache = cache
-        self.refine = refine or bool(calibrate)
+        self.refine = refine
         self.refine_trials = refine_trials
         self.refine_margin = refine_margin
         self.kernels = tuple(kernels)

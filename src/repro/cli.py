@@ -5,8 +5,7 @@ Commands
 ``info``
     Print the host configuration (the table-2 analogue).
 ``calibrate [probe]``
-    Measure this host's roofline (peak GEMM + STREAM triad).  The
-    deprecated ``run`` and ``show`` verbs only print a notice.
+    Measure this host's roofline (peak GEMM + STREAM triad).
 ``plan SHAPE MODE J``
     Print the input-adaptive plan and the generated source for one TTM
     input, e.g. ``python -m repro plan 100x100x100 1 16``.
@@ -102,13 +101,6 @@ def cmd_calibrate_probe(_args) -> int:
     print(f"memory bandwidth   {platform.bandwidth_gbs:.1f} GB/s")
     print(f"last-level cache   {platform.llc_bytes / 2**20:.0f} MiB")
     print(f"cores / threads    {platform.cores} / {platform.threads_with_smt}")
-    return 0
-
-
-def cmd_calibrate_deprecated(args) -> int:
-    print(f"warning: `calibrate {args.calibrate_command}` is deprecated and "
-          "does nothing: thresholds come from the GEMM profile or the "
-          "paper defaults", file=sys.stderr)
     return 0
 
 
@@ -416,9 +408,6 @@ def cmd_serve(args) -> int:
     from repro.serve import ServeConfig, TtmServer
     from repro.serve.workload import replay
 
-    if args.no_coalesce:
-        print("warning: --no-coalesce is deprecated and ignored: every "
-              "request runs in place", file=sys.stderr)
     trace = _load_or_generate_trace(args)
     config = ServeConfig(
         max_inflight=max(args.concurrency * 4, 64),
@@ -561,14 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate_sub.add_parser(
         "probe", help="one-off roofline probe (peak GEMM + STREAM triad)"
     ).set_defaults(fn=cmd_calibrate_probe)
-    for verb in ("run", "show"):
-        deprecated = calibrate_sub.add_parser(
-            verb, help="deprecated and ignored"
-        )
-        # The old options still parse, so existing scripts keep working.
-        for flag in ("--store", "--budget", "--threads", "--min-seconds"):
-            deprecated.add_argument(flag, help=argparse.SUPPRESS)
-        deprecated.set_defaults(fn=cmd_calibrate_deprecated)
 
     sub.add_parser(
         "verify", help="self-test every TTM entry point against the oracle"
@@ -719,10 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch collection window",
     )
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="deprecated and ignored: every request runs in place",
-    )
     serve.add_argument(
         "--workers", type=int, default=None,
         help="serving worker threads (default: ServeConfig's, 1)",

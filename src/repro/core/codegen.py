@@ -9,13 +9,13 @@ bounds, index expressions, and reshape extents are literals; the source
 is inspectable (``generate_source``) and the compiled callables are
 cached per plan.
 
-A plan compiles to one of two shapes.  The **batched** shape serves
-every plan on the single-threaded BLAS fast path that has batch modes or
-no loop modes: ``x``/``y`` become ``(outer..., batch, rows, cols)``
-views through one ``reshape`` and one ``transpose``, hoisted above the
-loops, and each outer index is one ``np.matmul``.  Every other plan
-(non-BLAS kernels, ``P_C > 1``, unbatched plans with loops) runs the
-**per-iteration** nest: one 2-D kernel call per loop index.
+Every plan compiles to one shape: ``x``/``y`` become ``(outer...,
+batch, rows, cols)`` views through one ``reshape`` and one
+``transpose``, hoisted above the loops.  On the single-threaded BLAS
+fast path a plan with batch modes (or no loop modes) makes one rank-3
+``np.matmul`` per outer index.  Every other plan — non-BLAS kernels,
+float16, ``P_C > 1``, unbatched plans with loops — makes one 2-D kernel
+call per (outer, batch) index on those same views.
 
 The generated reshapes are views, never copies, because of one invariant
 the callers uphold: ``DenseTensor`` data is contiguous in its layout.
@@ -64,17 +64,26 @@ class DispatchCounts(NamedTuple):
         return self.gemm_calls + self.batched_calls
 
 
+def _blas_path(plan: TtmPlan) -> bool:
+    """True for the single-threaded BLAS fast path: ``np.matmul`` inline."""
+    return (
+        plan.kernel_threads == 1
+        and plan.kernel in ("blas", "auto", "threaded")
+        and blas_dtype_legal(plan.np_dtype)
+    )
+
+
 def _kernel_call(plan: TtmPlan) -> str:
+    """The 2-D kernel call template, with ``{a}``, ``{b}``, ``{c}`` holes."""
     if plan.kernel_threads > 1:
         inner = "auto" if plan.kernel == "threaded" else plan.kernel
         return (
             f"gemm_threaded({{a}}, {{b}}, out={{c}}, "
             f"threads={plan.kernel_threads}, kernel={inner!r})"
         )
-    if plan.kernel == "blas" and blas_dtype_legal(plan.np_dtype):
-        # Fast path: call BLAS directly, skipping dispatch overhead.
+    if _blas_path(plan):
         return "np.matmul({a}, {b}, out={c})"
-    if plan.kernel in ("blas", "blocked"):
+    if plan.kernel in ("blas", "auto", "threaded", "blocked"):
         # Element types BLAS does not expose (float16) take the blocked
         # kernel — the same capability fallback resolve_kernel applies.
         return "gemm_blocked({a}, {b}, out={c})"
@@ -82,7 +91,7 @@ def _kernel_call(plan: TtmPlan) -> str:
 
 
 def _batch_views(plan: TtmPlan) -> tuple[str, str]:
-    """Hoisted view expressions ``(x3, y3)`` for the batched shape.
+    """Hoisted view expressions ``(x3, y3)`` for every plan.
 
     Every mode role — each outer loop mode, the batch run, the contracted
     mode and the component run — is a consecutive index run of storage
@@ -91,7 +100,8 @@ def _batch_views(plan: TtmPlan) -> tuple[str, str]:
     ``(outer..., batch, rows, cols)``: a copy-free view of the whole
     operand, built once per call.  Rows/cols are (mode, component) for
     forward plans and fiber plans (an empty component run becomes an
-    extent-1 axis), (component, mode) for backward ones.
+    extent-1 axis), (component, mode) for backward ones; an unbatched
+    plan's batch axis has extent 1.
     """
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
     comp, mode = plan.component_modes, (plan.mode,)
@@ -111,37 +121,38 @@ def _batch_views(plan: TtmPlan) -> tuple[str, str]:
     return view("x", plan.shape), view("y", plan.out_shape)
 
 
-def _batched_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts] | None:
-    """Body lines (and their dispatch counts) for the one batched shape.
+def _body_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts]:
+    """Body lines (and their dispatch counts) for the one code shape.
 
-    Applies when the inner kernel is the single-threaded BLAS fast path
-    and the plan has batch modes or no loop modes at all: the views are
-    hoisted above any loop, and each outer index (or the whole call) is
-    one ``np.matmul`` over its rank-3 slice.  None otherwise — the plan
-    then runs the per-iteration nest.
+    ``x3``/``y3`` are hoisted above any loop (:func:`_batch_views`).  On
+    the single-threaded BLAS path a plan with batch modes, or with no
+    loop modes at all, makes one rank-3 ``np.matmul`` per outer index
+    (or one for the whole call).  Every other plan makes one 2-D kernel
+    call per (outer, batch) index on the same views.
     """
-    if plan.loop_modes and not plan.batch_modes:
-        return None
-    if plan.kernel_threads > 1 or plan.kernel not in ("blas", "auto"):
-        return None
-    if not blas_dtype_legal(plan.np_dtype):
-        return None
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
     x3, y3 = _batch_views(plan)
     lines = [f"    x3 = {x3}", f"    y3 = {y3}"]
     if not forward:
         lines.append("    ut = u.T")
-    outer = plan.outer_loop_modes
+    outer = [(f"i{m}", plan.shape[m]) for m in plan.outer_loop_modes]
     b = plan.batch_extent
 
-    def call(sub: str) -> str:
+    def call(template: str, sub: str) -> str:
         if forward:
-            return f"np.matmul(u, x3{sub}, out=y3{sub})"
-        return f"np.matmul(x3{sub}, ut, out=y3{sub})"
+            return template.format(a="u", b=f"x3{sub}", c=f"y3{sub}")
+        return template.format(a=f"x3{sub}", b="ut", c=f"y3{sub}")
 
+    if not _blas_path(plan) or (plan.loop_modes and not plan.batch_modes):
+        batch = "ib" if plan.batch_modes else "0"
+        loops = outer + ([(batch, b)] if plan.batch_modes else [])
+        index = ", ".join([var for var, _ in outer] + [batch])
+        lines += _nest(plan, loops, [call(_kernel_call(plan), f"[{index}]")])
+        return lines, DispatchCounts(plan.loop_iterations)
+    matmul = "np.matmul({a}, {b}, out={c})"
     if outer:
-        index = ", ".join(f"i{m}" for m in outer)
-        lines += _nest(plan, outer, [call(f"[{index}]")])
+        index = ", ".join(var for var, _ in outer)
+        lines += _nest(plan, outer, [call(matmul, f"[{index}]")])
         calls = plan.outer_loop_iterations
         return lines, DispatchCounts(0, calls, calls * b, b)
     if plan.loop_threads > 1 and b > 1:
@@ -152,61 +163,24 @@ def _batched_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts] | None:
             "    def body(_index):",
             f"        lo = _index[0] * {chunk}",
             f"        hi = min(lo + {chunk}, {b})",
-            f"        {call('[lo:hi]')}",
+            f"        {call(matmul, '[lo:hi]')}",
             f"    parfor(({n_chunks},), body, threads={plan.loop_threads})",
         ]
         return lines, DispatchCounts(0, n_chunks, b, chunk)
-    lines.append(f"    {call('')}")
+    lines.append(f"    {call(matmul, '')}")
     return lines, DispatchCounts(0, 1, b, b)
 
 
-def _looped_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts]:
-    """Body lines for the per-iteration nest: one kernel call per loop index.
-
-    Each iteration reshapes its own 2-D sub-tensor views; this is the
-    shape for non-BLAS kernels, ``P_C > 1`` and unbatched plans.
-    """
-    sub_expr = ", ".join(
-        f"i{m}" if m in plan.loop_modes else ":" for m in range(plan.order)
-    )
-    i_n, p, j = plan.i_n, plan.component_extent, plan.j
-    forward = plan.strategy is Strategy.FORWARD
-    order_kw = ", order='F'" if plan.layout is Layout.COL_MAJOR else ""
-
-    if plan.degree == 0:
-        x_shape, y_shape = (i_n, 1), (j, 1)
-    elif forward:
-        x_shape, y_shape = (i_n, p), (j, p)
-    else:
-        x_shape, y_shape = (p, i_n), (p, j)
-
-    lines = []
-    if not forward and plan.degree > 0:
-        lines.append("    ut = u.T")
-    body_lines = [
-        f"x_sub = x[{sub_expr}].reshape({x_shape}{order_kw})",
-        f"y_sub = y[{sub_expr}].reshape({y_shape}{order_kw})",
-    ]
-    if plan.degree == 0 or forward:
-        call = _kernel_call(plan).format(a="u", b="x_sub", c="y_sub")
-    else:
-        call = _kernel_call(plan).format(a="x_sub", b="ut", c="y_sub")
-    body_lines.append(call)
-    lines += _nest(plan, plan.loop_modes, body_lines)
-    return lines, DispatchCounts(plan.loop_iterations)
-
-
 def _nest(
-    plan: TtmPlan, modes: tuple[int, ...], body_lines: list[str]
+    plan: TtmPlan, loops: list[tuple[str, int]], body_lines: list[str]
 ) -> list[str]:
-    """*body_lines* under a literal loop nest over *modes* (``parfor``
-    over their collapsed index space at P_L > 1)."""
-    loop_vars = [f"i{m}" for m in modes]
-    if plan.loop_threads > 1 and modes:
+    """*body_lines* under a literal nest over *loops* (``(var, extent)``
+    pairs), or ``parfor`` over their collapsed index space at P_L > 1."""
+    if plan.loop_threads > 1 and loops:
         # Parallel driver: collapsed index space chunked over P_L threads.
-        var_tuple = ", ".join(loop_vars)
-        unpack = var_tuple if len(modes) > 1 else f"({var_tuple},)"
-        extents = tuple(plan.shape[m] for m in modes)
+        var_tuple = ", ".join(var for var, _ in loops)
+        unpack = var_tuple if len(loops) > 1 else f"({var_tuple},)"
+        extents = tuple(extent for _, extent in loops)
         return [
             "    def body(_index):",
             f"        {unpack} = _index",
@@ -214,10 +188,10 @@ def _nest(
             f"    parfor({extents!r}, body, threads={plan.loop_threads})",
         ]
     lines = [
-        f"    {'    ' * depth}for {var} in range({plan.shape[m]}):"
-        for depth, (m, var) in enumerate(zip(modes, loop_vars))
+        f"    {'    ' * depth}for {var} in range({extent}):"
+        for depth, (var, extent) in enumerate(loops)
     ]
-    lines += [f"    {'    ' * len(modes)}{bl}" for bl in body_lines]
+    lines += [f"    {'    ' * len(loops)}{bl}" for bl in body_lines]
     return lines
 
 
@@ -232,7 +206,7 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
 
 def _emit(plan: TtmPlan, function_name: str) -> tuple[str, DispatchCounts]:
     """The source for *plan* and the dispatch counts its body performs."""
-    body, counts = _batched_source(plan) or _looped_source(plan)
+    body, counts = _body_source(plan)
     lines = [
         f"def {function_name}(x, u, y):",
         f'    """{plan.describe()}"""',

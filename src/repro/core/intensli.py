@@ -18,7 +18,6 @@ The top-level :func:`repro.ttm` wraps a module-wide default instance.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -80,10 +79,6 @@ class InTensLi:
         Roofline preset used for synthetic profiles.
     max_threads:
         The thread budget for ``P_L``/``P_C``.
-    executor:
-        Deprecated and ignored: every plan runs as generated code.
-        Passing it warns; an unknown name still raises
-        :class:`~repro.util.errors.ShapeError`.
     """
 
     def __init__(
@@ -95,21 +90,8 @@ class InTensLi:
         benchmark_j: Sequence[int] = (16,),
         pth_bytes: int = DEFAULT_PTH_BYTES,
         kappa: float = 0.8,
-        executor: str | None = None,
     ) -> None:
         check_positive_int(max_threads, "max_threads")
-        if executor is not None:
-            warnings.warn(
-                "InTensLi(executor=...) is deprecated and ignored: every "
-                "plan runs as generated code",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if executor not in ("generated", "interpreted"):
-                raise ShapeError(
-                    f"executor must be 'generated' or 'interpreted', got "
-                    f"{executor!r}"
-                )
         if profile is None:
             grid = default_shape_grid(m_values=tuple(benchmark_j))
             threads = (1, max_threads) if max_threads > 1 else (1,)
@@ -148,18 +130,6 @@ class InTensLi:
         self._chain_pool = ScratchPool()
 
     # -- planning -------------------------------------------------------------
-
-    def attach_calibration(self, record, refresh_profile: bool = True) -> None:
-        """Deprecated no-op that warns; planning is left untouched.
-
-        Thresholds come from the GEMM profile, else the paper defaults.
-        """
-        warnings.warn(
-            "InTensLi.attach_calibration is deprecated and ignored: "
-            "thresholds come from the GEMM profile or the paper defaults",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     @property
     def plan_cache(self) -> PlanCache:

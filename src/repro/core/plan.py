@@ -246,7 +246,8 @@ class TtmPlan:
         once per *outer* index, reducing the count by the batch factor B
         (one dispatch in all when no outer loop remains).  Compiled code
         on the single-threaded BLAS path performs exactly this many (see
-        :mod:`repro.core.codegen`); other kernels run the per-index nest.
+        :mod:`repro.core.codegen`); other kernels make one 2-D call per
+        loop index.
         """
         if not self.batch_modes:
             return self.loop_iterations

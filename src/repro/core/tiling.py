@@ -710,12 +710,12 @@ def _execute_tiled_body(
 
         units = []
         for spec in tiling.tiles():
-            x_view = x.data[spec.in_slices]
-            if x_view.size:
+            out_view = out.data[spec.out_slices]
+            # An empty input tile (I_n == 0) still owes its output zeros.
+            if out_view.size:
                 units.append(_Unit(
-                    spec.index, spec.ranges, x_view, layout, u,
-                    out.data[spec.out_slices], False,
-                    {"type": "tile", "index": spec.index},
+                    spec.index, spec.ranges, x.data[spec.in_slices], layout,
+                    u, out_view, False, {"type": "tile", "index": spec.index},
                 ))
         # Pre-flight every tile before writing anything: plan it, size
         # its scratch, and visit the alloc-fail checkpoint, so a failure

@@ -8,16 +8,18 @@ NumPy's BLAS kernels release the GIL, so Python threads genuinely overlap.
 
 Row-panel parallelism is what MKL/BLIS themselves do at the outermost
 level for tall outputs, and it requires no reduction (each worker owns its
-output rows).
+output rows).  The panels run on :func:`repro.parallel.parfor.parfor`'s
+persistent, supervised pools, so a warm call starts no thread and a stuck
+panel trips the same watchdog as a stuck loop body.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.parallel.parfor import parfor
 from repro.util.dtypes import result_dtype
 from repro.util.errors import ShapeError
 from repro.util.validation import check_positive_int
@@ -69,17 +71,13 @@ def gemm_threaded(
         raise ShapeError(f"out shape {out.shape} != {(m, n)}")
 
     panels = _row_panels(m, threads)
-    if len(panels) == 1:
-        lo, hi = panels[0]
+
+    def run(index: tuple[int]) -> None:
+        lo, hi = panels[index[0]]
         if hi > lo:
             gemm(a[lo:hi], b, out=out[lo:hi], accumulate=accumulate, kernel=kernel)
-        return out
 
-    def run(span: tuple[int, int]) -> None:
-        lo, hi = span
-        gemm(a[lo:hi], b, out=out[lo:hi], accumulate=accumulate, kernel=kernel)
-
-    with ThreadPoolExecutor(max_workers=len(panels)) as pool:
-        # list() propagates the first worker exception, if any.
-        list(pool.map(run, panels))
+    # parfor's persistent pools: one panel per worker, the first worker
+    # exception propagates, and a single panel runs inline.
+    parfor((len(panels),), run, threads=len(panels))
     return out

@@ -16,7 +16,11 @@ Two properties matter for the hot path and are guaranteed here:
 * **Pool reuse** — OpenMP runtimes keep their worker teams alive between
   parallel regions; a fresh ``ThreadPoolExecutor`` per call would pay
   thread spawn/join on every TTM.  Executors are cached per worker count
-  in a module-level pool registry and reused across calls.
+  and nesting depth in a module-level pool registry, start their whole
+  team when created, and are reused across calls.  A ``parfor`` issued
+  from inside a ``parfor`` body (``P_L`` loop workers each running a
+  ``P_C`` kernel) takes the pools one depth down: a worker that waited
+  on its own pool could wait forever.
 
 The parallel region is **supervised** (DESIGN.md §10).  Dispatch can hit
 three failure modes that would otherwise hang or crash the whole TTM,
@@ -70,8 +74,9 @@ _BLOCK_CAP = 1024
 #: ``timeout``.  Unset, empty, or <= 0 means unsupervised (wait forever).
 PARFOR_TIMEOUT_ENV = "REPRO_PARFOR_TIMEOUT"
 
-_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
+_NESTING = threading.local()
 
 
 def iter_index_space(extents: Sequence[int]):
@@ -83,16 +88,28 @@ def iter_index_space(extents: Sequence[int]):
     return itertools.product(*(range(int(e)) for e in extents))
 
 
+def _depth() -> int:
+    """How many parfor workers deep the calling thread runs."""
+    return getattr(_NESTING, "depth", 0)
+
+
 def get_pool(workers: int) -> ThreadPoolExecutor:
-    """The persistent executor for a worker count (created on first use)."""
+    """The persistent executor for a worker count at the calling thread's
+    nesting depth (created, with all its threads, on first use)."""
     check_positive_int(workers, "workers")
+    key = (workers, _depth())
     with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
+        pool = _POOLS.get(key)
         if pool is None:
             pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix=f"parfor-{workers}"
             )
-            _POOLS[workers] = pool
+            # No task finishes before all *workers* have started, so each
+            # submit starts a thread: later calls never start one.
+            start = threading.Barrier(workers)
+            for _ in range(workers):
+                pool.submit(start.wait)
+            _POOLS[key] = pool
         return pool
 
 
@@ -126,9 +143,10 @@ def _evict_pool(workers: int, pool: ThreadPoolExecutor) -> None:
     expiry); either way nobody can afford to block on it here.  Pending
     futures keep running to completion — shutdown only refuses new work.
     """
+    key = (workers, _depth())
     with _POOLS_LOCK:
-        if _POOLS.get(workers) is pool:
-            del _POOLS[workers]
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
     pool.shutdown(wait=False)
 
 
@@ -211,8 +229,10 @@ def _parfor_run(
     feed_lock = threading.Lock()
     failed = threading.Event()
     faults = active_faults()
+    depth = _depth() + 1
 
     def worker() -> None:
+        _NESTING.depth = depth
         while not failed.is_set():
             with feed_lock:
                 batch = list(itertools.islice(indices, block))

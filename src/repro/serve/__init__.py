@@ -13,9 +13,6 @@ overload — admission, deadlines and the serving watchdog resolve
 requests with a typed :class:`~repro.util.errors.OverloadError`
 instead of queueing forever.
 
-``execute_fleet``, ``fleet_staging_bytes`` and ``ServeConfig.coalesce``
-are deprecated: requests are no longer staged into a batched multiply.
-
 Paired with it, :mod:`repro.serve.workload` generates and replays
 deterministic multi-tenant request traces (the ramulator2
 ``gen_trace.py`` pattern: weighted tenants, random vs. streaming
@@ -47,8 +44,6 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import (
     FleetSignature,
     coalesce,
-    execute_fleet,
-    fleet_staging_bytes,
     signature_of,
 )
 from repro.serve.request import RequestResult, TtmRequest
@@ -80,8 +75,6 @@ __all__ = [
     "TtmServer",
     "coalesce",
     "default_tenants",
-    "execute_fleet",
-    "fleet_staging_bytes",
     "generate_trace",
     "load_trace",
     "materialize",

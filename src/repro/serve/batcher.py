@@ -11,12 +11,9 @@ TTM exists to avoid, and it measured slower than per-request dispatch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.intensli import ttm
-from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import dtype_name
 
@@ -71,30 +68,3 @@ def coalesce(requests: Sequence) -> list[tuple[FleetSignature, list]]:
         groups.setdefault(signature_of(request), []).append(request)
     return list(groups.items())
 
-
-def execute_fleet(
-    sig: FleetSignature, requests: Sequence, *, kernel: str = "auto"
-) -> list[DenseTensor]:
-    """Deprecated: run each request in place; results in request order.
-
-    Fleets no longer stage a batched multiply, so *sig* and *kernel* are
-    ignored and every request runs through :func:`repro.ttm`.
-    """
-    warnings.warn(
-        "execute_fleet is deprecated: requests are no longer staged into "
-        "a batched multiply; each one runs through repro.ttm",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [ttm(r.x, r.u, r.mode) for r in requests]
-
-
-def fleet_staging_bytes(sig: FleetSignature, batch: int) -> int:
-    """Deprecated: always 0, since no request is staged any more."""
-    warnings.warn(
-        "fleet_staging_bytes is deprecated: serving stages no buffers, "
-        "so it always returns 0",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return 0

@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -81,8 +80,7 @@ class ServeConfig:
     long the dispatcher waits on one group's execution before shedding
     its requests; None disables the watchdog.  ``tenant_cache_quota``,
     when set, is the default per-tenant entry quota of the plan cache
-    the server bills.  ``coalesce`` is deprecated and ignored: setting
-    it warns.
+    the server bills.
 
     :class:`TtmServer` validates the policy when it is constructed.
     """
@@ -92,21 +90,11 @@ class ServeConfig:
     max_batch: int = 64
     batch_window_s: float = 0.002
     workers: int = 1
-    coalesce: bool | None = None
     default_deadline_s: float | None = None
     watchdog_s: float | None = None
     tenant_cache_quota: int | None = None
     allow_replan: bool = True
     max_threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.coalesce is not None:
-            warnings.warn(
-                "ServeConfig(coalesce=...) is deprecated and ignored: "
-                "every request runs in place",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
 
 def _check_config(config: ServeConfig) -> None:

@@ -8,6 +8,8 @@ representation forms) is tested against it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.tensor.dense import DenseTensor
@@ -30,6 +32,28 @@ def random_ttm_case(shape, j, mode, layout=Layout.ROW_MAJOR, seed=0):
     x = DenseTensor(rng.standard_normal(tuple(shape)), layout)
     u = rng.standard_normal((j, shape[mode]))
     return x, u, mode
+
+
+# The two code shapes a facade call can run: the plan as the facade
+# chose it, and the same plan unbatched, whose loop nest walks the
+# hoisted views one 2-D kernel call per index.
+FACADE_EXECUTORS = ["generated", "interpreted"]
+
+
+def facade_ttm(lib, x, u, mode, executor):
+    """``lib.ttm(x, u, mode)``, run in the code shape *executor* names.
+
+    ``"generated"`` is :meth:`InTensLi.ttm` itself; ``"interpreted"``
+    runs the facade's plan with its batch modes dropped through
+    :meth:`InTensLi.execute`, so every loop index makes its own call.
+    """
+    if executor == "generated":
+        return lib.ttm(x, u, mode)
+    if executor != "interpreted":
+        raise ValueError(f"unknown executor {executor!r}")
+    u = np.asarray(u)
+    plan = lib.plan(x.shape, mode, u.shape[0], x.layout, dtype=x.data.dtype)
+    return lib.execute(dataclasses.replace(plan, batch_modes=()), x, u)
 
 
 # Shape grid exercising orders 2..5, non-square extents, size-1 modes,

@@ -436,30 +436,6 @@ class TestLegacyStore:
         assert saved["entries"] == entries
 
 
-class TestDeprecatedCalibration:
-    def test_calibration_names_warn_and_calibrate_still_refines(
-        self, cache_path
-    ):
-        with pytest.warns(DeprecationWarning, match="attach_calibration"):
-            InTensLi().attach_calibration(object())
-        for kwargs in (
-            {"calibrate": True},
-            {"calibration_min_samples": 4},
-            {"calibration_refit_every": 2},
-        ):
-            name = next(iter(kwargs))
-            with pytest.warns(DeprecationWarning, match=name):
-                session = make_session(cache_path, **kwargs)
-            assert session.refine is (name == "calibrate")
-        with pytest.warns(DeprecationWarning):
-            session = _ScriptedSession(
-                InTensLi(), path=cache_path, calibrate=True
-            )
-        x, u = inputs()
-        session.ttm(x, u, MODE)
-        assert session.measured  # calibrate=True drove the refine loop
-
-
 class _ScriptedSession(AutotuneSession):
     """Refinement with deterministic fake timings (no wall-clock flake)."""
 

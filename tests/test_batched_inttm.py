@@ -218,7 +218,9 @@ class TestBatchedEquivalence:
             y.data, ttm_oracle(x.data, u, mode), rtol=1e-10, atol=1e-12
         )
 
-    @pytest.mark.parametrize("p_l,p_c", [(2, 1), (1, 2), (3, 2), (4, 1)])
+    @pytest.mark.parametrize(
+        "p_l,p_c", [(2, 1), (1, 2), (2, 2), (3, 2), (4, 1)]
+    )
     def test_threaded_batched_execution(self, p_l, p_c):
         shape, mode, j = (6, 5, 4, 3), 1, 2
         x, u = _case(shape, mode, j, ROW_MAJOR, seed=12)

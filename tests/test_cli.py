@@ -42,17 +42,6 @@ class TestParser:
 
 
 class TestCommands:
-    @pytest.mark.parametrize("argv", [
-        ["calibrate", "run"],
-        ["calibrate", "run", "--budget", "8", "--min-seconds", "0.001"],
-        ["calibrate", "show", "--store", "plans.json"],
-    ])
-    def test_calibrate_run_and_show_are_deprecated_no_ops(self, argv, capsys):
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert captured.out == ""
-
     @pytest.mark.parametrize("argv", [["calibrate"], ["calibrate", "probe"]])
     def test_calibrate_still_probes(self, argv, capsys, monkeypatch):
         import repro.perf.calibrate as calibrate

@@ -7,7 +7,7 @@ from repro.core.codegen import clear_cache, compile_plan, generate_source
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.testing import DEFAULT_CASES, DEGENERATE_CASES
+from repro.testing import DEFAULT_CASES, DEGENERATE_CASES, ttm_reference
 from repro.util.errors import PlanError
 from tests.helpers import TTM_CASES, ttm_oracle
 
@@ -71,12 +71,14 @@ class TestSourceStructure:
         assert "for " not in src
 
     def test_serial_source_has_literal_loops(self):
-        # A blocked-kernel plan cannot collapse; it keeps the loop nest.
+        # A blocked-kernel plan cannot collapse: a literal loop over its
+        # batch axis makes one 2-D call per index on views hoisted above.
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR, kernel="blocked")
         src = generate_source(plan)
-        assert "for i0 in range(9):" in src
-        assert ".reshape((8, 7))" in src
-        assert ".reshape((3, 7))" in src
+        loop = src.index("for ib in range(9):")
+        assert src.index("x3 = x.reshape((9, 8, 7))") < loop
+        assert src.index("y3 = y.reshape((9, 3, 7))") < loop
+        assert "gemm_blocked(u, x3[ib], out=y3[ib])" in src
         assert "def inttm(x, u, y):" in src
 
     def test_partial_collapse_batches_inner_run(self):
@@ -97,11 +99,12 @@ class TestSourceStructure:
 
     def test_blas_kernel_inlines_matmul(self):
         # An explicitly unbatched plan keeps the explicit nest with a
-        # per-iteration matmul.
+        # per-iteration 2-D matmul on its extent-1 batch axis.
         plan = default_plan((9, 8, 7, 6), 1, 3, ROW_MAJOR, kernel="blas",
                             degree=1, batched=False)
         src = generate_source(plan)
-        assert "np.matmul(u, x_sub, out=y_sub)" in src
+        assert "for i0 in range(9):" in src and "for i2 in range(7):" in src
+        assert "np.matmul(u, x3[i0, i2, 0], out=y3[i0, i2, 0])" in src
 
     def test_blocked_kernel_emits_gemm_blocked(self):
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR, kernel="blocked")
@@ -111,6 +114,21 @@ class TestSourceStructure:
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR, kernel_threads=4)
         src = generate_source(plan)
         assert "gemm_threaded(" in src and "threads=4" in src
+
+    def test_threaded_kernel_at_one_thread_runs_the_blas_path(self):
+        # P_C is the only kernel thread count: kernel="threaded" at
+        # P_C = 1 compiles like "auto", with no threaded call.
+        plan = default_plan((64, 64, 64), 1, 8, ROW_MAJOR, kernel="threaded")
+        src = generate_source(plan)
+        assert "threaded" not in src.split('"""')[2]
+        assert "np.matmul(u, x3, out=y3)" in src
+        rng = np.random.default_rng(16)
+        x = DenseTensor(rng.standard_normal(plan.shape), ROW_MAJOR)
+        u = rng.standard_normal((8, 64))
+        np.testing.assert_allclose(
+            ttm_inplace(x, u, plan=plan).data,
+            ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12,
+        )
 
     def test_parallel_loops_emit_parfor(self):
         plan = default_plan((9, 8, 7, 6), 2, 3, ROW_MAJOR, loop_threads=4)
@@ -124,7 +142,7 @@ class TestSourceStructure:
         src = generate_source(plan)
         assert "ut = u.T" in src
         assert "order='F'" in src
-        assert "gemm_blocked(x_sub, ut, out=y_sub)" in src
+        assert "gemm_blocked(x3[ib], ut, out=y3[ib])" in src
 
     def test_docstring_carries_plan_description(self):
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR)

@@ -15,7 +15,7 @@ from repro.serve import TtmServer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.util.errors import DtypeError, PlanError, ShapeError
-from tests.helpers import ttm_oracle
+from tests.helpers import FACADE_EXECUTORS, facade_ttm, ttm_oracle
 
 #: (case, error, entry points it applies to).  A served request names no
 #: plan and no output, so only the operand cases reach ``submit``.
@@ -69,8 +69,6 @@ class TestConstruction:
     def test_invalid_options(self):
         with pytest.raises(ShapeError):
             InTensLi(benchmark="nope")
-        with pytest.raises(ShapeError), pytest.warns(DeprecationWarning):
-            InTensLi(executor="nope")
         with pytest.raises(ValueError):
             InTensLi(max_threads=0)
 
@@ -143,16 +141,14 @@ class TestPlanning:
 
 
 class TestExecution:
-    @pytest.mark.parametrize("executor", ["generated", "interpreted"])
+    @pytest.mark.parametrize("executor", FACADE_EXECUTORS)
     @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
     def test_ttm_matches_oracle(self, executor, layout):
-        # The deprecated executor option warns and changes nothing.
         rng = np.random.default_rng(22)
-        with pytest.warns(DeprecationWarning):
-            lib = InTensLi(executor=executor, max_threads=2)
+        lib = InTensLi(max_threads=2)
         x = DenseTensor(rng.standard_normal((6, 7, 8)), layout)
         u = rng.standard_normal((3, 7))
-        y = lib.ttm(x, u, 1)
+        y = facade_ttm(lib, x, u, 1, executor)
         assert np.allclose(y.data, ttm_oracle(x.data, u, 1))
 
     def test_ttm_accepts_raw_ndarray(self):

@@ -44,7 +44,7 @@ class TestAgainstOracle:
         y = ttm_inplace(x, u, plan=plan)
         assert np.allclose(y.data, ttm_oracle(x.data, u, mode))
 
-    @pytest.mark.parametrize("p_l,p_c", [(2, 1), (1, 2), (3, 2)])
+    @pytest.mark.parametrize("p_l,p_c", [(2, 1), (1, 2), (2, 2), (3, 2)])
     def test_threaded_execution_agrees(self, p_l, p_c):
         rng = np.random.default_rng(9)
         shape, j, mode = (6, 5, 4, 3), 2, 1

@@ -2,14 +2,19 @@
 
 import threading
 
+import numpy as np
 import pytest
 
+import repro
 from repro.core.threads import (
     DEFAULT_PTH_BYTES,
     ThreadAllocation,
     allocate_threads,
 )
 from repro.parallel import iter_index_space, parfor
+from repro.parallel.parfor import PARFOR_TIMEOUT_ENV
+from repro.tensor.layout import ROW_MAJOR
+from repro.testing import ttm_reference
 
 
 class TestThreadAllocation:
@@ -162,3 +167,51 @@ class TestPersistentPool:
 
         with pytest.raises(RuntimeError):
             parfor((2**20, 2**20), body, threads=2)
+
+
+class TestNestedPools:
+    """P_L loop workers running P_C kernels: one persistent team per
+    nesting depth, so no worker ever waits on its own pool."""
+
+    @pytest.fixture(autouse=True)
+    def watchdog(self, monkeypatch):
+        # A pool that waits on itself fails in seconds, not never.
+        monkeypatch.setenv(PARFOR_TIMEOUT_ENV, "30")
+
+    def test_parfor_inside_parfor_completes(self):
+        seen = []
+        lock = threading.Lock()
+
+        def inner(index):
+            with lock:
+                seen.append(index)
+
+        def outer(index):
+            parfor((2,), lambda i: inner(index + i), threads=2)
+
+        assert parfor((2,), outer, threads=2) == 2
+        assert sorted(seen) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_warm_kernel_threads_start_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        lib = repro.InTensLi(max_threads=4)
+        x = repro.DenseTensor(rng.standard_normal((16, 16, 16)), ROW_MAJOR)
+        u = rng.standard_normal((8, 16))
+        assert lib.plan(x.shape, 2, 8).kernel_threads == 4
+        lib.ttm(x, u, 2)
+        before = set(threading.enumerate())
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(10):
+            y = lib.ttm(x, u, 2)
+        assert started == []
+        assert set(threading.enumerate()) <= before
+        np.testing.assert_allclose(
+            y.data, ttm_reference(x.data, u, 2), rtol=1e-12, atol=1e-12
+        )

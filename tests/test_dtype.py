@@ -44,7 +44,7 @@ from repro.util.dtypes import (
     result_dtype,
 )
 from repro.util.errors import DtypeError, LayoutError, PlanError
-from tests.helpers import ttm_oracle
+from tests.helpers import FACADE_EXECUTORS, facade_ttm, ttm_oracle
 
 DTYPES = [np.dtype(name) for name in SUPPORTED_DTYPES]
 
@@ -445,15 +445,13 @@ class TestAutotuneCacheDtype:
 
 class TestEndToEndDtype:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("executor", ["generated", "interpreted"])
+    @pytest.mark.parametrize("executor", FACADE_EXECUTORS)
     def test_intensli_matches_oracle_per_dtype(self, executor, dtype):
-        # The deprecated executor option warns and changes nothing.
-        with pytest.warns(DeprecationWarning):
-            lib = InTensLi(executor=executor)
+        lib = InTensLi()
         rtol, atol = DTYPE_TOLERANCES[dtype.name]
         for layout in (ROW_MAJOR, COL_MAJOR):
             x, u = _case((5, 6, 7), 1, 4, layout, dtype=dtype.name)
-            y = lib.ttm(x, u, 1)
+            y = facade_ttm(lib, x, u, 1, executor)
             assert y.dtype == dtype
             expect = ttm_oracle(x.data.astype(np.float64),
                                 u.astype(np.float64), 1)

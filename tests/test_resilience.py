@@ -61,7 +61,9 @@ from repro.util.errors import (
     StoreCorruptError,
     StrideError,
 )
-from tests.helpers import random_ttm_case, ttm_oracle
+from tests.helpers import (
+    FACADE_EXECUTORS, facade_ttm, random_ttm_case, ttm_oracle,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -508,17 +510,16 @@ def test_check_finite_on_generated_executor():
 # -- the facade-level acceptance contract -------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["interpreted", "generated"])
+@pytest.mark.parametrize("executor", FACADE_EXECUTORS[::-1])
 def test_facade_survives_kernel_faults(executor):
     # The top-level contract: with a kernel fault injected, InTensLi.ttm
-    # still returns the oracle-correct result via a degraded path.  The
-    # deprecated executor option changes nothing.
+    # still returns the oracle-correct result via a degraded path, in
+    # either code shape.
     x, u, mode, oracle = _case()
-    with pytest.warns(DeprecationWarning):
-        engine = InTensLi(executor=executor)
+    engine = InTensLi()
     faults = FaultInjector().arm("kernel-raise", exc=RuntimeError("boom"))
     with fault_injection(faults), track_hot_path() as counters:
-        y = engine.ttm(x, u, mode)
+        y = facade_ttm(engine, x, u, mode, executor)
     np.testing.assert_allclose(y.data, oracle, rtol=1e-12)
     assert faults.count("kernel-raise") == 1
     assert counters.kernel_fallbacks >= 1

@@ -20,7 +20,6 @@ import pytest
 
 from repro.autotune import CacheStats, PlanCache, PlanKey, PlanStore
 from repro.baselines import ttm_copy
-from repro.cli import main as cli_main
 from repro.core.inttm import default_plan
 from repro.obs import ROOT, Tracer, tracing
 from repro.perf.profiler import track_hot_path
@@ -31,9 +30,6 @@ from repro.serve import (
     ServeConfig,
     TtmServer,
     coalesce,
-    execute_fleet,
-    fleet_staging_bytes,
-    signature_of,
 )
 from repro.serve.request import TtmRequest
 from repro.serve.workload import (
@@ -131,39 +127,6 @@ class TestAdmission:
         assert snap["inflight"] == 1
         assert snap["per_tenant_inflight"] == {"a": 1}
         assert snap["max_inflight"] == 4
-
-
-# -- deprecated fleet names ----------------------------------------------------
-
-
-class TestDeprecatedFleetNames:
-    def test_execute_fleet_warns_and_runs_each_request(self):
-        requests = [make_request((4, 5, 6), 1, 3, seed=i) for i in range(3)]
-        with pytest.warns(DeprecationWarning, match="execute_fleet"):
-            results = execute_fleet(signature_of(requests[0]), requests)
-        for request, y in zip(requests, results):
-            expected = ttm_copy(request.x, request.u, 1)
-            np.testing.assert_allclose(
-                y.data, expected.data, rtol=1e-5, atol=1e-5
-            )
-
-    def test_fleet_staging_bytes_warns_and_stages_nothing(self):
-        sig = signature_of(make_request((4, 5, 6), 1, 3))
-        with pytest.warns(DeprecationWarning, match="fleet_staging_bytes"):
-            assert fleet_staging_bytes(sig, 7) == 0
-
-    def test_serve_config_coalesce_warns(self):
-        with pytest.warns(DeprecationWarning, match="coalesce"):
-            ServeConfig(coalesce=False)
-
-    def test_cli_no_coalesce_warns_and_serves(self, capsys):
-        argv = ["serve", "--requests", "8", "--tenants", "1",
-                "--concurrency", "4", "--verify", "--fail-on-shed",
-                "--no-coalesce"]
-        assert cli_main(argv) == 0
-        captured = capsys.readouterr()
-        assert "--no-coalesce is deprecated" in captured.err
-        assert "completed       8" in captured.out
 
 
 # -- tenant-aware plan cache ---------------------------------------------------

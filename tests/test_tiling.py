@@ -51,7 +51,12 @@ from repro.resilience.memory import (
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, element_strides
-from repro.testing import DEFAULT_CASES, DTYPE_TOLERANCES, ttm_reference
+from repro.testing import (
+    DEFAULT_CASES,
+    DEGENERATE_CASES,
+    DTYPE_TOLERANCES,
+    ttm_reference,
+)
 from repro.util.errors import (
     DtypeError,
     LayoutError,
@@ -289,10 +294,11 @@ def test_tiling_opportunity_fast_path_and_engagement(monkeypatch):
 @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_tiled_matches_untiled_and_oracle_everywhere(layout, dtype):
-    """Invariant 1 over the full grid, at the deepest feasible tiling."""
+    """Invariant 1 over the full grid, at the deepest feasible tiling,
+    degenerate shapes included: an empty contracted mode yields zeros."""
     rtol, atol = DTYPE_TOLERANCES[dtype]
     failures = []
-    for shape, j, mode in DEFAULT_CASES:
+    for shape, j, mode in DEFAULT_CASES + DEGENERATE_CASES:
         x, u = _case_arrays(shape, j, mode, layout, dtype)
         budget = _min_tile_budget(shape, mode, j, layout, dtype)
         out = DenseTensor.empty(
