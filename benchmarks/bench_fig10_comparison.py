@@ -36,6 +36,7 @@ from benchmarks.common import (
 from repro.baselines import ttm_copy, ttm_ctf_like
 from repro.core import InTensLi
 from repro.gemm import gemm
+from repro.perf import blas_threads
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_tensor
 from repro.tensor.unfold import unfold
@@ -104,9 +105,15 @@ def test_fig10_methods_order3(benchmark, method):
 
 
 def test_fig10_ordering_holds():
-    """The paper's ordering: InTTM > TT-TTM > CTF, InTTM ~ GEMM-only."""
+    """The paper's ordering: InTTM > TT-TTM > CTF, InTTM ~ GEMM-only.
+
+    Every method gets the same thread budget: ``InTensLi()`` plans at
+    ``max_threads=1``, so the BLAS pool is pinned to one thread too.
+    Unpinned, GEMM-only's single large GEMM would run on every core.
+    """
     lib = InTensLi()
-    case = compare_case(lib, 3, 96)
+    with blas_threads(1):
+        case = compare_case(lib, 3, 96)
     assert case["inttm"] > case["tt"] > case["ctf"]
     assert case["inttm"] > 0.6 * case["gemm"]
 

@@ -31,6 +31,7 @@ the bench-regression workflow gates on.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import tempfile
 
@@ -79,12 +80,12 @@ JOURNAL_CASES = [
 ]
 
 #: Back-to-back (plain, journaled) pairs per case.  The overhead column
-#: is the *minimum* per-pair ratio — the same least-noise estimator
-#: :func:`repro.perf.timing.time_callable` uses — because differencing
-#: two independently-timed legs on a shared host swamps a few-percent
-#: effect in machine drift, while a ratio taken within one pair cancels
-#: it.
-JOURNAL_PAIRS = 5
+#: is the *median* per-pair ratio: differencing two independently-timed
+#: legs on a shared host swamps a few-percent effect in machine drift,
+#: while a ratio taken within one pair cancels it.  The median, unlike
+#: the minimum, is not set by one lucky pair, so the 5% ceiling can
+#: catch a real journal regression.
+JOURNAL_PAIRS = 9
 
 MIN_SECONDS = 0.05
 
@@ -164,7 +165,7 @@ def measure_journal_case(shape, j, mode, pairs=JOURNAL_PAIRS):
     """Tiled execution with and without a commit journal, same operands.
 
     Runs *pairs* back-to-back (plain, journaled) executions and reports
-    the minimum per-pair time ratio as the overhead, so slow machine
+    the median per-pair time ratio as the overhead, so slow machine
     phases hit both legs of a pair and cancel out of the column the
     regression gate holds under its fixed ceiling.
     """
@@ -212,7 +213,7 @@ def measure_journal_case(shape, j, mode, pairs=JOURNAL_PAIRS):
         "tiles": tiling.n_tiles,
         "ms_plain": min(secs_plain) * 1e3,
         "ms_journal": min(secs_journal) * 1e3,
-        "overhead_pct": (min(ratios) - 1.0) * 100.0,
+        "overhead_pct": (statistics.median(ratios) - 1.0) * 100.0,
     }
 
 

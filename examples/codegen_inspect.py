@@ -43,8 +43,8 @@ CASES = [
                      loop_threads=4, kernel="blas"),
     ),
     (
-        "threaded kernel (P_C=4) with the general-stride blocked GEMM",
-        default_plan((64, 64, 64), 1, 16, ROW_MAJOR, kernel="blocked",
+        "kernel threads (P_C=4): the same body on a BLAS pool of 4 threads",
+        default_plan((64, 64, 64), 1, 16, ROW_MAJOR, kernel="blas",
                      kernel_threads=4),
     ),
 ]

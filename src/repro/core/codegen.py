@@ -11,11 +11,12 @@ cached per plan.
 
 Every plan compiles to one shape: ``x``/``y`` become ``(outer...,
 batch, rows, cols)`` views through one ``reshape`` and one
-``transpose``, hoisted above the loops.  On the single-threaded BLAS
-fast path a plan with batch modes (or no loop modes) makes one rank-3
-``np.matmul`` per outer index.  Every other plan — non-BLAS kernels,
-float16, ``P_C > 1``, unbatched plans with loops — makes one 2-D kernel
-call per (outer, batch) index on those same views.
+``transpose``, hoisted above the loops.  On the BLAS fast path a plan
+with batch modes (or no loop modes) makes one rank-3 ``np.matmul`` per
+outer index.  Every other plan — non-BLAS kernels, float16, unbatched
+plans with loops — makes one 2-D kernel call per (outer, batch) index
+on those same views.  A ``P_C > 1`` plan runs that body inside ``with
+blas_threads(P_C):``, or as ``P_C = 1`` when BLAS cannot run or size it.
 
 The generated reshapes are views, never copies, because of one invariant
 the callers uphold: ``DenseTensor`` data is contiguous in its layout.
@@ -44,8 +45,9 @@ import numpy as np
 from repro.core.plan import Strategy, TtmPlan
 from repro.gemm.blocked import gemm_blocked
 from repro.gemm.interface import blas_dtype_legal, gemm
-from repro.gemm.threaded import gemm_threaded
 from repro.parallel.parfor import parfor
+from repro.perf.blasctl import blas_pinning_available, blas_threads
+from repro.resilience.faults import record_degradation
 from repro.tensor.layout import Layout
 
 _CACHE: dict[TtmPlan, object] = {}
@@ -65,22 +67,20 @@ class DispatchCounts(NamedTuple):
 
 
 def _blas_path(plan: TtmPlan) -> bool:
-    """True for the single-threaded BLAS fast path: ``np.matmul`` inline."""
-    return (
-        plan.kernel_threads == 1
-        and plan.kernel in ("blas", "auto", "threaded")
-        and blas_dtype_legal(plan.np_dtype)
+    """True for the BLAS fast path: ``np.matmul`` inline."""
+    return plan.kernel in ("blas", "auto", "threaded") and blas_dtype_legal(
+        plan.np_dtype
     )
+
+
+def _pool_threads(plan: TtmPlan) -> int:
+    """``P_C`` when BLAS runs the kernel and its pool can be sized, else 1."""
+    sized = plan.kernel_threads > 1 and _blas_path(plan) and blas_pinning_available()
+    return plan.kernel_threads if sized else 1
 
 
 def _kernel_call(plan: TtmPlan) -> str:
     """The 2-D kernel call template, with ``{a}``, ``{b}``, ``{c}`` holes."""
-    if plan.kernel_threads > 1:
-        inner = "auto" if plan.kernel == "threaded" else plan.kernel
-        return (
-            f"gemm_threaded({{a}}, {{b}}, out={{c}}, "
-            f"threads={plan.kernel_threads}, kernel={inner!r})"
-        )
     if _blas_path(plan):
         return "np.matmul({a}, {b}, out={c})"
     if plan.kernel in ("blas", "auto", "threaded", "blocked"):
@@ -125,10 +125,10 @@ def _body_source(plan: TtmPlan) -> tuple[list[str], DispatchCounts]:
     """Body lines (and their dispatch counts) for the one code shape.
 
     ``x3``/``y3`` are hoisted above any loop (:func:`_batch_views`).  On
-    the single-threaded BLAS path a plan with batch modes, or with no
-    loop modes at all, makes one rank-3 ``np.matmul`` per outer index
-    (or one for the whole call).  Every other plan makes one 2-D kernel
-    call per (outer, batch) index on the same views.
+    the BLAS path a plan with batch modes, or with no loop modes at all,
+    makes one rank-3 ``np.matmul`` per outer index (or one for the whole
+    call).  Every other plan makes one 2-D kernel call per (outer,
+    batch) index on the same views.
     """
     forward = plan.strategy is Strategy.FORWARD or plan.degree == 0
     x3, y3 = _batch_views(plan)
@@ -207,6 +207,10 @@ def generate_source(plan: TtmPlan, function_name: str = "inttm") -> str:
 def _emit(plan: TtmPlan, function_name: str) -> tuple[str, DispatchCounts]:
     """The source for *plan* and the dispatch counts its body performs."""
     body, counts = _body_source(plan)
+    pool = _pool_threads(plan)
+    if pool > 1:  # everything after the two hoisted views
+        wrapped = ["    " + line for line in body[2:]]
+        body[2:] = [f"    with blas_threads({pool}):", *wrapped]
     lines = [
         f"def {function_name}(x, u, y):",
         f'    """{plan.describe()}"""',
@@ -226,12 +230,14 @@ def compile_plan(plan: TtmPlan):
     cached = _CACHE.get(plan)
     if cached is not None:
         return cached
+    if plan.kernel_threads > _pool_threads(plan):
+        record_degradation("kernel_thread_degradations", kernel_threads_degraded=True)
     source, counts = _emit(plan, "inttm")
     namespace = {
         "np": np,
         "gemm": gemm,
         "gemm_blocked": gemm_blocked,
-        "gemm_threaded": gemm_threaded,
+        "blas_threads": blas_threads,
         "parfor": parfor,
     }
     code = compile(source, f"<inttm:{hash(plan) & 0xFFFFFFFF:08x}>", "exec")

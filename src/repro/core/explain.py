@@ -113,11 +113,14 @@ def explain_plan(
     if plan.loop_threads == plan.kernel_threads == 1:
         lines.append("threads: serial (budget of 1).")
     elif plan.kernel_threads > 1:
+        why = (
+            f"the working set {format_bytes(ws)} is at or above "
+            f"PTH={format_bytes(pth_bytes)}" if ws >= pth_bytes
+            else "its loop nest has a single iteration, nothing for P_L"
+        )
         lines.append(
-            f"threads: P_C={plan.kernel_threads} inside the kernel — the "
-            f"working set {format_bytes(ws)} is at or above "
-            f"PTH={format_bytes(pth_bytes)}, large enough to amortize "
-            "intra-GEMM parallelism."
+            f"threads: P_C={plan.kernel_threads} — each kernel call runs on a "
+            f"BLAS pool of {plan.kernel_threads} threads; {why}."
         )
     else:
         lines.append(

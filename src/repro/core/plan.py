@@ -110,6 +110,12 @@ class TtmPlan:
             raise PlanError(f"J must be >= 1, got {self.j}")
         if self.loop_threads < 1 or self.kernel_threads < 1:
             raise PlanError("thread counts must be >= 1")
+        if self.loop_threads > 1 and self.kernel_threads > 1:
+            # P_C sizes the BLAS pool, which P_L workers would share.
+            raise PlanError(
+                f"P_L={self.loop_threads} and P_C={self.kernel_threads}: "
+                "a plan threads its loops or its kernel, not both"
+            )
         mc, ml = set(self.component_modes), set(self.loop_modes)
         if mc & ml:
             raise PlanError(f"M_C {mc} and M_L {ml} overlap")

@@ -46,8 +46,8 @@ def allocate_threads(
     """Allocate *max_threads* to the loops or to the kernel (never split).
 
     *loop_iterations* caps ``P_L``: parallelizing a 3-iteration loop nest
-    across 8 threads would idle five of them, in which case the surplus
-    moves to the kernel side.
+    across 8 threads would idle five of them.  The surplus idles: ``P_C``
+    sizes the process-wide BLAS pool, which ``P_L`` workers share.
     """
     check_positive_int(max_threads, "max_threads")
     if kernel_bytes < 0:
@@ -57,7 +57,5 @@ def allocate_threads(
         raise ValueError(f"loop_iterations must be >= 1, got {loop_iterations}")
     if kernel_bytes < pth_bytes and loop_iterations > 1:
         loop = min(max_threads, loop_iterations)
-        # Surplus threads beyond the loop count still help inside kernels.
-        kernel = max(1, max_threads // loop) if loop < max_threads else 1
-        return ThreadAllocation(loop_threads=loop, kernel_threads=kernel)
+        return ThreadAllocation(loop_threads=loop, kernel_threads=1)
     return ThreadAllocation(loop_threads=1, kernel_threads=max_threads)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -168,9 +168,12 @@ def measure_profile(
 
     The operation measured is ``C = A @ B`` with contiguous operands —
     the paper's figure-5 measurement (their ``C = B A^T`` is the same
-    flop count and access pattern after transposition).
+    flop count and access pattern after transposition).  A point at
+    ``t`` threads runs inside ``blas_threads(t)``, as a ``P_C = t`` plan
+    does; ``kernel="threaded"`` also splits into ``t`` row panels.
     """
     from repro.gemm.interface import gemm
+    from repro.perf.blasctl import blas_threads
 
     rng = default_rng(seed)
     points: list[ShapePoint] = []
@@ -182,13 +185,10 @@ def measure_profile(
         b = rng.standard_normal((k, n))
         out = np.empty((m, n))
         for t in threads:
-            if t == 1 or kernel == "threaded":
-                fn: Callable[[], object] = lambda: gemm(
-                    a, b, out=out, kernel=kernel
-                )
-            else:
-                fn = lambda: gemm(a, b, out=out, kernel="threaded", threads=t)
-            seconds = time_callable(fn, min_repeats=2, min_seconds=min_seconds)
+            options = {"threads": t} if kernel == "threaded" else {}
+            fn = lambda: gemm(a, b, out=out, kernel=kernel, **options)
+            with blas_threads(t):
+                seconds = time_callable(fn, min_repeats=2, min_seconds=min_seconds)
             points.append(
                 ShapePoint(
                     m=m,

@@ -1,16 +1,13 @@
-"""Kernel-level (fine-grained) parallel GEMM: the paper's ``P_C`` threads.
+"""Row-panel parallel GEMM: ``gemm(kernel="threaded")``.
 
-The in-place TTM allocates threads either to its outer loop nest (``P_L``)
-or to the inner matrix multiply (``P_C``).  This module supplies the
-latter: the M dimension is split into row panels, one per worker, and each
+The M dimension is split into row panels, one per worker, and each
 worker runs an independent GEMM into its disjoint slice of the output.
-NumPy's BLAS kernels release the GIL, so Python threads genuinely overlap.
+NumPy's BLAS kernels release the GIL, so Python threads genuinely
+overlap.  The panels run on :func:`repro.parallel.parfor.parfor`'s
+persistent, supervised pools, so a warm call starts no thread.
 
-Row-panel parallelism is what MKL/BLIS themselves do at the outermost
-level for tall outputs, and it requires no reduction (each worker owns its
-output rows).  The panels run on :func:`repro.parallel.parfor.parfor`'s
-persistent, supervised pools, so a warm call starts no thread and a stuck
-panel trips the same watchdog as a stuck loop body.
+Compiled plans do not call this: their ``P_C`` is the BLAS pool's own
+thread count (:func:`repro.perf.blasctl.blas_threads`).
 """
 
 from __future__ import annotations

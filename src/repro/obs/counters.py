@@ -130,6 +130,7 @@ class HotCounters(Counters):
         "plan_cache_invalidations",
         "plan_cache_evictions",
         "kernel_fallbacks",
+        "kernel_thread_degradations",
         "pool_replacements",
         "serial_degradations",
         "watchdog_timeouts",

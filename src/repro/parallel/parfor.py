@@ -16,11 +16,10 @@ Two properties matter for the hot path and are guaranteed here:
 * **Pool reuse** — OpenMP runtimes keep their worker teams alive between
   parallel regions; a fresh ``ThreadPoolExecutor`` per call would pay
   thread spawn/join on every TTM.  Executors are cached per worker count
-  and nesting depth in a module-level pool registry, start their whole
-  team when created, and are reused across calls.  A ``parfor`` issued
-  from inside a ``parfor`` body (``P_L`` loop workers each running a
-  ``P_C`` kernel) takes the pools one depth down: a worker that waited
-  on its own pool could wait forever.
+  in a module-level pool registry, start their whole team when created,
+  and are reused across calls.  A ``parfor`` issued from inside a
+  ``parfor`` body runs inline on the calling worker — OpenMP's default
+  nesting — so no worker ever waits on a pool it belongs to.
 
 The parallel region is **supervised** (DESIGN.md §10).  Dispatch can hit
 three failure modes that would otherwise hang or crash the whole TTM,
@@ -74,9 +73,10 @@ _BLOCK_CAP = 1024
 #: ``timeout``.  Unset, empty, or <= 0 means unsupervised (wait forever).
 PARFOR_TIMEOUT_ENV = "REPRO_PARFOR_TIMEOUT"
 
-_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
-_NESTING = threading.local()
+#: ``in_worker`` is set on every thread that runs a parfor worker.
+_WORKER = threading.local()
 
 
 def iter_index_space(extents: Sequence[int]):
@@ -88,18 +88,12 @@ def iter_index_space(extents: Sequence[int]):
     return itertools.product(*(range(int(e)) for e in extents))
 
 
-def _depth() -> int:
-    """How many parfor workers deep the calling thread runs."""
-    return getattr(_NESTING, "depth", 0)
-
-
 def get_pool(workers: int) -> ThreadPoolExecutor:
-    """The persistent executor for a worker count at the calling thread's
-    nesting depth (created, with all its threads, on first use)."""
+    """The persistent executor for a worker count (created, with all its
+    threads, on first use)."""
     check_positive_int(workers, "workers")
-    key = (workers, _depth())
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(workers)
         if pool is None:
             pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix=f"parfor-{workers}"
@@ -109,7 +103,7 @@ def get_pool(workers: int) -> ThreadPoolExecutor:
             start = threading.Barrier(workers)
             for _ in range(workers):
                 pool.submit(start.wait)
-            _POOLS[key] = pool
+            _POOLS[workers] = pool
         return pool
 
 
@@ -143,10 +137,9 @@ def _evict_pool(workers: int, pool: ThreadPoolExecutor) -> None:
     expiry); either way nobody can afford to block on it here.  Pending
     futures keep running to completion — shutdown only refuses new work.
     """
-    key = (workers, _depth())
     with _POOLS_LOCK:
-        if _POOLS.get(key) is pool:
-            del _POOLS[key]
+        if _POOLS.get(workers) is pool:
+            del _POOLS[workers]
     pool.shutdown(wait=False)
 
 
@@ -171,8 +164,9 @@ def parfor(
 ) -> int:
     """Run ``body(index)`` for every index tuple; returns iteration count.
 
-    With ``threads == 1`` (the common case when ``P_C`` gets the threads)
-    the loop runs inline with zero overhead.  Otherwise up to ``threads``
+    With ``threads == 1`` (the common case when ``P_C`` gets the threads),
+    or when called from inside another ``parfor``'s body, the loop runs
+    inline with zero overhead.  Otherwise up to ``threads``
     persistent workers drain the lazily flattened space in contiguous
     blocks; the first exception raised by any body propagates to the
     caller (remaining workers stop pulling new blocks).
@@ -218,7 +212,7 @@ def _parfor_run(
     total: int,
     timeout: float | None = None,
 ) -> int:
-    if threads == 1 or total == 1:
+    if threads == 1 or total == 1 or getattr(_WORKER, "in_worker", False):
         for index in iter_index_space(extents):
             body(index)
         return total
@@ -229,10 +223,9 @@ def _parfor_run(
     feed_lock = threading.Lock()
     failed = threading.Event()
     faults = active_faults()
-    depth = _depth() + 1
 
     def worker() -> None:
-        _NESTING.depth = depth
+        _WORKER.in_worker = True
         while not failed.is_set():
             with feed_lock:
                 batch = list(itertools.islice(indices, block))

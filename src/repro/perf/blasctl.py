@@ -1,18 +1,18 @@
-"""Best-effort control of the BLAS backend's worker-thread pool.
+"""Control of the BLAS backend's worker-thread pool.
 
 Calibration must know how many threads a measured GEMM actually used:
 ``np.matmul`` on a large matrix dispatches to the BLAS backend's own
-pool, which defaults to every core.  Scaling a "single-thread" rate by
-the core count when the measurement was already multi-threaded double
-counts the parallelism — the bug this module exists to prevent.
+pool, which defaults to every core.  And a compiled plan's ``P_C`` is
+that pool's thread count, as MKL's is in the paper (§4.3.1).
 
-Pinning is attempted through, in order:
+Sizing is attempted through, in order:
 
-1. ``threadpoolctl`` when importable (the robust, portable path);
-2. a ``ctypes`` probe of the BLAS shared library the running process
+1. a ``ctypes`` probe of the BLAS shared library the running process
    has actually loaded (found via ``/proc/self/maps``), trying the
    known ``*_set_num_threads`` entry points of OpenBLAS (including the
-   suffixed ``scipy-openblas`` builds), BLIS and MKL;
+   suffixed ``scipy-openblas`` builds), BLIS and MKL.  The setters are
+   probed once and cached, so a set plus restore costs ~1 µs;
+2. ``threadpoolctl`` when importable (~60 µs per use);
 3. a graceful no-op: :func:`blas_threads` still runs its body but
    reports ``pinned=False`` so callers can account honestly instead of
    scaling a rate they do not understand.
@@ -27,6 +27,7 @@ import ctypes
 import logging
 import os
 import re
+import threading
 from typing import Callable, Iterator
 
 log = logging.getLogger("repro.perf")
@@ -36,8 +37,8 @@ log = logging.getLogger("repro.perf")
 _BLAS_LIB_PATTERN = re.compile(r"(/\S+(?:openblas|blis|mkl)\S*\.so\S*)", re.I)
 
 #: (setter, getter) symbol-name candidates, tried in order per library.
-#: Getters may be absent (MKL/BLIS); restoration then uses the value the
-#: caller supplies (default: ``os.cpu_count()``).
+#: Getters may be absent (MKL/BLIS); restoration then uses
+#: ``os.cpu_count()``.
 _SYMBOL_CANDIDATES: tuple[tuple[str, str | None], ...] = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
@@ -49,6 +50,10 @@ _SYMBOL_CANDIDATES: tuple[tuple[str, str | None], ...] = (
 
 #: Cached probe result: None = not probed yet; [] = nothing controllable.
 _controls: "list[tuple[Callable[[int], None], Callable[[], int] | None]] | None" = None
+
+#: Held across every :func:`blas_threads` region.  Re-entrant, so a
+#: region nested in another on one thread does not deadlock.
+_POOL_LOCK = threading.RLock()
 
 
 def _loaded_blas_paths() -> list[str]:
@@ -75,17 +80,12 @@ def _probe_ctypes_controls() -> list[
         except OSError:
             continue
         for set_name, get_name in _SYMBOL_CANDIDATES:
-            try:
-                setter = getattr(lib, set_name)
-            except AttributeError:
+            setter = getattr(lib, set_name, None)
+            if setter is None:
                 continue
-            getter = None
-            if get_name is not None:
-                try:
-                    getter = getattr(lib, get_name)
-                    getter.restype = ctypes.c_int
-                except AttributeError:
-                    getter = None
+            getter = getattr(lib, get_name, None) if get_name else None
+            if getter is not None:
+                getter.restype = ctypes.c_int
             setter.argtypes = [ctypes.c_int]
             controls.append((setter, getter))
             break  # one entry point per library is enough
@@ -105,7 +105,7 @@ def _get_controls():
 
 
 def blas_pinning_available() -> bool:
-    """Whether :func:`blas_threads` can actually pin the pool."""
+    """Whether :func:`blas_threads` can actually size the pool."""
     try:
         import threadpoolctl  # noqa: F401
 
@@ -117,38 +117,33 @@ def blas_pinning_available() -> bool:
 
 @contextlib.contextmanager
 def blas_threads(n: int) -> Iterator[bool]:
-    """Run the body with the BLAS pool limited to *n* threads, best effort.
+    """Run the body with the BLAS pool sized to *n* threads, best effort.
 
-    Yields True when a limiting mechanism took effect, False when the
+    Yields True when a sizing mechanism took effect, False when the
     body ran with whatever pool the backend chose — callers must branch
-    their accounting on this flag rather than assume success.
+    their accounting on this flag rather than assume success.  The
+    count is process-wide, so one lock is held across set, body and
+    restore: concurrent regions run one after another, and each
+    restores the count it read, on return or raise.
     """
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        threadpool_limits = None
-    if threadpool_limits is not None:
+    controls = _get_controls()
+    with _POOL_LOCK:
+        if controls:
+            previous = [getter() if getter else 0 for _setter, getter in controls]
+            for setter, _getter in controls:
+                setter(n)
+            try:
+                yield True
+            finally:
+                for (setter, _getter), before in zip(controls, previous):
+                    setter(before if before > 0 else os.cpu_count() or 1)
+            return
+        try:
+            from threadpoolctl import threadpool_limits
+        except ImportError:
+            yield False
+            return
         with threadpool_limits(limits=n, user_api="blas"):
             yield True
-        return
-    controls = _get_controls()
-    if not controls:
-        yield False
-        return
-    previous: list[int] = []
-    for setter, getter in controls:
-        before = None
-        if getter is not None:
-            try:
-                before = int(getter())
-            except (OSError, ValueError):
-                before = None
-        previous.append(before if before and before > 0 else (os.cpu_count() or 1))
-        setter(int(n))
-    try:
-        yield True
-    finally:
-        for (setter, _getter), before in zip(controls, previous):
-            setter(int(before))

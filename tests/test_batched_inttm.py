@@ -224,6 +224,12 @@ class TestBatchedEquivalence:
     def test_threaded_batched_execution(self, p_l, p_c):
         shape, mode, j = (6, 5, 4, 3), 1, 2
         x, u = _case(shape, mode, j, ROW_MAJOR, seed=12)
+        if p_l > 1 and p_c > 1:
+            # P_C sizes the process-wide BLAS pool: never under P_L.
+            with pytest.raises(PlanError):
+                default_plan(shape, mode, j, ROW_MAJOR, degree=1,
+                             loop_threads=p_l, kernel_threads=p_c)
+            return
         plan = default_plan(
             shape, mode, j, ROW_MAJOR, degree=1,
             loop_threads=p_l, kernel_threads=p_c,

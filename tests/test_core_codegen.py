@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import codegen
 from repro.core.codegen import clear_cache, compile_plan, generate_source
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.tensor.dense import DenseTensor
@@ -110,10 +111,13 @@ class TestSourceStructure:
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR, kernel="blocked")
         assert "gemm_blocked(" in generate_source(plan)
 
-    def test_threaded_kernel_emits_gemm_threaded(self):
+    def test_threaded_kernel_emits_gemm_threaded(self, monkeypatch):
+        # P_C sizes the BLAS pool around the one-shape body.
+        monkeypatch.setattr(codegen, "blas_pinning_available", lambda: True)
         plan = default_plan((9, 8, 7), 1, 3, ROW_MAJOR, kernel_threads=4)
         src = generate_source(plan)
-        assert "gemm_threaded(" in src and "threads=4" in src
+        assert "gemm_threaded(" not in src
+        assert "    with blas_threads(4):\n        np.matmul(u, x3, out=y3)" in src
 
     def test_threaded_kernel_at_one_thread_runs_the_blas_path(self):
         # P_C is the only kernel thread count: kernel="threaded" at

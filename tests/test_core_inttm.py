@@ -50,6 +50,12 @@ class TestAgainstOracle:
         shape, j, mode = (6, 5, 4, 3), 2, 1
         x = DenseTensor(rng.standard_normal(shape), ROW_MAJOR)
         u = rng.standard_normal((j, shape[mode]))
+        if p_l > 1 and p_c > 1:
+            # P_C sizes the process-wide BLAS pool: never under P_L.
+            with pytest.raises(PlanError):
+                default_plan(shape, mode, j, ROW_MAJOR, loop_threads=p_l,
+                             kernel_threads=p_c)
+            return
         plan = default_plan(
             shape, mode, j, ROW_MAJOR, loop_threads=p_l, kernel_threads=p_c
         )

@@ -1,11 +1,14 @@
 """Tests for thread allocation (the PTH rule) and the parfor substrate."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.codegen import clear_cache, compile_plan
+from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.threads import (
     DEFAULT_PTH_BYTES,
     ThreadAllocation,
@@ -13,8 +16,10 @@ from repro.core.threads import (
 )
 from repro.parallel import iter_index_space, parfor
 from repro.parallel.parfor import PARFOR_TIMEOUT_ENV
+from repro.perf import blasctl, track_hot_path
 from repro.tensor.layout import ROW_MAJOR
 from repro.testing import ttm_reference
+from repro.util.errors import PlanError
 
 
 class TestThreadAllocation:
@@ -36,10 +41,11 @@ class TestThreadAllocation:
         assert alloc.kernel_threads == 4
 
     def test_loop_iterations_cap(self):
-        # Only 2 loop iterations: surplus threads flow to the kernel.
+        # Only 2 loop iterations: the surplus idles, since P_C sizes the
+        # process-wide BLAS pool and cannot run under P_L workers.
         alloc = allocate_threads(1024, max_threads=8, loop_iterations=2)
         assert alloc.loop_threads == 2
-        assert alloc.kernel_threads == 4
+        assert alloc.kernel_threads == 1
 
     def test_single_iteration_forces_kernel_side(self):
         alloc = allocate_threads(1024, max_threads=8, loop_iterations=1)
@@ -170,8 +176,8 @@ class TestPersistentPool:
 
 
 class TestNestedPools:
-    """P_L loop workers running P_C kernels: one persistent team per
-    nesting depth, so no worker ever waits on its own pool."""
+    """A parfor inside a parfor body runs inline on the calling worker,
+    so no worker ever waits on its own pool."""
 
     @pytest.fixture(autouse=True)
     def watchdog(self, monkeypatch):
@@ -215,3 +221,126 @@ class TestNestedPools:
         np.testing.assert_allclose(
             y.data, ttm_reference(x.data, u, 2), rtol=1e-12, atol=1e-12
         )
+
+
+def _pool_count() -> int:
+    """The BLAS pool's current thread count, read through its getter."""
+    getters = [g for _s, g in blasctl._get_controls() if g is not None]
+    if not getters:
+        pytest.skip("no BLAS thread-count getter in this process")
+    return int(getters[0]())
+
+
+def _pc_plan(shape=(16, 16, 16), mode=2, j=8, p_c=2, **kwargs):
+    return default_plan(shape, mode, j, ROW_MAJOR, kernel_threads=p_c, **kwargs)
+
+
+class TestBlasPoolKernelThreads:
+    """P_C is the BLAS pool's thread count: sized around each kernel
+    call, and always restored to the count it had before."""
+
+    def test_pool_holds_n_threads_inside_and_its_count_after(self):
+        before = _pool_count()
+        with blasctl.blas_threads(3) as sized:
+            assert sized
+            assert _pool_count() == 3
+        assert _pool_count() == before
+
+    def test_count_restored_after_a_pc_call(self):
+        rng = np.random.default_rng(40)
+        x = repro.DenseTensor(rng.standard_normal((16, 16, 16)), ROW_MAJOR)
+        u = rng.standard_normal((8, 16))
+        lib = repro.InTensLi(max_threads=2)
+        assert lib.plan(x.shape, 2, 8).kernel_threads == 2
+        before = _pool_count()
+        y = lib.ttm(x, u, 2)
+        assert _pool_count() == before
+        np.testing.assert_allclose(
+            y.data, ttm_reference(x.data, u, 2), rtol=1e-12, atol=1e-12
+        )
+
+    def test_count_restored_when_the_kernel_raises(self):
+        plan = _pc_plan()
+        fn = compile_plan(plan)
+        x = np.ones(plan.shape)
+        y = np.empty(plan.out_shape)
+        wrong_u = np.ones((plan.j, plan.shape[plan.mode] + 1))
+        before = _pool_count()
+        with pytest.raises(ValueError):
+            fn(x, wrong_u, y)
+        assert _pool_count() == before
+
+    def test_count_restored_after_concurrent_pc_calls(self):
+        rng = np.random.default_rng(41)
+        # Kernels long enough that the two bodies overlap, at P_C values
+        # other than the starting count, so interleaved set/restore pairs
+        # would leave a stale count.
+        before = _pool_count()
+        p_c = [before + 1, before + 2]
+        plans = [
+            _pc_plan(shape=(64, 64, 64), p_c=p_c[0]),
+            _pc_plan(shape=(48, 64, 64), p_c=p_c[1]),
+        ]
+        start = threading.Barrier(len(plans))
+        errors = []
+
+        def run(plan):
+            try:
+                x = rng.standard_normal(plan.shape)
+                u = rng.standard_normal((plan.j, plan.shape[plan.mode]))
+                fn = compile_plan(plan)
+                y = np.empty(plan.out_shape)
+                start.wait(timeout=30)
+                for _ in range(100):
+                    fn(x, u, y)
+                np.testing.assert_allclose(
+                    y, ttm_reference(x, u, plan.mode), rtol=1e-12, atol=1e-12
+                )
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(p,), daemon=True) for p in plans
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "hung"
+        assert not errors, errors
+        assert _pool_count() == before
+
+    def test_loop_and_kernel_threads_together_are_rejected(self):
+        with pytest.raises(PlanError, match="not both"):
+            default_plan(
+                (6, 5, 4, 3), 1, 2, ROW_MAJOR, loop_threads=2, kernel_threads=2
+            )
+
+    def test_no_setter_degrades_to_one_thread(self, monkeypatch):
+        monkeypatch.setattr(blasctl, "_get_controls", lambda: [])
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        clear_cache()
+        try:
+            plan = _pc_plan(p_c=4)
+            rng = np.random.default_rng(42)
+            x = repro.DenseTensor(rng.standard_normal(plan.shape), ROW_MAJOR)
+            u = rng.standard_normal((plan.j, plan.shape[plan.mode]))
+            with track_hot_path() as counters:
+                y = ttm_inplace(x, u, plan=plan)
+                ttm_inplace(x, u, plan=plan)
+            assert counters.kernel_thread_degradations == 1  # once per plan
+            assert "blas_threads" not in compile_plan(plan).__source__
+            np.testing.assert_allclose(
+                y.data, ttm_reference(x.data, u, plan.mode),
+                rtol=1e-12, atol=1e-12,
+            )
+        finally:
+            clear_cache()
+
+    def test_kernel_blas_does_not_run_degrades_to_one_thread(self):
+        clear_cache()
+        plan = _pc_plan(p_c=2, kernel="blocked")
+        with track_hot_path() as counters:
+            fn = compile_plan(plan)
+        assert counters.kernel_thread_degradations == 1
+        assert "blas_threads" not in fn.__source__

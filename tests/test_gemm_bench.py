@@ -137,6 +137,43 @@ class TestMeasureProfile:
         )
         assert profile.thread_counts() == (1, 2)
 
+    def test_every_point_runs_on_a_pool_of_its_thread_count(self, monkeypatch):
+        # A point labelled t is timed the way a P_C = t plan runs: inside
+        # blas_threads(t), t = 1 included.
+        import contextlib
+
+        from repro.perf import blasctl
+
+        sized = []
+
+        @contextlib.contextmanager
+        def spy(n):
+            sized.append(n)
+            yield True
+
+        monkeypatch.setattr(blasctl, "blas_threads", spy)
+        measure_profile([(4, 16, 16)], threads=(1, 3), min_seconds=0.001)
+        assert sized == [1, 3]
+
+    def test_threaded_kernel_point_splits_into_its_thread_count(
+        self, monkeypatch
+    ):
+        from repro.gemm import threaded
+
+        parts = []
+        row_panels = threaded._row_panels
+
+        def spy(m, n_parts):
+            parts.append(n_parts)
+            return row_panels(m, n_parts)
+
+        monkeypatch.setattr(threaded, "_row_panels", spy)
+        profile = measure_profile(
+            [(8, 16, 16)], threads=(4,), kernel="threaded", min_seconds=0.001
+        )
+        assert profile.thread_counts() == (4,)
+        assert parts and set(parts) == {4}
+
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
             measure_profile([(0, 4, 4)], min_seconds=0.001)

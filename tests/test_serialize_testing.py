@@ -96,10 +96,13 @@ class TestPlanSerializationProperty:
         strategy = strategy_for(len(shape), mode, layout)
         available = available_modes_for_strategy(len(shape), mode, strategy)
         degree = data.draw(st.integers(0, len(available)))
+        # A legal plan threads its loops or its kernel, not both.
+        threads = data.draw(st.integers(1, 8))
+        on_loops = data.draw(st.booleans())
         plan = default_plan(
             shape, mode, j, layout, degree=degree,
-            loop_threads=data.draw(st.integers(1, 8)),
-            kernel_threads=data.draw(st.integers(1, 8)),
+            loop_threads=threads if on_loops else 1,
+            kernel_threads=1 if on_loops else threads,
             kernel=data.draw(st.sampled_from(["auto", "blas", "blocked"])),
         )
         assert plan_from_dict(plan_to_dict(plan)) == plan
