@@ -31,12 +31,13 @@ from benchmarks.common import (
     DEFAULT_J,
     ORDER_SIZE_GRID,
     matrix_for,
+    median_seconds,
     print_header,
     print_series,
     run_main,
-    time_ttm,
 )
 from repro.core.inttm import default_plan, ttm_inplace
+from repro.perf.flops import gflops_rate, ttm_flops
 from repro.perf.profiler import track_hot_path
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_tensor
@@ -59,7 +60,12 @@ QUICK_CASES = [
 
 
 def measure_pair(shape, mode, j, degree=None):
-    """(row) timing + dispatch counts for batched vs. looped execution."""
+    """(row) timing + dispatch counts for batched vs. looped execution.
+
+    Each side is the median of interleaved timing windows
+    (:func:`~benchmarks.common.median_seconds`), so the gated speedup
+    does not swing with one lucky window.
+    """
     x = random_tensor(shape, seed=sum(shape))
     u = matrix_for(shape, mode, j=j)
     batched = default_plan(shape, mode, j, x.layout, degree=degree)
@@ -69,12 +75,14 @@ def measure_pair(shape, mode, j, degree=None):
 
     ttm_inplace(x, u, plan=looped, out=out)  # warm both paths up
     ttm_inplace(x, u, plan=batched, out=out)
-    secs_l, rate_l = time_ttm(
-        lambda: ttm_inplace(x, u, plan=looped, out=out), shape, j
+    secs_l, secs_b = median_seconds(
+        [
+            lambda: ttm_inplace(x, u, plan=looped, out=out),
+            lambda: ttm_inplace(x, u, plan=batched, out=out),
+        ],
+        min_repeats=2, min_seconds=0.05,
     )
-    secs_b, rate_b = time_ttm(
-        lambda: ttm_inplace(x, u, plan=batched, out=out), shape, j
-    )
+    flops = ttm_flops(shape, j)
     with track_hot_path() as c_l:
         ttm_inplace(x, u, plan=looped, out=out)
     with track_hot_path() as c_b:
@@ -86,8 +94,8 @@ def measure_pair(shape, mode, j, degree=None):
         "batch": batched.batch_extent,
         "dispatch_looped": c_l.dispatches,
         "dispatch_batched": c_b.dispatches,
-        "gflops_looped": rate_l,
-        "gflops_batched": rate_b,
+        "gflops_looped": gflops_rate(flops, secs_l),
+        "gflops_batched": gflops_rate(flops, secs_b),
         "speedup": secs_l / secs_b if secs_b > 0 else float("inf"),
     }
 

@@ -41,7 +41,12 @@ import pytest
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.common import print_header, print_series, run_main
+from benchmarks.common import (
+    median_seconds,
+    print_header,
+    print_series,
+    run_main,
+)
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.tiling import TilingPlanner, execute_tiled, ttm_tiled
 from repro.perf.timing import Timer, time_callable
@@ -121,8 +126,11 @@ def measure_case(shape, j, mode, min_seconds=MIN_SECONDS):
     tiled()
     assert np.allclose(out_tiled.data, out_untiled.data, atol=1e-9)
 
-    secs_untiled = time_callable(untiled, min_seconds=min_seconds)
-    secs_tiled = time_callable(tiled, min_seconds=min_seconds)
+    # Medians of interleaved windows: the gated speedup column is a
+    # same-host ratio, and one window's minimum swung it 0.29-0.61x.
+    secs_untiled, secs_tiled = median_seconds(
+        [untiled, tiled], min_seconds=min_seconds
+    )
     return {
         "shape": "x".join(str(s) for s in shape),
         "mode": mode,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -104,6 +105,22 @@ def time_ttm(fn, shape, j, min_seconds=0.05, min_repeats=2) -> tuple[float, floa
     """(seconds, GFLOP/s) of a nullary TTM callable on the given geometry."""
     seconds = time_callable(fn, min_repeats=min_repeats, min_seconds=min_seconds)
     return seconds, gflops_rate(ttm_flops(shape, j), seconds)
+
+
+def median_seconds(fns, **timing) -> list[float]:
+    """Per-call seconds of each nullary callable in *fns*: a median.
+
+    Each of five rounds times every callable once, in turn, with
+    :func:`~repro.perf.timing.time_callable` (*timing* is passed on), so
+    a slow phase of a shared host hits every side.  Each side reports
+    the median of its rounds, which one lucky window cannot set, unlike
+    the minimum of one window.
+    """
+    rounds = [[] for _ in fns]
+    for _ in range(5):
+        for fn, samples in zip(fns, rounds):
+            samples.append(time_callable(fn, **timing))
+    return [statistics.median(samples) for samples in rounds]
 
 
 def matrix_for(shape, mode, j=DEFAULT_J, seed=1) -> np.ndarray:

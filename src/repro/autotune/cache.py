@@ -184,7 +184,7 @@ class PlanCache:
         :meth:`set_tenant_quota`.
 
     ``stats`` (mirrored to HotCounters) counts every :meth:`get` and
-    :meth:`count`; :meth:`lookup` hits count in HotCounters only.
+    :meth:`count`; :meth:`lookup` counts nothing.
 
     ``generation`` goes up whenever an answer may change (a pin by a
     non-``"estimator"`` :meth:`put`/:meth:`keep`, :meth:`promote`, an
@@ -342,19 +342,24 @@ class PlanCache:
             self.count("hits" if entry is not None else "misses", tenant=tenant)
             return entry
 
-    def lookup(self, key: tuple) -> TtmPlan | None:
-        """The plan under *key* (a plain tuple will do), read without a lock.
+    def lookup(
+        self,
+        shape: tuple[int, ...],
+        mode: int,
+        j: int,
+        layout: Layout,
+        threads: int,
+        dtype: str,
+    ) -> TtmPlan | None:
+        """The plan under the key of these canonical fields, or None.
 
-        A hit counts ``HotCounters.plan_cache_hits`` only; a miss counts
-        nothing, since the caller that then estimates counts it.
+        The key is the plain tuple a :class:`PlanKey` of the same fields
+        hashes and compares equal to, read without a lock.  Counts
+        nothing: the caller counts the hit, or the miss it then
+        estimates.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        counters = active_hot_counters()
-        if counters is not None:
-            counters.add("plan_cache_hits")
-        return entry.plan
+        entry = self._entries.get((shape, mode, j, layout, threads, dtype))
+        return None if entry is None else entry.plan
 
     def peek(self, key: PlanKey) -> CacheEntry | None:
         """Like :meth:`get` but without touching the hit/miss stats."""

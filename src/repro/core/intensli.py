@@ -46,10 +46,12 @@ from repro.gemm.bench import (
     measure_profile,
     synthetic_profile,
 )
+from repro.obs import counters as _counters, tracer as _tracer
 from repro.obs.tracer import active_tracer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import (
+    _NATIVE_NAMES,
     DEFAULT_DTYPE,
     canonical_dtype,
     dtype_name,
@@ -175,7 +177,7 @@ class InTensLi:
         shape_t = check_shape(shape)
         mode = check_mode(mode, len(shape_t))
         check_positive_int(j, "j")
-        tracer = active_tracer()
+        tracer = _tracer._ACTIVE
         if not tracer.enabled:
             return self._plan_impl(shape_t, mode, j, layout, dt)
         with tracer.span(
@@ -206,18 +208,23 @@ class InTensLi:
         layout: Layout,
         dt: np.dtype,
     ) -> TtmPlan:
-        key = (shape_t, mode, j, layout, self.max_threads, dtype_name(dt))
-        tracer = active_tracer()
+        key = (shape_t, mode, j, layout, self.max_threads, _NATIVE_NAMES[dt])
+        tracer = _tracer._ACTIVE
         if tracer.enabled:
             with tracer.span("cache-lookup") as span:
-                plan = self._cache.lookup(key)
+                plan = self._cache.lookup(*key)
                 span.set(hit=plan is not None)
         else:
-            plan = self._cache.lookup(key)
+            plan = self._cache.lookup(*key)
         if plan is None:
             self._cache.count("misses")
             plan = self.estimator.estimate(shape_t, mode, j, layout, dtype=dt)
             self._cache.keep(plan, self.max_threads)
+        else:
+            # A hit counts in HotCounters only (not the cache's stats).
+            counters = _counters._HOT_COUNTERS
+            if counters is not None:
+                counters.add("plan_cache_hits")
         return plan
 
     def _cached(self) -> list[TtmPlan]:
@@ -441,6 +448,24 @@ class InTensLi:
         kernel working set) instead of raising
         :class:`~repro.util.errors.ResourceError` under memory pressure.
         """
+        if (
+            out is None and not (transpose_u or check_finite)
+            and type(x) is DenseTensor and type(u) is np.ndarray
+            and u.ndim == 2 and type(mode) is int
+        ):
+            # The warm entry: the plan-cache key straight from the tensor,
+            # then the plan's checked call, which declines whenever the
+            # code below could do more than run the kernel.  A hit is
+            # counted by the code below, which runs whenever counters are.
+            data = x._data
+            plan = self._cache.lookup(
+                data.shape, mode, u.shape[0], x._layout, self.max_threads,
+                _NATIVE_NAMES.get(data.dtype),
+            )
+            if plan is not None:
+                y = plan.compiled.call(x, u)
+                if y is not None:
+                    return y
         if not isinstance(x, DenseTensor):
             x = DenseTensor(np.asarray(x))
         data = x.data
@@ -449,40 +474,21 @@ class InTensLi:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:
             u = u.T
-        tracer = active_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "ttm",
-                shape=list(data.shape),
-                mode=mode,
-                j=int(u.shape[0]),
-                layout=x.layout.name,
-                dtype=dtype_name(data.dtype),
-            ):
-                plan = self.plan(
-                    data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
-                )
-                return self.execute(
-                    plan, x, u, out=out,
-                    check_finite=check_finite, allow_replan=allow_replan,
-                )
-        # Warm path: the tensor's shape, layout and dtype are already
-        # canonical, so the plan-cache key is built straight from them.
-        mode = check_mode(mode, data.ndim)
-        plan = self._cache.lookup(
-            (
-                data.shape, mode, u.shape[0], x.layout, self.max_threads,
-                dtype_name(data.dtype),
-            )
-        )
-        if plan is None:
+        with active_tracer().span(
+            "ttm",
+            shape=list(data.shape),
+            mode=mode,
+            j=int(u.shape[0]),
+            layout=x.layout.name,
+            dtype=dtype_name(data.dtype),
+        ):
             plan = self.plan(
                 data.shape, mode, u.shape[0], x.layout, dtype=data.dtype
             )
-        return _run_plan(
-            x, u, plan, out, check_finite=check_finite,
-            allow_replan=allow_replan, reroute=self._maybe_execute_tiled,
-        )
+            return _run_plan(
+                x, u, plan, out, check_finite=check_finite,
+                allow_replan=allow_replan, reroute=self._maybe_execute_tiled,
+            )
 
     def execute(
         self,
@@ -508,7 +514,9 @@ class InTensLi:
         :func:`~repro.resilience.memory.preflight_skips` holds (a small
         in-memory call, no armed faults, no ``$REPRO_MEM_LIMIT``), the
         tiling check and the memory guard could not act and both are
-        skipped; otherwise both run.
+        skipped; otherwise both run.  With ``out=None`` the plan's
+        checked warm entry (:attr:`~repro.core.plan.CompiledPlan.call`)
+        gets the call first.
         """
         return _run_plan(
             x, u, plan, out, check_finite=check_finite,
@@ -591,7 +599,8 @@ def ttm(
     allow_replan: bool = False,
 ) -> DenseTensor:
     """Input-adaptive in-place TTM using the default :class:`InTensLi`."""
-    return default_intensli().ttm(
+    lib = _DEFAULT if _DEFAULT is not None else default_intensli()
+    return lib.ttm(
         x, u, mode, out=out,
         check_finite=check_finite, allow_replan=allow_replan,
     )

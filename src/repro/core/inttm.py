@@ -5,7 +5,10 @@ One body, ``_run_plan``, executes every plan: ``ttm_inplace`` and the
 pre-flights the memory the call needs, validates the operands once,
 then calls the plan's compiled loop nest (:attr:`TtmPlan.compiled`, from
 :func:`repro.core.codegen.compile_plan`) on copy-free views of the input
-and output storage, writing straight through the output tensor.
+and output storage, writing straight through the output tensor.  A warm
+call into a fresh output first tries the plan's checked entry
+(:func:`warm_entry`), which runs the kernel only when ``_run_plan``
+would do nothing else.
 
 Kernel failures degrade the whole call, not one loop index: a
 recoverable error reruns the call with the plan recompiled one kernel
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -35,16 +37,12 @@ from repro.core.partition import (
     component_modes_for_strategy,
     strategy_for,
 )
-from repro.core.plan import TtmPlan
-from repro.obs.tracer import active_tracer
-from repro.perf.profiler import active_hot_counters
+from repro.core.plan import CompiledPlan, TtmPlan
+from repro.obs import counters as _counters, tracer as _tracer
+from repro.resilience import faults as _faults
 from repro.resilience.fallback import fallback_tiers, recoverable
-from repro.resilience.faults import active_faults, record_degradation
-from repro.resilience.memory import (
-    MEM_LIMIT_KEY,
-    PREFLIGHT_MIN_BYTES,
-    guard_memory,
-)
+from repro.resilience.faults import record_degradation
+from repro.resilience.memory import guard_memory, preflight_skips
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
 from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, match_dtype
@@ -138,12 +136,12 @@ def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
 def _check_out(plan: TtmPlan, out) -> None:
     if not isinstance(out, DenseTensor):
         raise TypeError(f"out must be a DenseTensor, got {type(out).__name__}")
-    if out.shape != plan.out_shape or out.layout is not plan.layout:
+    if out._data.shape != plan.out_shape or out._layout is not plan.layout:
         raise PlanError(
             f"out has shape {out.shape} / {out.layout.name}, plan needs "
             f"{plan.out_shape} / {plan.layout.name}"
         )
-    if out.data.dtype != plan.np_dtype:
+    if out._data.dtype != plan.np_dtype:
         raise DtypeError(
             f"out has dtype {out.data.dtype.name}, plan needs {plan.dtype}; "
             "writing through a mismatched out would silently round every "
@@ -281,6 +279,49 @@ def ttm_inplace(
     )
 
 
+def warm_entry(plan: TtmPlan, record: CompiledPlan):
+    """*plan*'s checked warm entry, :attr:`CompiledPlan.call`.
+
+    ``call(x, u)`` does what :func:`_run_plan` does when nothing but the
+    kernel can happen: *x* an in-memory :class:`DenseTensor` of the
+    plan's shape, layout and dtype, *u* an ``np.ndarray`` of shape
+    ``(J, I_n)`` in that dtype, no tracer or hot counters, and
+    :func:`~repro.resilience.memory.preflight_skips` true of *record*'s
+    footprint.  Otherwise it returns None and :func:`_run_plan` goes on,
+    so every typed error, guard, span and counter comes from one body.
+    The entry runs *record*'s ``fn``, so a record made with
+    ``_replace(fn=...)`` needs an entry of its own.
+    """
+    fn, empty_args, out_strides = record.fn, record.empty_args, record.out_strides
+    footprint = record.footprint
+    shape, layout, dtype = plan.shape, plan.layout, plan.np_dtype
+    u_shape = (plan.j, plan.i_n)
+
+    def call(x, u):
+        if type(x) is not DenseTensor or type(u) is not np.ndarray:
+            return None
+        data = x._data
+        if not (
+            data.shape == shape
+            and x._layout is layout
+            and data.dtype == dtype
+            and u.shape == u_shape
+            and u.dtype == dtype
+            and not _tracer._ACTIVE.enabled
+            and _counters._HOT_COUNTERS is None
+            and preflight_skips(footprint, x._inmem)
+        ):
+            return None
+        target = np.empty(*empty_args)
+        try:
+            fn(data, u, target)
+        except Exception as exc:
+            _degrade(plan, data, u, target, exc, None, _tracer._ACTIVE)
+        return DenseTensor._wrap(target, layout, out_strides, fresh=True)
+
+    return call
+
+
 def _run_plan(
     x: DenseTensor,
     u,
@@ -295,32 +336,33 @@ def _run_plan(
     """Pre-flight, validate, allocate and run *plan*: the executor's body.
 
     Every entry point runs here: :meth:`~repro.core.intensli.InTensLi
-    .ttm` straight from its plan-cache hit, :meth:`~repro.core.intensli
-    .InTensLi.execute` and :func:`ttm_inplace`.  What the plan fixes is
-    read from :attr:`TtmPlan.compiled`; what a call can change is checked
-    on every call.
+    .ttm` after its plan-cache hit, :meth:`~repro.core.intensli.InTensLi
+    .execute` and :func:`ttm_inplace`.  What the plan fixes is read from
+    :attr:`TtmPlan.compiled`; what a call can change is checked on every
+    call.  A call into a fresh output without ``check_finite`` first
+    goes to the plan's checked entry (:func:`warm_entry`), which runs
+    the kernel and returns when nothing else could happen.
 
     The pre-flight is the test :func:`~repro.resilience.memory
-    .preflight_skips` states: an in-memory input, a footprint below
+    .preflight_skips` (an in-memory input, a footprint below
     :data:`~repro.resilience.memory.PREFLIGHT_MIN_BYTES`, no armed fault
-    injector and no ``$REPRO_MEM_LIMIT``, the last two re-read on every
-    call.  When it holds, *reroute* and :func:`guard_memory` would both
-    admit the plan unchanged without a probe, so both are skipped.
+    injector and no ``$REPRO_MEM_LIMIT``).  When it holds, *reroute* and
+    :func:`guard_memory` would both admit the plan unchanged without a
+    probe, so both are skipped.
     Otherwise *reroute* (the facade's tiling check, called as
     ``reroute(plan, x, u, out, check_finite)``) gets the call first and
     its non-None result is returned as is, then the guard runs after
     validation.
     """
     compiled = plan.compiled
+    if out is None and not check_finite:
+        y = compiled.call(x, u)
+        if y is not None:
+            return y
     allocate_out = out is None or accumulate
-    faults = active_faults()
-    skip = (
-        faults is None
-        and isinstance(x, DenseTensor)
-        and x._inmem
-        and (compiled.footprint if allocate_out else compiled.footprint_in_place)
-        < PREFLIGHT_MIN_BYTES
-        and MEM_LIMIT_KEY not in os.environ._data
+    skip = preflight_skips(
+        compiled.footprint if allocate_out else compiled.footprint_in_place,
+        isinstance(x, DenseTensor) and x._inmem,
     )
     if not skip and reroute is not None:
         y = reroute(plan, x, u, out, check_finite)
@@ -368,7 +410,8 @@ def _run_plan(
         compiled = plan.compiled
     target = np.empty(*compiled.empty_args) if allocate_out else out._data
 
-    tracer = active_tracer()
+    faults = _faults._ACTIVE
+    tracer = _tracer._ACTIVE
     if tracer.enabled:
         with tracer.span(
             "execute",
@@ -383,16 +426,9 @@ def _run_plan(
             flops=plan.total_flops,
         ):
             ran = _run_tiers(plan, data, u, target, faults, tracer)
-    elif faults is None:
-        # The warm path: one direct kernel call, degrading only on a raise.
-        try:
-            compiled.fn(data, u, target)
-            ran = plan
-        except Exception as exc:
-            ran = _degrade(plan, data, u, target, exc, None, tracer)
     else:
         ran = _run_tiers(plan, data, u, target, faults, tracer)
-    counters = active_hot_counters()
+    counters = _counters._HOT_COUNTERS
     if counters is not None:
         # DispatchCounts' fields are hot-counter names.
         counts = ran.compiled.counts
@@ -400,7 +436,9 @@ def _run_plan(
             counters.add(name, n)
 
     if out is None:
-        y = DenseTensor._wrap(target, plan.layout, compiled.out_strides)
+        y = DenseTensor._wrap(
+            target, plan.layout, compiled.out_strides, fresh=True
+        )
     else:
         y = out
         if accumulate:

@@ -66,6 +66,10 @@ class CompiledPlan(NamedTuple):
     #: executor allocates the output, and when the caller passed it.
     footprint: int
     footprint_in_place: int
+    #: The checked warm entry, ``call(x, u) -> DenseTensor | None``
+    #: (:func:`repro.core.inttm.warm_entry`), set on every record
+    #: :attr:`TtmPlan.compiled` builds.
+    call: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -331,13 +335,15 @@ class TtmPlan:
         Built on the first execution of this plan instance and kept, so
         a warm call neither hashes the plan to find its kernel nor
         recomputes the output's allocation arguments or the footprints
-        its memory pre-flight compares against.
+        its memory pre-flight compares against.  Its ``call`` runs all
+        of that as one checked call.
         """
-        # Imported here: codegen imports this module.
+        # Imported here: codegen and inttm import this module.
         from repro.core.codegen import compile_plan
+        from repro.core.inttm import warm_entry
 
         fn = compile_plan(self)
-        return CompiledPlan(
+        record = CompiledPlan(
             fn=fn,
             counts=fn.counts,
             empty_args=(
@@ -347,6 +353,7 @@ class TtmPlan:
             footprint=plan_footprint_bytes(self, allocate_out=True),
             footprint_in_place=plan_footprint_bytes(self, allocate_out=False),
         )
+        return record._replace(call=warm_entry(self, record))
 
     @property
     def kernel_flops(self) -> int:

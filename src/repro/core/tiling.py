@@ -434,9 +434,9 @@ def tiling_opportunity(
     cap and no armed faults skip the probe entirely.  Out-of-core
     operands always probe — that is what the flag is for.
     """
-    if preflight_skips(plan, x_inmem=x_inmem, allocate_out=not out_given):
-        return None
     need = plan_footprint_bytes(plan, allocate_out=not out_given)
+    if preflight_skips(need, x_inmem):
+        return None
     budget = available_bytes()
     if budget is None or need <= budget:
         return None

@@ -22,10 +22,10 @@ containers, tests), else ``MemAvailable`` in ``/proc/meminfo``, else the
 guard stands down (None).  Small calls skip the probe entirely: below
 :data:`PREFLIGHT_MIN_BYTES` a failure is implausible and the hot path
 should not pay a file read per TTM.  :func:`preflight_skips` states that
-condition once for the tiling check and the guard, so a caller about to
-run both can skip the pair when neither could act; the executor makes
-the same test inline from the footprints its plan caches
-(:attr:`~repro.core.plan.TtmPlan.compiled`).
+condition once, for the tiling check, the guard, the executor and each
+plan's warm entry (the last two pass the footprints their plan caches,
+:attr:`~repro.core.plan.TtmPlan.compiled`), so a caller about to run
+the tiling check and the guard can skip the pair when neither could act.
 
 Budget read policy
 ------------------
@@ -51,7 +51,8 @@ import logging
 import os
 import threading
 
-from repro.resilience.faults import active_faults, record_degradation
+from repro.resilience import faults as _faults
+from repro.resilience.faults import record_degradation
 from repro.util.errors import ResourceError
 
 log = logging.getLogger("repro.resilience")
@@ -113,7 +114,7 @@ def available_bytes() -> int | None:
     to exercise the pressure paths without actually exhausting a test
     machine.
     """
-    faults = active_faults()
+    faults = _faults._ACTIVE
     if faults is not None and faults.check("alloc-fail"):
         return 0
     pinned = getattr(_pin_state, "budget", _UNPINNED)
@@ -148,27 +149,22 @@ def plan_footprint_bytes(plan, *, allocate_out: bool = True) -> int:
     return out_bytes + plan.kernel_working_set_bytes * in_flight
 
 
-def preflight_skips(
-    plan, *, x_inmem: bool = True, allocate_out: bool = True
-) -> bool:
-    """True when no pre-flight of this call can do anything but admit it.
+def preflight_skips(footprint: int, x_inmem: bool = True) -> bool:
+    """True when no pre-flight of a call can do anything but admit it.
 
-    That is an in-memory input whose footprint is below
-    :data:`PREFLIGHT_MIN_BYTES`, with no armed fault injector (its
-    ``alloc-fail`` checkpoint lives in the probe) and no explicit
-    ``$REPRO_MEM_LIMIT`` cap, both re-read at every call.  The tiling
-    check and :func:`guard_memory` begin with this test and stand down
-    without a probe when it holds, so a caller that gets True may skip
-    both and provably run the same plan.  Out-of-core inputs never
-    skip: the tiling check probes them.  The executor
-    (``repro.core.inttm._run_plan``) inlines this test; keep the two
-    alike.
+    That is an in-memory input whose *footprint* (the call's
+    :func:`plan_footprint_bytes`) is below :data:`PREFLIGHT_MIN_BYTES`,
+    with no armed fault injector (its ``alloc-fail`` checkpoint lives in
+    the probe) and no explicit ``$REPRO_MEM_LIMIT`` cap, both re-read at
+    every call.  The tiling check and :func:`guard_memory` begin with
+    this test and stand down without a probe when it holds, so a caller
+    that gets True may skip both and provably run the same plan.
+    Out-of-core inputs never skip: the tiling check probes them.
     """
     return (
         x_inmem
-        and plan_footprint_bytes(plan, allocate_out=allocate_out)
-        < PREFLIGHT_MIN_BYTES
-        and active_faults() is None
+        and footprint < PREFLIGHT_MIN_BYTES
+        and _faults._ACTIVE is None
         and MEM_LIMIT_KEY not in os.environ._data
     )
 
@@ -181,9 +177,9 @@ def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False)
     ``allow_replan`` and one fits, otherwise raises
     :class:`ResourceError` before anything was allocated.
     """
-    if preflight_skips(plan, allocate_out=allocate_out):
-        return plan
     need = plan_footprint_bytes(plan, allocate_out=allocate_out)
+    if preflight_skips(need):
+        return plan
     avail = available_bytes()
     if avail is None or need <= avail:
         return plan

@@ -143,26 +143,28 @@ class DenseTensor:
         data: np.ndarray,
         layout: Layout,
         strides: tuple[int, ...] | None = None,
+        fresh: bool = False,
     ) -> "DenseTensor":
         """Wrap *data* without re-validating (internal hot paths only).
 
         The caller guarantees *data* is already contiguous in *layout*
         order with a supported native dtype — e.g. a slice it just
         allocated — and may pass its element *strides* when it already
-        knows them (a plan's ``out_strides``).  The one exception is the
+        knows them (a plan's ``out_strides``); otherwise they are derived
+        on first read of :attr:`strides`.  The one exception is the
         tiling layer's strided tile view, wrapped with its own strides
         only after :func:`repro.core.tiling.runs_in_place` showed that
-        its plan reads and writes it without a copy.  Skips the ``__init__``
-        checks, which dominate the cost of constructing many small
-        tensors (TTM outputs, tiles).
+        its plan reads and writes it without a copy.  ``fresh=True``
+        says *data* was just allocated in RAM (``np.empty``), so it is
+        not walked for a memmap base.  Skips the ``__init__`` checks,
+        which dominate the cost of constructing many small tensors (TTM
+        outputs, tiles).
         """
         self = object.__new__(cls)
         self._data = data
         self._layout = layout
-        self._strides = (
-            element_strides(data.shape, layout) if strides is None else strides
-        )
-        self._inmem = not _memmap_backed(data)
+        self._strides = strides
+        self._inmem = fresh or not _memmap_backed(data)
         return self
 
     @classmethod
@@ -190,7 +192,7 @@ class DenseTensor:
         layout = Layout.parse(layout)
         dt = DEFAULT_DTYPE if dtype is None else canonical_dtype(dtype)
         return cls._wrap(
-            np.empty(tuple(shape), dtype=dt, order=layout.numpy_order), layout
+            np.empty(tuple(shape), dt, layout.numpy_order), layout, fresh=True
         )
 
     @classmethod
@@ -335,7 +337,12 @@ class DenseTensor:
     @property
     def strides(self) -> tuple[int, ...]:
         """Element strides of each mode under the declared layout."""
-        return self._strides
+        strides = self._strides
+        if strides is None:
+            strides = self._strides = element_strides(
+                self._data.shape, self._layout
+            )
+        return strides
 
     @property
     def is_inmem(self) -> bool:

@@ -40,7 +40,7 @@ class Layout(enum.Enum):
     @property
     def numpy_order(self) -> str:
         """The NumPy ``order=`` character for this layout."""
-        return self.value
+        return self._value_
 
     @classmethod
     def parse(cls, value: "Layout | str") -> "Layout":

@@ -26,15 +26,15 @@ SUPPORTED_DTYPES: tuple[str, ...] = ("float16", "float32", "float64")
 DEFAULT_DTYPE = np.dtype(np.float64)
 
 
-#: Each supported dtype in native byte order, keyed by itself and by its
-#: name: the dict hit answers the common case without NumPy's
-#: Python-level ``.name`` getter (~5 us a read, and every TTM used to pay
-#: it several times).  A key can only match an equal dtype, so a hit is
-#: always the right answer.
+#: Each supported dtype in native byte order, keyed by itself, its name
+#: and its scalar type (``np.float32``): the dict hit answers the common
+#: case without NumPy's Python-level ``.name`` getter (~5 us a read, and
+#: every TTM used to pay it several times).  A key can only match an
+#: equal dtype, so a hit is always the right answer.
 _NATIVE: dict = {
     key: np.dtype(name)
     for name in SUPPORTED_DTYPES
-    for key in (name, np.dtype(name))
+    for key in (name, np.dtype(name), np.dtype(name).type)
 }
 _NATIVE_NAMES: dict = {key: dt.name for key, dt in _NATIVE.items()}
 

@@ -42,6 +42,12 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     :class:`TypeError` instead of being truncated — and non-negative
     (:class:`ShapeError`).
     """
+    if type(shape) is tuple:
+        for extent in shape:
+            if type(extent) is not int or extent < 0:
+                break
+        else:
+            return shape
     extents = []
     for extent in shape:
         if isinstance(extent, bool):

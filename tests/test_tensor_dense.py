@@ -37,6 +37,20 @@ class TestConstruction:
         assert e.shape == (2, 2)
         assert e.data.flags["F_CONTIGUOUS"]
 
+    @pytest.mark.parametrize("dtype", [None, "float32", np.float32, np.dtype("float16")])
+    @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+    def test_empty_is_in_memory_with_its_layouts_strides(self, layout, dtype):
+        e = DenseTensor.empty((2, 3, 4), layout, dtype=dtype)
+        want = np.dtype("float64" if dtype is None else dtype)
+        assert e.dtype == want and e.is_inmem and e.layout is layout
+        assert e.strides == tuple(s // want.itemsize for s in e.data.strides)
+
+    def test_wrap_derives_strides_only_when_read(self):
+        arr = np.empty((2, 3, 4), order="F")
+        t = DenseTensor._wrap(arr, COL_MAJOR, fresh=True)
+        assert t.is_inmem and t.data is arr
+        assert t.strides == (1, 2, 6)
+
     def test_random_is_deterministic_per_seed(self):
         a = DenseTensor.random((3, 3), seed=42)
         b = DenseTensor.random((3, 3), seed=42)

@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(ShapeError):
             check_shape((4, -1))
 
+    def test_check_shape_gives_python_ints_and_rejects_bools(self):
+        assert check_shape((4, 0, 2)) == (4, 0, 2)
+        assert all(type(s) is int for s in check_shape((np.int64(4), 2)))
+        with pytest.raises(TypeError):
+            check_shape((4, True))
+        with pytest.raises(ShapeError):
+            check_shape([4, -1])
+
     def test_check_probability(self):
         assert check_probability(0.5, "p") == 0.5
         with pytest.raises(ValueError):
