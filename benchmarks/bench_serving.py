@@ -2,15 +2,16 @@
 
 A served request runs the same in-place ``InTensLi.execute`` call a
 direct ``repro.ttm`` call does, so the server's cost is everything
-around that call: admission, queueing, grouping, the hop to a worker
-thread and back.  This harness replays one deterministic trace through
-a ``TtmServer`` with the default ``ServeConfig`` and then runs the same
-trace serially through ``repro.ttm`` in one thread; both sides
+around that call: admission, queueing, grouping, its share of the
+micro-batch's hop to a worker thread and back.  This harness replays
+one deterministic trace through a ``TtmServer`` with the default
+``ServeConfig`` and then runs the same trace serially through
+``repro.ttm`` in one thread; both sides
 materialize every request's operands inside their clock.  It reports
 the served p99 latency and sustained GFLOP/s, the serial GFLOP/s, and
 ``speedup`` = serial wall / served wall (below 1 when serving costs
 more than calling directly), plus the cache hit rate and the largest
-signature group one hop carried.  The ``serving_quick`` series feeds
+signature group that ran under one plan.  The ``serving_quick`` series feeds
 the regression gate (``benchmarks/check_regression.py``): its
 ``speedup`` column is ratio-gated and its ``p99 (ms)`` / ``GF/s``
 columns are absolute-gated against the committed baseline.

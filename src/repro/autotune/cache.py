@@ -387,13 +387,17 @@ class PlanCache:
         return entry
 
     def keep(
-        self, plan: TtmPlan, threads: int, source: str = "estimator"
+        self,
+        plan: TtmPlan,
+        threads: int,
+        source: str = "estimator",
+        tenant: str | None = None,
     ) -> CacheEntry:
         """:meth:`put` *plan* under its own signature at *threads*."""
         key = PlanKey.make(
             plan.shape, plan.mode, plan.j, plan.layout, threads, plan.dtype
         )
-        return self.put(key, plan, source)
+        return self.put(key, plan, source, tenant=tenant)
 
     def _charge_tenant_insert(self, key: PlanKey, tenant: str) -> None:
         """Record *tenant* inserting *key*, evicting over quota (locked)."""

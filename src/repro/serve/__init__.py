@@ -3,8 +3,8 @@
 The library below this package is single-caller: one thread plans and
 executes one TTM at a time.  This package turns it into a serving
 engine: an asyncio front-end (:class:`TtmServer`) that admits requests
-from many tenants, groups requests with the same dispatch signature so
-each group costs one plan lookup and one hop to a worker thread, runs
+from many tenants, groups requests by dispatch signature (one plan
+lookup per group, one hop to a worker thread per micro-batch), runs
 every request through the in-place, memory-guarded
 ``InTensLi.execute`` path (lower-degree replans under memory
 pressure), shares one :class:`repro.autotune.PlanCache` across tenants

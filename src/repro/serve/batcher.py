@@ -2,8 +2,8 @@
 
 Every request whose input signature — shape, mode, J, layout, dtype —
 matches runs under the same plan, so a group of B such requests costs
-one plan lookup and one hop from the event loop to a worker thread
-instead of B.  Each request in the group still runs its own in-place
+one plan lookup instead of B, and a micro-batch's groups share one hop
+to a worker thread.  Each request in the group still runs its own in-place
 kernel on its own operands: staging B unfoldings into one batched
 multiply would copy every X, which is the matricization the in-place
 TTM exists to avoid, and it measured slower than per-request dispatch.
@@ -44,27 +44,27 @@ class FleetSignature:
         return f"{dims}|m{self.mode}|J{self.j}|{self.layout.name}|{self.dtype}"
 
 
-def signature_of(request) -> FleetSignature:
-    """The :class:`FleetSignature` of one admitted request."""
-    x = request.x
-    return FleetSignature(
-        shape=x.shape,
-        mode=request.mode,
-        j=request.u.shape[0],
-        layout=x.layout,
-        dtype=dtype_name(x.data.dtype),
-    )
-
-
 def coalesce(requests: Sequence) -> list[tuple[FleetSignature, list]]:
     """Group requests by signature, preserving arrival order.
 
     Returns ``(signature, requests)`` pairs ordered by each group's
     first arrival, so a burst of heterogeneous traffic dispatches its
-    oldest work first.
+    oldest work first.  One signature object is built per group.
     """
-    groups: dict[FleetSignature, list] = {}
+    groups: dict[tuple, list] = {}
     for request in requests:
-        groups.setdefault(signature_of(request), []).append(request)
-    return list(groups.items())
+        x = request.x
+        key = (
+            x.shape,
+            request.mode,
+            request.u.shape[0],
+            x.layout,
+            dtype_name(x.data.dtype),
+        )
+        groups.setdefault(key, []).append(request)
+    return [(FleetSignature(*key), group) for key, group in groups.items()]
 
+
+def signature_of(request) -> FleetSignature:
+    """The :class:`FleetSignature` of one admitted request."""
+    return coalesce([request])[0][0]

@@ -3,9 +3,9 @@
 A :class:`TtmRequest` is one tenant's TTM call frozen at admission time:
 operands, product mode, and the absolute deadline its latency budget
 implies.  Requests that agree on geometry, layout, and dtype share a
-:class:`~repro.serve.batcher.FleetSignature`, and so one plan and one
-hop to a worker thread; everything the batcher needs to group them is
-derivable from this record alone.
+:class:`~repro.serve.batcher.FleetSignature`, and so one plan;
+everything the batcher needs to group them is derivable from this
+record alone.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class TtmRequest:
 class RequestResult:
     """A completed request's product plus its serving telemetry.
 
-    ``batch_size`` is the number of requests dispatched in the same
-    executor hop (the request's signature group).  ``batched`` is always
+    ``batch_size`` is the size of the request's signature group (one
+    executor hop may carry several groups).  ``batched`` is always
     False: every request runs its own in-place kernel.
     """
 

@@ -3,26 +3,26 @@
 :class:`TtmServer` is the front-end the ROADMAP's "heavy traffic" north
 star asks for.  One dispatcher coroutine drains an internal queue in
 micro-batches (a bounded *batch window*), groups the requests by
-dispatch signature, and hands each group to a thread pool in one hop,
-where every request runs the in-place ``InTensLi.execute`` path under
-the group's shared plan.  Nothing is staged or copied into an
-unfolding: a served request costs what a direct call costs, plus the
-hop.
+dispatch signature, and hands the micro-batch to a thread pool in one
+hop, where the worker runs the groups back to back, every request on
+the in-place ``InTensLi.execute`` path under its group's shared plan.
+Nothing is staged or copied into an unfolding: a served request costs
+what a direct call costs, plus its share of the hop.
 
 The pool has one worker by default: a serving-sized TTM holds the GIL
 for most of its call, so a second worker mostly contends for it.  Raise
 ``ServeConfig.workers`` for products large enough that their kernels
-release the GIL.
+release the GIL; a micro-batch then makes a hop per worker.
 
 The degradation ladder, in order of preference (DESIGN.md §12):
 
 1. **Guarded per-request execution** — every request runs through
    ``InTensLi.execute(..., allow_replan=True)``, where the memory guard
    may degrade the call to a lower-degree plan (or tile it) when the
-   budget is tight, and a typed error fails only its own request.
+   budget is tight, and an error fails only its own request.
 2. **Load shedding** — admission control refuses work at the door, and
-   queued requests whose deadline lapses before dispatch (or whose
-   group trips the serving watchdog) resolve with a typed
+   queued requests whose deadline lapses before their group runs (or
+   whose group has not finished when the serving watchdog trips) resolve with a typed
    :class:`~repro.util.errors.OverloadError` instead of waiting
    forever.  A shed request never returns a wrong tensor.
 
@@ -32,9 +32,9 @@ quotas, so one tenant's warm signatures speed up every other tenant that
 sends the same shapes while no tenant can monopolize the cache.
 
 Memory-budget policy: plans are cached per signature but memory
-*verdicts* are not — each group execution snapshots the budget once via
-:func:`repro.resilience.memory.pinned_budget` and every guard probe in
-that group reads that one number.  Flipping ``$REPRO_MEM_LIMIT``
+*verdicts* are not — each group's run on the worker snapshots the budget
+once via :func:`repro.resilience.memory.pinned_budget` and every guard
+probe in that group reads that one number.  Flipping ``$REPRO_MEM_LIMIT``
 therefore takes effect at the next group boundary, never mid-group.
 """
 
@@ -43,13 +43,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.autotune.cache import PlanCache, PlanKey
+from repro.autotune.cache import PlanCache
 from repro.core.intensli import InTensLi
 from repro.obs.counters import Counters
 from repro.obs.tracer import ROOT, active_tracer
@@ -60,7 +58,7 @@ from repro.serve.batcher import FleetSignature, coalesce
 from repro.serve.request import RequestResult, TtmRequest
 from repro.tensor.dense import DenseTensor
 from repro.util.dtypes import match_dtype
-from repro.util.errors import OverloadError, ReproError, ShapeError
+from repro.util.errors import OverloadError, ShapeError
 from repro.util.validation import check_mode, check_positive_int
 
 log = logging.getLogger("repro.serve")
@@ -75,10 +73,10 @@ class ServeConfig:
     ``max_batch``/``batch_window_s`` bound the micro-batching: the
     dispatcher collects at most *max_batch* requests or waits at most
     *batch_window_s* after the first arrival, whichever comes first.
-    ``workers`` sizes the thread pool groups run on (see the module
-    docstring for why one is the default).  ``watchdog_s`` bounds how
-    long the dispatcher waits on one group's execution before shedding
-    its requests; None disables the watchdog.  ``tenant_cache_quota``,
+    ``workers`` sizes the thread pool micro-batches run on (see the
+    module docstring for why one is the default).  ``watchdog_s`` bounds
+    how long the dispatcher waits on a micro-batch's hops before shedding
+    its unfinished groups; None disables the watchdog.  ``tenant_cache_quota``,
     when set, is the default per-tenant entry quota of the plan cache
     the server bills.
 
@@ -126,8 +124,8 @@ class ServerStats(Counters):
 
     Completions, failures and sheds carry a ``tenant`` label, which
     yields the ``per_tenant`` rows of :meth:`as_dict`.  ``batches``
-    counts executor hops (one per signature group) and ``max_batch``
-    the largest group one hop carried; every request that ran is
+    counts the signature groups that ran (one hop may carry several) and
+    ``max_batch`` the largest of them; every request that ran is
     ``unbatched_requests``, since none is staged into a batched
     multiply.  ``batched_requests`` and ``batch_fallbacks`` stay
     declared for report readers and are always 0.
@@ -208,7 +206,7 @@ class TtmServer:
         self._queue: asyncio.Queue | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._group_tasks: set[asyncio.Task] = set()
+        self._batches: set[asyncio.Task] = set()
         self._next_id = 0
         self._running = False
 
@@ -239,8 +237,7 @@ class TtmServer:
         await self._queue.put(_STOP)
         if self._dispatcher is not None:
             await self._dispatcher
-        if self._group_tasks:
-            await asyncio.gather(*self._group_tasks, return_exceptions=True)
+        await asyncio.gather(*self._batches, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
         self._queue = None
@@ -270,7 +267,7 @@ class TtmServer:
         if not self._running or self._queue is None:
             raise OverloadError("server is not running", reason="lifecycle")
         if not isinstance(x, DenseTensor):
-            x = DenseTensor(np.asarray(x))
+            x = DenseTensor(x)
         u = match_dtype(u, x.data.dtype)
         if u.ndim != 2:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
@@ -311,7 +308,7 @@ class TtmServer:
         )
         self.stats.add("submitted")
         try:
-            await self._queue.put(request)
+            self._queue.put_nowait(request)
             return await request.future
         finally:
             self.admission.release(tenant)
@@ -334,10 +331,9 @@ class TtmServer:
             ):
                 await asyncio.sleep(self.config.batch_window_s)
                 stopping = self._drain_into(batch)
-            for sig, group in coalesce(batch):
-                task = asyncio.create_task(self._run_group(sig, group))
-                self._group_tasks.add(task)
-                task.add_done_callback(self._group_tasks.discard)
+            task = asyncio.create_task(self._run_batch(coalesce(batch)))
+            self._batches.add(task)
+            task.add_done_callback(self._batches.discard)
 
     def _drain_into(self, batch: list) -> bool:
         """Move queued requests into *batch* (no await); True on _STOP."""
@@ -352,76 +348,79 @@ class TtmServer:
             batch.append(item)
         return False
 
-    async def _run_group(self, sig: FleetSignature, group: list) -> None:
+    async def _run_batch(self, groups: list) -> None:
+        """Drop expired requests and plan each group, run the live groups
+        on ``min(workers, groups)`` executor hops that pull them from one
+        shared deque, then resolve them all in one pass.  When the
+        watchdog trips, only the groups that have not finished shed."""
         now = time.perf_counter()
-        live: list[TtmRequest] = []
-        for request in group:
-            if request.expired(now):
-                self._shed(request, "deadline")
-            else:
-                live.append(request)
-        if not live:
+        work = []
+        for sig, group in groups:
+            live = []
+            for request in group:
+                if request.expired(now):
+                    self._shed(request, "deadline")
+                else:
+                    live.append(request)
+            if live:
+                work.append((sig, live, self._plan_for(sig, live)))
+        if not work:
             return
-        plan = self._plan_for(sig, live)
-        work = asyncio.get_running_loop().run_in_executor(
-            self._pool, self._execute_group, sig, live, plan, now
-        )
-        try:
-            if self.config.watchdog_s is not None:
-                results = await asyncio.wait_for(
-                    work, timeout=self.config.watchdog_s
-                )
-            else:
-                results = await work
-        except asyncio.TimeoutError:
-            # The worker thread cannot be killed, but its waiters can be
-            # released: every request in the group sheds now, and the
-            # eventual result (if any) is discarded.
-            log.warning(
-                "serving watchdog (%.3gs) tripped on batch %s x%d; "
-                "shedding its requests",
-                self.config.watchdog_s,
-                sig.describe(),
-                len(live),
-            )
-            for request in live:
-                self._shed(request, "watchdog")
-            return
+        todo = deque(range(len(work)))
+        results = [None] * len(work)  # filled in by the workers
+        run = asyncio.get_running_loop().run_in_executor
+        hops = [
+            run(self._pool, self._execute_batch, work, todo, results, now)
+            for _ in range(min(self.config.workers, len(work)))
+        ]
+        await asyncio.wait(hops, timeout=self.config.watchdog_s)
+        # The worker threads cannot be killed, but their waiters can be
+        # released: withdraw the groups not yet taken, then read what
+        # finished.  A group that finishes later is discarded.
+        todo.clear()
+        results = list(results)
         end = time.perf_counter()
-        # Every request in the group has the signature's shape and J.
-        flops = ttm_flops(sig.shape, sig.j)
-        completed = 0
-        for request, outcome in zip(live, results):
-            if isinstance(outcome, OverloadError):
-                # Worker-side deadline shed: the request expired while
-                # queued behind slow work in the thread pool.
-                self.stats.add(
-                    SHED_COUNTERS.get(outcome.reason, outcome.reason),
-                    tenant=request.tenant,
+        for (sig, live, _), outcomes in zip(work, results):
+            if outcomes is None:
+                # Only a hop past the watchdog leaves a group unfinished.
+                log.warning(
+                    "serving watchdog (%.3gs) tripped on batch %s x%d; "
+                    "shedding its requests",
+                    self.config.watchdog_s,
+                    sig.describe(),
+                    len(live),
                 )
-                if not request.future.done():
-                    request.future.set_exception(outcome)
+                for request in live:
+                    self._shed(request, "watchdog")
                 continue
-            if isinstance(outcome, BaseException):
-                self.stats.add("failed", tenant=request.tenant)
-                if not request.future.done():
-                    request.future.set_exception(outcome)
-                continue
-            result = RequestResult(
-                request_id=request.request_id,
-                tenant=request.tenant,
-                y=outcome,
-                latency_s=end - request.arrival_s,
-                queue_s=now - request.arrival_s,
-                batch_size=len(live),
-                batched=False,
-                flops=flops,
-            )
-            self.stats.add("completed", tenant=request.tenant)
-            completed += 1
-            if not request.future.done():
-                request.future.set_result(result)
-        self.stats.add("completed_flops", flops * completed)
+            # Every request in a group has the signature's shape and J.
+            flops = ttm_flops(sig.shape, sig.j)
+            completed = Counter()
+            for request, y in zip(live, outcomes):
+                if y is None:
+                    self._shed(request, "deadline")
+                elif isinstance(y, BaseException):
+                    self.stats.add("failed", tenant=request.tenant)
+                    if not request.future.done():
+                        request.future.set_exception(y)
+                else:
+                    completed[request.tenant] += 1
+                    if not request.future.done():
+                        request.future.set_result(
+                            RequestResult(
+                                request_id=request.request_id,
+                                tenant=request.tenant,
+                                y=y,
+                                latency_s=end - request.arrival_s,
+                                queue_s=now - request.arrival_s,
+                                batch_size=len(live),
+                                batched=False,
+                                flops=flops,
+                            )
+                        )
+            for tenant, n in completed.items():
+                self.stats.add("completed", n, tenant=tenant)
+            self.stats.add("completed_flops", flops * completed.total())
 
     def _shed(self, request: TtmRequest, reason: str) -> None:
         self.stats.add(SHED_COUNTERS.get(reason, reason), tenant=request.tenant)
@@ -445,28 +444,35 @@ class TtmServer:
         estimator plans once and the entry is charged to the first
         request's tenant, against that tenant's quota.
         """
-        key = PlanKey.make(
-            sig.shape,
-            sig.mode,
-            sig.j,
-            sig.layout,
-            self._lib.max_threads,
-            sig.dtype,
-        )
         cache = self.plan_cache
-        entry = cache.peek(key)
-        event = "hits" if entry is not None else "misses"
+        threads = self._lib.max_threads
+        plan = cache.lookup(
+            sig.shape, sig.mode, sig.j, sig.layout, threads, sig.dtype
+        )
+        event = "hits" if plan is not None else "misses"
         for tenant, n in Counter(r.tenant for r in requests).items():
             cache.count(event, n, tenant=tenant)
-        if entry is not None:
-            return entry.plan
+        if plan is not None:
+            return plan
         plan = self._lib.estimator.estimate(
             sig.shape, sig.mode, sig.j, sig.layout, dtype=sig.dtype
         )
-        cache.put(key, plan, tenant=requests[0].tenant)
+        cache.keep(plan, threads, tenant=requests[0].tenant)
         return plan
 
     # -- execution (worker threads) -------------------------------------------
+
+    def _execute_batch(self, work, todo, results, dispatched_s) -> None:
+        """Run the ``(signature, requests, plan)`` groups of *work* whose
+        indices this hop pops from *todo*, each one's outcomes into
+        *results* (deque pops and list stores are atomic)."""
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            sig, requests, plan = work[i]
+            results[i] = self._execute_group(sig, requests, plan, dispatched_s)
 
     def _execute_group(self, sig, requests, plan, dispatched_s):
         start = time.perf_counter()
@@ -505,13 +511,12 @@ class TtmServer:
     def _execute_group_impl(self, requests, plan):
         """Run each request of one group in place under the group's plan.
 
-        Returns one outcome per request: its product, or the typed error
-        it raised (a worker-side deadline shed is an OverloadError).
+        Returns one outcome per request: its product, the error it
+        raised, or None when the deadline re-check shed it.
         """
-        # Deadlines are re-checked here, on the worker thread: a request
-        # passes the dispatch-time check, but the pool itself can back
-        # up behind slow groups, and work that has already missed its
-        # budget must be dropped, not computed.
+        # Deadlines are re-checked here, on the worker, once per group: a
+        # request may wait behind the earlier groups of its hop or other
+        # hops, and work that already missed its budget is dropped.
         now = time.perf_counter()
         outcomes = []
         ran = 0
@@ -523,13 +528,7 @@ class TtmServer:
         with pinned_budget():
             for request in requests:
                 if request.expired(now):
-                    outcomes.append(
-                        OverloadError(
-                            f"request {request.request_id} shed (deadline)",
-                            reason="deadline",
-                            tenant=request.tenant,
-                        )
-                    )
+                    outcomes.append(None)
                     continue
                 ran += 1
                 try:
@@ -541,7 +540,8 @@ class TtmServer:
                             allow_replan=self.config.allow_replan,
                         )
                     )
-                except ReproError as exc:
+                except Exception as exc:
+                    # One that escaped would strand the whole hop.
                     outcomes.append(exc)
         if ran:
             self.stats.add("batches")

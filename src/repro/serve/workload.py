@@ -313,7 +313,7 @@ class LoadReport:
             f" over {self.cache['lookups']} lookups",
             f"batching        {self.batching['batched_requests']} batched /"
             f" {self.batching['unbatched_requests']} unbatched"
-            f" in {self.batching['batches']} dispatches"
+            f" in {self.batching['batches']} signature groups"
             f" (max batch {self.batching['max_batch']})",
         ]
         for tenant in sorted(self.per_tenant):

@@ -38,7 +38,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.tensor.layout import Layout, element_strides, leading_mode
-from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, is_supported_dtype
+from repro.util.dtypes import (
+    _NATIVE,
+    DEFAULT_DTYPE,
+    canonical_dtype,
+    is_supported_dtype,
+)
 from repro.util.errors import DtypeError, LayoutError, ResourceError, ShapeError
 from repro.util.rng import default_rng
 from repro.util.validation import normalized_order
@@ -118,21 +123,26 @@ class DenseTensor:
             )
         if dtype is not None:
             target = canonical_dtype(dtype)
+        elif arr.dtype in _NATIVE:
+            target = arr.dtype
         elif is_supported_dtype(arr.dtype):
             # Native byte order: byte-swapped input is converted here, once.
             target = canonical_dtype(arr.dtype)
         else:
             target = DEFAULT_DTYPE
         order = layout.numpy_order
-        want_flag = "C_CONTIGUOUS" if layout is Layout.ROW_MAJOR else "F_CONTIGUOUS"
-        if copy or arr.dtype != target or not arr.flags[want_flag]:
+        flags = arr.flags
+        contiguous = (
+            flags.c_contiguous if layout is Layout.ROW_MAJOR else flags.f_contiguous
+        )
+        if copy or arr.dtype != target or not contiguous:
             if _memmap_backed(arr):
                 nbytes = arr.size * np.dtype(target).itemsize
                 _guard_materialize(nbytes, "DenseTensor(copy=True)")
             arr = np.array(arr, dtype=target, order=order, copy=True)
         self._data = arr
         self._layout = layout
-        self._strides = element_strides(arr.shape, layout)
+        self._strides = None  # derived on first read, as for ``_wrap``
         self._inmem = not _memmap_backed(arr)
 
     # -- constructors ------------------------------------------------------

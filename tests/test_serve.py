@@ -3,7 +3,7 @@
 Covers the serving contract end to end: admission control bounds what
 the server takes on (server-wide and per-tenant), every served product
 matches the equation-(1) reference across the shared case grid, each
-signature group costs exactly one executor hop, the shared plan cache
+micro-batch costs one executor hop per worker, the shared plan cache
 enforces per-tenant quotas with exact per-tenant hit accounting under
 concurrent readers, the serving policy is validated up front, and the
 degradation ladder sheds load with typed ``OverloadError``\\ s —
@@ -14,6 +14,7 @@ in-place path.
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -380,36 +381,6 @@ class TestServer:
         assert server.stats.shed_deadline == len(shed)
         assert faults.count("kernel-raise") > 0
 
-    def test_watchdog_sheds_a_stuck_batch(self):
-        faults = FaultInjector().arm(
-            "kernel-raise", delay=0.5, times=10_000
-        )
-
-        async def scenario():
-            server = await serving(
-                workers=1, max_batch=4, watchdog_s=0.05
-            )
-            request = make_request((8, 8, 8), 1, 4)
-            try:
-                outcomes = await asyncio.gather(
-                    *(
-                        server.submit(request.x, request.u, 1, tenant="t")
-                        for _ in range(3)
-                    ),
-                    return_exceptions=True,
-                )
-            finally:
-                await server.stop()
-            return server, outcomes
-
-        with fault_injection(faults):
-            server, outcomes = run(scenario())
-        assert all(
-            isinstance(o, OverloadError) and o.reason == "watchdog"
-            for o in outcomes
-        )
-        assert server.stats.shed_watchdog == len(outcomes)
-
     def test_memory_pressure_degrades_to_per_request(self, monkeypatch):
         """Under a tiny byte budget every request still runs through the
         guarded in-place path: all are served, none is shed, and every
@@ -443,9 +414,61 @@ class TestServer:
                 result.y.data, expected.data, rtol=1e-4, atol=1e-4
             )
 
-    def test_one_hop_per_signature_group(self):
-        """One drained batch of N requests over S signatures costs S
-        executor hops and stages nothing."""
+    def test_dtype_and_layout_variants_group_apart(self):
+        variants = [
+            make_request((6, 7, 8), 1, 4, seed=i, dtype=dtype, layout=layout)
+            for i, (dtype, layout) in enumerate(
+                (dtype, layout)
+                for dtype in (np.float32, np.float64)
+                for layout in (Layout.ROW_MAJOR, Layout.COL_MAJOR)
+            )
+        ]
+        groups = coalesce(variants + variants[::-1])
+        assert [[id(r) for r in group] for _, group in groups] == [
+            [id(v), id(v)] for v in variants
+        ]
+        assert {(sig.dtype, sig.layout) for sig, _ in groups} == {
+            (dtype, layout)
+            for dtype in ("float32", "float64")
+            for layout in (Layout.ROW_MAJOR, Layout.COL_MAJOR)
+        }
+
+    @staticmethod
+    def spy_on_pool(server):
+        """Count the server's thread-pool submissions (executor hops)."""
+        hops = []
+        submit = server._pool.submit
+
+        def spy(fn, *args):
+            hops.append(args)
+            return submit(fn, *args)
+
+        server._pool.submit = spy
+        return hops
+
+    def serve_all(self, requests, **config):
+        """Submit *requests* in one burst; ``(server, results, hops)``."""
+
+        async def scenario():
+            server = await serving(**config)
+            hops = self.spy_on_pool(server)
+            try:
+                results = await asyncio.gather(
+                    *(
+                        server.submit(r.x, r.u, r.mode, tenant=r.tenant)
+                        for r in requests
+                    ),
+                    return_exceptions=True,
+                )
+            finally:
+                await server.stop()
+            return server, results, hops
+
+        return run(scenario())
+
+    def test_one_hop_per_micro_batch(self):
+        """At one worker, a drained batch of N requests over S signatures
+        is one executor hop that runs S groups and stages nothing."""
         geometries = [((6, 7, 8), 1, 4), ((8, 8, 8), 0, 3), ((5, 6), 1, 2)]
         requests = [
             make_request(*geometries[i % len(geometries)], seed=i)
@@ -453,29 +476,215 @@ class TestServer:
         ]
         groups = coalesce(requests)
         assert len(groups) == len(geometries)
-
-        async def scenario():
-            server = await serving(max_batch=64, batch_window_s=0.05)
-            try:
-                results = await asyncio.gather(
-                    *(
-                        server.submit(r.x, r.u, r.mode, tenant="t")
-                        for r in requests
-                    )
-                )
-            finally:
-                await server.stop()
-            return server, results
-
-        server, results = run(scenario())
+        server, results, hops = self.serve_all(
+            requests, workers=1, max_batch=64, batch_window_s=0.05
+        )
+        assert len(hops) == 1
         assert server.stats.batches == len(groups)
         assert server.stats.batched_requests == 0
         assert server.stats.unbatched_requests == len(requests)
+        assert server.stats.completed == len(requests)
         assert server.stats.max_batch == max(len(g) for _, g in groups)
         sizes = {id(r): len(g) for _, g in groups for r in g}
         for request, result in zip(requests, results):
             assert result.batch_size == sizes[id(request)]
             assert not result.batched
+
+    def test_one_hop_per_worker(self):
+        """At two workers, a micro-batch of three groups makes two hops."""
+        geometries = [((6, 7, 8), 1, 4), ((8, 8, 8), 0, 3), ((5, 6), 1, 2)]
+        requests = [
+            make_request(*geometries[i % len(geometries)], seed=i)
+            for i in range(9)
+        ]
+        server, results, hops = self.serve_all(
+            requests, workers=2, max_batch=64, batch_window_s=0.05
+        )
+        assert len(hops) == 2
+        assert server.stats.batches == len(geometries)
+        assert server.stats.completed == len(requests)
+        assert all(result.batch_size == 3 for result in results)
+
+    def test_watchdog_sheds_a_stuck_batch(self):
+        """A stuck hop sheds every request of both its signature groups."""
+        faults = FaultInjector().arm(
+            "kernel-raise", delay=0.25, times=10_000
+        )
+        requests = [
+            make_request(((8, 8, 8), (6, 7, 8))[i % 2], 1, 4, seed=i)
+            for i in range(4)
+        ]
+        with fault_injection(faults):
+            server, outcomes, hops = self.serve_all(
+                requests, workers=1, max_batch=8, batch_window_s=0.01,
+                watchdog_s=0.05,
+            )
+        assert len(hops) == 1
+        assert len(coalesce(requests)) == 2
+        assert all(
+            isinstance(o, OverloadError) and o.reason == "watchdog"
+            for o in outcomes
+        )
+        assert server.stats.shed_watchdog == len(requests)
+
+    def test_watchdog_serves_groups_finished_in_time(self):
+        """When the watchdog trips, a group that finished before it is
+        served; the stuck group sheds, and the group queued behind it is
+        withdrawn, never computed."""
+        fast = [make_request((8, 8, 8), 1, 4, seed=i) for i in range(2)]
+        stuck = [make_request((6, 7, 8), 1, 4, seed=i) for i in range(2)]
+        queued = [make_request((7, 7, 7), 1, 4, seed=i) for i in range(2)]
+        release = threading.Event()
+        ran = []
+
+        async def scenario():
+            server = await serving(
+                workers=1, max_batch=8, batch_window_s=0, watchdog_s=0.3
+            )
+            execute = server._lib.execute
+
+            def stalling(plan, x, u, **kwargs):
+                ran.append(x.shape)
+                if x.shape == (6, 7, 8):
+                    release.wait(10)
+                return execute(plan, x, u, **kwargs)
+
+            server._lib.execute = stalling
+            try:
+                outcomes = await asyncio.gather(
+                    *(
+                        server.submit(r.x, r.u, 1, tenant="t")
+                        for r in fast + stuck + queued
+                    ),
+                    return_exceptions=True,
+                )
+            finally:
+                release.set()
+                await server.stop()
+            return server, outcomes
+
+        server, outcomes = run(scenario())
+        assert all(o.y.shape == (8, 4, 8) for o in outcomes[: len(fast)])
+        assert all(
+            isinstance(o, OverloadError) and o.reason == "watchdog"
+            for o in outcomes[len(fast):]
+        )
+        assert server.stats.completed == len(fast)
+        assert server.stats.shed_watchdog == len(stuck) + len(queued)
+        assert (7, 7, 7) not in ran
+
+    def test_hops_pull_groups_from_one_queue(self):
+        """At two workers, a slow group holds one worker while the other
+        runs every remaining group of the micro-batch."""
+        shapes = [(8, 8, 8), (6, 7, 8), (7, 7, 7)]
+        requests = [make_request(shape, 1, 4) for shape in shapes]
+        threads = {}
+
+        async def scenario():
+            server = await serving(workers=2, max_batch=8, batch_window_s=0)
+            hops = self.spy_on_pool(server)
+            execute = server._lib.execute
+
+            def recording(plan, x, u, **kwargs):
+                threads[x.shape] = threading.get_ident()
+                if x.shape == shapes[0]:
+                    time.sleep(0.3)
+                return execute(plan, x, u, **kwargs)
+
+            server._lib.execute = recording
+            try:
+                outcomes = await asyncio.gather(
+                    *(server.submit(r.x, r.u, 1) for r in requests)
+                )
+            finally:
+                await server.stop()
+            return outcomes, hops
+
+        outcomes, hops = run(scenario())
+        assert len(hops) == 2
+        assert [o.y.shape[1] for o in outcomes] == [4, 4, 4]
+        assert threads[shapes[1]] == threads[shapes[2]] != threads[shapes[0]]
+
+    def test_an_untyped_error_fails_only_its_own_request(self):
+        """A non-ReproError raised on the worker resolves its request
+        with that error; the other group of the hop is still served."""
+        good = [make_request((8, 8, 8), 1, 4, seed=i) for i in range(2)]
+        bad = make_request((6, 7, 8), 1, 4)
+        boom = RuntimeError("boom")
+
+        async def scenario():
+            server = await serving(workers=1, max_batch=8, batch_window_s=0)
+            execute = server._lib.execute
+
+            def raising(plan, x, u, **kwargs):
+                if x.shape == bad.x.shape:
+                    raise boom
+                return execute(plan, x, u, **kwargs)
+
+            server._lib.execute = raising
+            try:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            server.submit(r.x, r.u, 1, tenant="t")
+                            for r in (good[0], bad, good[1])
+                        ),
+                        return_exceptions=True,
+                    ),
+                    10,
+                )
+            finally:
+                await server.stop()
+            return server, outcomes
+
+        server, outcomes = run(scenario())
+        assert outcomes[1] is boom
+        assert outcomes[0].y.shape == outcomes[2].y.shape == (8, 4, 8)
+        assert (server.stats.failed, server.stats.completed) == (1, 2)
+
+    def test_deadline_lapsing_in_an_earlier_group_sheds_on_the_worker(self):
+        """A group whose deadline passes while an earlier group of the
+        same hop runs is shed by the worker's re-check, not computed."""
+        slow = [make_request((8, 8, 8), 1, 4, seed=i) for i in range(2)]
+        late = [make_request((6, 7, 8), 1, 4, seed=i) for i in range(2)]
+        budgets = [None] * len(slow) + [0.1] * len(late)
+        ran = []
+
+        async def scenario():
+            server = await serving(workers=1, max_batch=8, batch_window_s=0)
+            hops = self.spy_on_pool(server)
+            execute = server._lib.execute
+
+            def slow_execute(plan, x, u, **kwargs):
+                ran.append(x.shape)
+                if x.shape == (8, 8, 8):
+                    time.sleep(0.15)
+                return execute(plan, x, u, **kwargs)
+
+            server._lib.execute = slow_execute
+            try:
+                outcomes = await asyncio.gather(
+                    *(
+                        server.submit(r.x, r.u, 1, deadline_s=budget)
+                        for r, budget in zip(slow + late, budgets)
+                    ),
+                    return_exceptions=True,
+                )
+            finally:
+                await server.stop()
+            return server, outcomes, hops
+
+        server, outcomes, hops = run(scenario())
+        # Both groups were live at dispatch and rode the one hop.
+        assert len(hops) == 1 and len(hops[0][0]) == 2
+        assert ran == [(8, 8, 8)] * len(slow)
+        assert all(o.y.shape == (8, 4, 8) for o in outcomes[: len(slow)])
+        assert all(
+            isinstance(o, OverloadError) and o.reason == "deadline"
+            for o in outcomes[len(slow):]
+        )
+        assert server.stats.shed_deadline == len(late)
+        assert server.stats.completed == len(slow)
 
     def test_serves_the_shared_case_grid(self):
         """Every case x layout x dtype, X wrapped or raw, through one

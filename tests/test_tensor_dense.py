@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.tensor.dense import DenseTensor
-from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
-from repro.util.errors import ShapeError
+from repro.tensor.layout import COL_MAJOR, ROW_MAJOR, element_strides
+from repro.util.errors import DtypeError, ShapeError
 
 
 class TestConstruction:
@@ -50,6 +50,24 @@ class TestConstruction:
         t = DenseTensor._wrap(arr, COL_MAJOR, fresh=True)
         assert t.is_inmem and t.data is arr
         assert t.strides == (1, 2, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
+    def test_conforming_array_is_wrapped_as_is(self, layout, dtype):
+        arr = np.empty((2, 3, 4), dtype=dtype, order=layout.numpy_order)
+        t = DenseTensor(arr, layout)
+        assert t.data is arr and t.is_inmem and t.layout is layout
+        assert t.strides == element_strides(arr.shape, layout)
+        assert t.strides == tuple(s // arr.itemsize for s in arr.strides)
+
+    def test_nonconforming_dtypes_still_convert(self):
+        swapped = np.arange(6, dtype=">f8").reshape(2, 3)
+        t = DenseTensor(swapped)
+        assert t.dtype == np.float64 and t.dtype.isnative
+        assert np.array_equal(t.data, swapped)
+        assert DenseTensor(np.arange(6)).dtype == np.float64
+        with pytest.raises(DtypeError):
+            DenseTensor(np.zeros(3, dtype=np.complex128))
 
     def test_random_is_deterministic_per_seed(self):
         a = DenseTensor.random((3, 3), seed=42)
