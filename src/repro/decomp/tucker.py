@@ -113,13 +113,17 @@ class TuckerResult:
 _GRAM_MAX_ROWS = 512
 
 
-def _use_randomized(method: str, rows: int, cols: int, rank: int,
-                    oversample: int = 8) -> bool:
-    """Whether *method* resolves to the randomized range finder."""
+def _check_svd_method(method: str) -> None:
     if method not in ("auto", "gram", "randomized"):
         raise ShapeError(
             f"unknown SVD method {method!r}; use gram|randomized|auto"
         )
+
+
+def _use_randomized(method: str, rows: int, cols: int, rank: int,
+                    oversample: int = 8) -> bool:
+    """Whether *method* resolves to the randomized range finder."""
+    _check_svd_method(method)
     return method == "randomized" or (
         method == "auto" and rows > _GRAM_MAX_ROWS and cols > rank + oversample
     )
@@ -310,7 +314,7 @@ def hosvd(
     ttm_backend: TtmBackend | None = None,
     svd_method: str = "auto",
 ) -> TuckerResult:
-    """Truncated higher-order SVD (the standard HOOI initializer).
+    """Truncated higher-order SVD (the classic start, ``hooi(init=...)``).
 
     Factor *n* is the top-``R_n`` left singular vectors of the mode-n
     unfolding; the core is the full projection of X onto those bases.
@@ -330,6 +334,30 @@ def hosvd(
     fit = tucker_fit(x, core, factors)
     return TuckerResult(core=core, factors=factors, fit=fit,
                         fit_history=[fit], iterations=0)
+
+
+def _sequential_start(
+    x: DenseTensor,
+    ranks: Sequence[int],
+    backend: TtmBackend,
+    svd_method: str,
+) -> tuple[list[np.ndarray], DenseTensor]:
+    """Sequentially truncated HOSVD (Vannieuwenhoven, Vandebril and
+    Meerbergen, 2012): HOOI's start, as ``(factors, core)``.
+
+    Modes are visited in ascending ``R_n / I_n`` order, ties by mode index.
+    Each factor is the top-``R_n`` basis of X already projected onto the
+    factors before it, and the tensor is projected onto each new factor at
+    once, so only the first Gram reads all of X and the last projection is
+    the core.
+    """
+    factors: list[np.ndarray] = [None] * x.order
+    y = x
+    for mode in sorted(range(x.order),
+                       key=lambda m: (ranks[m] / x.shape[m], m)):
+        factors[mode] = _mode_basis(y, mode, ranks[mode], method=svd_method)
+        y = backend(y, factors[mode].T, mode)
+    return factors, y
 
 
 def _hooi_converged(history: Sequence[float], tolerance: float) -> bool:
@@ -371,12 +399,19 @@ def hooi(
     TTM chain the paper's motivation describes.  Stops when the fit
     improves by less than *tolerance* or after *max_iterations* sweeps.
 
+    Without *init*, HOOI starts from a sequentially truncated HOSVD (see
+    :func:`_sequential_start`): factors are found in ascending
+    ``R_n / I_n`` order, each from X already projected onto the factors
+    before it, so only the first Gram reads all of X.
+    ``init=hosvd(x, ranks)`` starts from the classic truncated HOSVD
+    instead.
+
     *svd_method* ``"auto"`` (the default) picks each factor's solver per
-    call: a full ``eigh`` of the mode's Gram when ``2 * R_n > I_n``, and
-    otherwise one subspace step warm-started from the factor it replaces,
-    kept only if every Ritz pair passes the residual check
-    ``||G u - l u|| <= sqrt(eps) * l_max`` and the trace the step
-    discards is at most its smallest Ritz value (a full ``eigh``
+    call: a full ``eigh`` of the mode's Gram on the start and when
+    ``2 * R_n > I_n``, and otherwise one subspace step warm-started from
+    the factor it replaces, kept only if every Ritz pair passes the
+    residual check ``||G u - l u|| <= sqrt(eps) * l_max`` and the trace
+    the step discards is at most its smallest Ritz value (a full ``eigh``
     otherwise).  The Grams of the first and last storage modes are read
     from a view of the projected tensor, not an unfolded copy.
     ``"gram"`` runs a full ``eigh`` on every solve; ``"randomized"`` is
@@ -398,6 +433,7 @@ def hooi(
     ranks_t = _check_ranks(x.shape, ranks)
     if max_iterations < 1:
         raise ShapeError(f"max_iterations must be >= 1, got {max_iterations}")
+    _check_svd_method(svd_method)
     header = state_path = None
     if checkpoint_path is not None:
         state_path = f"{checkpoint_path}.state.npz"
@@ -444,10 +480,12 @@ def hooi(
                     pass
         else:
             history = []
-            state = init or hosvd(x, ranks_t, ttm_backend=backend,
-                                  svd_method=svd_method)
-            factors = [f.copy() for f in state.factors]
-            core = state.core
+            if init is None:
+                factors, core = _sequential_start(x, ranks_t, backend,
+                                                  svd_method)
+            else:
+                factors = [f.copy() for f in init.factors]
+                core = init.core
         x_norm = float(np.linalg.norm(x.data))
         for sweep in range(len(history), max_iterations):
             if _hooi_converged(history, tolerance):

@@ -104,6 +104,66 @@ class TestHooi:
         assert result.fit == pytest.approx(1.0, abs=1e-7)
 
 
+SEQUENTIAL_START_CASES = [
+    pytest.param(shape, ranks, layout, method,
+                 id=f"{'x'.join(map(str, shape))}-{layout}-{method}")
+    for shape, ranks in (((24, 20, 16), (4, 6, 3)),
+                         ((12, 10, 9, 8), (3, 2, 4, 2)))
+    for layout in ("C", "F")
+    for method in ("auto", "gram")
+]
+
+
+class TestSequentialStart:
+    """HOOI's default start, a sequentially truncated HOSVD, must reach
+    the result of HOOI from the classic HOSVD start."""
+
+    @pytest.mark.parametrize("shape,ranks,layout,method",
+                             SEQUENTIAL_START_CASES)
+    def test_agrees_with_hosvd_start(self, shape, ranks, layout, method):
+        x = low_rank_tensor(shape, ranks, layout=layout, noise=0.05, seed=31)
+        sequential = hooi(x, ranks, svd_method=method, tolerance=1e-8)
+        classic = hooi(x, ranks, svd_method=method, tolerance=1e-8,
+                       init=hosvd(x, ranks, svd_method=method))
+        assert sequential.iterations == classic.iterations
+        assert np.allclose(sequential.fit_history, classic.fit_history,
+                           rtol=0.0, atol=1e-6)
+
+    def test_only_the_first_gram_reads_all_of_x(self, monkeypatch):
+        from repro.core.intensli import default_intensli
+        from repro.decomp import tucker
+        from repro.testing import DTYPE_TOLERANCES
+
+        x = low_rank_tensor((24, 20, 16), (4, 6, 3), noise=0.05, seed=32)
+        ranks = (4, 6, 3)
+        seen = []
+        gram = tucker._mode_gram
+
+        def spy(y, mode):
+            seen.append((y.shape, mode))
+            return gram(y, mode)
+
+        monkeypatch.setattr(tucker, "_mode_gram", spy)
+        backend = default_intensli()
+        hosvd(x, ranks, ttm_backend=backend)
+        assert [m for s, m in seen if s == x.shape] == [0, 1, 2]
+
+        seen.clear()
+        factors, core = tucker._sequential_start(x, ranks, backend, "auto")
+        # Ascending R_n / I_n: 4/24 < 3/16 < 6/20.
+        assert [m for _, m in seen] == [0, 2, 1]
+        assert [s for s, _ in seen] == [(24, 20, 16), (4, 20, 16),
+                                        (4, 20, 3)]
+        rtol, atol = DTYPE_TOLERANCES["float64"]
+        expected = tucker._project_all_but(x, factors, None, backend)
+        assert core.shape == ranks
+        assert np.allclose(core.data, expected.data, rtol=rtol, atol=atol)
+
+        seen.clear()
+        hooi(x, ranks, ttm_backend=backend, max_iterations=1)
+        assert sum(s == x.shape for s, _ in seen) == 1
+
+
 class TestSvdMethods:
     def test_randomized_matches_gram_on_low_rank(self):
         from repro.decomp.tucker import _leading_left_singular_vectors
@@ -131,6 +191,15 @@ class TestSvdMethods:
 
         with pytest.raises(ShapeError):
             _leading_left_singular_vectors(np.eye(4), 2, method="magic")
+
+    def test_unknown_method_leaves_no_checkpoint(self, tmp_path):
+        x = low_rank_tensor((6, 5, 4), 2, seed=22)
+        path = tmp_path / "hooi.json"
+        with pytest.raises(ShapeError):
+            hooi(x, 2, svd_method="bogus", checkpoint_path=str(path))
+        assert list(tmp_path.iterdir()) == []
+        result = hooi(x, 2, svd_method="auto", checkpoint_path=str(path))
+        assert result.fit == pytest.approx(1.0, abs=1e-6)
 
     def test_randomized_is_orthonormal(self):
         from repro.decomp.tucker import _leading_left_singular_vectors

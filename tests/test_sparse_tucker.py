@@ -156,8 +156,11 @@ class TestSparseTucker:
         x = random_sparse((10, 9, 8), 0.1, seed=17)
         sparse_result = hooi_sparse(x, (3, 3, 3), max_iterations=3,
                                     tolerance=0.0)
-        dense_result = hooi(x.to_dense(), (3, 3, 3), max_iterations=3,
-                            tolerance=0.0)
+        # hooi_sparse starts from hosvd_sparse; give dense HOOI the same
+        # start, so the check is that both run identical sweeps from it.
+        dense = x.to_dense()
+        dense_result = hooi(dense, (3, 3, 3), max_iterations=3,
+                            tolerance=0.0, init=hosvd(dense, (3, 3, 3)))
         assert sparse_result.fit == pytest.approx(dense_result.fit, abs=1e-8)
 
     def test_hooi_fit_non_decreasing(self):
@@ -216,5 +219,7 @@ class TestSparseTucker:
     def test_order4_sparse_tucker(self):
         x = random_sparse((5, 4, 5, 4), 0.15, seed=21)
         result = hooi_sparse(x, 2, max_iterations=2, tolerance=0.0)
-        dense = hooi(x.to_dense(), 2, max_iterations=2, tolerance=0.0)
+        x_dense = x.to_dense()
+        dense = hooi(x_dense, 2, max_iterations=2, tolerance=0.0,
+                     init=hosvd(x_dense, 2))
         assert result.fit == pytest.approx(dense.fit, abs=1e-8)
