@@ -2,12 +2,14 @@
 
 The fused executor (:func:`repro.core.chain.execute_chain`) plans an
 N-step chain once — order, per-step plans, ping-pong buffer schedule —
-and then reuses two scratch buffers across every execution.  The legacy
-path plans each product on the fly and allocates a fresh intermediate
-per step.  This benchmark times both on the same chains and reports:
+and then reuses two scratch buffers across every execution.  The
+step-at-a-time path runs each product as its own ``ttm_inplace(x, u,
+mode)`` call (a memoized plan lookup) into a fresh intermediate.  This
+benchmark times both on the same chains, each side the median of
+interleaved rounds (``benchmarks.common.median_seconds``), and reports:
 
 * ``speedup fused`` — fused vs step-at-a-time *in the same order*: the
-  pure buffer-reuse + pre-planning win;
+  buffer-reuse + pre-built-plan win;
 * ``speedup order`` — fused vs step-at-a-time *in the written order*:
   the end-to-end win including the planner's reordering;
 * per-pass intermediate allocation counts (fused: 0 once the pool is
@@ -28,7 +30,12 @@ import pytest
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.common import print_header, print_series, run_main
+from benchmarks.common import (
+    median_seconds,
+    print_header,
+    print_series,
+    run_main,
+)
 from repro.core.chain import (
     ChainStep,
     ScratchPool,
@@ -39,7 +46,6 @@ from repro.core.chain import (
 )
 from repro.core.inttm import ttm_inplace
 from repro.perf.flops import gflops_rate
-from repro.perf.timing import time_callable
 from repro.tensor.dense import DenseTensor
 from repro.tensor.generate import random_tensor
 
@@ -100,9 +106,9 @@ def measure_chain(shape, j, min_seconds=MIN_SECONDS):
 
     flops_auto = chain_flops(shape, steps, plan.order)
     flops_given = chain_flops(shape, steps)
-    secs_fused = time_callable(fused, min_seconds=min_seconds)
-    secs_same = time_callable(stepwise_same_order, min_seconds=min_seconds)
-    secs_given = time_callable(stepwise_given, min_seconds=min_seconds)
+    secs_fused, secs_same, secs_given = median_seconds(
+        [fused, stepwise_same_order, stepwise_given], min_seconds=min_seconds
+    )
 
     return {
         "shape": "x".join(str(s) for s in shape),

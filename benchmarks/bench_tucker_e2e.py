@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 import pytest
 
 if __package__ in (None, ""):
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from benchmarks.common import print_header, print_series
+from benchmarks.common import median_seconds, print_header, print_series
 from repro.baselines import ttm_copy, ttm_ctf_like
 from repro.core import InTensLi
 from repro.decomp import hooi
@@ -43,12 +42,9 @@ def backends():
     }
 
 
-def run_backend(name, backend, x):
-    start = time.perf_counter()
-    result = hooi(x, RANKS, ttm_backend=backend, max_iterations=SWEEPS,
-                  tolerance=0.0)
-    seconds = time.perf_counter() - start
-    return seconds, result
+def run_backend(backend, x):
+    return hooi(x, RANKS, ttm_backend=backend, max_iterations=SWEEPS,
+                tolerance=0.0)
 
 
 # -- pytest-benchmark targets --------------------------------------------------
@@ -89,18 +85,25 @@ def main():
         f"{SWEEPS} sweeps (identical algorithm, TTM backend swapped)"
     )
     x = low_rank_tensor(SHAPE, RANKS, noise=0.01, seed=0)
-    rows = []
-    base = None
-    for name, backend in backends().items():
-        seconds, result = run_backend(name, backend, x)
-        if base is None:
-            base = seconds
-        rows.append(
-            [name, f"{seconds:7.2f} s", f"{result.fit:.4f}",
-             f"{base / seconds:5.2f}x"]
-        )
-    print_series(["ttm backend", "wall time", "fit", "speedup vs fused"],
-                 rows)
+    runs = {
+        name: (lambda backend=backend: run_backend(backend, x))
+        for name, backend in backends().items()
+    }
+    # One untimed run per backend (its fit, and a warm plan cache), then
+    # the median of five interleaved single runs per row.
+    fits = {name: run().fit for name, run in runs.items()}
+    times = dict(zip(runs, median_seconds(
+        list(runs.values()), min_repeats=1, min_seconds=0.0
+    )))
+    base = times["inttm (fused chain)"]
+    rows = [
+        [name, f"{seconds:7.3f} s", f"{fits[name]:.4f}",
+         f"{base / seconds:5.2f}x"]
+        for name, seconds in times.items()
+    ]
+    print_series(
+        ["ttm backend", "median wall time", "fit", "speedup vs fused"], rows
+    )
     print(
         "The decomposition quality (fit) is identical; only the TTM "
         "implementation changes the runtime."

@@ -21,7 +21,7 @@ dimension blocking):
   from a cold start;
 * :func:`execute_chain` runs the chain through a **ping-pong scratch
   pool** (:class:`ScratchPool`): two reusable buffers are threaded
-  through ``ttm_inplace(..., out=)``, so an N-step chain performs at
+  through the executor's ``out=`` path, so an N-step chain performs at
   most two intermediate allocations instead of N, and the final product
   lands directly in a caller-supplied ``out`` when given.
 
@@ -584,11 +584,14 @@ class ScratchPool:
     the same shapes every iteration), so a long-lived pool converges to
     zero allocations.  ``allocations``/``reuses`` make buffer behavior
     observable: the allocation-count test and the ``chain-exec`` trace
-    span read them directly.
+    span read them directly.  Up to 64 views are kept, so a repeated
+    request is a dict read, not a reshape (which costs more than a small
+    ``np.empty``); a grown buffer drops them.
     """
 
     def __init__(self) -> None:
         self._slots: dict[tuple, np.ndarray] = {}
+        self._views: dict[tuple, DenseTensor] = {}
         self.allocations = 0
         self.reuses = 0
 
@@ -596,19 +599,29 @@ class ScratchPool:
         self, slot: int, shape: tuple[int, ...], layout: Layout, dtype
     ) -> DenseTensor:
         """A tensor of *shape* backed by the slot's reusable buffer."""
+        view = self._views.get(view_key := (slot, shape, layout, dtype))
+        if view is not None:
+            self.reuses += 1
+            return view
         key = (slot, layout, dtype_name(dtype))
         n = math.prod(shape)
         buf = self._slots.get(key)
         if buf is None or buf.size < n:
             buf = np.empty(n, dtype=dtype)
             self._slots[key] = buf
+            self._views.clear()
             self.allocations += 1
         else:
             self.reuses += 1
-        # A prefix of a flat buffer reshapes contiguously in either order,
-        # so the checked constructor has nothing to check.
-        view = buf[:n].reshape(shape, order=layout.numpy_order)
-        return DenseTensor._wrap(view, layout)
+        if len(self._views) >= 64:
+            self._views.clear()
+        # A prefix of a flat in-RAM buffer reshapes contiguously in either
+        # order, so the checked constructor has nothing to check.
+        view = self._views[view_key] = DenseTensor._wrap(
+            buf[:n].reshape(shape, order=layout.numpy_order), layout,
+            fresh=True,
+        )
+        return view
 
     @property
     def nbytes(self) -> int:
@@ -618,6 +631,7 @@ class ScratchPool:
         """Drop every buffer; returns the bytes freed."""
         freed = self.nbytes
         self._slots.clear()
+        self._views.clear()
         return freed
 
 
@@ -636,13 +650,13 @@ def execute_chain(
 
     *steps* is the caller's original sequence (the plan's ``order``
     indexes into it); *execute* runs one planned product — signature
-    ``execute(plan, x, u, out) -> DenseTensor`` — and defaults to
-    :func:`repro.core.inttm.ttm_inplace`.  Intermediates
+    ``execute(plan, x, u, out) -> DenseTensor`` — and defaults to the
+    executor's body (:func:`repro.core.inttm.ttm_inplace`'s).  Intermediates
     alternate between the pool's two slots; the final product is written
     into *out* when given, else into a fresh output allocated as the
     executor allocates one (the return value — never scratch).
     """
-    from repro.core.inttm import ttm_inplace
+    from repro.core.inttm import _run_plan
     from repro.obs.tracer import active_tracer
 
     if not isinstance(x, DenseTensor):
@@ -669,7 +683,7 @@ def execute_chain(
                 f"out has shape {out.shape}/{out.layout.name}, chain "
                 f"produces {plan.out_shape}/{plan.layout.name}"
             )
-        if out.data.dtype != np.dtype(plan.dtype):
+        if out.data.dtype != plan.dtype:
             raise DtypeError(
                 f"out has dtype {out.data.dtype.name}, chain produces "
                 f"{plan.dtype}"
@@ -681,15 +695,14 @@ def execute_chain(
         return x
     if execute is None:
         def execute(step_plan, x_cur, u, target):
-            return ttm_inplace(x_cur, u, plan=step_plan, out=target)
+            return _run_plan(x_cur, u, step_plan, target)
     if pool is None:
         pool = ScratchPool()
-
     tracer = active_tracer()
+    if not tracer.enabled:
+        return _run_steps(x, steps, plan, out, pool, execute, None)
     allocations_before = pool.allocations
     reuses_before = pool.reuses
-    last = plan.n_steps - 1
-    current = x
     with tracer.span(
         "chain-exec",
         steps=plan.n_steps,
@@ -699,40 +712,49 @@ def execute_chain(
         scratch_slots=len(plan.scratch_elements),
         caller_out=out is not None,
     ) as span:
-        for k, idx in enumerate(plan.order):
-            step_plan = plan.step_plans[k]
-            reused = False
-            if k < last:
-                reuses = pool.reuses
-                target = pool.request(
-                    k % 2, step_plan.out_shape, plan.layout, plan.dtype
-                )
-                reused = pool.reuses > reuses
-            elif out is None:
-                # The executor's own allocation: no re-derived strides.
-                compiled = step_plan.compiled
-                target = DenseTensor._wrap(
-                    np.empty(*compiled.empty_args), plan.layout,
-                    compiled.out_strides,
-                )
-            else:
-                target = out
-            with tracer.span(
-                "chain-step",
-                step=k,
-                source_index=idx,
-                mode=step_plan.mode,
-                j=step_plan.j,
-                slot=k % 2 if k < last else None,
-                buffer_reused=reused,
-                out_shape=list(step_plan.out_shape),
-            ):
-                current = execute(step_plan, current, steps[idx].matrix, target)
-        if span is not None:
-            span.set(
-                scratch_allocations=pool.allocations - allocations_before,
-                scratch_reuses=pool.reuses - reuses_before,
+        current = _run_steps(x, steps, plan, out, pool, execute, tracer)
+        span.set(
+            scratch_allocations=pool.allocations - allocations_before,
+            scratch_reuses=pool.reuses - reuses_before,
+        )
+    return current
+
+
+def _run_steps(x, steps, plan, out, pool, execute, tracer):
+    """:func:`execute_chain`'s loop, with a span per step if traced."""
+    last = len(plan.step_plans) - 1
+    current = x
+    for k, (idx, step_plan) in enumerate(zip(plan.order, plan.step_plans)):
+        reused = False
+        if k < last:
+            reuses = pool.reuses
+            target = pool.request(
+                k % 2, step_plan.out_shape, plan.layout, plan.dtype
             )
+            reused = pool.reuses > reuses
+        elif out is None:
+            # The executor's own allocation: no re-derived strides.
+            compiled = step_plan.compiled
+            target = DenseTensor._wrap(
+                np.empty(*compiled.empty_args), plan.layout,
+                compiled.out_strides,
+            )
+        else:
+            target = out
+        if tracer is None:
+            current = execute(step_plan, current, steps[idx].matrix, target)
+            continue
+        with tracer.span(
+            "chain-step",
+            step=k,
+            source_index=idx,
+            mode=step_plan.mode,
+            j=step_plan.j,
+            slot=k % 2 if k < last else None,
+            buffer_reused=reused,
+            out_shape=list(step_plan.out_shape),
+        ):
+            current = execute(step_plan, current, steps[idx].matrix, target)
     return current
 
 

@@ -6,8 +6,10 @@ an inner kernel call on reshaped *views* — then compiles it with
 ``compile()``/``exec``.  The value mirrors the paper's: all plan logic is
 resolved at generation time, leaving straight-line code whose loop
 bounds, index expressions, and reshape extents are literals; the source
-is inspectable (``generate_source``) and the compiled callables are
-cached per plan.
+is inspectable (``generate_source``).  ``compile_plan`` compiles on
+every call and keeps nothing: the plan instance that asked owns the
+result (:attr:`repro.core.plan.TtmPlan.compiled`), so whoever holds
+plans holds their kernels, and dropping a plan frees its kernel.
 
 Every plan compiles to one shape: ``x``/``y`` become ``(outer...,
 batch, rows, cols)`` views through one ``reshape`` and one
@@ -49,8 +51,6 @@ from repro.parallel.parfor import parfor
 from repro.perf.blasctl import blas_pinning_available, blas_threads
 from repro.resilience.faults import record_degradation
 from repro.tensor.layout import Layout
-
-_CACHE: dict[TtmPlan, object] = {}
 
 
 class DispatchCounts(NamedTuple):
@@ -221,15 +221,14 @@ def _emit(plan: TtmPlan, function_name: str) -> tuple[str, DispatchCounts]:
 
 
 def compile_plan(plan: TtmPlan):
-    """Compile (and cache) the specialized TTM callable for *plan*.
+    """Compile the specialized TTM callable for *plan*, afresh on every call.
 
     The returned function takes ``(x_data, u, y_data)`` ndarrays and
     writes through ``y_data``; its ``__source__`` is the generated code
-    and its ``counts`` the :class:`DispatchCounts` of one call.
+    and its ``counts`` the :class:`DispatchCounts` of one call.  Nothing
+    here keeps it: :attr:`TtmPlan.compiled` calls this once per plan
+    instance and is the kernel's one holder.
     """
-    cached = _CACHE.get(plan)
-    if cached is not None:
-        return cached
     if plan.kernel_threads > _pool_threads(plan):
         record_degradation("kernel_thread_degradations", kernel_threads_degraded=True)
     source, counts = _emit(plan, "inttm")
@@ -245,10 +244,4 @@ def compile_plan(plan: TtmPlan):
     fn = namespace["inttm"]
     fn.__source__ = source
     fn.counts = counts
-    _CACHE[plan] = fn
     return fn
-
-
-def clear_cache() -> None:
-    """Drop all compiled plans (mostly for tests)."""
-    _CACHE.clear()

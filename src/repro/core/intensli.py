@@ -514,9 +514,9 @@ class InTensLi:
         :func:`~repro.resilience.memory.preflight_skips` holds (a small
         in-memory call, no armed faults, no ``$REPRO_MEM_LIMIT``), the
         tiling check and the memory guard could not act and both are
-        skipped; otherwise both run.  With ``out=None`` the plan's
-        checked warm entry (:attr:`~repro.core.plan.CompiledPlan.call`)
-        gets the call first.
+        skipped; otherwise both run.  Without ``check_finite`` the
+        plan's checked warm entry (:attr:`~repro.core.plan.CompiledPlan
+        .call`) gets the call first.
         """
         return _run_plan(
             x, u, plan, out, check_finite=check_finite,

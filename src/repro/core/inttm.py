@@ -6,9 +6,9 @@ pre-flights the memory the call needs, validates the operands once,
 then calls the plan's compiled loop nest (:attr:`TtmPlan.compiled`, from
 :func:`repro.core.codegen.compile_plan`) on copy-free views of the input
 and output storage, writing straight through the output tensor.  A warm
-call into a fresh output first tries the plan's checked entry
-(:func:`warm_entry`), which runs the kernel only when ``_run_plan``
-would do nothing else.
+call without ``accumulate`` or ``check_finite`` first tries the plan's
+checked entry (:func:`warm_entry`), which runs the kernel only when
+``_run_plan`` would do nothing else.
 
 Kernel failures degrade the whole call, not one loop index: a
 recoverable error reruns the call with the plan recompiled one kernel
@@ -45,7 +45,12 @@ from repro.resilience.faults import record_degradation
 from repro.resilience.memory import guard_memory, preflight_skips
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import DEFAULT_DTYPE, canonical_dtype, match_dtype
+from repro.util.dtypes import (
+    _NATIVE_NAMES,
+    DEFAULT_DTYPE,
+    canonical_dtype,
+    match_dtype,
+)
 from repro.util.errors import (
     DtypeError,
     KernelExecutionError,
@@ -120,17 +125,12 @@ def default_plan(
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _default_planner(shape, mode, j, layout, dtype=None) -> TtmPlan:
-    """The standalone planner: :func:`default_plan`, memoized.
-
-    The default ``planner`` of tiling, streaming and :func:`~repro.core
-    .chain.plan_chain` when no :class:`~repro.core.intensli.InTensLi`
-    supplies its own.  Pure in its (hashable) arguments, and a tiled run
-    asks for the same few tile shapes on every call, so per-tile
-    planning is a dict hit instead of a fresh partitioning.
-    """
-    return default_plan(shape, mode, j, layout, dtype=dtype)
+#: :func:`default_plan`, memoized: the planner of every call without an
+#: :class:`~repro.core.intensli.InTensLi` (``ttm_inplace`` given a mode,
+#: tiling, streams, chains, memory replans).  A repeat gets the same plan
+#: and so its compiled kernel.  Callers pass *dtype* by name; ``typed``
+#: keys ``True`` apart from ``1``, so :func:`default_plan` rejects it warm.
+_default_planner = functools.lru_cache(maxsize=256, typed=True)(default_plan)
 
 
 def _check_out(plan: TtmPlan, out) -> None:
@@ -194,7 +194,9 @@ def _degrade(plan: TtmPlan, x: np.ndarray, u, y: np.ndarray,
     non-recoverable error propagates unchanged, and a failure of the
     last tier raises :class:`~repro.util.errors.KernelExecutionError`.
     Overwrite mode rewrites every element of *y*, so nothing from a
-    failed tier survives.
+    failed tier survives.  Each tier's plan is a fresh instance, so a
+    degraded call compiles every tier it reaches once; this is the fault
+    path, and nothing outlives the call.
     """
     tiers = fallback_tiers(plan.kernel)
     for kernel, lower in zip(tiers, tiers[1:]):
@@ -239,7 +241,8 @@ def ttm_inplace(
     """Compute ``Y = X x_mode U`` in place of a preallocated output.
 
     Either *plan* or *mode* must be given; with only *mode*, the maximal
-    default plan is used.  With ``transpose_u=True`` the product is
+    default plan is used (memoized: a repeated signature reuses one plan
+    and its compiled kernel).  With ``transpose_u=True`` the product is
     ``X x_mode U^T`` for *u* of shape ``(I_n, J)`` — the Tensor Toolbox's
     ``ttm(X, A, n, 't')`` convention, served by a transpose *view* (no
     copy), which is what Tucker's factor projections want.  With
@@ -270,8 +273,9 @@ def ttm_inplace(
         u_arr = np.asarray(u)
         if u_arr.ndim != 2:
             raise ShapeError(f"U must be 2-D (J x I_n), got {u_arr.ndim}-D")
-        plan = default_plan(
-            x.shape, mode, u_arr.shape[0], x.layout, dtype=x.data.dtype
+        plan = _default_planner(
+            x._data.shape, mode, u_arr.shape[0], x._layout,
+            dtype=_NATIVE_NAMES[x._data.dtype],
         )
     return _run_plan(
         x, u, plan, out, accumulate=accumulate, check_finite=check_finite,
@@ -282,25 +286,35 @@ def ttm_inplace(
 def warm_entry(plan: TtmPlan, record: CompiledPlan):
     """*plan*'s checked warm entry, :attr:`CompiledPlan.call`.
 
-    ``call(x, u)`` does what :func:`_run_plan` does when nothing but the
-    kernel can happen: *x* an in-memory :class:`DenseTensor` of the
-    plan's shape, layout and dtype, *u* an ``np.ndarray`` of shape
-    ``(J, I_n)`` in that dtype, no tracer or hot counters, and
+    ``call(x, u, out=None)`` does what :func:`_run_plan` does when
+    nothing but the kernel can happen: *x* an in-memory
+    :class:`DenseTensor` of the plan's shape, layout and dtype, *u* an
+    ``np.ndarray`` of shape ``(J, I_n)`` in that dtype, *out* None or a
+    :class:`DenseTensor` of the output's shape, layout and dtype, no
+    tracer or hot counters, and
     :func:`~repro.resilience.memory.preflight_skips` true of *record*'s
-    footprint.  Otherwise it returns None and :func:`_run_plan` goes on,
-    so every typed error, guard, span and counter comes from one body.
+    footprint for that output.  Otherwise it returns None and
+    :func:`_run_plan` goes on, so every typed error, guard, span and
+    counter comes from one body.
     The entry runs *record*'s ``fn``, so a record made with
     ``_replace(fn=...)`` needs an entry of its own.
     """
     fn, empty_args, out_strides = record.fn, record.empty_args, record.out_strides
-    footprint = record.footprint
+    footprint, footprint_in_place = record.footprint, record.footprint_in_place
     shape, layout, dtype = plan.shape, plan.layout, plan.np_dtype
-    u_shape = (plan.j, plan.i_n)
+    u_shape, out_shape = (plan.j, plan.i_n), plan.out_shape
 
-    def call(x, u):
+    def call(x, u, out=None):
         if type(x) is not DenseTensor or type(u) is not np.ndarray:
             return None
         data = x._data
+        if out is not None and not (
+            type(out) is DenseTensor
+            and out._data.shape == out_shape
+            and out._layout is layout
+            and out._data.dtype == dtype
+        ):
+            return None
         if not (
             data.shape == shape
             and x._layout is layout
@@ -309,15 +323,19 @@ def warm_entry(plan: TtmPlan, record: CompiledPlan):
             and u.dtype == dtype
             and not _tracer._ACTIVE.enabled
             and _counters._HOT_COUNTERS is None
-            and preflight_skips(footprint, x._inmem)
+            and preflight_skips(
+                footprint if out is None else footprint_in_place, x._inmem
+            )
         ):
             return None
-        target = np.empty(*empty_args)
+        target = np.empty(*empty_args) if out is None else out._data
         try:
             fn(data, u, target)
         except Exception as exc:
             _degrade(plan, data, u, target, exc, None, _tracer._ACTIVE)
-        return DenseTensor._wrap(target, layout, out_strides, fresh=True)
+        if out is None:
+            return DenseTensor._wrap(target, layout, out_strides, fresh=True)
+        return out
 
     return call
 
@@ -339,9 +357,9 @@ def _run_plan(
     .ttm` after its plan-cache hit, :meth:`~repro.core.intensli.InTensLi
     .execute` and :func:`ttm_inplace`.  What the plan fixes is read from
     :attr:`TtmPlan.compiled`; what a call can change is checked on every
-    call.  A call into a fresh output without ``check_finite`` first
-    goes to the plan's checked entry (:func:`warm_entry`), which runs
-    the kernel and returns when nothing else could happen.
+    call.  A call without ``accumulate`` or ``check_finite`` first goes
+    to the plan's checked entry (:func:`warm_entry`), which runs the
+    kernel and returns when nothing else could happen.
 
     The pre-flight is the test :func:`~repro.resilience.memory
     .preflight_skips` (an in-memory input, a footprint below
@@ -355,8 +373,8 @@ def _run_plan(
     validation.
     """
     compiled = plan.compiled
-    if out is None and not check_finite:
-        y = compiled.call(x, u)
+    if not (accumulate or check_finite):
+        y = compiled.call(x, u, out)
         if y is not None:
             return y
     allocate_out = out is None or accumulate

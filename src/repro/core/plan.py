@@ -66,7 +66,7 @@ class CompiledPlan(NamedTuple):
     #: executor allocates the output, and when the caller passed it.
     footprint: int
     footprint_in_place: int
-    #: The checked warm entry, ``call(x, u) -> DenseTensor | None``
+    #: The checked warm entry, ``call(x, u, out=None) -> DenseTensor | None``
     #: (:func:`repro.core.inttm.warm_entry`), set on every record
     #: :attr:`TtmPlan.compiled` builds.
     call: Callable | None = None
@@ -336,7 +336,10 @@ class TtmPlan:
         a warm call neither hashes the plan to find its kernel nor
         recomputes the output's allocation arguments or the footprints
         its memory pre-flight compares against.  Its ``call`` runs all
-        of that as one checked call.
+        of that as one checked call.  This is the kernel's only holder:
+        equal plan instances compile equal code separately, and the
+        kernel is freed with its plan (at the next cyclic collection,
+        since ``call`` closes over the plan).
         """
         # Imported here: codegen and inttm import this module.
         from repro.core.codegen import compile_plan

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.codegen import compile_plan
 from repro.core.inttm import default_plan
 from repro.core.partition import available_modes_for_strategy, strategy_for
 from repro.core.plan import TtmPlan
@@ -129,7 +128,7 @@ class ExhaustiveTuner:
         """
         if out is None:
             out = DenseTensor.empty(plan.out_shape, x.layout, dtype=plan.dtype)
-        fn = compile_plan(plan)
+        fn = plan.compiled.fn
         u = np.asarray(u)
         return time_callable(
             lambda: fn(x.data, u, out.data),

@@ -210,15 +210,17 @@ def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False)
 def _lower_degree_plan(plan, avail: int, allocate_out: bool):
     """The highest-degree plan below *plan* whose footprint fits, if any.
 
-    Rebuilt through :func:`repro.core.inttm.default_plan` (imported
-    lazily — this module sits below the core layer) with the kernel
-    reopened to ``auto``: a shorter component run can change stride
-    legality, and ``auto`` re-routes per operand.
+    Rebuilt through the memoized :func:`repro.core.inttm.default_plan`
+    (imported lazily — this module sits below the core layer), so a
+    replan repeated under the same pressure reuses one plan and compiles
+    its kernel once.  The kernel is reopened to ``auto``: a shorter
+    component run can change stride legality, and ``auto`` re-routes per
+    operand.
     """
-    from repro.core.inttm import default_plan
+    from repro.core.inttm import _default_planner
 
     for degree in range(plan.degree - 1, -1, -1):
-        candidate = default_plan(
+        candidate = _default_planner(
             plan.shape,
             plan.mode,
             plan.j,

@@ -1,11 +1,18 @@
 """Tests for the code generator: structure and numerical equivalence."""
 
+import asyncio
+import gc
+import types
+
 import numpy as np
 import pytest
 
 from repro.core import codegen
-from repro.core.codegen import clear_cache, compile_plan, generate_source
+from repro.core.codegen import compile_plan, generate_source
+from repro.core.intensli import InTensLi
 from repro.core.inttm import default_plan, ttm_inplace
+from repro.perf.profiler import track_hot_path
+from repro.resilience.memory import MEM_LIMIT_ENV, plan_footprint_bytes
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.testing import DEFAULT_CASES, DEGENERATE_CASES, ttm_reference
@@ -175,16 +182,102 @@ class TestOneCodeShape:
             assert "as_strided" not in generate_source(plan), plan.describe()
 
 
-class TestCompileCache:
+def _live_kernels() -> int:
+    """Compiled kernels still reachable after a full collection."""
+    gc.collect()
+    return sum(
+        1 for obj in gc.get_objects()
+        if isinstance(obj, types.FunctionType) and hasattr(obj, "counts")
+        and hasattr(obj, "__source__")
+    )
+
+
+def _operands(shape, mode, j, seed=0):
+    rng = np.random.default_rng(seed)
+    return (
+        DenseTensor(rng.standard_normal(shape), ROW_MAJOR),
+        rng.standard_normal((j, shape[mode])),
+    )
+
+
+class TestKernelOwnership:
+    """A plan instance owns its kernel: freeing the plan frees the code."""
+
     def test_same_plan_compiles_once(self):
-        clear_cache()
         plan = default_plan((5, 5, 5), 0, 2, ROW_MAJOR)
-        assert compile_plan(plan) is compile_plan(plan)
+        assert plan.compiled.fn is plan.compiled.fn
+        # An equal instance compiles its own, byte-identical kernel.
+        twin = default_plan((5, 5, 5), 0, 2, ROW_MAJOR)
+        assert twin == plan and twin.compiled.fn is not plan.compiled.fn
+        assert twin.compiled.fn.__source__ == plan.compiled.fn.__source__
+        assert compile_plan(plan).__source__ == generate_source(plan)
 
     def test_source_attached(self):
         plan = default_plan((5, 5, 5), 0, 2, ROW_MAJOR)
         fn = compile_plan(plan)
         assert "def inttm" in fn.__source__
+
+    def test_quota_limited_server_keeps_only_its_quota(self):
+        from repro.serve import ServeConfig, TtmServer
+
+        async def scenario(server):
+            await server.start()
+            try:
+                for k in range(300):
+                    x, u = _operands((2, 3, 40 + k), 1, 2, seed=k)
+                    await server.submit(x, u, 1, tenant="t")
+            finally:
+                await server.stop()
+
+        before = _live_kernels()
+        server = TtmServer(config=ServeConfig(
+            tenant_cache_quota=8, batch_window_s=0.0,
+        ))
+        asyncio.run(scenario(server))
+        assert len(server.plan_cache) <= 8
+        assert _live_kernels() - before <= 8
+
+    def test_standalone_calls_keep_at_most_the_memo(self):
+        before = _live_kernels()
+        for k in range(300):
+            x, u = _operands((3, 2, 60 + k), 1, 2, seed=k)
+            ttm_inplace(x, u, 1)
+        assert _live_kernels() - before <= 256
+
+    def test_clearing_the_plan_cache_frees_the_facades_kernels(self):
+        lib = InTensLi()
+        before = _live_kernels()
+        for k in range(20):
+            x, u = _operands((4, 3, 30 + k), 2, 2, seed=k)
+            lib.ttm(x, u, 2)
+        assert _live_kernels() - before >= 20
+        lib.plan_cache.clear()
+        assert _live_kernels() - before <= 0
+
+    def test_a_repeated_memory_replan_compiles_once(self, monkeypatch):
+        x, u = _operands((6, 7, 9), 1, 4)
+        plan = default_plan(x.shape, 1, 4, ROW_MAJOR)
+        plan.compiled  # the caller's own plan, compiled before counting
+        lower = default_plan(x.shape, 1, 4, ROW_MAJOR, degree=0)
+        monkeypatch.setenv(
+            MEM_LIMIT_ENV, str(plan_footprint_bytes(lower, allocate_out=True))
+        )
+        compiled = []
+        real = codegen.compile_plan
+
+        def counting(p):
+            compiled.append(p)
+            return real(p)
+
+        monkeypatch.setattr(codegen, "compile_plan", counting)
+        with track_hot_path() as counters:
+            for _ in range(5):
+                y = ttm_inplace(x, u, plan=plan, allow_replan=True)
+        assert counters.memory_replans == 5
+        assert compiled == [lower]
+        np.testing.assert_allclose(
+            y.data, ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12
+        )
 
 
 class TestGeneratedEquivalence:

@@ -324,7 +324,10 @@ class TestCompiledRecord:
         plan, _, _ = _executed(InTensLi())
         assert "compiled" in vars(plan)
         rec = plan.compiled
-        assert rec.fn is compile_plan(plan)
+        # The record is kept on the instance; compile_plan keeps nothing.
+        assert plan.compiled is rec
+        fresh = compile_plan(plan)
+        assert fresh is not rec.fn and fresh.__source__ == rec.fn.__source__
         assert rec.counts == rec.fn.counts
         assert rec.empty_args == (plan.out_shape, plan.np_dtype, "C")
         assert rec.out_strides == plan.out_strides
@@ -353,8 +356,9 @@ class TestCompiledRecord:
         )
         y = lib.execute(copy, x, u)
         assert "compiled" in vars(copy)
-        # Equal plans share one compiled kernel.
-        assert copy.compiled.fn is warm.compiled.fn
+        # One kernel per plan instance; equal plans emit identical code.
+        assert copy.compiled.fn is not warm.compiled.fn
+        assert copy.compiled.fn.__source__ == warm.compiled.fn.__source__
         np.testing.assert_allclose(
             y.data, ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.codegen import clear_cache, compile_plan
+from repro.core.codegen import compile_plan
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.core.threads import (
     DEFAULT_PTH_BYTES,
@@ -319,26 +319,21 @@ class TestBlasPoolKernelThreads:
     def test_no_setter_degrades_to_one_thread(self, monkeypatch):
         monkeypatch.setattr(blasctl, "_get_controls", lambda: [])
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        clear_cache()
-        try:
-            plan = _pc_plan(p_c=4)
-            rng = np.random.default_rng(42)
-            x = repro.DenseTensor(rng.standard_normal(plan.shape), ROW_MAJOR)
-            u = rng.standard_normal((plan.j, plan.shape[plan.mode]))
-            with track_hot_path() as counters:
-                y = ttm_inplace(x, u, plan=plan)
-                ttm_inplace(x, u, plan=plan)
-            assert counters.kernel_thread_degradations == 1  # once per plan
-            assert "blas_threads" not in compile_plan(plan).__source__
-            np.testing.assert_allclose(
-                y.data, ttm_reference(x.data, u, plan.mode),
-                rtol=1e-12, atol=1e-12,
-            )
-        finally:
-            clear_cache()
+        plan = _pc_plan(p_c=4)
+        rng = np.random.default_rng(42)
+        x = repro.DenseTensor(rng.standard_normal(plan.shape), ROW_MAJOR)
+        u = rng.standard_normal((plan.j, plan.shape[plan.mode]))
+        with track_hot_path() as counters:
+            y = ttm_inplace(x, u, plan=plan)
+            ttm_inplace(x, u, plan=plan)
+        assert counters.kernel_thread_degradations == 1  # once per plan
+        assert "blas_threads" not in plan.compiled.fn.__source__
+        np.testing.assert_allclose(
+            y.data, ttm_reference(x.data, u, plan.mode),
+            rtol=1e-12, atol=1e-12,
+        )
 
     def test_kernel_blas_does_not_run_degrades_to_one_thread(self):
-        clear_cache()
         plan = _pc_plan(p_c=2, kernel="blocked")
         with track_hot_path() as counters:
             fn = compile_plan(plan)

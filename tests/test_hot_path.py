@@ -64,6 +64,10 @@ CALL_BUDGET = 6
 #: preallocated output (every chain step), which runs ``_run_plan``.
 OUT_CALL_BUDGET = 8
 
+#: The same, for ``ttm_inplace(x, u, mode)``: its memoized plan, then
+#: the body ``ttm_inplace(plan=)`` runs.
+MODE_CALL_BUDGET = 5
+
 #: Counters a warm call must report exactly like a cold one.
 DISPATCH_COUNTERS = ("gemm_calls", "batched_calls", "batched_slices")
 TILING_COUNTERS = ("tiled_ttms", "tiles_executed", "memory_replans")
@@ -237,8 +241,9 @@ def test_budget_holds_with_a_store_backed_cache_attached(
 def test_served_and_chain_steps_stay_within_the_call_budget(
     monkeypatch, shape, mode, j, dtype, layout
 ):
-    """``InTensLi.execute`` (every served request) and ``ttm_inplace``
-    into a preallocated output (every chain step) run the same body."""
+    """``InTensLi.execute`` (every served request), ``ttm_inplace``
+    into a preallocated output (every chain step) and ``ttm_inplace``
+    given only a mode (the standalone planner's memo) run the same body."""
     monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
     x, u = _operands(shape, mode, j, dtype, layout)
     lib = InTensLi()
@@ -252,6 +257,8 @@ def test_served_and_chain_steps_stay_within_the_call_budget(
                           OUT_CALL_BUDGET),
         "ttm_inplace(out=)": (lambda: ttm_inplace(x, u, plan=plan, out=out),
                               OUT_CALL_BUDGET),
+        "ttm_inplace(mode=)": (lambda: ttm_inplace(x, u, mode),
+                               MODE_CALL_BUDGET),
     }
     for name, (call, budget) in calls.items():
         call()
@@ -354,7 +361,9 @@ def _ran_tiers(call) -> bool:
 def _declining(plan):
     """A copy of *plan* whose warm entry always declines: the cold body."""
     cold = dataclasses.replace(plan)
-    vars(cold)["compiled"] = plan.compiled._replace(call=lambda x, u: None)
+    vars(cold)["compiled"] = plan.compiled._replace(
+        call=lambda x, u, out=None: None
+    )
     return cold
 
 
@@ -386,6 +395,17 @@ FALLBACKS = {
         (x, u, m),
         {"out": DenseTensor.empty(p.out_shape, p.layout, dtype=p.dtype)},
         None),
+    "out of another shape": lambda x, u, m, p, tmp: (
+        (x, u, m),
+        {"out": DenseTensor.empty(p.out_shape[:-1] + (p.out_shape[-1] + 1,),
+                                  p.layout, dtype=p.dtype)},
+        None),
+    "out of another dtype": lambda x, u, m, p, tmp: (
+        (x, u, m),
+        {"out": DenseTensor.empty(
+            p.out_shape, p.layout,
+            dtype="float32" if p.dtype == "float64" else "float64")},
+        None),
     "bool mode": lambda x, u, m, p, tmp: ((x, u, True), {}, None),
     "x of another shape": lambda x, u, m, p, tmp: (
         (DenseTensor(x.data[..., :-1], x.layout), u, m), {}, None),
@@ -403,7 +423,8 @@ TTM_FALLBACKS = tuple(c for c in FALLBACKS if not c.startswith("x "))
 OPERAND_FALLBACKS = (
     "memmapped x", "armed injector", "active tracer", "hot counters",
     "mem limit", "byte-swapped u", "ndarray subclass u", "wrong I_n",
-    "x of another shape", "x in the other layout",
+    "x of another shape", "x in the other layout", "out=",
+    "out of another shape", "out of another dtype",
 )
 
 #: ``InTensLi.ttm`` turns these operands into ones the plan takes as they
@@ -411,6 +432,11 @@ OPERAND_FALLBACKS = (
 #: the entry may then run them; what must match a cold call is the
 #: outcome and the counters.
 NORMALIZED_BY_TTM = ("byte-swapped u", "ndarray subclass u", "transpose_u")
+
+#: A preallocated output of the plan's shape, layout and dtype is one the
+#: entry writes through itself, from every entry point; the outcome and
+#: the counters must still match a cold call's.
+TAKEN_WITH_OUT = "out="
 
 
 def _memmapped(x, tmp):
@@ -524,7 +550,29 @@ def test_warm_entry_declines_and_the_call_acts_like_a_cold_one(
         via, cold_lib, cold_plan, args, kwargs))
     _same_outcome(
         warm, cold, dtype,
-        declined=not (via == "ttm" and condition in NORMALIZED_BY_TTM),
+        declined=not (
+            condition == TAKEN_WITH_OUT
+            or (via == "ttm" and condition in NORMALIZED_BY_TTM)
+        ),
+    )
+
+
+@pytest.mark.parametrize("via", ["ttm", "execute", "ttm_inplace"])
+def test_warm_entry_writes_through_a_preallocated_out(monkeypatch, via):
+    """Every chain step and ``out=`` call is one checked call too."""
+    monkeypatch.delenv(MEM_LIMIT_ENV, raising=False)
+    shape, mode, j, dtype, layout = BUDGET_CASES[0]
+    x, u = _operands(shape, mode, j, dtype, layout)
+    lib = InTensLi()
+    lib.ttm(x, u, mode)
+    plan = lib.plan(shape, mode, j, layout, dtype=dtype)
+    out = DenseTensor.empty(plan.out_shape, plan.layout, dtype=dtype)
+    call = _entry_point_calls(via, lib, plan, (x, u, mode), {"out": out})
+    result, taken = _entry_outputs(call)
+    assert taken == 1 and call() is out
+    rtol, atol = DTYPE_TOLERANCES[dtype]
+    np.testing.assert_allclose(
+        result[1], ttm_reference(x.data, u, mode), rtol=rtol, atol=atol
     )
 
 

@@ -11,14 +11,15 @@ import pytest
 
 from repro.core.chain import plan_chain
 from repro.core.intensli import InTensLi
-from repro.core.inttm import default_plan
-from repro.core.tiling import explain_tiling
+from repro.core.inttm import default_plan, ttm_inplace
+from repro.core.tiling import explain_tiling, ttm_stream_collect, ttm_tiled
 from repro.core.tuner import enumerate_plans
 from repro.resilience.memory import (
     MEM_LIMIT_ENV,
     guard_memory,
     plan_footprint_bytes,
 )
+from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import COL_MAJOR, ROW_MAJOR
 from repro.testing import DEFAULT_CASES, DEGENERATE_CASES
 from repro.util.errors import DtypeError, ShapeError
@@ -102,3 +103,38 @@ def test_enumerate_plans_rejects_unsupported_dtype_like_every_planner():
     ):
         with pytest.raises(DtypeError):
             plan_it()
+
+
+def _standalone_entries():
+    """Each standalone entry as ``call(mode, j)`` on one small input
+    (only ``explain_tiling`` takes J; the others read it from U)."""
+    x = DenseTensor(np.arange(60.0).reshape(3, 4, 5), ROW_MAJOR)
+    u = np.ones((2, 4))
+    return {
+        "ttm_inplace(mode=)": lambda mode, j: ttm_inplace(x, u, mode),
+        "ttm_tiled": lambda mode, j: ttm_tiled(x, u, mode, budget=1 << 20),
+        "ttm_stream_collect": lambda mode, j: ttm_stream_collect(
+            [x.data[:1], x.data[1:]], u, mode
+        ),
+        "explain_tiling": lambda mode, j: explain_tiling(
+            x.shape, mode, j, budget=1 << 20
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        pytest.param(name, (True, 2), id=f"{name}-mode")
+        for name in sorted(_standalone_entries())
+    ]
+    + [pytest.param("explain_tiling", (1, True), id="explain_tiling-j")],
+)
+def test_a_warm_memo_rejects_bool_mode_and_j(entry, bad):
+    """``True == 1``: a memo keyed by value alone lets a warm bool through."""
+    call = _standalone_entries()[entry]
+    with pytest.raises(TypeError):
+        call(*bad)  # cold
+    call(*(1 if arg is True else arg for arg in bad))  # warms the memo
+    with pytest.raises(TypeError):
+        call(*bad)  # warm
