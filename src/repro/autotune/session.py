@@ -37,7 +37,7 @@ from repro.core.tuner import ExhaustiveTuner, enumerate_plans
 from repro.obs.tracer import active_tracer
 from repro.tensor.dense import DenseTensor
 from repro.tensor.layout import Layout
-from repro.util.dtypes import match_dtype
+from repro.util.dtypes import dtype_name, match_dtype
 from repro.util.errors import ShapeError
 
 
@@ -162,7 +162,7 @@ class AutotuneSession:
             raise ShapeError(f"U must be 2-D, got {u.ndim}-D")
         if transpose_u:
             u = u.T
-        dtype = x.data.dtype.name
+        dtype = dtype_name(x.data.dtype)
         key = self.key_for(x.shape, mode, u.shape[0], x.layout, dtype)
         plan = self.plan(x.shape, mode, u.shape[0], x.layout, dtype=dtype)
         if self.refine:

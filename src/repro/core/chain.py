@@ -535,17 +535,18 @@ def _plan_signature(
     )
     if planner is None:
         planner = _default_planner
+    name = dtype_name(dtype)
     current = shape
     step_plans: list[TtmPlan] = []
     for idx in schedule:
         mode, j = sig[idx]
-        plan = planner(current, mode, j, layout, dtype=dtype.name)
+        plan = planner(current, mode, j, layout, dtype=name)
         step_plans.append(plan)
         current = plan.out_shape
     return ChainPlan(
         shape=shape,
         layout=layout,
-        dtype=dtype.name,
+        dtype=name,
         order=schedule,
         step_plans=tuple(step_plans),
     )
@@ -695,7 +696,8 @@ def execute_chain(
         return x
     if execute is None:
         def execute(step_plan, x_cur, u, target):
-            return _run_plan(x_cur, u, step_plan, target)
+            y = step_plan.compiled.call(x_cur, u, target)
+            return _run_plan(x_cur, u, step_plan, target) if y is None else y
     if pool is None:
         pool = ScratchPool()
     tracer = active_tracer()

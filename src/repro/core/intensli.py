@@ -449,21 +449,23 @@ class InTensLi:
         :class:`~repro.util.errors.ResourceError` under memory pressure.
         """
         if (
-            out is None and not (transpose_u or check_finite)
+            not (transpose_u or check_finite)
             and type(x) is DenseTensor and type(u) is np.ndarray
             and u.ndim == 2 and type(mode) is int
         ):
-            # The warm entry: the plan-cache key straight from the tensor,
-            # then the plan's checked call, which declines whenever the
-            # code below could do more than run the kernel.  A hit is
-            # counted by the code below, which runs whenever counters are.
+            # The warm path: the plan-cache key straight from the tensor,
+            # read from the cache's dict without a lock (as
+            # PlanCache.lookup reads it), then the plan's checked entry,
+            # which declines whenever the code below could do more than
+            # run the kernel.  A hit is counted by the code below, which
+            # runs whenever counters are.
             data = x._data
-            plan = self._cache.lookup(
+            entry = self._cache._entries.get((
                 data.shape, mode, u.shape[0], x._layout, self.max_threads,
                 _NATIVE_NAMES.get(data.dtype),
-            )
-            if plan is not None:
-                y = plan.compiled.call(x, u)
+            ))
+            if entry is not None:
+                y = entry.plan.compiled.call(x, u, out)
                 if y is not None:
                     return y
         if not isinstance(x, DenseTensor):
@@ -518,6 +520,10 @@ class InTensLi:
         plan's checked warm entry (:attr:`~repro.core.plan.CompiledPlan
         .call`) gets the call first.
         """
+        if not check_finite:
+            y = plan.compiled.call(x, u, out)
+            if y is not None:
+                return y
         return _run_plan(
             x, u, plan, out, check_finite=check_finite,
             allow_replan=allow_replan, reroute=self._maybe_execute_tiled,

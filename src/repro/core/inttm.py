@@ -5,10 +5,10 @@ One body, ``_run_plan``, executes every plan: ``ttm_inplace`` and the
 pre-flights the memory the call needs, validates the operands once,
 then calls the plan's compiled loop nest (:attr:`TtmPlan.compiled`, from
 :func:`repro.core.codegen.compile_plan`) on copy-free views of the input
-and output storage, writing straight through the output tensor.  A warm
-call without ``accumulate`` or ``check_finite`` first tries the plan's
-checked entry (:func:`warm_entry`), which runs the kernel only when
-``_run_plan`` would do nothing else.
+and output storage, writing straight through the output tensor.  Its
+callers first try the plan's checked warm entry
+(:attr:`~repro.core.plan.CompiledPlan.call`, generated with the kernel),
+which runs the kernel only when ``_run_plan`` would do nothing else.
 
 Kernel failures degrade the whole call, not one loop index: a
 recoverable error reruns the call with the plan recompiled one kernel
@@ -37,7 +37,7 @@ from repro.core.partition import (
     component_modes_for_strategy,
     strategy_for,
 )
-from repro.core.plan import CompiledPlan, TtmPlan
+from repro.core.plan import TtmPlan
 from repro.obs import counters as _counters, tracer as _tracer
 from repro.resilience import faults as _faults
 from repro.resilience.fallback import fallback_tiers, recoverable
@@ -277,67 +277,14 @@ def ttm_inplace(
             x._data.shape, mode, u_arr.shape[0], x._layout,
             dtype=_NATIVE_NAMES[x._data.dtype],
         )
+    if not (accumulate or check_finite):
+        y = plan.compiled.call(x, u, out)
+        if y is not None:
+            return y
     return _run_plan(
         x, u, plan, out, accumulate=accumulate, check_finite=check_finite,
         allow_replan=allow_replan,
     )
-
-
-def warm_entry(plan: TtmPlan, record: CompiledPlan):
-    """*plan*'s checked warm entry, :attr:`CompiledPlan.call`.
-
-    ``call(x, u, out=None)`` does what :func:`_run_plan` does when
-    nothing but the kernel can happen: *x* an in-memory
-    :class:`DenseTensor` of the plan's shape, layout and dtype, *u* an
-    ``np.ndarray`` of shape ``(J, I_n)`` in that dtype, *out* None or a
-    :class:`DenseTensor` of the output's shape, layout and dtype, no
-    tracer or hot counters, and
-    :func:`~repro.resilience.memory.preflight_skips` true of *record*'s
-    footprint for that output.  Otherwise it returns None and
-    :func:`_run_plan` goes on, so every typed error, guard, span and
-    counter comes from one body.
-    The entry runs *record*'s ``fn``, so a record made with
-    ``_replace(fn=...)`` needs an entry of its own.
-    """
-    fn, empty_args, out_strides = record.fn, record.empty_args, record.out_strides
-    footprint, footprint_in_place = record.footprint, record.footprint_in_place
-    shape, layout, dtype = plan.shape, plan.layout, plan.np_dtype
-    u_shape, out_shape = (plan.j, plan.i_n), plan.out_shape
-
-    def call(x, u, out=None):
-        if type(x) is not DenseTensor or type(u) is not np.ndarray:
-            return None
-        data = x._data
-        if out is not None and not (
-            type(out) is DenseTensor
-            and out._data.shape == out_shape
-            and out._layout is layout
-            and out._data.dtype == dtype
-        ):
-            return None
-        if not (
-            data.shape == shape
-            and x._layout is layout
-            and data.dtype == dtype
-            and u.shape == u_shape
-            and u.dtype == dtype
-            and not _tracer._ACTIVE.enabled
-            and _counters._HOT_COUNTERS is None
-            and preflight_skips(
-                footprint if out is None else footprint_in_place, x._inmem
-            )
-        ):
-            return None
-        target = np.empty(*empty_args) if out is None else out._data
-        try:
-            fn(data, u, target)
-        except Exception as exc:
-            _degrade(plan, data, u, target, exc, None, _tracer._ACTIVE)
-        if out is None:
-            return DenseTensor._wrap(target, layout, out_strides, fresh=True)
-        return out
-
-    return call
 
 
 def _run_plan(
@@ -354,12 +301,13 @@ def _run_plan(
     """Pre-flight, validate, allocate and run *plan*: the executor's body.
 
     Every entry point runs here: :meth:`~repro.core.intensli.InTensLi
-    .ttm` after its plan-cache hit, :meth:`~repro.core.intensli.InTensLi
-    .execute` and :func:`ttm_inplace`.  What the plan fixes is read from
+    .ttm`, :meth:`~repro.core.intensli.InTensLi.execute`,
+    :func:`ttm_inplace` and fused-chain steps, each after the plan's
+    checked warm entry (:attr:`~repro.core.plan.CompiledPlan.call`)
+    declined the call or could not take it (``accumulate``,
+    ``check_finite``).  What the plan fixes is read from
     :attr:`TtmPlan.compiled`; what a call can change is checked on every
-    call.  A call without ``accumulate`` or ``check_finite`` first goes
-    to the plan's checked entry (:func:`warm_entry`), which runs the
-    kernel and returns when nothing else could happen.
+    call.
 
     The pre-flight is the test :func:`~repro.resilience.memory
     .preflight_skips` (an in-memory input, a footprint below
@@ -373,10 +321,6 @@ def _run_plan(
     validation.
     """
     compiled = plan.compiled
-    if not (accumulate or check_finite):
-        y = compiled.call(x, u, out)
-        if y is not None:
-            return y
     allocate_out = out is None or accumulate
     skip = preflight_skips(
         compiled.footprint if allocate_out else compiled.footprint_in_place,

@@ -66,10 +66,11 @@ class CompiledPlan(NamedTuple):
     #: executor allocates the output, and when the caller passed it.
     footprint: int
     footprint_in_place: int
-    #: The checked warm entry, ``call(x, u, out=None) -> DenseTensor | None``
-    #: (:func:`repro.core.inttm.warm_entry`), set on every record
-    #: :attr:`TtmPlan.compiled` builds.
-    call: Callable | None = None
+    #: The checked warm entry, ``call(x, u, out=None) -> DenseTensor | None``,
+    #: generated with ``fn`` (:mod:`repro.core.codegen`).  It inlines
+    #: ``fn``'s body, so a record made with ``_replace(fn=...)`` keeps
+    #: running the original kernel through it.
+    call: Callable
 
 
 @dataclass(frozen=True)
@@ -336,17 +337,17 @@ class TtmPlan:
         a warm call neither hashes the plan to find its kernel nor
         recomputes the output's allocation arguments or the footprints
         its memory pre-flight compares against.  Its ``call`` runs all
-        of that as one checked call.  This is the kernel's only holder:
-        equal plan instances compile equal code separately, and the
-        kernel is freed with its plan (at the next cyclic collection,
-        since ``call`` closes over the plan).
+        of that as one checked call.  This is the only holder of the
+        plan's closures: equal plan instances bind their own (from one
+        compiled template per structure), and the closures are freed
+        with their plan (at the next cyclic collection, since ``call``
+        closes over the plan).
         """
-        # Imported here: codegen and inttm import this module.
+        # Imported here: codegen imports this module.
         from repro.core.codegen import compile_plan
-        from repro.core.inttm import warm_entry
 
         fn = compile_plan(self)
-        record = CompiledPlan(
+        return CompiledPlan(
             fn=fn,
             counts=fn.counts,
             empty_args=(
@@ -355,8 +356,8 @@ class TtmPlan:
             out_strides=self.out_strides,
             footprint=plan_footprint_bytes(self, allocate_out=True),
             footprint_in_place=plan_footprint_bytes(self, allocate_out=False),
+            call=fn.entry,
         )
-        return record._replace(call=warm_entry(self, record))
 
     @property
     def kernel_flops(self) -> int:

@@ -74,7 +74,7 @@ from repro.resilience.recovery import (
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
 from repro.tensor.layout import Layout, element_strides
 from repro.tensor.views import merged_stride
-from repro.util.dtypes import match_dtype
+from repro.util.dtypes import dtype_name, match_dtype
 from repro.util.errors import (
     DtypeError,
     LayoutError,
@@ -472,7 +472,7 @@ def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
     found = plans.get(key)
     if found is None:
         plan = planner(
-            unit.x.shape, mode, j, unit.layout, dtype=unit.x.dtype.name
+            unit.x.shape, mode, j, unit.layout, dtype=dtype_name(unit.x.dtype)
         )
         x_strides = _element_strides(unit.x)
         out_strides = None if unit.out is None else _element_strides(unit.out)
@@ -800,12 +800,12 @@ def ttm_tiled(
                     and candidate.mode == int(mode)
                     and candidate.j == int(u.shape[0])
                     and candidate.layout is x.layout
-                    and candidate.dtype == x.data.dtype.name):
+                    and candidate.dtype == dtype_name(x.data.dtype)):
                 tiling = candidate
     if tiling is None:
         base_plan = planner(
             x.shape, mode, int(np.asarray(u).shape[0]), x.layout,
-            dtype=x.data.dtype.name,
+            dtype=dtype_name(x.data.dtype),
         )
         tiling = TilingPlanner(planner).plan(
             base_plan, budget=budget, out_preallocated=out is not None

@@ -15,8 +15,13 @@ from typing import Callable
 import numpy as np
 
 from repro.obs.tracer import active_tracer
-from repro.util.dtypes import SUPPORTED_DTYPES, canonical_dtype, result_dtype
-from repro.util.errors import ShapeError, StrideError
+from repro.util.dtypes import (
+    SUPPORTED_DTYPES,
+    canonical_dtype,
+    dtype_name,
+    result_dtype,
+)
+from repro.util.errors import DtypeError, ShapeError, StrideError
 
 
 def unit_stride_dims(array: np.ndarray) -> tuple[bool, bool]:
@@ -108,7 +113,10 @@ _FALLBACKS_WARNED: set[tuple[str, str]] = set()
 
 def blas_dtype_legal(dtype) -> bool:
     """True when *dtype* is a type real BLAS GEMM interfaces expose."""
-    return np.dtype(dtype).name in KERNEL_DTYPES["blas"]
+    try:
+        return dtype_name(dtype) in KERNEL_DTYPES["blas"]
+    except DtypeError:
+        return False
 
 
 def kernel_supports(kernel: str, dtype) -> bool:
@@ -119,7 +127,7 @@ def kernel_supports(kernel: str, dtype) -> bool:
         raise StrideError(
             f"unknown gemm kernel {kernel!r}; choose from {KERNELS}"
         ) from None
-    return canonical_dtype(dtype).name in supported
+    return dtype_name(dtype) in supported
 
 
 def resolve_kernel(kernel: str, dtype=None) -> Callable:

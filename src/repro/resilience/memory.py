@@ -21,11 +21,13 @@ Availability comes from ``$REPRO_MEM_LIMIT`` (an explicit byte budget —
 containers, tests), else ``MemAvailable`` in ``/proc/meminfo``, else the
 guard stands down (None).  Small calls skip the probe entirely: below
 :data:`PREFLIGHT_MIN_BYTES` a failure is implausible and the hot path
-should not pay a file read per TTM.  :func:`preflight_skips` states that
-condition once, for the tiling check, the guard, the executor and each
-plan's warm entry (the last two pass the footprints their plan caches,
-:attr:`~repro.core.plan.TtmPlan.compiled`), so a caller about to run
-the tiling check and the guard can skip the pair when neither could act.
+should not pay a file read per TTM.  That condition is stated once, as
+source (:func:`preflight_source`): :func:`preflight_skips`, which the
+tiling check, the guard and the executor call, is compiled from it, and
+each plan's generated warm entry inlines it (both executor paths pass
+the footprints their plan caches, :attr:`~repro.core.plan.TtmPlan
+.compiled`), so a caller about to run the tiling check and the guard
+can skip the pair when neither could act.
 
 Budget read policy
 ------------------
@@ -49,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import sys
 import threading
 
 from repro.resilience import faults as _faults
@@ -149,24 +152,60 @@ def plan_footprint_bytes(plan, *, allocate_out: bool = True) -> int:
     return out_bytes + plan.kernel_working_set_bytes * in_flight
 
 
-def preflight_skips(footprint: int, x_inmem: bool = True) -> bool:
-    """True when no pre-flight of a call can do anything but admit it.
+#: The pre-flight skip rule, over the expressions ``{footprint}`` and
+#: ``{x_inmem}`` and the names in :data:`PREFLIGHT_GLOBALS`: an in-memory
+#: input whose footprint (the call's :func:`plan_footprint_bytes`) is
+#: below :data:`PREFLIGHT_MIN_BYTES`, with no armed fault injector (its
+#: ``alloc-fail`` checkpoint lives in the probe) and no explicit
+#: ``$REPRO_MEM_LIMIT`` cap, all re-read at every evaluation.  This is
+#: the rule's one statement: :func:`preflight_skips` is compiled from it
+#: and every generated warm entry inlines it (:func:`preflight_source`).
+_PREFLIGHT_RULE = (
+    "{x_inmem} and {footprint} < _memory.PREFLIGHT_MIN_BYTES"
+    " and _faults._ACTIVE is None"
+    " and _MEM_LIMIT_KEY not in _os.environ._data"
+)
 
-    That is an in-memory input whose *footprint* (the call's
-    :func:`plan_footprint_bytes`) is below :data:`PREFLIGHT_MIN_BYTES`,
-    with no armed fault injector (its ``alloc-fail`` checkpoint lives in
-    the probe) and no explicit ``$REPRO_MEM_LIMIT`` cap, both re-read at
-    every call.  The tiling check and :func:`guard_memory` begin with
-    this test and stand down without a probe when it holds, so a caller
-    that gets True may skip both and provably run the same plan.
-    Out-of-core inputs never skip: the tiling check probes them.
+#: The globals :func:`preflight_source`'s expression reads.
+PREFLIGHT_GLOBALS = {
+    "_memory": sys.modules[__name__],
+    "_faults": _faults,
+    "_os": os,
+    "_MEM_LIMIT_KEY": MEM_LIMIT_KEY,
+}
+
+
+def preflight_source(footprint: str, x_inmem: str) -> str:
+    """The skip rule as one parenthesized Python expression.
+
+    *footprint* and *x_inmem* are the source of the two operands; the
+    code that evaluates it needs :data:`PREFLIGHT_GLOBALS` among its
+    globals.
     """
-    return (
-        x_inmem
-        and footprint < PREFLIGHT_MIN_BYTES
-        and _faults._ACTIVE is None
-        and MEM_LIMIT_KEY not in os.environ._data
+    return "(" + _PREFLIGHT_RULE.format(footprint=footprint, x_inmem=x_inmem) + ")"
+
+
+def _compile_preflight_skips():
+    namespace = dict(PREFLIGHT_GLOBALS)
+    source = (
+        "def preflight_skips(footprint, x_inmem=True):\n"
+        f"    return {preflight_source('footprint', 'x_inmem')}\n"
     )
+    exec(compile(source, "<preflight_skips>", "exec"), namespace)
+    return namespace["preflight_skips"]
+
+
+preflight_skips = _compile_preflight_skips()
+preflight_skips.__doc__ = """\
+True when no pre-flight of a call can do anything but admit it.
+
+``preflight_skips(footprint, x_inmem=True)`` evaluates the skip rule
+(:data:`_PREFLIGHT_RULE`) on a call's footprint in bytes.  The tiling
+check and :func:`guard_memory` begin with this test and stand down
+without a probe when it holds, so a caller that gets True may skip both
+and provably run the same plan.  Out-of-core inputs never skip: the
+tiling check probes them.
+"""
 
 
 def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False):

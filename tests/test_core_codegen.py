@@ -3,13 +3,15 @@
 import asyncio
 import gc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import codegen
 from repro.core.codegen import compile_plan, generate_source
-from repro.core.intensli import InTensLi
+from repro.core.intensli import InTensLi, default_intensli
 from repro.core.inttm import default_plan, ttm_inplace
 from repro.perf.profiler import track_hot_path
 from repro.resilience.memory import MEM_LIMIT_ENV, plan_footprint_bytes
@@ -278,6 +280,82 @@ class TestKernelOwnership:
         np.testing.assert_allclose(
             y.data, ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12
         )
+
+
+def _structures():
+    """A stream of plans with more distinct structures than the memo keeps."""
+    for layout in (ROW_MAJOR, COL_MAJOR):
+        for mode in range(5):
+            for degree in range(4):
+                for batched in (True, False):
+                    for kernel in ("auto", "blocked", "reference"):
+                        try:
+                            yield default_plan(
+                                (2, 3, 2, 3, 2), mode, 2, layout,
+                                degree=degree, batched=batched, kernel=kernel,
+                            )
+                        except PlanError:
+                            continue
+
+
+class TestStructureTemplates:
+    """One compiled template per structure; each plan binds its extents."""
+
+    def test_new_shapes_of_one_structure_compile_once(self, monkeypatch):
+        codegen._template.cache_clear()
+        compiled = []
+
+        def counting(*args, **kwargs):
+            compiled.append(args[1])
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "compile", counting, raising=False)
+        lib = default_intensli()
+        plans = []
+        for k in range(50):
+            x, u = _operands((3, 7, 50 + k), 1, 2, seed=k)
+            y = repro.ttm(x, u, 1)
+            np.testing.assert_allclose(
+                y.data, ttm_reference(x.data, u, 1), rtol=1e-12, atol=1e-12
+            )
+            plans.append(lib.plan(x.shape, 1, 2, ROW_MAJOR))
+        assert len(compiled) == 1
+        codes = {plan.compiled.fn.__code__ for plan in plans}
+        assert len(codes) == 1 and len({p.compiled.fn for p in plans}) == 50
+        # Each plan's source still renders its own extents as literals.
+        assert plans[7].compiled.fn.__source__ == generate_source(plans[7])
+
+    def test_the_template_memo_stays_within_its_bound(self):
+        codegen._template.cache_clear()
+        structures = set()
+        for plan in _structures():
+            structures.add(codegen._structure(plan))
+            fn = compile_plan(plan)
+            assert codegen._template.cache_info().currsize <= codegen.TEMPLATES
+            rng = np.random.default_rng(len(structures))
+            x = rng.standard_normal(plan.shape)
+            u = rng.standard_normal((plan.j, plan.i_n))
+            y = np.empty(plan.out_shape, order=plan.layout.numpy_order)
+            fn(np.asarray(x, order=plan.layout.numpy_order), u, y)
+            np.testing.assert_allclose(
+                y, ttm_reference(x, u, plan.mode), rtol=1e-12, atol=1e-12
+            )
+        assert len(structures) > codegen.TEMPLATES
+        assert codegen._template.cache_info().currsize == codegen.TEMPLATES
+
+    def test_a_dropped_plan_frees_its_closures(self):
+        x, u = _operands((4, 6, 5), 1, 3)
+        plan = default_plan(x.shape, 1, 3, ROW_MAJOR)
+        np.testing.assert_allclose(
+            ttm_inplace(x, u, plan=plan).data, ttm_reference(x.data, u, 1),
+            rtol=1e-12, atol=1e-12,
+        )
+        refs = [weakref.ref(obj) for obj in (
+            plan, plan.compiled.fn, plan.compiled.call,
+        )]
+        del plan
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
 
 class TestGeneratedEquivalence:

@@ -57,16 +57,19 @@ BUDGET_CASES = (
 )
 
 #: Calls into ``repro`` code one warm ``repro.ttm``, ``InTensLi.execute``
-#: or ``ttm_inplace(plan=)`` into a fresh output may make.
-CALL_BUDGET = 6
+#: or ``ttm_inplace(plan=)`` into a fresh output may make.  The plan's
+#: generated entry is not code under the package directory, so a warm
+#: ``repro.ttm`` counts 2 (``repro.ttm``, ``InTensLi.ttm``) of its three
+#: frames.
+CALL_BUDGET = 2
 
 #: The same, for ``InTensLi.execute`` or ``ttm_inplace`` into a
-#: preallocated output (every chain step), which runs ``_run_plan``.
-OUT_CALL_BUDGET = 8
+#: preallocated output (every chain step): the call, then the entry.
+OUT_CALL_BUDGET = 1
 
-#: The same, for ``ttm_inplace(x, u, mode)``: its memoized plan, then
-#: the body ``ttm_inplace(plan=)`` runs.
-MODE_CALL_BUDGET = 5
+#: The same, for ``ttm_inplace(x, u, mode)``: its memoized plan (a C
+#: cache hit), then the entry.
+MODE_CALL_BUDGET = 1
 
 #: Counters a warm call must report exactly like a cold one.
 DISPATCH_COUNTERS = ("gemm_calls", "batched_calls", "batched_slices")
@@ -330,17 +333,21 @@ def test_warm_non_recoverable_kernel_error_propagates_unchanged(monkeypatch):
 # -- the checked warm entry ---------------------------------------------------
 
 
+def _is_entry(code) -> bool:
+    """True for the code of a generated warm entry (of any structure)."""
+    return code.co_name == "entry" and code.co_filename.startswith("<inttm:")
+
+
 def _entry_outputs(call):
     """*call*'s outcome, and how many outputs a plan's warm entry returned.
 
     The outcome is ``("ok", array)`` or ``("error", type, message)``.
     """
-    entry_code = default_plan((2, 3), 0, 2, ROW_MAJOR).compiled.call.__code__
     taken = 0
 
     def profile(frame, event, arg):
         nonlocal taken
-        if event == "return" and frame.f_code is entry_code and arg is not None:
+        if event == "return" and _is_entry(frame.f_code) and arg is not None:
             taken += 1
 
     sys.setprofile(profile)
@@ -634,11 +641,26 @@ def test_warm_entry_is_taken_on_the_case_grid(monkeypatch, dtype, layout):
 
 
 def _entry_raising_once(plan, exc):
-    """*plan*'s warm entry, built on a kernel whose first call raises."""
-    record = plan.compiled
-    return inttm.warm_entry(
-        plan, record._replace(fn=_raising_once(record.fn, exc))
-    )
+    """*plan*'s warm entry, on an input whose first kernel view raises.
+
+    The entry runs the kernel body inline, so the body's first step (a
+    ``reshape`` of the input's data) is what raises *exc*, once.
+    """
+    entry = plan.compiled.call
+    state = {"raised": False}
+
+    class RaisingOnce(np.ndarray):
+        def reshape(self, *args, **kwargs):
+            if not state["raised"]:
+                state["raised"] = True
+                raise exc
+            return super().reshape(*args, **kwargs)
+
+    def call(x, u):
+        data = x.data.view(RaisingOnce)
+        return entry(DenseTensor._wrap(data, x.layout, fresh=True), u)
+
+    return call
 
 
 def _degradations(monkeypatch) -> list:
