@@ -8,12 +8,13 @@ benchmark prices that machinery against the unconstrained single-shot
 execution on the same operands:
 
 * ``speedup tiled`` — untiled seconds / tiled seconds.  Below 1.0 is
-  the expected tiling tax (plan-per-tile, boundary tiles, pack copies
-  on the packed path); the regression gate holds the tax steady rather
-  than hoping for a win.
+  the expected tiling tax (plan-per-tile, boundary tiles, a Python loop
+  over tiles); the regression gate holds the tax steady rather than
+  hoping for a win.
 * ``tiles`` / ``path`` — the geometry the planner actually chose: how
-  many tiles, and whether they run in place as (possibly strided)
-  views or are staged through the pack-multiply-scatter scratch pool.
+  many tiles, and how they run.  Every tile runs in place as a
+  (possibly strided) view, so ``path`` always reads ``views``; the
+  column stays so the committed baseline's headers still match.
 * The full run adds a disk leg: the same contraction with a
   memmap-backed input and output (``ttm_tiled(..., out_path=...)``),
   reported as wall seconds — informational, since it times the page

@@ -308,8 +308,7 @@ def cmd_tile_explain(args) -> int:
     print(f"parts       {'x'.join(str(p) for p in info['parts'])} "
           f"-> {info['n_tiles']} tile(s)")
     print(f"tile shape  {'x'.join(str(s) for s in info['max_tile_shape'])} "
-          f"(~{info['tile_footprint_bytes']} bytes each, "
-          f"{'packed' if info['packed'] else 'pure views'})")
+          f"(~{info['tile_footprint_bytes']} bytes each, in place)")
     print(f"base plan   {info['base_plan']}")
     if info["n_tiles"] > 1:
         # The tile-level plan shows what the estimator chose for the tile

@@ -7,11 +7,10 @@ TTM is embarrassingly tileable over every mode except ``n``
 (``Y[b] = X[b] x_n U`` for any block ``b``, no partial sums), so the
 planner cuts the non-contracted modes into block ranges
 (:func:`repro.distributed.grid.tile_grid`), outermost storage mode first.
-A tile is a strided view of X and Y, and it runs in place whenever every
-mode run its plan merges is copy-free on the tile's own strides
-(Lemma 4.1, :func:`runs_in_place`); only a tile whose split cuts inside
-a merged run is packed through a bounded
-:class:`~repro.core.chain.ScratchPool` (GETT-style).
+Every tile runs in place, as a strided view of X and Y: its plan's
+merged mode runs must nest on the tile's own strides (Lemma 4.1,
+:func:`runs_in_place`), and a unit whose plan's runs do not is replanned
+at the highest degree whose runs do.  Nothing is copied into scratch.
 
 A tile is one more loop level of the paper's Algorithm 2 over views of
 the same operands, and this module runs that level once.  Every
@@ -22,8 +21,8 @@ configured planner.  A stream with ``axis != mode`` is a tiling whose
 input tiles come from an iterator; with ``axis == mode`` it is a k-split
 whose units accumulate into one output (GEMM's ``beta=1``).
 
-Failure atomicity: :func:`execute_tiled` pre-flights every tile (plan,
-scratch sizing, the ``alloc-fail`` checkpoint) before the first output
+Failure atomicity: :func:`execute_tiled` pre-flights every tile (its
+plan and the ``alloc-fail`` checkpoint) before the first output
 byte is written, so a run that cannot complete leaves its output
 untouched.  An ``out_path`` result is staged in ``<out_path>.partial``
 and published only when complete, and ``journal_path=`` adds a
@@ -34,7 +33,6 @@ committed unit (:mod:`repro.resilience.recovery`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -43,7 +41,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.chain import ScratchPool
 from repro.core.inttm import _default_planner, ttm_inplace
 from repro.core.plan import TtmPlan
 from repro.distributed.grid import tile_grid
@@ -53,6 +50,7 @@ from repro.resilience.faults import active_faults
 from repro.resilience.memory import (
     MEM_LIMIT_ENV,
     available_bytes,
+    descending_degree_plans,
     pinned_budget,
     plan_footprint_bytes,
     preflight_skips,
@@ -72,7 +70,7 @@ from repro.resilience.recovery import (
     region_checksum,
 )
 from repro.tensor.dense import DenseTensor, open_memmap_tensor
-from repro.tensor.layout import Layout, element_strides
+from repro.tensor.layout import Layout
 from repro.tensor.views import merged_stride
 from repro.util.dtypes import dtype_name, match_dtype
 from repro.util.errors import (
@@ -82,7 +80,7 @@ from repro.util.errors import (
     ResourceError,
     ShapeError,
 )
-from repro.util.validation import check_shape
+from repro.util.validation import check_mode, check_shape
 
 #: ``planner(shape, mode, j, layout, dtype=...) -> TtmPlan`` — the seam
 #: through which tiling reuses whatever planning the caller has (the
@@ -142,9 +140,6 @@ class TilingPlan:
 
     ``parts[m]`` is the number of blocks mode *m* is cut into
     (``parts[mode] == 1`` always — the contracted mode is never split).
-    ``packed`` records whether some tile needs staging copies (a split
-    inside a run its plan merges) or every tile runs in place as a
-    strided view (:func:`runs_in_place`).
     """
 
     shape: tuple[int, ...]
@@ -156,6 +151,8 @@ class TilingPlan:
     budget: int | None
     base_footprint_bytes: int
     tile_footprint_bytes: int
+    #: Always False (every tile runs in place); kept so the decision's
+    #: :meth:`to_dict`, golden fixture and journal digests stay as written.
     packed: bool
     reason: str
 
@@ -231,7 +228,7 @@ class TilingPlan:
         cuts = "x".join(str(p) for p in self.parts)
         return (
             f"TilingPlan[{dims} mode={self.mode} J={self.j} parts={cuts} "
-            f"tiles={self.n_tiles} {'packed' if self.packed else 'views'} "
+            f"tiles={self.n_tiles} "
             f"tile~{self.tile_footprint_bytes}B budget={self.budget} "
             f"({self.reason})]"
         )
@@ -242,13 +239,13 @@ class TilingPlanner:
 
     The planner splits greedily, outermost-storage-mode first: it doubles
     the cut count of the preferred axis until either the footprint fits
-    or the axis is fully split, then moves inward.  The footprint of a
-    candidate cut is priced with a *real* plan for the maximal tile shape
-    (the configured planner — estimator or default — adapts degree,
-    batching, and kernel to the tile), plus staging bytes only when some
-    tile fails :func:`runs_in_place` — the test the executor applies — so
-    the decision and the execution can never disagree about what a tile
-    costs.
+    or the axis is fully split, then moves inward.  A partial cut thus
+    always lands on the outermost non-unit mode of a merged run, where
+    the run still nests (:func:`runs_in_place`), so every tile runs in
+    place with nothing staged.  The footprint of a candidate cut is
+    priced with a *real* plan for the maximal tile shape (the configured
+    planner — estimator or default — adapts degree, batching, and kernel
+    to the tile).
     """
 
     def __init__(self, planner: Planner | None = None) -> None:
@@ -284,7 +281,6 @@ class TilingPlanner:
                 parts=list(tiling.parts),
                 n_tiles=tiling.n_tiles,
                 max_tile_shape=list(tiling.max_tile_shape),
-                packed=tiling.packed,
                 budget=tiling.budget,
                 tile_footprint_bytes=tiling.tile_footprint_bytes,
                 reason=tiling.reason,
@@ -303,7 +299,7 @@ class TilingPlanner:
             budget = available_bytes()
         parts = [1] * order
 
-        def finished(reason: str, foot: int, packed: bool) -> TilingPlan:
+        def finished(reason: str, foot: int) -> TilingPlan:
             return TilingPlan(
                 shape=shape,
                 mode=base_plan.mode,
@@ -314,30 +310,29 @@ class TilingPlanner:
                 budget=budget,
                 base_footprint_bytes=need,
                 tile_footprint_bytes=foot,
-                packed=packed,
+                packed=False,
                 reason=reason,
             )
 
         if budget is None or need <= budget or 0 in shape:
-            return finished("fits-in-budget", need, False)
+            return finished("fits-in-budget", need)
 
         # Split preference: outermost storage mode first (contiguous
-        # view tiles, zero staging), inward from there; never the
-        # contracted mode.
+        # view tiles), inward from there; never the contracted mode.
         if base_plan.layout is Layout.ROW_MAJOR:
             axes = [a for a in range(order) if a != base_plan.mode]
         else:
             axes = [a for a in reversed(range(order)) if a != base_plan.mode]
 
         while True:
-            foot, packed = self._tile_footprint(base_plan, parts, budget)
+            foot = self._tile_footprint(base_plan, parts)
             if foot <= budget:
                 if not any(p > 1 for p in parts):
                     # Transients already fit; the overage was entirely
                     # the output allocation, which tiling cannot shrink —
                     # the executor routes it out of core (or refuses).
-                    return finished("output-dominates", foot, packed)
-                return finished("tiled-to-budget", foot, packed)
+                    return finished("output-dominates", foot)
+                return finished("tiled-to-budget", foot)
             advanced = False
             for axis in axes:
                 if parts[axis] < shape[axis]:
@@ -349,55 +344,21 @@ class TilingPlanner:
                     f"TTM for shape {shape} mode {base_plan.mode} "
                     f"J={base_plan.j} cannot be tiled into a {budget}-byte "
                     f"budget: even one-element tiles need ~{foot} bytes "
-                    f"(kernel working set + staging); raise ${MEM_LIMIT_ENV}"
+                    f"(kernel working set); raise ${MEM_LIMIT_ENV}"
                 )
 
-    def _tile_footprint(
-        self, base_plan: TtmPlan, parts: Sequence[int],
-        budget: int | None = None,
-    ) -> tuple[int, bool]:
-        """Bytes one tile of the current cut allocates, and whether it packs.
-
-        A cut packs when any of its distinct tile shapes does: each gets
-        its own plan, so each is checked against the parent's strides
-        (:func:`~repro.distributed.grid.tile_grid` cuts an extent into
-        blocks of two lengths at most, its floor and ceiling shares).
-        A cut whose kernel working set alone exceeds *budget* is rejected
-        whatever it packs, so it is priced as packed without the check.
-        """
-        shape = base_plan.shape
-        layout = base_plan.layout
+    def _tile_footprint(self, base_plan: TtmPlan, parts: Sequence[int]) -> int:
+        """Bytes the largest tile of the current cut allocates: its
+        plan's kernel working sets, since a tile writes into its output
+        view and stages nothing."""
         tshape = tuple(
-            _max_block(e, p) for e, p in zip(shape, parts)
+            _max_block(e, p) for e, p in zip(base_plan.shape, parts)
         )
         tile_plan = self._planner(
-            tshape, base_plan.mode, base_plan.j, layout,
+            tshape, base_plan.mode, base_plan.j, base_plan.layout,
             dtype=base_plan.dtype,
         )
-        foot = plan_footprint_bytes(tile_plan, allocate_out=False)
-        packed = budget is not None and foot > budget
-        if not packed:
-            x_strides = element_strides(shape, layout)
-            for sub in itertools.product(*(
-                {e // _tile_count(e, p), _max_block(e, p)}
-                for e, p in zip(shape, parts)
-            )):
-                sub_plan = self._planner(
-                    sub, base_plan.mode, base_plan.j, layout,
-                    dtype=base_plan.dtype,
-                )
-                if not runs_in_place(sub_plan, x_strides,
-                                     base_plan.out_strides):
-                    packed = True
-                    break
-        if packed:
-            itemsize = base_plan.itemsize
-            x_tile = itemsize * math.prod(tshape)
-            y_tile = itemsize * base_plan.j * math.prod(
-                e for m, e in enumerate(tshape) if m != base_plan.mode
-            )
-            foot += x_tile + y_tile
-        return foot, packed
+        return plan_footprint_bytes(tile_plan, allocate_out=False)
 
 
 def runs_in_place(
@@ -412,7 +373,8 @@ def runs_in_place(
     and the batch run — into one matrix dimension, and a reshape is a
     view exactly when the run's strides nest (:func:`~repro.tensor.views
     .merged_stride`).  A split on a run's outermost mode keeps the
-    nesting; a split inside a run breaks it, and that tile is packed.
+    nesting; a split inside a run breaks it, and that tile's unit is
+    replanned at a degree whose runs nest (:func:`_plan_unit`).
     """
     try:
         for run in (plan.component_modes, plan.batch_modes):
@@ -463,10 +425,15 @@ def _element_strides(a: np.ndarray) -> tuple[int, ...]:
 
 
 def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
-               j: int) -> tuple[TtmPlan, bool, tuple, tuple | None]:
-    """The plan for *unit*, whether it packs (:func:`runs_in_place`
-    fails) and its views' element strides (None for a fresh output),
-    decided once per distinct unit shape and strides."""
+               j: int) -> tuple[TtmPlan, tuple, tuple | None]:
+    """The plan for *unit* and its views' element strides (None for a
+    fresh output), decided once per distinct unit shape and strides.
+
+    A plan whose merged runs do not nest on those strides
+    (:func:`runs_in_place`) gives way to the highest degree whose runs
+    do, batched before unbatched; degree 0 unbatched merges nothing, so
+    one always exists.
+    """
     key = (unit.x.shape, unit.layout, unit.x.dtype, unit.x.strides,
            None if unit.out is None else unit.out.strides)
     found = plans.get(key)
@@ -476,13 +443,14 @@ def _plan_unit(plans: dict, planner: Planner, unit: _Unit, mode: int,
         )
         x_strides = _element_strides(unit.x)
         out_strides = None if unit.out is None else _element_strides(unit.out)
-        found = plans[key] = (
-            plan,
-            not runs_in_place(plan, x_strides,
-                              out_strides or plan.out_strides),
-            x_strides,
-            out_strides,
-        )
+        y_strides = out_strides or plan.out_strides
+        if not runs_in_place(plan, x_strides, y_strides):
+            plan = next(
+                candidate
+                for candidate in descending_degree_plans(plan, plan.degree)
+                if runs_in_place(candidate, x_strides, y_strides)
+            )
+        found = plans[key] = (plan, x_strides, out_strides)
     return found
 
 
@@ -490,64 +458,42 @@ def _run_units(units: Iterable[_Unit], mode: int, j: int, planner: Planner,
                plans: dict, counter: str, journal=None, state_path=None):
     """Plan, run, land and commit each unit of an out-of-core TTM.
 
-    A unit whose plan :func:`runs_in_place` on its views' strides runs as
-    those views; any other is packed through a :class:`ScratchPool`,
-    multiplied and scattered back (GETT-style).  The loop yields
-    ``(unit, result)`` *before* committing the unit, so a stream's commit
-    follows its consumer's next pull; a drained loop commits each unit
-    as soon as it has run.  The commit checks the ``crash`` fault point at
-    ``<type>-commit`` (output bytes written, record not yet journaled),
-    lands the unit — the region CRC of its output, or for an accumulator
-    the durably published *state_path* sidecar — and appends its record.
+    Every unit runs :func:`~repro.core.inttm.ttm_inplace` on its views,
+    with the plan :func:`_plan_unit` proved copy-free on their strides.
+    The loop yields ``(unit, result)`` *before* committing the unit, so a
+    stream's commit follows its consumer's next pull; a drained loop
+    commits each unit as soon as it has run.  The commit checks the
+    ``crash`` fault point at ``<type>-commit`` (output bytes written,
+    record not yet journaled), lands the unit — the region CRC of its
+    output, or for an accumulator the durably published *state_path*
+    sidecar — and appends its record.
     """
     tracer = active_tracer()
     faults = active_faults()
     counters = active_hot_counters()
-    pool = ScratchPool()
     for unit in units:
-        plan, packed, x_strides, out_strides = _plan_unit(
+        plan, x_strides, out_strides = _plan_unit(
             plans, planner, unit, mode, j
         )
         span = (
             tracer.span(
                 "tile-exec", tile=unit.index,
                 ranges=[list(r) for r in unit.ranges],
-                tile_shape=list(unit.x.shape), packed=packed,
+                tile_shape=list(unit.x.shape), degree=plan.degree,
             )
             if tracer.enabled
             else nullcontext()
         )
         with span:
-            if packed:
-                before = pool.nbytes
-                x_tile = pool.request(0, unit.x.shape, unit.layout,
-                                      unit.x.dtype)
-                y = pool.request(1, unit.out.shape, unit.layout,
-                                 unit.x.dtype)
-                if faults is not None:
-                    faults.observe(
-                        "alloc", site="tile-scratch", tile=unit.index,
-                        bytes=pool.nbytes - before, pool_nbytes=pool.nbytes,
-                        kernel_ws=plan_footprint_bytes(
-                            plan, allocate_out=False
-                        ),
-                    )
-                np.copyto(x_tile.data, unit.x)
-                ttm_inplace(x_tile, unit.u, plan=plan, out=y)
-                np.copyto(unit.out, y.data)
-            else:
-                y = ttm_inplace(
-                    DenseTensor._wrap(unit.x, unit.layout, x_strides),
-                    unit.u, plan=plan,
-                    out=None if unit.out is None
-                    else DenseTensor._wrap(unit.out, unit.layout,
-                                           out_strides),
-                    accumulate=unit.accumulate,
-                )
+            y = ttm_inplace(
+                DenseTensor._wrap(unit.x, unit.layout, x_strides),
+                unit.u, plan=plan,
+                out=None if unit.out is None
+                else DenseTensor._wrap(unit.out, unit.layout, out_strides),
+                accumulate=unit.accumulate,
+            )
         if counters is not None:
             counters.add(counter)
-            if packed:
-                counters.add("tile_pack_bytes", x_tile.nbytes + y.nbytes)
         yield unit, y
         if journal is not None:
             rtype = unit.record["type"]
@@ -583,8 +529,8 @@ def execute_tiled(
     The budget is **pinned** (:func:`repro.resilience.memory
     .pinned_budget`) for the whole run so per-tile guard probes agree
     with the tiling decision, and every tile is pre-flighted — plans
-    built, scratch sized, ``alloc-fail`` checkpoints visited — before
-    the first write, so failures leave *out* untouched.
+    built, ``alloc-fail`` checkpoints visited — before the first write,
+    so failures leave *out* untouched.
 
     An *out_path* result lands **complete-or-untouched**: tiles write to
     ``<out_path>.partial``, which is fsync'd and atomically renamed into
@@ -717,9 +663,9 @@ def _execute_tiled_body(
                     spec.index, spec.ranges, x.data[spec.in_slices], layout,
                     u, out_view, False, {"type": "tile", "index": spec.index},
                 ))
-        # Pre-flight every tile before writing anything: plan it, size
-        # its scratch, and visit the alloc-fail checkpoint, so a failure
-        # at tile k surfaces before tile 0 has written a byte.
+        # Pre-flight every tile before writing anything: plan it and
+        # visit the alloc-fail checkpoint, so a failure at tile k
+        # surfaces before tile 0 has written a byte.
         faults = active_faults()
         plans: dict = {}
         for unit in units:
@@ -785,6 +731,8 @@ def ttm_tiled(
     """
     if not isinstance(x, DenseTensor):
         x = DenseTensor(np.asarray(x))
+    # Before the journal: an adopted decision must not skip the check.
+    mode = check_mode(mode, x.ndim)
     u = match_dtype(u, x.data.dtype)
     if planner is None:
         planner = _default_planner
@@ -797,7 +745,7 @@ def ttm_tiled(
         if header is not None and header.get("kind") == "ttm-tiled":
             candidate = TilingPlan.from_dict(header["decision"])
             if (candidate.shape == x.shape
-                    and candidate.mode == int(mode)
+                    and candidate.mode == mode
                     and candidate.j == int(u.shape[0])
                     and candidate.layout is x.layout
                     and candidate.dtype == dtype_name(x.data.dtype)):
@@ -906,6 +854,14 @@ def ttm_stream(
     a diverging stream raises :class:`~repro.util.errors.RecoveryError`
     rather than splicing two different streams.
     """
+    # Typed before the journal opens; each chunk checks the range.
+    for name, value in (("mode", mode), ("axis", axis)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(
+                f"{name} must be an int, got {type(value).__name__}"
+            )
+        if value < 0:
+            raise ShapeError(f"{name} must be >= 0, got {value}")
     layout = Layout.parse(layout)
     if planner is None:
         planner = _default_planner

@@ -108,8 +108,10 @@ class HotCounters(Counters):
     ``plan_cache_*`` names mirror the persistent autotune cache's
     :class:`~repro.autotune.CacheStats`.  The resilience layer reports
     one name per degradation (``kernel_fallbacks`` ... ``memory_replans``),
-    and the tiling, stream and recovery layers report tiles, packed
-    bytes, chunks, resumes, journal commits and durable store publishes.
+    and the tiling, stream and recovery layers report tiles, chunks,
+    resumes, journal commits and durable store publishes
+    (``tile_pack_bytes`` always reads 0: every tile runs in place; it
+    stays declared because the benchmark harness reads it).
     The Tucker factor solver counts every solve (``factor_solves``), the
     warm-started subspace steps it kept (``factor_warm_solves``) and the
     ones whose checks failed and fell back to a full ``eigh``

@@ -27,10 +27,11 @@ Named injection points (the wiring sites ship with the library):
 ``alloc-fail``
     The memory pre-flight guard — arming it with no ``match`` (no
     exception needed) makes the guard see zero available bytes.  The
-    tiled executor additionally checks in before each scratch
-    allocation with ``site="tile-scratch", tile=<i>, bytes=<n>`` so a
-    matched rule can kill allocation *k* mid-run without zeroing the
-    global budget probe (which passes no context).
+    tiled executor additionally checks in once per tile while it
+    pre-flights, with ``site="tile-scratch", tile=<i>, bytes=<n>`` (the
+    tile's input and output view bytes), so a matched rule can fail tile
+    *k* before any tile runs without zeroing the global budget probe
+    (which passes no context).
 ``crash``
     Process death, for the checkpoint/restart layer
     (:mod:`repro.resilience.recovery`).  Checked at
@@ -43,11 +44,6 @@ Named injection points (the wiring sites ship with the library):
     ``SIGKILL`` to the process — the subprocess crash/resume suites are
     built on this — while a rule armed with an exception raises it
     instead, the in-process form the Hypothesis resume fuzz uses.
-
-Besides firing armed rules, instrumented allocation sites report what
-they allocate through :meth:`FaultInjector.observe`; the ``observed``
-log is how the out-of-core tests measure peak scratch against the
-budget without monkeypatching NumPy.
 
 The disabled path is the same shape as the tracer's and the hot-path
 counters': instrumented code reads one module global
@@ -127,7 +123,6 @@ class FaultInjector:
         self._rules: list[FaultRule] = []
         self._lock = threading.Lock()
         self.fired: list[tuple[str, dict]] = []
-        self.observed: list[tuple[str, dict]] = []
 
     def arm(
         self,
@@ -211,22 +206,6 @@ class FaultInjector:
         """How many times *point* has fired so far."""
         with self._lock:
             return sum(1 for p, _ in self.fired if p == point)
-
-    def observe(self, event: str, **ctx) -> None:
-        """Record a passive observation (no rule matching, never raises).
-
-        Instrumented allocation sites call this with what they are about
-        to allocate (``observe("alloc", site=..., bytes=...)``) so tests
-        can reconstruct peak transient memory from the log.  Free-form:
-        *event* is not restricted to :data:`INJECTION_POINTS`.
-        """
-        with self._lock:
-            self.observed.append((event, dict(ctx)))
-
-    def observations(self, event: str) -> list[dict]:
-        """All recorded contexts for *event*, in order."""
-        with self._lock:
-            return [dict(ctx) for e, ctx in self.observed if e == event]
 
 
 _ACTIVE: FaultInjector | None = None

@@ -247,30 +247,41 @@ def guard_memory(plan, *, allocate_out: bool = True, allow_replan: bool = False)
 
 
 def _lower_degree_plan(plan, avail: int, allocate_out: bool):
-    """The highest-degree plan below *plan* whose footprint fits, if any.
-
-    Rebuilt through the memoized :func:`repro.core.inttm.default_plan`
-    (imported lazily — this module sits below the core layer), so a
-    replan repeated under the same pressure reuses one plan and compiles
-    its kernel once.  The kernel is reopened to ``auto``: a shorter
-    component run can change stride legality, and ``auto`` re-routes per
-    operand.
-    """
-    from repro.core.inttm import _default_planner
-
-    for degree in range(plan.degree - 1, -1, -1):
-        candidate = _default_planner(
-            plan.shape,
-            plan.mode,
-            plan.j,
-            plan.layout,
-            loop_threads=plan.loop_threads,
-            kernel_threads=plan.kernel_threads,
-            kernel="auto",
-            degree=degree,
-            batched=bool(plan.batch_modes),
-            dtype=plan.dtype,
-        )
+    """The highest-degree plan below *plan* whose footprint fits, if any."""
+    for candidate in descending_degree_plans(
+        plan, plan.degree - 1, (bool(plan.batch_modes),)
+    ):
         if plan_footprint_bytes(candidate, allocate_out=allocate_out) <= avail:
             return candidate
     return None
+
+
+def descending_degree_plans(plan, top: int, batched=(True, False)):
+    """*plan*'s signature replanned at each degree from *top* down to 0.
+
+    Each degree yields one plan per flag in *batched*, in that order.
+    Both replans walk this one sequence: the memory guard's (the first
+    that fits) and the tiling layer's (the first whose merged runs nest
+    on a unit's strides).  Plans are rebuilt through the memoized
+    :func:`repro.core.inttm.default_plan` (imported lazily — this module
+    sits below the core layer), so a replan repeated under the same
+    pressure reuses one plan and compiles its kernel once.  The kernel
+    is reopened to ``auto``: a shorter component run can change stride
+    legality, and ``auto`` re-routes per operand.
+    """
+    from repro.core.inttm import _default_planner
+
+    for degree in range(top, -1, -1):
+        for flag in batched:
+            yield _default_planner(
+                plan.shape,
+                plan.mode,
+                plan.j,
+                plan.layout,
+                loop_threads=plan.loop_threads,
+                kernel_threads=plan.kernel_threads,
+                kernel="auto",
+                degree=degree,
+                batched=flag,
+                dtype=plan.dtype,
+            )

@@ -98,7 +98,7 @@ def region_checksum(arr) -> int:
 
     Memory order is the order ``copy(order="K")`` packs: axes by
     decreasing stride, so a strided view of a column-major array sums
-    like the column-major tile packed from it.  A strided region is fed
+    like its contiguous column-major copy.  A strided region is fed
     to the CRC one contiguous inner run at a time, without a copy,
     unless its runs are short.
     """

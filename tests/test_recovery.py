@@ -413,10 +413,12 @@ class TestInProcessResume:
         )
 
 
-    def test_column_major_packed_tiles_verify_and_resume(self, tmp_path):
-        # Inner-mode cuts pack every tile.  The commit CRC of a packed
-        # column-major tile must equal the one verify and resume read
-        # back from the strided output region.
+    def test_column_major_inner_split_tiles_verify_and_resume(
+        self, tmp_path
+    ):
+        # A cut of the storage-innermost axis makes every tile a strided
+        # view.  The commit CRC of a column-major tile must equal the one
+        # verify and resume read back from the strided output region.
         shape, j, mode = (8, 6, 5), 4, 1
         x, u = _case(shape, j, mode, layout=Layout.COL_MAJOR)
         tiling = _forced_tiling(shape, mode, j, layout=Layout.COL_MAJOR,

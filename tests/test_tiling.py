@@ -5,10 +5,10 @@ Three invariants anchor this module:
 1. **Exactness** — a tiled TTM partitions the non-contracted index space,
    so tiled == untiled == the equation-(1) oracle bit-for-bit in shape
    and allclose in value, for every geometry, layout, and dtype.
-2. **Boundedness** — per-tile transient allocations (kernel working set
-   plus any packing scratch) never exceed the budget the planner was
-   given; measured through the fault injector's passive ``observe`` log,
-   not by monkeypatching NumPy.
+2. **Boundedness** — every tile's kernel working set fits the budget the
+   planner was given; checked by the per-tile memory guard, which runs
+   against the pinned budget whenever a fault injector is armed, not by
+   monkeypatching NumPy.
 3. **Determinism** — the tiling decision for a signature is a pure
    function of (shape, mode, J, layout, dtype, budget); the golden
    fixture ``tests/golden/tiling_plans.json`` pins it (regenerate with
@@ -17,6 +17,7 @@ Three invariants anchor this module:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -81,11 +82,11 @@ def _case_arrays(shape, j, mode, layout=ROW_MAJOR, dtype="float64", seed=0):
     return x, u
 
 
-def _forced_tiling(shape, mode, j, layout, parts):
+def _forced_tiling(shape, mode, j, layout, parts, dtype="float64"):
     """A :class:`TilingPlan` with a hand-picked cut and no budget."""
     return TilingPlan(
         shape=tuple(shape), mode=mode, j=j, layout=layout,
-        dtype="float64", parts=tuple(parts), budget=None,
+        dtype=dtype, parts=tuple(parts), budget=None,
         base_footprint_bytes=0, tile_footprint_bytes=0, packed=False,
         reason="test-forced",
     )
@@ -96,8 +97,20 @@ def _min_tile_budget(shape, mode, j, layout, dtype="float64"):
     is still tileable, so planning against it forces the deepest split."""
     base = default_plan(shape, mode, j, layout, dtype=dtype)
     parts = [1 if m == mode else max(1, e) for m, e in enumerate(shape)]
-    foot, _ = TilingPlanner()._tile_footprint(base, parts)
-    return foot
+    return TilingPlanner()._tile_footprint(base, parts)
+
+
+def _assert_guard_refuses(x, u, tiling, out):
+    """With an injector armed, every tile's memory guard runs against the
+    pinned budget: one byte below the largest tile's working set, the
+    run is refused with the typed error, so a run that completed under an
+    armed injector kept every tile within its budget."""
+    base = default_plan(x.shape, tiling.mode, tiling.j, tiling.layout,
+                        dtype=tiling.dtype)
+    foot = TilingPlanner()._tile_footprint(base, tiling.parts)
+    squeezed = dataclasses.replace(tiling, budget=foot - 1)
+    with fault_injection(), pytest.raises(ResourceError, match="needs"):
+        execute_tiled(x, u, squeezed, out=out)
 
 
 # -- the planner ---------------------------------------------------------------
@@ -341,20 +354,35 @@ def test_tiled_view_and_packed_paths(mode, expect_packed):
     assert (counters.tile_pack_bytes > 0) is expect_packed
 
 
-def test_split_inside_a_merged_run_still_packs():
-    # Mode 0 row-major merges M_C = (1, 2); cutting axis 2 breaks the
-    # run's nesting, so every tile is staged through scratch.
-    shape, j, mode = (12, 10, 8), 4, 0
-    x, u = _case_arrays(shape, j, mode)
-    tiling = _forced_tiling(shape, mode, j, ROW_MAJOR, (1, 1, 2))
-    out = DenseTensor.empty(tiling.out_shape, ROW_MAJOR)
-    with track_hot_path() as counters:
-        got = execute_tiled(x, u, tiling, out=out)
-    np.testing.assert_allclose(
-        got.data, ttm_oracle(x.data, u, mode), rtol=1e-10, atol=1e-12
-    )
-    assert counters.tiles_executed == 2
-    assert counters.tile_pack_bytes == 8 * (x.data.size + out.data.size)
+def test_split_inside_a_merged_run_replans_in_place():
+    # Row-major mode 0 merges M_C = (1, 2); cutting axis 2 breaks the
+    # run's nesting, so each unit is replanned at degree 1, whose runs
+    # nest on the tile's strides, and still runs in place.  The
+    # column-major cut of axes 0 and 2 splits no merged run.
+    cases = [((12, 10, 8), 0, ROW_MAJOR, (1, 1, 2), True),
+             ((8, 6, 5), 1, COL_MAJOR, (2, 1, 2), False)]
+    j = 4
+    for shape, mode, layout, parts, replans in cases:
+        for dtype in ("float64", "float32"):
+            rtol, atol = DTYPE_TOLERANCES[dtype]
+            x, u = _case_arrays(shape, j, mode, layout, dtype)
+            base = default_plan(shape, mode, j, layout, dtype=dtype)
+            tiling = _forced_tiling(shape, mode, j, layout, parts, dtype)
+            out = DenseTensor.empty(tiling.out_shape, layout, dtype=dtype)
+            with tracing() as tracer, track_hot_path() as counters:
+                got = execute_tiled(x, u, tiling, out=out)
+            np.testing.assert_allclose(
+                got.data, ttm_reference(x.data, u, mode),
+                rtol=rtol, atol=atol,
+            )
+            assert counters.tiles_executed == tiling.n_tiles
+            assert counters.tile_pack_bytes == 0
+            degrees = {s.attrs["degree"] for s in tracer.collector.spans()
+                       if s.name == "tile-exec"}
+            if replans:
+                assert max(degrees) < base.degree, degrees
+            else:
+                assert degrees == {base.degree}, degrees
 
 
 @pytest.mark.parametrize("layout", [ROW_MAJOR, COL_MAJOR])
@@ -452,16 +480,18 @@ def test_memmap_ttm_larger_than_budget_matches_oracle(tmp_path, monkeypatch):
         tmp_path / "y.npy", "w+", shape=(shape[0], j, shape[2])
     )
 
-    with fault_injection() as faults, track_hot_path() as counters:
+    with fault_injection(), track_hot_path() as counters:
         y = repro.ttm(x, u, mode, out=out)
 
     assert counters.tiled_ttms == 1
     assert counters.tiles_executed > 1
-    # Invariant 2: every instrumented transient stayed under the budget.
-    for obs in faults.observations("alloc"):
-        assert obs["pool_nbytes"] + obs["kernel_ws"] <= budget, obs
     oracle = ttm_oracle(np.asarray(x.data), u, mode)
     np.testing.assert_allclose(y.data, oracle, rtol=1e-10, atol=1e-10)
+    # Invariant 2: the run above passed every tile's guard.
+    _assert_guard_refuses(
+        x, u, _forced_tiling(shape, mode, j, ROW_MAJOR, (shape[0], 1, 1)),
+        out,
+    )
 
 
 def test_memmap_in_memmap_out_end_to_end(tmp_path, monkeypatch):
@@ -556,13 +586,12 @@ def test_fuzz_tiled_is_exact_and_bounded(case, seed):
         cover[spec.in_slices] += 1
     assert (cover == 1).all()
     out = DenseTensor.empty(tiling.out_shape, layout)
-    with fault_injection() as faults:
+    with fault_injection():
         got = execute_tiled(x, u, tiling, out=out)
-    for obs in faults.observations("alloc"):
-        assert obs["pool_nbytes"] + obs["kernel_ws"] <= budget, obs
     np.testing.assert_allclose(
         got.data, ttm_oracle(x.data, u, mode), rtol=1e-10, atol=1e-12
     )
+    _assert_guard_refuses(x, u, tiling, out)
 
 
 # -- streaming -----------------------------------------------------------------
@@ -646,6 +675,38 @@ def test_stream_accumulator_refuses_a_second_layout():
         list(ttm_stream(chunks, u, 0, axis=0))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_ttm_tiled_checks_mode_before_adopting_a_journal(tmp_path, bad):
+    # A journal's recorded decision compares equal to True or 1.0, so the
+    # check must come before the journal is read.
+    x, u = _case_arrays((12, 10, 8), 4, 1)
+    journal = tmp_path / "tiled.json"
+    with pytest.raises(TypeError, match="mode must be an int"):
+        ttm_tiled(x, u, bad, journal_path=journal)  # cold
+    ttm_tiled(x, u, 1, journal_path=journal)
+    assert journal.exists()
+    with pytest.raises(TypeError, match="mode must be an int"):
+        ttm_tiled(x, u, bad, journal_path=journal)  # journaled
+
+
+@pytest.mark.parametrize("kwargs,exc,match", [
+    ({"mode": 1.0}, TypeError, "mode must be an int, got float"),
+    ({"axis": 0.0}, TypeError, "axis must be an int, got float"),
+    # True == 1 == mode: unchecked, it would run as a k-split.
+    ({"axis": True}, TypeError, "axis must be an int, got bool"),
+    ({"mode": -1}, ShapeError, "mode must be >= 0"),
+])
+def test_stream_types_mode_and_axis_before_opening_its_journal(
+    tmp_path, kwargs, exc, match
+):
+    x, u = _case_arrays((12, 10, 8), 4, 1)
+    args = {"mode": 1, "axis": 0, **kwargs}
+    with pytest.raises(exc, match=match):
+        list(ttm_stream(_chunked(x.data, 0), u,
+                        journal_path=tmp_path / "stream.json", **args))
+    assert not list(tmp_path.iterdir())
+
+
 def test_stream_chunks_are_traced_like_tiles():
     shape, j, mode = (9, 6, 5), 3, 1
     x, u = _case_arrays(shape, j, mode)
@@ -658,7 +719,6 @@ def test_stream_chunks_are_traced_like_tiles():
         [[lo, lo + 3], [0, 6], [0, 5]] for lo in (0, 3, 6)
     ]
     assert all(s.attrs["tile_shape"] == [3, 6, 5] for s in spans)
-    assert not any(s.attrs["packed"] for s in spans)
 
 
 def test_facade_stream_uses_the_estimator_planner():
